@@ -76,6 +76,18 @@ class CheckReport:
         }
 
 
+def _compare_series(xs, ys) -> tuple[bool, int]:
+    """Exact coefficientwise comparison of two coefficient lists of equal
+    length: (equal, number of nonzero coefficients met on either side)."""
+    if len(xs) != len(ys):
+        return False, 0
+    equal, nonzero = True, 0
+    for a, b in zip(xs, ys, strict=True):
+        equal = equal and a == b
+        nonzero += len(a.coeffs.keys() | b.coeffs.keys())
+    return equal, nonzero
+
+
 def _scalar_list(coeffs) -> List[str]:
     out = []
     for c in coeffs:
@@ -131,18 +143,20 @@ def check_mainpt(params: dict, conv: Convention) -> CheckReport:
             desc = (DescendentSpec("ch", 0, "u", uorder),)
             loc = bare_pt(("chern", lam), qorder, desc, s, conv)
             res = pt_residue_vertex(lam, qorder, desc, s, conv, "chern")
-            ok_c = all(a == b for a, b in zip(loc.coeffs, res))
+            ok_c, nz_c = _compare_series(loc.coeffs, res)
             # supplementary fixed-point-basis comparison (kept to n <= 2,
             # where the Chern-monomial pairing can be degenerate)
-            ok_f = True
+            ok_f, nz_f = True, 0
             if lam.size <= 2:
                 loc2 = bare_pt(("fixedpoint", lam), qorder, desc, s, conv)
                 res2 = pt_residue_vertex(lam, qorder, desc, s, conv, "interp")
-                ok_f = all(a == b for a, b in zip(loc2.coeffs, res2))
-            allok = allok and ok_c and ok_f
+                ok_f, nz_f = _compare_series(loc2.coeffs, res2)
+            # a case that compared only zeros in every basis certifies nothing
+            allok = allok and ok_c and ok_f and nz_c + nz_f > 0
             cases.append(
                 {"shape": lam.to_json(), "sample": i, "chern_basis": ok_c,
-                 "fixedpoint_basis": ok_f, "q_shift": 0}
+                 "fixedpoint_basis": ok_f, "chern_nonzero": nz_c,
+                 "fixedpoint_nonzero": nz_f, "q_shift": 0}
             )
     rep = CheckReport("mainpt", "pass" if allok else "fail", cases, conv, time.time() - t0)
     rep.notes.append("recorded global q-shift: 0; orientation matches localization")
@@ -294,9 +308,9 @@ def check_ptint(params: dict, conv: Convention) -> CheckReport:
             desc = (DescendentSpec("ch", 0, "u", uorder),)
             gl = glue(GlueRequest("PT", degrees, 1, desc, (), qorder, s, conv))
             pr = ptint_residue(degrees, 1, desc, (), s, qorder, conv)
-            ok = all(a == b for a, b in zip(gl, pr))
-            allok = allok and ok
-            cases.append({"degrees": list(degrees), "sample": i, "equal": ok})
+            ok, nonzero = _compare_series(gl, pr)
+            allok = allok and ok and nonzero > 0
+            cases.append({"degrees": list(degrees), "sample": i, "equal": ok, "nonzero": nonzero})
     return CheckReport("ptint", "pass" if allok else "fail", cases, conv, time.time() - t0)
 
 
@@ -433,6 +447,50 @@ class InvalidCheckSpec(ValueError):
     pass
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+# integer parameters and their least allowed value
+_INT_PARAMS = {"qorder": 0, "uorder": 0, "seed": 0, "samples": 1, "worder": 0, "max_size": 0,
+               "kmax": 0, "u_total": 0, "fit_upto": 0, "count_upto": 0}
+# list-of-integer parameters and the least allowed element (None: any)
+_INT_LIST_PARAMS = {"n_values": 1, "u_orders": 0, "grid": 0, "c_values": None}
+
+
+def _validate_params(name: str, params: dict) -> None:
+    for key, least in _INT_PARAMS.items():
+        if key in params and not (key == "u_total" and params[key] is None):
+            if not _is_int(params[key]) or params[key] < least:
+                raise InvalidCheckSpec(f"parameter {key} must be an integer >= {least}")
+    for key, least in _INT_LIST_PARAMS.items():
+        if key in params:
+            xs = params[key]
+            if not isinstance(xs, (list, tuple)) or not xs or not all(
+                _is_int(x) and (least is None or x >= least) for x in xs
+            ):
+                bound = "" if least is None else f" >= {least}"
+                raise InvalidCheckSpec(f"{key} must be a non-empty list of integers{bound}")
+    if "shapes" in params:
+        shapes = params["shapes"]
+        if not isinstance(shapes, (list, tuple)) or not shapes or not all(
+            isinstance(p, (list, tuple)) and p and all(_is_int(x) and x >= 1 for x in p)
+            and all(a >= b for a, b in zip(p, p[1:]))
+            for p in shapes
+        ):
+            raise InvalidCheckSpec("shapes must be a non-empty list of partitions "
+                                   "(non-increasing lists of positive integers)")
+    if "degrees" in params:
+        # ptint takes a list of (d1, d2) pairs, simple a single pair
+        pairs = params["degrees"] if name == "ptint" else [params["degrees"]]
+        if not isinstance(pairs, (list, tuple)) or not pairs or not all(
+            isinstance(d, (list, tuple)) and len(d) == 2 and all(_is_int(x) for x in d)
+            for d in pairs
+        ):
+            what = "a non-empty list of integer pairs" if name == "ptint" else "an integer pair"
+            raise InvalidCheckSpec(f"degrees must be {what}")
+
+
 def run_check(name: str, params: dict | None = None, conv: Convention | None = None) -> CheckReport:
     if name not in CHECKS:
         raise InvalidCheckSpec(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
@@ -440,11 +498,7 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
     bad = set(params) - _CHECK_PARAM_KEYS[name]
     if bad:
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
-    for key in ("qorder", "uorder", "seed", "samples", "worder", "max_size", "kmax"):
-        if key in params and (not isinstance(params[key], int) or params[key] < 0):
-            raise InvalidCheckSpec(f"parameter {key} must be a non-negative integer")
-    if "n_values" in params and any((not isinstance(n, int)) or n < 1 for n in params["n_values"]):
-        raise InvalidCheckSpec("n_values must be positive integers")
+    _validate_params(name, params)
     return CHECKS[name](params, conv or load_default_convention())
 
 

@@ -2,27 +2,36 @@
 
 Two exact evaluators:
 
+* `residue_sum` / `residue_sum_series` — the factored pole engine.  An
+  integrand is a small dense z-polynomial (a Chern or interpolation basis
+  polynomial, descendent or EGL u-buckets) times linear forms with signed
+  exponents.  Every form is normalized to leading coefficient 1, so equal
+  numerator and denominator forms cancel; a monomial z_i^m is the form z_i
+  to the power m.  The residue in z_v at an enclosed pole of order m is a
+  sum over the ways to put m - 1 derivatives on the other forms
+  (d/dz_v L^e = e c_v L^(e-1)), after which the root is substituted into
+  each form; terms stay factored throughout.  Pole locations carry a split
+  constant (an integer-scale part and an infinitesimal-scale part built
+  from a_1, a_2); in the `inner` region only poles with vanishing
+  integer-scale part are enclosed, in the `full` region every finite pole
+  is enclosed.  The dense parts enter by linearity: residues are taken per
+  z-monomial and memoized.
+
 * `iterated_residue` — formal Laurent expansion with per-variable truncation
   windows (valid when every reciprocal factor is expanded in negative powers
   of its leading z, i.e. all finite poles sit inside every contour); window
   stability is asserted by recomputation at enlarged windows.
-
-* `residue_sum` — per-variable summation of residues at the poles lying
-  inside each contour.  Pole locations carry a split constant (an integer
-  -scale part and an infinitesimal-scale part built from a_1, a_2); in the
-  `inner` region only poles with vanishing integer-scale part are enclosed,
-  in the `full` region every finite pole is enclosed.  This is exact for
-  arbitrary mixed regions where plain window truncation is not.
 
 Both treat "integration" as coefficient extraction, never quadrature.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import factorial
+from itertools import combinations, combinations_with_replacement
+from math import factorial, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
 ZERO = Fraction(0)
@@ -55,32 +64,6 @@ class LinForm:
             c[v] = Fraction(x)
         return LinForm(tuple(c), Fraction(big), Fraction(small))
 
-    def value_if_const(self) -> Fraction:
-        if any(self.coeffs):
-            raise ValueError("linear form still depends on a variable")
-        return self.big + self.small
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs) and self.big == 0 and self.small == 0
-
-    def subs(self, v: int, root: "LinForm") -> "LinForm":
-        """Replace z_v by the linear form `root` (which has coeffs[v] == 0)."""
-        cv = self.coeffs[v]
-        if cv == 0:
-            return self
-        coeffs = list(self.coeffs)
-        coeffs[v] = ZERO
-        for w, x in enumerate(root.coeffs):
-            if x:
-                coeffs[w] += cv * x
-        return LinForm(tuple(coeffs), self.big + cv * root.big, self.small + cv * root.small)
-
-    def root_in(self, v: int) -> "LinForm":
-        """Solve self == 0 for z_v."""
-        cv = self.coeffs[v]
-        coeffs = [(-x / cv if w != v else ZERO) for w, x in enumerate(self.coeffs)]
-        return LinForm(tuple(coeffs), -self.big / cv, -self.small / cv)
-
 
 # ---------------------------------------------------------------------------
 # polynomials in the z variables over an arbitrary coefficient ring
@@ -100,22 +83,6 @@ def zp_mul(p: Dict, q: Dict) -> Dict:
     return out
 
 
-def zp_add(p: Dict, q: Dict) -> Dict:
-    out = dict(p)
-    for e, c in q.items():
-        s = out.get(e)
-        s = c if s is None else s + c
-        if isinstance(s, Fraction) and s == 0:
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
-
-
-def zp_scale(p: Dict, c) -> Dict:
-    return {e: v * c for e, v in p.items()}
-
-
 def zp_const(nvars: int, c) -> Dict:
     return {(0,) * nvars: c}
 
@@ -133,153 +100,204 @@ def zp_linform(nvars: int, lf: LinForm) -> Dict:
     return out
 
 
-def zp_diff(p: Dict, v: int) -> Dict:
-    out: Dict = {}
-    for e, c in p.items():
-        if e[v]:
-            e2 = tuple(x - 1 if w == v else x for w, x in enumerate(e))
-            s = out.get(e2)
-            s = c * e[v] if s is None else s + c * e[v]
-            out[e2] = s
-    return {e: c for e, c in out.items() if not (isinstance(c, Fraction) and c == 0)}
-
-
-def zp_subs(p: Dict, v: int, root: LinForm, nvars: int) -> Dict:
-    """Substitute z_v := root into the polynomial."""
-    rootpoly = zp_linform(nvars, root)
-    # powers of the root, computed on demand
-    powers = {0: zp_const(nvars, Fraction(1)), 1: rootpoly}
-
-    def power(m: int) -> Dict:
-        if m not in powers:
-            powers[m] = zp_mul(power(m - 1), rootpoly)
-        return powers[m]
-
-    out: Dict = {}
-    for e, c in p.items():
-        m = e[v]
-        base = tuple(0 if w == v else x for w, x in enumerate(e))
-        if m == 0:
-            out = zp_add(out, {base: c})
-        else:
-            out = zp_add(out, zp_mul({base: c}, power(m)))
-    return out
-
-
 # ---------------------------------------------------------------------------
-# terms: poly * prod(linear form)^(-exponent)
+# the factored pole engine
 
 
 @dataclass
 class Term:
+    """poly * prod L^e: a dense z-polynomial times linear forms with signed
+    exponents (e > 0 numerator, e < 0 denominator)."""
+
     poly: Dict
-    recips: Tuple[Tuple[LinForm, int], ...]
-
-    def key(self):
-        return tuple(sorted(((lf.coeffs, lf.big, lf.small), e) for lf, e in self.recips))
+    factors: Tuple[Tuple[LinForm, int], ...]
 
 
-def _merge(terms: List[Term]) -> List[Term]:
-    table: Dict = {}
-    for t in terms:
-        k = t.key()
-        if k in table:
-            table[k].poly = zp_add(table[k].poly, t.poly)
-        else:
-            table[k] = Term(dict(t.poly), t.recips)
-    return [t for t in table.values() if t.poly]
+def _binom(e: int, k: int) -> int:
+    """Generalized binomial coefficient e(e-1)...(e-k+1)/k!, any integer e."""
+    return prod(range(e, e - k, -1)) // factorial(k)
 
 
-def _diff_term(t: Term, v: int, nvars: int) -> List[Term]:
-    out: List[Term] = []
-    dp = zp_diff(t.poly, v)
-    if dp:
-        out.append(Term(dp, t.recips))
-    for idx, (lf, e) in enumerate(t.recips):
-        cv = lf.coeffs[v]
-        if cv == 0:
-            continue
-        recips = list(t.recips)
-        recips[idx] = (lf, e + 1)
-        out.append(Term(zp_scale(t.poly, Fraction(-e) * cv), tuple(recips)))
-    return out
+class _PoleEngine:
+    """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
 
+    Forms are interned by id with leading coefficient 1; a term is a
+    coefficient and a sorted tuple of (form id, signed exponent).  The
+    variables are taken innermost first, so at z_v every form has lost its
+    dependence on z_(v+1)..z_n and a pole lies inside the z_v contour
+    exactly when its form is z_v + constant (in the `inner` region, with no
+    integer-scale part).  Residues of monomials are memoized.
+    """
 
-def _subs_term(t: Term, v: int, root: LinForm, nvars: int) -> Term:
-    poly = zp_subs(t.poly, v, root, nvars)
-    recips = []
-    for lf, e in t.recips:
-        lf2 = lf.subs(v, root)
-        if not any(lf2.coeffs) and lf2.big + lf2.small == 0:
-            raise ZeroDivisionError("pole at non-generic input: factor vanished on substitution")
-        recips.append((lf2, e))
-    return Term(poly, tuple(recips))
+    def __init__(self, factors: Iterable[Tuple[LinForm, int]], nvars: int, region: str):
+        if region not in ("inner", "full"):
+            raise ValueError(f"unknown region {region!r}")
+        self.nvars = nvars
+        self.region = region
+        self.forms: List[Tuple[Tuple[Fraction, ...], Fraction, Fraction]] = []
+        self.ids: Dict[tuple, int] = {}
+        self.lead: List[int] = []
+        self.subs: Dict[Tuple[int, int], Tuple[bool, object]] = {}
+        self.memo: Dict[tuple, Fraction] = {}
+        self.var = [
+            self._intern(tuple(Fraction(v == w) for w in range(nvars)), ZERO, ZERO, v)
+            for v in range(nvars)
+        ]
+        self.coef = Fraction(1)
+        self.base: Dict[int, int] = {}
+        for lf, e in factors:
+            nz = [v for v, x in enumerate(lf.coeffs) if x]
+            if nz:
+                c = lf.coeffs[nz[0]]
+                i = self._intern(tuple(x / c for x in lf.coeffs), lf.big / c, lf.small / c, nz[0])
+                self.coef *= c ** e
+                self.base[i] = self.base.get(i, 0) + e
+                continue
+            # a constant folds into the coefficient; zero kills a numerator
+            x = lf.big + lf.small
+            if x == 0 and e < 0:
+                raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
+            if e:
+                self.coef *= x ** e if x else ZERO
 
+    def _intern(self, coeffs, big, small, lead: int) -> int:
+        key = (coeffs, big, small)
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.forms)
+            self.forms.append(key)
+            self.lead.append(lead)
+        return i
 
-def _residues_in_var(t: Term, v: int, nvars: int, region: str) -> List[Term]:
-    """All residues of the term in z_v at poles inside the |z_v| contour."""
-    # group vanishing linear factors by their root in z_v
-    groups: Dict = {}
-    for lf, e in t.recips:
-        if lf.coeffs[v] == 0:
-            continue
-        root = lf.root_in(v)
-        # a pole whose location involves an outer (larger) variable lies
-        # outside the contour; inner variables are processed first so any
-        # remaining variable dependence means "outside"
-        if any(root.coeffs):
-            continue
-        if region == "inner" and root.big != 0:
-            continue
-        key = (root.coeffs, root.big, root.small)
-        groups.setdefault(key, [root, 0])[1] += e
-    out: List[Term] = []
-    for (_, _, _), (root, order) in groups.items():
-        # strip the vanishing factors, normalizing each to (z_v - root)
-        norm = Fraction(1)
-        recips = []
-        for lf, e in t.recips:
-            if lf.coeffs[v] != 0 and lf.root_in(v) == root:
-                norm *= lf.coeffs[v] ** e
+    def _substitute(self, i: int, p: int) -> Tuple[bool, object]:
+        """Form i at the root of pole form p: (True, form id) or (False, value)."""
+        key = (i, p)
+        out = self.subs.get(key)
+        if out is None:
+            coeffs, big, small = self.forms[i]
+            v = self.lead[p]
+            _, pbig, psmall = self.forms[p]
+            cv = coeffs[v]
+            rest = coeffs[:v] + (ZERO,) + coeffs[v + 1:]
+            big, small = big - cv * pbig, small - cv * psmall
+            if any(rest):
+                out = (True, self._intern(rest, big, small, self.lead[i]))
             else:
-                recips.append((lf, e))
-        g = [Term(zp_scale(t.poly, 1 / norm), tuple(recips))]
-        for _ in range(order - 1):
-            g = [d for gt in g for d in _diff_term(gt, v, nvars)]
-        scale = Fraction(1, factorial(order - 1))
-        for gt in g:
-            evaluated = _subs_term(gt, v, root, nvars)
-            evaluated.poly = zp_scale(evaluated.poly, scale)
-            out.append(evaluated)
-    return out
+                out = (False, big + small)
+            self.subs[key] = out
+        return out
+
+    def _residues(self, key: tuple, coef: Fraction, v: int, out: Dict[tuple, Fraction]) -> None:
+        """Add to `out` the residues of one term in z_v at its enclosed poles."""
+        forms = self.forms
+        active = [(i, e) for i, e in key if forms[i][0][v]]
+        passive = [(i, e) for i, e in key if not forms[i][0][v]]
+        for p, m in active:
+            if m >= 0 or self.lead[p] != v or (self.region == "inner" and forms[p][1]):
+                continue
+            others = []
+            for i, e in active:
+                if i == p:
+                    continue
+                is_form, val = self._substitute(i, p)
+                if not is_form and val == 0 and e < 0:
+                    raise ZeroDivisionError("pole at non-generic input: factor vanished on substitution")
+                others.append((i, e, forms[i][0][v], is_form, val))
+            for ks in combinations_with_replacement(range(len(others)), -m - 1):
+                counts = Counter(ks)
+                c = coef
+                exps = dict(passive)
+                for j, (i, e, cv, is_form, val) in enumerate(others):
+                    k = counts.get(j, 0)
+                    if k:
+                        c *= _binom(e, k) * cv ** k
+                    x = e - k
+                    if is_form:
+                        exps[val] = exps.get(val, 0) + x
+                    elif val:
+                        c *= val ** x
+                    elif x:
+                        c = ZERO
+                    if not c:
+                        break
+                else:
+                    k2 = tuple(sorted((i, x) for i, x in exps.items() if x))
+                    out[k2] = out.get(k2, ZERO) + c
+
+    def monomial(self, mono: Tuple[int, ...]) -> Fraction:
+        """Iterated residue of z^mono times the linear part."""
+        val = self.memo.get(mono)
+        if val is not None:
+            return val
+        exps = dict(self.base)
+        for v, m in enumerate(mono):
+            if m:
+                exps[self.var[v]] = exps.get(self.var[v], 0) + m
+        work = {tuple(sorted((i, x) for i, x in exps.items() if x)): self.coef} if self.coef else {}
+        for v in range(self.nvars - 1, -1, -1):
+            nxt: Dict[tuple, Fraction] = {}
+            for key, c in work.items():
+                self._residues(key, c, v, nxt)
+            work = {k: c for k, c in nxt.items() if c}
+        # every form is constant once all variables are substituted
+        val = self.memo[mono] = sum(work.values(), ZERO)
+        return val
 
 
-def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner"):
+def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fraction:
     """Iterated residue over z_n, ..., z_1 (innermost contour first).
 
-    Each step replaces the term list by all residues at enclosed poles of
-    the current variable.  Region 'inner': only poles at infinitesimal
-    locations are enclosed; 'full': all finite poles (expansion at infinity).
+    Region 'inner': only poles at infinitesimal locations are enclosed;
+    'full': all finite poles (expansion at infinity).
     """
-    if region not in ("inner", "full"):
-        raise ValueError(f"unknown region {region!r}")
-    work = _merge(list(terms))
-    for v in range(nvars - 1, -1, -1):
-        nxt: List[Term] = []
-        for t in work:
-            nxt.extend(_residues_in_var(t, v, nvars, region))
-        work = _merge(nxt)
-        if not work:
-            return Fraction(0)
-    total = None
-    for t in work:
-        val = t.poly.get((0,) * nvars)
-        if val is None:
-            continue
-        for lf, e in t.recips:
-            val = val * (Fraction(1) / lf.value_if_const() ** e)
-        total = val if total is None else total + val
-    return Fraction(0) if total is None else total
+    total = ZERO
+    for t in terms:
+        engine = _PoleEngine(t.factors, nvars, region)
+        total += sum((c * engine.monomial(e) for e, c in t.poly.items()), ZERO)
+    return total
+
+
+def _u_buckets(dense: Dict) -> Dict[tuple, Dict]:
+    """A z-polynomial with DescSeries coefficients as scalar z-polynomials
+    keyed by descendent exponent."""
+    out: Dict[tuple, Dict] = {}
+    for ze, c in dense.items():
+        for ue, x in c.coeffs.items():
+            b = out.setdefault(ue, {})
+            b[ze] = b.get(ze, ZERO) + x
+    return out
+
+
+def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
+                       vs, orders, total=None):
+    """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
+    series in the descendent variables u (buckets None: the scalar integrand).
+
+    The residue is linear in the integrand, so each z-monomial of the dense
+    parts is taken once against the shared linear forms."""
+    from .series import DescSeries
+
+    if buckets is None:
+        buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
+    engine = _PoleEngine(term.factors, nvars, region)
+    weights: Dict[tuple, Fraction] = {}
+
+    def weight(ze):
+        # residue of term.poly * z^ze
+        w = weights.get(ze)
+        if w is None:
+            w = weights[ze] = sum(
+                (c * engine.monomial(tuple(x + y for x, y in zip(e, ze))) for e, c in term.poly.items()),
+                ZERO,
+            )
+        return w
+
+    out = DescSeries(vs, orders, total)
+    for ue, zp in buckets.items():
+        val = sum((x * weight(ze) for ze, x in zp.items()), ZERO)
+        if val:
+            out.coeffs[ue] = val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,36 +414,6 @@ def iterated_residue(factors: Sequence[RationalFactor], nvars: int, slack: int =
     return a
 
 
-def residue_sum_series(poly: Dict, recips, nvars: int, region: str, vs, orders,
-                       total=None, scalar_part: Dict | None = None):
-    """residue_sum for a z-polynomial with truncated-series coefficients,
-    decomposed by descendent monomial (the residue is linear in the
-    integrand, and scalar coefficient arithmetic is far cheaper).  When
-    `scalar_part` is given it multiplies every bucket after decomposition,
-    keeping the expensive product in scalar arithmetic."""
-    from .series import DescSeries
-
-    buckets: Dict[tuple, Dict] = {}
-    for ze, c in poly.items():
-        if isinstance(c, Fraction):
-            if c:
-                buckets.setdefault((0,) * len(vs), {})[ze] = c
-            continue
-        for ue, x in c.coeffs.items():
-            if x:
-                b = buckets.setdefault(ue, {})
-                b[ze] = b.get(ze, Fraction(0)) + x
-    out = DescSeries(vs, orders, total)
-    for ue, zp in buckets.items():
-        if scalar_part is not None:
-            zp = zp_mul(scalar_part, zp)
-        val = residue_sum([Term(zp, tuple(recips))], nvars, region)
-        if val:
-            out.coeffs[ue] = out.coeffs.get(ue, Fraction(0)) + val
-    out.coeffs = {e: c for e, c in out.coeffs.items() if c}
-    return out
-
-
 # ---------------------------------------------------------------------------
 # integrand builders (a-scale variables: z ~ content / t3, a_i = t_i / t3)
 
@@ -455,14 +443,20 @@ def omega_kernel(n: int, s) -> List[RationalFactor]:
     return out
 
 
-def _omega_pole_factors(nv: int, i: int, j: int, a1: Fraction, a2: Fraction):
-    """omega(z_i - z_j) for the residue-sum engine: (poly, recip linforms)."""
-    w = {i: Fraction(1), j: Fraction(-1)}
-    poly = zp_mul(
-        zp_linform(nv, _lf(nv, w)), zp_linform(nv, _lf(nv, w, small=-a1 - a2))
-    )
-    recips = [_lf(nv, w, small=-a1), _lf(nv, w, small=-a2)]
-    return poly, recips
+def _kernel_factors(nv: int, x1: Fraction, x2: Fraction):
+    """The measure prod_i dz_i/z_i and prod_{i<j} omega(z_i - z_j),
+    omega(w) = w(w - x1 - x2)/((w - x1)(w - x2)), as signed linear forms."""
+    out = [(_lf(nv, {i: Fraction(1)}), -1) for i in range(nv)]
+    for i, j in combinations(range(nv), 2):
+        w = {i: Fraction(1), j: Fraction(-1)}
+        out += [(_lf(nv, w), 1), (_lf(nv, w, small=-x1 - x2), 1),
+                (_lf(nv, w, small=-x1), -1), (_lf(nv, w, small=-x2), -1)]
+    return out
+
+
+def _signed(polys: Sequence[LinForm], recips: Sequence[LinForm]):
+    """A block's (numerator, denominator) forms as (form, +-1) factors."""
+    return [(L, 1) for L in polys] + [(L, -1) for L in recips]
 
 
 def _column_block(nv: int, i: int, k: int, a1: Fraction, a2: Fraction):
@@ -502,6 +496,17 @@ def _pair_block(nv: int, i: int, j: int, b: int, a1: Fraction, a2: Fraction):
             polys += [_lf(nv, _neg(w), big=-l, small=-A), _lf(nv, _neg(w), big=-l)]
             recips += [_lf(nv, _neg(w), big=-l, small=-a1), _lf(nv, _neg(w), big=-l, small=-a2)]
     return polys, recips
+
+
+def _pt_factors(nv: int, kvec, a1: Fraction, a2: Fraction):
+    """Linear part of the stable-pairs integrand at one k-vector: the
+    kernel, the single-column blocks and the two-column interactions."""
+    out = _kernel_factors(nv, a1, a2)
+    for i, k in enumerate(kvec):
+        out += _signed(*_column_block(nv, i, k, a1, a2))
+    for i, j in combinations(range(nv), 2):
+        out += _signed(*_pair_block(nv, i, j, kvec[j] - kvec[i], a1, a2))
+    return out
 
 
 def elementary_symmetric_poly(nv: int, degree: int) -> Dict:
@@ -551,43 +556,43 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
     """Method B: (1/n!) (t1 t2)^{gamma n} x iterated residue of
     prod_{i<j} omega(z_i - z_j) prod_k prod_l (1 - u_l z_k), t-scale roots."""
     from .characters import DEFAULT_CONVENTION
-    from .series import DescSeries
+    from .series import DescSeries, enumerate_exponents
 
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
+    u_orders = tuple(u_orders)
     t1, t2 = s.t1, s.t2
-    poly = zp_const(n, Fraction(1))
-    recip_lfs: List[LinForm] = []
-    factors: List[RationalFactor] = []
-    for i, j in combinations(range(n), 2):
-        w = {i: Fraction(1), j: Fraction(-1)}
-        num = zp_mul(zp_linform(n, _lf(n, w)), zp_linform(n, _lf(n, w, small=-t1 - t2)))
-        poly = zp_mul(poly, num)
-        factors.append(RationalFactor.of_poly(num))
-        factors.append(RationalFactor("inv_pair", i=i, j=j, c=t1))
-        factors.append(RationalFactor("inv_pair", i=i, j=j, c=t2))
-        recip_lfs += [_lf(n, w, small=-t1), _lf(n, w, small=-t2)]
-    upoly = zp_const(n, DescSeries.const(vs, u_orders, Fraction(1), total))
-    for k in range(n):
-        for l, v in enumerate(vs):
-            mu = DescSeries(vs, tuple(u_orders), total)
-            mu.coeffs[tuple(1 if w == l else 0 for w in range(len(vs)))] = Fraction(-1)
-            lin = zp_add(
-                zp_const(n, DescSeries.const(vs, u_orders, Fraction(1), total)),
-                {tuple(1 if w == k else 0 for w in range(n)): mu},
-            )
-            upoly = zp_mul(upoly, lin)
+    # u-buckets of prod_k prod_l (1 - u_l z_k): u^a has coefficient
+    # prod_l (-1)^{a_l} e_{a_l}(z)
+    buckets: Dict[tuple, Dict] = {}
+    for a in enumerate_exponents(u_orders, total):
+        p = zp_const(n, Fraction((-1) ** sum(a)))
+        for al in a:
+            p = zp_mul(p, elementary_symmetric_poly(n, al))
+        if p:
+            buckets[a] = p
     norm = Fraction(t1 * t2) ** (conv.hilb_norm * n) / factorial(n)
     if engine == "window":
         # expansion engine: exact but exponential in n; kept for small-n
         # cross-checks of the pole-summation engine
+        factors: List[RationalFactor] = []
+        for i, j in combinations(range(n), 2):
+            w = {i: Fraction(1), j: Fraction(-1)}
+            num = zp_mul(zp_linform(n, _lf(n, w)), zp_linform(n, _lf(n, w, small=-t1 - t2)))
+            factors.append(RationalFactor.of_poly(num))
+            factors.append(RationalFactor("inv_pair", i=i, j=j, c=t1))
+            factors.append(RationalFactor("inv_pair", i=i, j=j, c=t2))
+        upoly: Dict = {}
+        for a, p in buckets.items():
+            for ze, c in p.items():
+                upoly.setdefault(ze, DescSeries(vs, u_orders, total)).coeffs[a] = c
         factors.append(RationalFactor.of_poly(upoly))
         res = _window_extract_ring(factors, n)
+        if isinstance(res, Fraction):
+            res = DescSeries.const(vs, u_orders, res, total)
     else:
-        recips = [(lf, 1) for lf in recip_lfs + [_lf(n, {i: Fraction(1)}) for i in range(n)]]
-        res = residue_sum_series(zp_mul(poly, upoly), recips, n, "inner", vs, tuple(u_orders), total)
-    if isinstance(res, Fraction):
-        res = DescSeries.const(vs, u_orders, res, total)
+        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, t1, t2)))
+        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total)
     return res * norm
 
 
@@ -644,38 +649,23 @@ def _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total):
 
 
 def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern",
-                        basis_poly=None, total=None) -> Term:
-    """Integrand for one k-vector of the residue vertex, a-scale variables."""
+                        basis_poly=None, total=None) -> Tuple[Term, Dict | None]:
+    """Integrand for one k-vector of the residue vertex, a-scale variables:
+    the basis polynomial times the linear part, and the descendent
+    z-polynomial with series coefficients (None without descendents)."""
     nv = len(kvec)
-    a1, a2 = s.a1, s.a2
-    poly = zp_const(nv, Fraction(1))
-    recips: List[Tuple[LinForm, int]] = [(_lf(nv, {i: Fraction(1)}), 1) for i in range(nv)]
-    for i, j in combinations(range(nv), 2):
-        p, rs = _omega_pole_factors(nv, i, j, a1, a2)
-        poly = zp_mul(poly, p)
-        recips += [(r, 1) for r in rs]
     if basis == "chern":
-        poly = zp_mul(poly, chern_monomial_poly(nv, shape_parts))
+        poly = chern_monomial_poly(nv, shape_parts)
     elif basis == "interp":
-        poly = zp_mul(poly, basis_poly)
+        poly = basis_poly
     else:
         raise ValueError(f"unknown basis {basis!r}")
-    for i, k in enumerate(kvec):
-        pl, rc = _column_block(nv, i, k, a1, a2)
-        for L in pl:
-            poly = zp_mul(poly, zp_linform(nv, L))
-        recips += [(L, 1) for L in rc]
-    for i, j in combinations(range(nv), 2):
-        pl, rc = _pair_block(nv, i, j, kvec[j] - kvec[i], a1, a2)
-        for L in pl:
-            poly = zp_mul(poly, zp_linform(nv, L))
-        recips += [(L, 1) for L in rc]
     desc_poly = None
     if desc_specs:
         orders_all = tuple(sp.order for sp in desc_specs)
         sigma = conv.pt_column_sign
         desc_poly = _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total)
-    return Term(poly, tuple(recips)), desc_poly
+    return Term(poly, tuple(_pt_factors(nv, kvec, s.a1, s.a2))), desc_poly
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -710,11 +700,8 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
         if d > qorder:
             continue
         t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly, total)
-        if dpoly is None:
-            val = residue_sum_series(t.poly, t.recips, n, region, vs, orders_all, total)
-        else:
-            val = residue_sum_series(dpoly, t.recips, n, region, vs, orders_all, total,
-                                     scalar_part=t.poly)
+        buckets = None if dpoly is None else _u_buckets(dpoly)
+        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total)
         out[d] = out[d] + val * norm
     return out
 
@@ -889,72 +876,37 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
     from .localcurve import interp_poly
     from .series import DescSeries
 
-    n = mu.size
-    nv = n
+    nv = mu.size
     a1, a2 = s.a1, s.a2
     A = a1 + a2
-    cells = mu.cells()
     vs = tuple(w["var"] for w in wspecs)
     orders_all = tuple(w["order"] for w in wspecs)
-    poly = zp_const(nv, Fraction(1))
-    recips: List[Tuple[LinForm, int]] = []
     jp = interp_poly(mu, s).as_zpoly(nv)
-    poly = zp_mul(poly, jp)
     if variant == "derived":
-        recips += [(_lf(nv, {i: Fraction(1)}), 1) for i in range(nv)]
-        for i, j in combinations(range(nv), 2):
-            p, rs = _omega_pole_factors(nv, i, j, a1, a2)
-            poly = zp_mul(poly, p)
-            recips += [(r, 1) for r in rs]
+        factors = _pt_factors(nv, kvec, a1, a2)
         for i, k in enumerate(kvec):
-            pl, rc = _column_block(nv, i, k, a1, a2)
-            for L in pl:
-                poly = zp_mul(poly, zp_linform(nv, L))
-            recips += [(L, 1) for L in rc]
-        for i, j in combinations(range(nv), 2):
-            pl, rc = _pair_block(nv, i, j, kvec[j] - kvec[i], a1, a2)
-            for L in pl:
-                poly = zp_mul(poly, zp_linform(nv, L))
-            recips += [(L, 1) for L in rc]
-        for i, k in enumerate(kvec):
-            pl, rc = _ratio_cell_blocks_symbolic(nv, i, k, a1, a2)
-            for L in pl:
-                poly = zp_mul(poly, zp_linform(nv, L))
-            recips += [(L, 1) for L in rc]
+            factors += _signed(*_ratio_cell_blocks_symbolic(nv, i, k, a1, a2))
         for ci in range(nv):
             for cj in range(nv):
-                if ci == cj:
-                    continue
-                pl, rc = _ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], a1, a2)
-                for L in pl:
-                    poly = zp_mul(poly, zp_linform(nv, L))
-                recips += [(L, 1) for L in rc]
+                if ci != cj:
+                    factors += _signed(*_ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], a1, a2))
     elif variant == "printed":
+        factors = []
         # first factors [z_i + 1 + A]_{k_i} / [z_i]_{k_i}
         for i, k in enumerate(kvec):
-            pl, rc = _poch_lin(nv, {i: Fraction(1)}, Fraction(1), A, k)
-            for L in pl:
-                poly = zp_mul(poly, zp_linform(nv, L))
-            recips += [(L, 1) for L in rc]
-            pl, rc = _poch_lin(nv, {i: Fraction(1)}, Fraction(0), Fraction(0), k, invert=True)
-            for L in pl:
-                poly = zp_mul(poly, zp_linform(nv, L))
-            recips += [(L, 1) for L in rc]
+            factors += _signed(*_poch_lin(nv, {i: Fraction(1)}, Fraction(1), A, k))
+            factors += _signed(*_poch_lin(nv, {i: Fraction(1)}, Fraction(0), Fraction(0), k, invert=True))
         # F^{-1}_{k_i - k_j}(z_i - z_j) for i < j, as printed
         for i, j in combinations(range(nv), 2):
             b = kvec[i] - kvec[j]
             w = {i: Fraction(1), j: Fraction(-1)}
             for small, inv in ((a1, False), (a2, False), (-A, False), (-a1, True), (-a2, True), (A, True)):
-                pl, rc = _poch_lin(nv, w, Fraction(0), small, b, invert=inv)
-                for L in pl:
-                    poly = zp_mul(poly, zp_linform(nv, L))
-                recips += [(L, 1) for L in rc]
+                factors += _signed(*_poch_lin(nv, w, Fraction(0), small, b, invert=inv))
         # quadruple product over ordered pairs i != j with index k_i
         for i in range(nv):
             for j in range(nv):
                 if i == j:
                     continue
-                k = kvec[i]
                 w = {i: Fraction(1), j: Fraction(-1)}
                 for big, small, inv in (
                     (1, Fraction(0), False),
@@ -966,26 +918,19 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
                     (1, a1, True),
                     (1, a2, True),
                 ):
-                    pl, rc = _poch_lin(nv, w, Fraction(big), small, k, invert=inv)
-                    for L in pl:
-                        poly = zp_mul(poly, zp_linform(nv, L))
-                    recips += [(L, 1) for L in rc]
+                    factors += _signed(*_poch_lin(nv, w, Fraction(big), small, kvec[i], invert=inv))
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    gz = None
+    buckets = None
     if wspecs:
         gz = zp_const(nv, DescSeries.const(vs, orders_all, Fraction(1), total))
         for wsp in wspecs:
             gz = zp_mul(gz, _g_factor_zpoly(nv, kvec, {"vs": vs, "var": wsp["var"]}, s, orders_all, total))
+        buckets = _u_buckets(gz)
     try:
-        if gz is None:
-            val = residue_sum_series(poly, recips, nv, "inner", vs, orders_all, total)
-        else:
-            val = residue_sum_series(gz, recips, nv, "inner", vs, orders_all, total,
-                                     scalar_part=poly)
+        return residue_sum_series(Term(jp, tuple(factors)), buckets, nv, "inner", vs, orders_all, total)
     except ZeroDivisionError:
         return None
-    return val
 
 
 def _poch_lin(nv, wcoeffs, big, small, b, invert=False):
@@ -1135,11 +1080,6 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                 if val is None:
                     feasible = False
                     continue
-                if isinstance(val, Fraction):
-                    dsv = DescSeries(vs, orders_all)
-                    if val:
-                        dsv.coeffs[(0,) * len(vs)] = val
-                    val = dsv
                 by_degree[d] = by_degree.get(d, DescSeries(vs, orders_all)) + val
             for orient in orientations:
                 series = []

@@ -12,8 +12,6 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from .laurent import LaurentPoly, exp_pleth
 
 _RETRY_BUDGET = 200
@@ -69,17 +67,22 @@ def _is_generic(t1: Fraction, t2: Fraction, t3: Fraction, L: int, line: int | No
     x1 = int(t1 * den)
     x2 = int(t2 * den)
     x3 = int(t3 * den)
-    rng = np.arange(-L, L + 1, dtype=np.int64)
-    i, j, k = np.meshgrid(rng, rng, rng, indexing="ij", sparse=True)
-    vals = i * x1 + j * x2 + k * x3
-    zero = vals == 0
-    if line is None:
-        # only (0,0,0) may vanish
-        return int(zero.sum()) == 1
-    # on the line t1 + t2 = c*t3, exactly the multiples m*(1,1,-c) vanish
-    ii, jj, kk = np.meshgrid(rng, rng, rng, indexing="ij")
-    allowed = (ii == jj) & (kk == -line * jj)
-    return bool(np.array_equal(zero, allowed))
+    if x3 == 0:
+        return False  # (0, 0, 1) vanishes
+    # for each (i, j) at most one k solves i*x1 + j*x2 + k*x3 = 0; the
+    # solutions within the bound must be exactly the allowed ones: (0, 0, 0),
+    # and on the line t1 + t2 = c*t3 the multiples m*(1, 1, -c)
+    for i in range(-L, L + 1):
+        for j in range(-L, L + 1):
+            r = i * x1 + j * x2
+            k = -r // x3 if r % x3 == 0 and abs(r) <= L * abs(x3) else None
+            if line is None:
+                allowed = 0 if i == j == 0 else None
+            else:
+                allowed = -line * j if i == j and abs(line * j) <= L else None
+            if k != allowed:
+                return False
+    return True
 
 
 def sample_random(seed: int, L: int, line: int | None = None) -> ParamSample:

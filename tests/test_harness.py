@@ -86,6 +86,24 @@ class TestCLI:
         assert rc == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("name,params", [
+        ("mainpt", '{"shapes": [[1, 2]]}'), ("mainpt", '{"shapes": "x"}'),
+        ("mainpt", '{"samples": 0}'), ("mainpt", '{"qorder": true}'),
+        ("egl", '{"n_values": [true]}'), ("ptint", '{"degrees": [[0]]}'),
+        ("simple", '{"degrees": [[-1, -1]]}'),
+    ])
+    def test_invalid_params_exit_2(self, name, params, capsys):
+        rc = main(["check", name, "--params", params])
+        assert rc == 2
+        assert "invalid check spec" in capsys.readouterr().err
+
+    def test_vacuous_mainpt_fails(self, capsys):
+        # lambda = (1), q <= 1, u <= 1: both bases compare only zeros
+        rc = main(["check", "mainpt", "--params",
+                   '{"shapes": [[1]], "qorder": 1, "uorder": 1, "samples": 1}'])
+        assert rc == 1
+        capsys.readouterr()
+
     def test_malformed_json(self, capsys):
         rc = main(["compute", "{not json"])
         assert rc == 2

@@ -10,6 +10,7 @@ from vertexforge.residue import (
     LinForm,
     RationalFactor,
     Term,
+    _PoleEngine,
     egl_localization,
     egl_residue,
     iterated_residue,
@@ -71,25 +72,87 @@ class TestWindowEngine:
 class TestPoleEngine:
     def test_order_guard(self):
         # f = 1/((z1 - z2) z2): forward ordering gives 1, reversed gives 0
-        t_fwd = Term(zp_const(2, F(1)), ((lf(2, {0: F(1), 1: F(-1)}), 1), (lf(2, {1: F(1)}), 1)))
+        t_fwd = Term(zp_const(2, F(1)), ((lf(2, {0: F(1), 1: F(-1)}), -1), (lf(2, {1: F(1)}), -1)))
         assert residue_sum([t_fwd], 2, "full") == 1
-        t_rev = Term(zp_const(2, F(1)), ((lf(2, {1: F(1), 0: F(-1)}), 1), (lf(2, {0: F(1)}), 1)))
+        t_rev = Term(zp_const(2, F(1)), ((lf(2, {1: F(1), 0: F(-1)}), -1), (lf(2, {0: F(1)}), -1)))
         assert residue_sum([t_rev], 2, "full") == 0
 
     def test_simple_pole(self):
         # 1/((z - c) z): residue at z = 0 alone gives -1/c; the full region
         # adds the residue at z = c and the total vanishes
         c = F(7, 3)
-        t = Term(zp_const(1, F(1)), ((lf(1, {0: F(1)}, big=-c), 1), (lf(1, {0: F(1)}), 1)))
+        t = Term(zp_const(1, F(1)), ((lf(1, {0: F(1)}, big=-c), -1), (lf(1, {0: F(1)}), -1)))
         assert residue_sum([t], 1, "inner") == -F(1) / c
         assert residue_sum([t], 1, "full") == 0
 
     def test_double_pole(self):
         # z^2 / (z - c)^2 * (1/z): full region: finite poles 0 and c (double)
         c = F(2, 5)
-        t = Term({(2,): F(1)}, ((lf(1, {0: F(1)}, small=-c), 2), (lf(1, {0: F(1)}), 1)))
+        t = Term({(2,): F(1)}, ((lf(1, {0: F(1)}, small=-c), -2), (lf(1, {0: F(1)}), -1)))
         # expansion at infinity: z/(z-c)^2 = sum_{m>=1} m c^{m-1} z^{-m}: [z^0] = 0... with z^2/z
         assert residue_sum([t], 1, "full") == 1  # d/dz [z^2/z] at c gives 1
+
+    def test_double_pole_hand_value(self):
+        # 1/((z - c)^2 (z - d)), c infinitesimal, d integer-scale: the inner
+        # region encloses c only, residue d/dz (z - d)^-1 at c
+        c, d = F(2, 7), F(3)
+        t = Term(zp_const(1, F(1)), ((lf(1, {0: F(1)}, small=-c), -2), (lf(1, {0: F(1)}, big=-d), -1)))
+        assert residue_sum([t], 1, "inner") == -1 / (c - d) ** 2
+
+    def test_triple_pole_hand_value(self):
+        # (z - a)/((z - c)^3 (z - d)) = (1 + (d - a)/(z - d))/(z - c)^3: the
+        # residue at c is (1/2) d^2/dz^2 of the rest, (d - a)/(c - d)^3
+        a, c, d = F(5, 3), F(2, 7), F(3)
+        t = Term(zp_const(1, F(1)), ((lf(1, {0: F(1)}, small=-a), 1),
+                                     (lf(1, {0: F(1)}, small=-c), -3),
+                                     (lf(1, {0: F(1)}, big=-d), -1)))
+        assert residue_sum([t], 1, "inner") == (d - a) / (c - d) ** 3
+        # z^2/(z - c)^3: (1/2) d^2/dz^2 z^2 = 1, in either region
+        t = Term({(2,): F(1)}, ((lf(1, {0: F(1)}, small=-c), -3),))
+        assert residue_sum([t], 1, "inner") == residue_sum([t], 1, "full") == 1
+
+    def test_two_variable_double_pole(self):
+        # 1/(z2^2 (z1 - z2 - d) z1), d integer-scale: at z2 = 0 the residue
+        # is d/dz2 (z1 - z2 - d)^-1 = (z1 - d)^-2, then at z1 = 0 it is d^-2;
+        # in the full region the double pole at z1 = d cancels it
+        d = F(3)
+        t = Term(zp_const(2, F(1)), ((lf(2, {1: F(1)}), -2), (lf(2, {0: F(1), 1: F(-1)}, big=-d), -1),
+                                     (lf(2, {0: F(1)}), -1)))
+        assert residue_sum([t], 2, "inner") == 1 / d ** 2
+        assert residue_sum([t], 2, "full") == 0
+
+    def test_proportional_forms_cancel(self):
+        # (2z - 2c) against (z - c): the forms normalize to one and cancel,
+        # leaving the coefficient 2
+        c = F(2, 9)
+        num = (LinForm.make(1, {0: 2}, small=-2 * c), 1)
+        den = (lf(1, {0: F(1)}, small=-c), -2)
+        engine = _PoleEngine([num, den], 1, "inner")
+        assert engine.coef == 2 and list(engine.base.values()) == [-1]
+        t = Term(zp_const(1, F(1)), (num, den))
+        assert residue_sum([t], 1, "inner") == 2
+
+    def test_full_region(self):
+        # z^2/((z - c)(z - d)(z - e)): every finite pole is enclosed, so the
+        # sum is the coefficient of 1/z at infinity; the inner region
+        # misses the integer-scale poles d and e
+        c, d, e = F(1, 5), F(2), F(-3)
+        t = Term({(2,): F(1)}, ((lf(1, {0: F(1)}, small=-c), -1), (lf(1, {0: F(1)}, big=-d), -1),
+                                (lf(1, {0: F(1)}, big=-e), -1)))
+        assert residue_sum([t], 1, "full") == 1
+        assert residue_sum([t], 1, "inner") == c ** 2 / ((c - d) * (c - e))
+
+    def test_vanishing_denominator_raises(self):
+        # z - c with c infinitesimal and z - c with c integer-scale are distinct
+        # forms; at the pole z = c the second vanishes
+        c = F(4, 7)
+        t = Term(zp_const(1, F(1)), ((lf(1, {0: F(1)}, small=-c), -1), (lf(1, {0: F(1)}, big=-c), -1)))
+        with pytest.raises(ZeroDivisionError):
+            residue_sum([t], 1, "inner")
+        with pytest.raises(ZeroDivisionError):
+            residue_sum([Term(zp_const(1, F(1)), ((lf(1), -1),))], 1, "inner")
+        # a vanishing constant numerator kills the term instead
+        assert residue_sum([Term(zp_const(1, F(1)), ((lf(1), 1), (lf(1, {0: F(1)}), -1)))], 1, "inner") == 0
 
     def test_window_matches_pole_on_egl(self):
         for n in (1, 2):
@@ -118,13 +181,21 @@ class TestMainPT:
             lam = Partition(parts)
             loc = bare_pt(("chern", lam), 2, desc, S)
             res = pt_residue_vertex(lam, 2, desc, S)
-            assert all(a == b for a, b in zip(loc.coeffs, res))
+            assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
 
     def test_fixedpoint_basis(self):
         lam = Partition([1, 1])
         loc = bare_pt(("fixedpoint", lam), 2, (), S)
         res = pt_residue_vertex(lam, 2, (), S, basis="interp")
-        assert all(a == b for a, b in zip(loc.coeffs, res))
+        assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
+
+    def test_size_four_scalar(self):
+        # |lambda| = 4 against localization, with nonzero coefficients compared
+        lam = Partition([3, 1])
+        loc = bare_pt(("chern", lam), 2, (), S)
+        res = pt_residue_vertex(lam, 2, (), S)
+        assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
+        assert any(not c.is_zero() for c in res)
 
     def test_k_zero_weight_is_one(self):
         # Pi(0, z) = 1: the q^0 term is the tautological integral

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
-from vertexforge.sampling import sample_random, sample_triple
+import vertexforge
+from vertexforge.sampling import _is_generic, sample_random, sample_triple
 
 
 def test_determinism():
@@ -50,3 +56,33 @@ def test_substituted():
     sub = s.substituted(-1, -1)
     assert sub.t1 == s.t1 - s.t3
     assert sub.t3 == -s.t3
+
+
+def _generic_brute(t1, t2, t3, L, line):
+    for i, j, k in product(range(-L, L + 1), repeat=3):
+        vanishes = i * t1 + j * t2 + k * t3 == 0
+        allowed = (i, j, k) == (0, 0, 0) if line is None else (i == j and k == -line * j)
+        if vanishes != allowed:
+            return False
+    return True
+
+
+def test_is_generic_matches_triple_loop():
+    values = [Fraction(a, b) for a in range(-3, 4) for b in (1, 2)]
+    seen = set()
+    for n, (t1, t3) in enumerate(product(values, repeat=2)):
+        t2 = values[(5 * n) % len(values)]
+        for L in (1, 3):
+            for line in (None, 1, 2):
+                u2 = t2 if line is None else line * t3 - t1
+                expect = _generic_brute(t1, u2, t3, L, line)
+                assert _is_generic(t1, u2, t3, L, line) == expect, (t1, u2, t3, L, line)
+                seen.add((line is None, expect))
+    assert len(seen) == 4  # generic and non-generic, off and on a line
+
+
+def test_no_numpy_import():
+    src = str(Path(vertexforge.__file__).resolve().parents[1])
+    code = "import sys, vertexforge.harness; sys.exit(2 if 'numpy' in sys.modules else 0)"
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
