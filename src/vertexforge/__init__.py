@@ -24,7 +24,7 @@ from .partitions import (
     pp_from_slices,
     slices_of,
 )
-from .sampling import ParamSample, sample_random, sample_triple
+from .sampling import ParamSample, sample_random, seeded_samples
 from .series import DescSeries, QSeries, align_up_to_shift
 
 __version__ = "0.1.0"
@@ -49,7 +49,7 @@ __all__ = [
     "slices_of",
     "ParamSample",
     "sample_random",
-    "sample_triple",
+    "seeded_samples",
     "DescSeries",
     "QSeries",
     "align_up_to_shift",

@@ -21,6 +21,8 @@ from .series import DescSeries, exp_single
 
 E3 = (0, 0, 1)
 KAPPA = (1, 1, 1)  # exponent triple of t1*t2*t3
+# (1 - t1)(1 - t2)
+_ONE_MINUS_T1_T2 = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1})
 
 
 @dataclass(frozen=True)
@@ -79,10 +81,7 @@ class DescendentSpec:
 
 def leg_char(shape: Partition) -> LaurentPoly:
     """Q_e = sum over cells (i,j) of t1^i t2^j."""
-    terms: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j) in shape.cells():
-        terms[(i, j, 0)] = terms.get((i, j, 0), Fraction(0)) + 1
-    return LaurentPoly(terms)
+    return LaurentPoly({(i, j, 0): 1 for (i, j) in shape.cells()})
 
 
 def fe_char(shape: Partition) -> LaurentPoly:
@@ -121,11 +120,26 @@ def pt_fullcolumn_char_raw(
     t1^i t2^j t3^(sigma*k_ij) / (1 - t3).  No monotonicity requirement (the
     measure extends to arbitrary integer column data)."""
     sigma = conv.pt_column_sign
-    terms: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j) in shape.cells():
-        e = (i, j, sigma * kmap.get((i, j), 0))
-        terms[e] = terms.get(e, Fraction(0)) + 1
+    # distinct cells give distinct exponents
+    terms = {(i, j, sigma * kmap.get((i, j), 0)): 1 for (i, j) in shape.cells()}
     return EquivariantCharacter(LaurentPoly(terms), [E3])
+
+
+def _vertex_char(n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
+    """V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3) + F_e/(1-t3)
+    for a box character Q = N/(1-t3), reduced with one division: since
+    bar(Q) = -t3 bar(N)/(1-t3),
+
+        V = [N + t3 t^dual bar(N) - N bar(N)(1-t1)(1-t2)/(t1t2) + F_e] / (1-t3).
+    """
+    nb = n.bar()
+    num = (
+        n
+        + nb.shift((dual[0], dual[1], dual[2] + 1))
+        - (n * nb * _ONE_MINUS_T1_T2).shift((-1, -1, 0))
+        + fe_char(leg)
+    )
+    return EquivariantCharacter(num, [E3]).reduce()
 
 
 def vertex_char_pt_raw(
@@ -133,18 +147,7 @@ def vertex_char_pt_raw(
 ) -> LaurentPoly:
     """V^PT = F_v - bar(F_v)/(t1t2t3) + F_v bar(F_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
     + F_e/(1-t3), reduced to a finite Laurent polynomial."""
-    fv = pt_fullcolumn_char_raw(shape, kmap, conv)
-    fvb = fv.bar()
-    p = LaurentPoly.one()
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        p = p * (LaurentPoly.one() - LaurentPoly.monomial(e))
-    v = (
-        fv
-        - fvb.shift((-1, -1, -1))
-        + (fv * fvb * p).shift((-1, -1, -1))
-        + EquivariantCharacter(fe_char(shape), [E3])
-    )
-    return v.reduce()
+    return _vertex_char(pt_fullcolumn_char_raw(shape, kmap, conv).num, (-1, -1, -1), shape)
 
 
 def vertex_char_pt(cfg: RppConfig, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
@@ -155,36 +158,28 @@ def vertex_char_pt(cfg: RppConfig, conv: Convention = DEFAULT_CONVENTION) -> Lau
 
 def dt_boxes_char(pp: LeggedPlanePartition) -> EquivariantCharacter:
     """Q_v: monomial character of the boxes (leg columns as Q_e/(1-t3))."""
-    terms: Dict[Tuple[int, int, int], Fraction] = {}
-    for (i, j) in pp.leg.cells():
-        terms[(i, j, 0)] = terms.get((i, j, 0), Fraction(0)) + 1
-    num = LaurentPoly(terms)
-    # finite stacks: (i, j, m) for 0 <= m < h, written (1 - t3^h)/(1 - t3)
-    fin = LaurentPoly()
-    for (i, j), h in pp.heights:
-        fin = fin + LaurentPoly.monomial((i, j, 0)) - LaurentPoly.monomial((i, j, h))
-    return EquivariantCharacter(num + fin, [E3])
+    return EquivariantCharacter(leg_char(pp.leg) + _stacks_num(pp.heights), [E3])
 
 
-def _vertex_char_dt_from(qv: EquivariantCharacter, leg: Partition, conv: Convention) -> LaurentPoly:
-    qvb = qv.bar()
-    dual = (-1, -1, -1) if conv.dt_dual_denominator == "t1t2t3" else (-1, -1, 0)
-    p = LaurentPoly.one()
-    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
-        p = p * (LaurentPoly.one() - LaurentPoly.monomial(e))
-    v = (
-        qv
-        - qvb.shift(dual)
-        + (qv * qvb * p).shift((-1, -1, -1))
-        + EquivariantCharacter(fe_char(leg), [E3])
-    )
-    return v.reduce()
+def _stacks_num(heights) -> LaurentPoly:
+    """sum over (i, j), h of t1^i t2^j (1 - t3^h): the numerator over (1 - t3)
+    of the finite stacks (i, j, m), 0 <= m < h."""
+    terms: Dict[Tuple[int, int, int], int] = {}
+    for (i, j), h in heights:
+        terms[(i, j, 0)] = terms.get((i, j, 0), 0) + 1
+        terms[(i, j, h)] = terms.get((i, j, h), 0) - 1
+    return LaurentPoly(terms)
+
+
+def _dt_dual(conv: Convention) -> Tuple[int, int, int]:
+    """t^dual = 1/D for the convention's dual-term denominator D."""
+    return (-1, -1, -1) if conv.dt_dual_denominator == "t1t2t3" else (-1, -1, 0)
 
 
 def vertex_char_dt(pp: LeggedPlanePartition, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
     """V^DT = Q_v - bar(Q_v)/D + Q_v bar(Q_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
     + F_e/(1-t3), D per convention, reduced."""
-    return _vertex_char_dt_from(dt_boxes_char(pp), pp.leg, conv)
+    return _vertex_char(dt_boxes_char(pp).num, _dt_dual(conv), pp.leg)
 
 
 def vertex_char_dt_raw(
@@ -192,12 +187,7 @@ def vertex_char_dt_raw(
 ) -> LaurentPoly:
     """V^DT for leg-free box data given by an arbitrary height map (no
     plane-partition validity requirement; measure continuation)."""
-    fin = LaurentPoly()
-    for (i, j), h in heights.items():
-        if h:
-            fin = fin + LaurentPoly.monomial((i, j, 0)) - LaurentPoly.monomial((i, j, h))
-    qv = EquivariantCharacter(fin, [E3])
-    return _vertex_char_dt_from(qv, Partition(), conv)
+    return _vertex_char(_stacks_num(heights.items()), _dt_dual(conv), Partition())
 
 
 def pt_weight(cfg: RppConfig, s: ParamSample, conv: Convention = DEFAULT_CONVENTION) -> Fraction:

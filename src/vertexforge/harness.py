@@ -7,10 +7,11 @@ input, 3 informative-only.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
+import tempfile
 import time
+import zlib
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List
@@ -38,7 +39,7 @@ from .partitions import (
     pp_from_slices,
     slices_of,
 )
-from .sampling import ParamSample, sample_random, sample_triple
+from .sampling import ParamSample, sample_random, seeded_samples
 from .series import QSeries, align_up_to_shift
 from .vertex import bare_dt, bare_pt, dt0_slice, specialization_poly_check
 
@@ -115,7 +116,7 @@ def check_egl(params: dict, conv: Convention) -> CheckReport:
     allok = True
     for n in ns:
         L = 2 * n + 6
-        for i, s in enumerate(sample_triple(seed, L)[:nsamples]):
+        for i, s in enumerate(seeded_samples(seed, L, nsamples)):
             a = egl_localization(n, uorders, s, conv, total)
             b = egl_residue(n, uorders, s, conv, total)
             ok = a == b
@@ -139,7 +140,7 @@ def check_mainpt(params: dict, conv: Convention) -> CheckReport:
     allok = True
     for lam in shapes:
         L = lam.size + qorder + uorder + 6
-        for i, s in enumerate(sample_triple(seed, L)[:nsamples]):
+        for i, s in enumerate(seeded_samples(seed, L, nsamples)):
             desc = (DescendentSpec("ch", 0, "u", uorder),)
             loc = bare_pt(("chern", lam), qorder, desc, s, conv)
             res = pt_residue_vertex(lam, qorder, desc, s, conv, "chern")
@@ -175,7 +176,7 @@ def check_measure_ratio(params: dict, conv: Convention) -> CheckReport:
     kmax = params.get("kmax", 3)
     seed = params.get("seed", 13)
     nsamples = params.get("samples", 3)
-    samples = sample_triple(seed, 2 * (size + kmax) + 6)[:nsamples]
+    samples = seeded_samples(seed, 2 * (size + kmax) + 6, nsamples)
     cases = []
     allok = True
     for n in range(1, size + 1):
@@ -257,7 +258,7 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
     qorder = params.get("qorder", 3)
     degrees = tuple(params.get("degrees", (-1, -1)))
     nsamples = params.get("samples", 3)
-    samples = sample_triple(seed, qorder + 10)[:nsamples]
+    samples = seeded_samples(seed, qorder + 10, nsamples)
     cases = []
     pt_all = []
     for s in samples:
@@ -304,7 +305,7 @@ def check_ptint(params: dict, conv: Convention) -> CheckReport:
     cases = []
     allok = True
     for degrees in [tuple(d) for d in params.get("degrees", [(0, 0), (-1, -1)])]:
-        for i, s in enumerate(sample_triple(seed, qorder + uorder + 10)[:nsamples]):
+        for i, s in enumerate(seeded_samples(seed, qorder + uorder + 10, nsamples)):
             desc = (DescendentSpec("ch", 0, "u", uorder),)
             gl = glue(GlueRequest("PT", degrees, 1, desc, (), qorder, s, conv))
             pr = ptint_residue(degrees, 1, desc, (), s, qorder, conv)
@@ -451,6 +452,16 @@ def _is_int(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_partition(p) -> bool:
+    """A non-increasing list of positive integers (possibly empty)."""
+    return isinstance(p, (list, tuple)) and all(_is_int(x) and x >= 1 for x in p) and all(
+        a >= b for a, b in zip(p, p[1:]))
+
+
+def _is_int_pair(d) -> bool:
+    return isinstance(d, (list, tuple)) and len(d) == 2 and all(_is_int(x) for x in d)
+
+
 # integer parameters and their least allowed value
 _INT_PARAMS = {"qorder": 0, "uorder": 0, "seed": 0, "samples": 1, "worder": 0, "max_size": 0,
                "kmax": 0, "u_total": 0, "fit_upto": 0, "count_upto": 0}
@@ -474,9 +485,7 @@ def _validate_params(name: str, params: dict) -> None:
     if "shapes" in params:
         shapes = params["shapes"]
         if not isinstance(shapes, (list, tuple)) or not shapes or not all(
-            isinstance(p, (list, tuple)) and p and all(_is_int(x) and x >= 1 for x in p)
-            and all(a >= b for a, b in zip(p, p[1:]))
-            for p in shapes
+            _is_partition(p) and p for p in shapes
         ):
             raise InvalidCheckSpec("shapes must be a non-empty list of partitions "
                                    "(non-increasing lists of positive integers)")
@@ -484,8 +493,7 @@ def _validate_params(name: str, params: dict) -> None:
         # ptint takes a list of (d1, d2) pairs, simple a single pair
         pairs = params["degrees"] if name == "ptint" else [params["degrees"]]
         if not isinstance(pairs, (list, tuple)) or not pairs or not all(
-            isinstance(d, (list, tuple)) and len(d) == 2 and all(_is_int(x) for x in d)
-            for d in pairs
+            _is_int_pair(d) for d in pairs
         ):
             what = "a non-empty list of integer pairs" if name == "ptint" else "an integer pair"
             raise InvalidCheckSpec(f"degrees must be {what}")
@@ -617,11 +625,37 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+def _request_parts(request: dict, conv: Convention) -> tuple[str, str, str]:
+    """Canonical JSON of the request, the convention and the version."""
+    return canonical_json(request), canonical_json(conv.to_json()), canonical_json(__version__)
+
+
+def _digest(req_json: str, conv_json: str, version_json: str) -> str:
+    # the checksummed payload is canonical_json({"convention": ..., "request":
+    # ..., "version": ...}), spelled out from the canonical parts
+    data = f'{{"convention":{conv_json},"request":{req_json},"version":{version_json}}}'.encode()
+    return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
+
+
 def request_key(request: dict, conv: Convention) -> str:
-    payload = canonical_json(
-        {"request": request, "convention": conv.to_json(), "version": __version__}
+    """64-bit digest (crc32, adler32) of the canonical request payload, the
+    name of its cache file.  It is not collision-resistant: `compute` confirms
+    a hit against the request stored in the file, so a collision costs a
+    recompute, never a wrong result."""
+    return _digest(*_request_parts(request, conv))
+
+
+def _is_entry_of(blob: bytes, key: str, req_json: str, conv_json: str, version_json: str) -> bool:
+    """Whether a cache file is the canonical document `compute` writes for
+    this request: its keys are sorted, so the convention, key, request and
+    version sit at fixed places around the result."""
+    head = f'{{"convention":{conv_json},"key":"{key}","recomputed_after_corruption":'.encode()
+    mid = f',"request":{req_json},"result":'.encode()
+    return (
+        blob.startswith(head)
+        and (blob.startswith(b"false" + mid, len(head)) or blob.startswith(b"true" + mid, len(head)))
+        and blob.endswith(f',"version":{version_json}}}'.encode())
     )
-    return hashlib.sha256(payload.encode()).hexdigest()
 
 
 def compute(request: dict, conv: Convention | None = None, cache_dir: str | None = None) -> tuple[bytes, bool]:
@@ -629,23 +663,26 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
 
     Request schema: {"type": "vertex", "theory": "PT"|"DT", "boundary":
     {"kind":..., "shape": [...]}, "qorder": N, "descendents": [...],
-    "seed": int} or {"type": "glue", ...}.
+    "seed": int} or {"type": "glue", ...}.  Invalid requests raise
+    InvalidCheckSpec and are never cached.
     """
+    _validate_request(request)
     conv = conv or load_default_convention()
     cache_dir = cache_dir or default_cache_dir()
-    key = request_key(request, conv)
+    parts = _request_parts(request, conv)
+    key = _digest(*parts)
     path = os.path.join(cache_dir, key + ".json")
     warn = False
     if os.path.exists(path):
         with open(path, "rb") as fh:
             blob = fh.read()
+        if _is_entry_of(blob, key, *parts):
+            return blob, True
+        # another request with the same digest leaves a well-formed document
         try:
-            stored = json.loads(blob)
-            if stored.get("key") == key:
-                return blob, True
-        except json.JSONDecodeError:
-            pass
-        warn = True  # corruption: recompute below
+            warn = not isinstance(json.loads(blob), dict)
+        except ValueError:
+            warn = True  # corruption: recompute below
     result = _execute_request(request, conv)
     doc = {
         "key": key,
@@ -657,9 +694,79 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
     }
     blob = canonical_json(doc).encode()
     os.makedirs(cache_dir, exist_ok=True)
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    # a reader sees the old file or the whole new one, never a torn write
+    fd, tmp = tempfile.mkstemp(dir=cache_dir, prefix=key, suffix=".tmp")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
     return blob, False
+
+
+_REQUEST_KEYS = {
+    "vertex": {"type", "theory", "boundary", "qorder", "descendents", "seed"},
+    "glue": {"type", "theory", "degrees", "n", "descendents_zero", "descendents_inf",
+             "qorder", "seed"},
+}
+_DESC_KEYS = {"mode", "insertion", "variable", "order"}
+
+
+def _validate_request(request) -> None:
+    """Schema of a compute request: its type, keys, non-negative integers
+    (never bool), partitions, and descendent specs with distinct string
+    variables and non-negative orders."""
+    if not isinstance(request, dict):
+        raise InvalidCheckSpec("a request must be a JSON object")
+    kind = request.get("type")
+    if kind not in _REQUEST_KEYS:
+        raise InvalidCheckSpec(f"unknown request type {kind!r}")
+    bad = set(request) - _REQUEST_KEYS[kind]
+    if bad:
+        raise InvalidCheckSpec(f"unknown request field(s) for {kind}: {sorted(bad)}")
+    for key in ("qorder", "seed", "n"):
+        if key in request and not (_is_int(request[key]) and request[key] >= 0):
+            raise InvalidCheckSpec(f"{key} must be an integer >= 0")
+    if request.get("theory", "PT") not in ("PT", "DT"):
+        raise InvalidCheckSpec("theory must be 'PT' or 'DT'")
+    if "boundary" in request:
+        bnd = request["boundary"]
+        if not isinstance(bnd, dict) or set(bnd) - {"kind", "shape"}:
+            raise InvalidCheckSpec("boundary must be an object with fields kind and shape")
+        if not _is_partition(bnd.get("shape", [1])):
+            raise InvalidCheckSpec("boundary shape must be a partition "
+                                   "(a non-increasing list of positive integers)")
+        kinds = ("fixedpoint", "chern") if request.get("theory", "PT") == "PT" else (
+            "leg", "fixedpoint")
+        if bnd.get("kind", "fixedpoint") not in kinds:
+            raise InvalidCheckSpec(f"boundary kind must be one of {list(kinds)}")
+    if "degrees" in request and not _is_int_pair(request["degrees"]):
+        raise InvalidCheckSpec("degrees must be an integer pair")
+    variables = []
+    for key in ("descendents", "descendents_zero", "descendents_inf"):
+        items = request.get(key)
+        if items is None:
+            continue
+        if not isinstance(items, (list, tuple)):
+            raise InvalidCheckSpec(f"{key} must be a list")
+        for d in items:
+            if not isinstance(d, dict) or set(d) - _DESC_KEYS or not {"variable", "order"} <= set(d):
+                raise InvalidCheckSpec(f"each of {key} must be an object with variable and "
+                                       f"order (optional: mode, insertion)")
+            if not isinstance(d["variable"], str):
+                raise InvalidCheckSpec("descendent variable must be a string")
+            if not (_is_int(d["order"]) and d["order"] >= 0):
+                raise InvalidCheckSpec("descendent order must be an integer >= 0")
+            if d.get("mode", "ch") not in ("ch", "ch_prime", "ch_hat"):
+                raise InvalidCheckSpec("descendent mode must be 'ch', 'ch_prime' or 'ch_hat'")
+            insertion = d.get("insertion", 0)
+            if insertion != "inf" and not (_is_int(insertion) and insertion == 0):
+                raise InvalidCheckSpec("descendent insertion must be 0 or 'inf'")
+            variables.append(d["variable"])
+    if len(set(variables)) != len(variables):
+        raise InvalidCheckSpec(f"descendent variables must be distinct: {variables}")
 
 
 def _parse_desc(items) -> tuple:
@@ -670,6 +777,7 @@ def _parse_desc(items) -> tuple:
 
 
 def _execute_request(request: dict, conv: Convention) -> dict:
+    """The result of a request that `_validate_request` accepted."""
     kind = request.get("type")
     seed = request.get("seed", 1)
     qorder = request.get("qorder", 2)
@@ -686,23 +794,19 @@ def _execute_request(request: dict, conv: Convention) -> dict:
         s = sample_random(seed, L)
         if theory == "PT":
             res = bare_pt((bnd.get("kind", "fixedpoint"), shape), qorder, desc, s, conv)
-        elif theory == "DT":
-            res = bare_dt(shape, qorder, desc, s, conv)
         else:
-            raise InvalidCheckSpec(f"unknown theory {theory!r}")
+            res = bare_dt(shape, qorder, desc, s, conv)
         return res.to_json()
-    if kind == "glue":
-        from .localcurve import GlueRequest, glue
+    from .localcurve import GlueRequest, glue
 
-        degrees = tuple(request.get("degrees", (0, 0)))
-        n = request.get("n", 1)
-        desc0 = _parse_desc(request.get("descendents_zero"))
-        descinf = _parse_desc(request.get("descendents_inf"))
-        L = 40
-        if n + qorder + sum(d.order for d in desc0 + descinf) + 8 > L:
-            raise InvalidCheckSpec("request exceeds the desk-scale bound")
-        s = sample_random(seed, L)
-        req = GlueRequest(request.get("theory", "PT"), degrees, n, desc0, descinf, qorder, s, conv)
-        coeffs = glue(req)
-        return {"request": req.to_json(), "shift": 0, "coeffs": [c.to_json() for c in coeffs]}
-    raise InvalidCheckSpec(f"unknown request type {kind!r}")
+    degrees = tuple(request.get("degrees", (0, 0)))
+    n = request.get("n", 1)
+    desc0 = _parse_desc(request.get("descendents_zero"))
+    descinf = _parse_desc(request.get("descendents_inf"))
+    L = 40
+    if n + qorder + sum(d.order for d in desc0 + descinf) + 8 > L:
+        raise InvalidCheckSpec("request exceeds the desk-scale bound")
+    s = sample_random(seed, L)
+    req = GlueRequest(request.get("theory", "PT"), degrees, n, desc0, descinf, qorder, s, conv)
+    coeffs = glue(req)
+    return {"request": req.to_json(), "shift": 0, "coeffs": [c.to_json() for c in coeffs]}

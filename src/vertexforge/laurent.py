@@ -1,19 +1,21 @@
 """Exact multivariate Laurent polynomials in t1, t2, t3 and structured-
 denominator characters num / prod(1 - t^d).
 
-All coefficients are `fractions.Fraction`; no floating point anywhere.
-Exponent triples are plain tuples (a, b, c) in Z^3.
+Coefficients are exact rationals: `int` when integral, `fractions.Fraction`
+otherwise (the two mix exactly, compare and hash alike).  Every character the
+localization route builds is integral, so its arithmetic stays on `int`.
+No floating point anywhere.  Exponent triples are plain tuples (a, b, c) in
+Z^3.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, Iterable, Iterator, Mapping, Tuple
+from math import lcm
+from typing import Dict, Iterable, Iterator, Mapping, Tuple, Union
 
 Exponent = Tuple[int, int, int]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+Coeff = Union[int, Fraction]
 
 
 class NonPolynomialCharacter(ValueError):
@@ -28,17 +30,25 @@ def _neg_exp(e: Exponent) -> Exponent:
     return (-e[0], -e[1], -e[2])
 
 
+def _coeff(c) -> Coeff:
+    """An exact coefficient: `int` when integral, else `Fraction`."""
+    if type(c) is int:
+        return c
+    c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
+
+
 class LaurentPoly:
-    """Finite map {(a,b,c): Fraction}, zero coefficients never stored."""
+    """Finite map {(a,b,c): int | Fraction}, zero coefficients never stored."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[Exponent, Fraction] | None = None):
-        self.terms: Dict[Exponent, Fraction] = {}
+    def __init__(self, terms: Mapping[Exponent, Coeff] | None = None):
+        self.terms: Dict[Exponent, Coeff] = {}
         if terms:
             for e, c in terms.items():
                 if c != 0:
-                    self.terms[tuple(e)] = Fraction(c)
+                    self.terms[tuple(e)] = _coeff(c)
 
     @staticmethod
     def zero() -> "LaurentPoly":
@@ -46,11 +56,11 @@ class LaurentPoly:
 
     @staticmethod
     def const(c) -> "LaurentPoly":
-        return LaurentPoly({(0, 0, 0): Fraction(c)})
+        return LaurentPoly({(0, 0, 0): c})
 
     @staticmethod
     def monomial(e: Exponent, c=1) -> "LaurentPoly":
-        return LaurentPoly({tuple(e): Fraction(c)})
+        return LaurentPoly({tuple(e): c})
 
     @staticmethod
     def one() -> "LaurentPoly":
@@ -59,7 +69,7 @@ class LaurentPoly:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __iter__(self) -> Iterator[Tuple[Exponent, Fraction]]:
+    def __iter__(self) -> Iterator[Tuple[Exponent, Coeff]]:
         return iter(sorted(self.terms.items()))
 
     def __len__(self) -> int:
@@ -80,7 +90,7 @@ class LaurentPoly:
             return NotImplemented
         out = dict(self.terms)
         for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
+            s = out.get(e, 0) + c
             if s:
                 out[e] = s
             else:
@@ -102,22 +112,20 @@ class LaurentPoly:
             if other == 0:
                 return LaurentPoly()
             r = LaurentPoly()
-            q = Fraction(other)
+            q = _coeff(other)
             r.terms = {e: c * q for e, c in self.terms.items()}
             return r
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: Dict[Exponent, Fraction] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = _add_exp(e1, e2)
-                s = out.get(e, ZERO) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
+        out: Dict[Exponent, Coeff] = {}
+        get = out.get
+        rhs = list(other.terms.items())
+        for (a1, b1, c1), x in self.terms.items():
+            for (a2, b2, c2), y in rhs:
+                e = (a1 + a2, b1 + b2, c1 + c2)
+                out[e] = get(e, 0) + x * y
         r = LaurentPoly()
-        r.terms = out
+        r.terms = {e: c for e, c in out.items() if c}
         return r
 
     __rmul__ = __mul__
@@ -137,14 +145,14 @@ class LaurentPoly:
     def substitute_monomials(self, images: Iterable[Exponent]) -> "LaurentPoly":
         """Ring map t_i -> t^{images[i]} for i = 1, 2, 3."""
         im = [tuple(e) for e in images]
-        out: Dict[Exponent, Fraction] = {}
+        out: Dict[Exponent, Coeff] = {}
         for (a, b, c), coeff in self.terms.items():
             e = (
                 a * im[0][0] + b * im[1][0] + c * im[2][0],
                 a * im[0][1] + b * im[1][1] + c * im[2][1],
                 a * im[0][2] + b * im[1][2] + c * im[2][2],
             )
-            s = out.get(e, ZERO) + coeff
+            s = out.get(e, 0) + coeff
             if s:
                 out[e] = s
             else:
@@ -153,14 +161,8 @@ class LaurentPoly:
         r.terms = out
         return r
 
-    def coeff(self, e: Exponent) -> Fraction:
-        return self.terms.get(tuple(e), ZERO)
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.terms.values())
-
-    def min_lex(self) -> Exponent:
-        return min(self.terms)
+    def coeff(self, e: Exponent) -> Coeff:
+        return self.terms.get(tuple(e), 0)
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -185,52 +187,40 @@ class LaurentPoly:
         return LaurentPoly(terms)
 
 
-def _lex_positive(d: Exponent) -> bool:
-    for x in d:
-        if x > 0:
-            return True
-        if x < 0:
-            return False
-    return False
-
-
 def divide_one_minus(num: LaurentPoly, d: Exponent) -> LaurentPoly:
     """Exact quotient num / (1 - t^d) in the Laurent ring.
 
-    Lexicographic leading-term elimination; raises NonPolynomialCharacter
-    when the division leaves a remainder.
+    num = Q (1 - t^d) says num(x) = Q(x) - Q(x - d): on each line x + Z d the
+    quotient is the running sum of num along the line, and it is a Laurent
+    polynomial exactly when every line's sum is zero.  Raises
+    NonPolynomialCharacter otherwise.
     """
     d = tuple(d)
     if d == (0, 0, 0):
         raise NonPolynomialCharacter("division by (1 - t^0) = 0")
-    if num.is_zero():
-        return LaurentPoly()
-    if not _lex_positive(d):
-        # (1 - t^d) = -t^d (1 - t^{-d})
-        q = divide_one_minus(num, _neg_exp(d))
-        return -q.shift(_neg_exp(d))
-    # leading coordinate of d: first nonzero entry, necessarily positive
+    # position of x on its line: floor(x[axis] / d[axis]) for a nonzero entry
     axis = next(i for i in range(3) if d[i] != 0)
-    floor = min(e[axis] for e in num.terms)
-    rem = dict(num.terms)
-    quot: Dict[Exponent, Fraction] = {}
-    while rem:
-        e = max(rem)
-        c = rem.pop(e)
-        qe = _add_exp(e, _neg_exp(d))
-        if qe[axis] < floor:
+    step = d[axis]
+    lines: Dict[Exponent, list] = {}
+    for e, c in num.terms.items():
+        m = e[axis] // step
+        base = (e[0] - m * d[0], e[1] - m * d[1], e[2] - m * d[2])
+        lines.setdefault(base, []).append((m, c))
+    quot: Dict[Exponent, Coeff] = {}
+    for (b0, b1, b2), pts in lines.items():
+        pts.sort()
+        acc = 0
+        for (m, c), (m_next, _) in zip(pts, pts[1:]):
+            acc += c
+            if acc:
+                for mm in range(m, m_next):
+                    quot[(b0 + mm * d[0], b1 + mm * d[1], b2 + mm * d[2])] = acc
+        if acc + pts[-1][1]:
             raise NonPolynomialCharacter(
                 f"non-polynomial character: remainder survives division by (1 - t^{d})"
             )
-        # quotient term -c * t^{e-d}; subtract (-c t^{e-d})(1 - t^d) from rem
-        quot[qe] = quot.get(qe, ZERO) + (-c)
-        s = rem.get(qe, ZERO) + c
-        if s:
-            rem[qe] = s
-        else:
-            rem.pop(qe, None)
     out = LaurentPoly()
-    out.terms = {e: c for e, c in quot.items() if c}
+    out.terms = quot
     return out
 
 
@@ -358,23 +348,36 @@ def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fract
     """Plethystic exponential: Exp(sum a_e t^e) = prod (e.t)^{a_e}.
 
     The linear form of exponent (i,j,k) is i*t1 + j*t2 + k*t3; requires
-    integer coefficients and no constant monomial.
+    integer coefficients and no constant monomial.  Evaluated in integers:
+    with t_i = x_i / D the product is prod (i*x1 + j*x2 + k*x3)^{a_e} times
+    D^{-sum a_e}, and only the final quotient is a Fraction.
     """
     if p.coeff((0, 0, 0)) != 0:
         raise ValueError("zero-weight monomial: constant term in plethystic exponent")
-    num = Fraction(1)
-    den = Fraction(1)
+    t1, t2, t3 = Fraction(t1), Fraction(t2), Fraction(t3)
+    d = lcm(t1.denominator, t2.denominator, t3.denominator)
+    x1 = t1.numerator * (d // t1.denominator)
+    x2 = t2.numerator * (d // t2.denominator)
+    x3 = t3.numerator * (d // t3.denominator)
+    num = den = 1
+    degree = 0
     for (i, j, k), a in p.terms.items():
-        if a.denominator != 1:
-            raise ValueError("plethystic exponent requires integer coefficients")
-        w = i * t1 + j * t2 + k * t3
+        if type(a) is not int:
+            if a.denominator != 1:
+                raise ValueError("plethystic exponent requires integer coefficients")
+            a = a.numerator
+        w = i * x1 + j * x2 + k * x3
         if w == 0:
             raise ValueError(
                 f"sample genericity insufficient: weight {i}*t1+{j}*t2+{k}*t3 vanishes"
             )
-        a = a.numerator
         if a > 0:
             num *= w**a
         else:
             den *= w ** (-a)
-    return num / den
+        degree += a
+    if degree > 0:
+        den *= d**degree
+    else:
+        num *= d ** (-degree)
+    return Fraction(num, den)

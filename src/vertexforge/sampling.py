@@ -111,9 +111,10 @@ def sample_random(seed: int, L: int, line: int | None = None) -> ParamSample:
     raise RuntimeError("sampling exhausted: no generic sample within retry budget")
 
 
-def sample_triple(base_seed: int, L: int, line: int | None = None) -> list[ParamSample]:
-    """Three independent generic samples from distinct seeds."""
-    return [sample_random(base_seed + 101 * i, L, line) for i in range(3)]
+def seeded_samples(base_seed: int, L: int, n: int, line: int | None = None) -> list[ParamSample]:
+    """n independent generic samples from the distinct seeds base_seed + 101 i;
+    every prefix is the same for every n."""
+    return [sample_random(base_seed + 101 * i, L, line) for i in range(n)]
 
 
 def genericity_bound(max_coord: int, max_k: int, qorder: int) -> int:

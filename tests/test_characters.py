@@ -5,9 +5,12 @@ import pytest
 
 from vertexforge.characters import (
     DEFAULT_CONVENTION,
+    E3,
     Convention,
     DescendentSpec,
+    all_conventions,
     descendent_char,
+    dt_boxes_char,
     dt_weight,
     edge_char,
     edge_factor,
@@ -16,11 +19,14 @@ from vertexforge.characters import (
     fe_char,
     leg_char,
     measure_difference_char,
+    pt_fullcolumn_char_raw,
     pt_weight,
     vertex_char_dt,
+    vertex_char_dt_raw,
     vertex_char_pt,
+    vertex_char_pt_raw,
 )
-from vertexforge.laurent import LaurentPoly
+from vertexforge.laurent import EquivariantCharacter, LaurentPoly
 from vertexforge.partitions import (
     LeggedPlanePartition,
     Partition,
@@ -127,6 +133,80 @@ class TestVertexDT:
         for leg in [Partition(), Partition([1]), Partition([2, 1])]:
             for pp in enum_legged_pp(leg, 3):
                 assert dt_weight(pp, S) != 0
+
+
+def _two_denominator_vertex(q: EquivariantCharacter, dual, leg: Partition) -> LaurentPoly:
+    """Oracle: V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3)
+    + F_e/(1-t3) summed in the character ring over the denominators
+    (1-t3) and (1-t3^-1), then reduced factor by factor."""
+    qb = q.bar()
+    p = LaurentPoly.one()
+    for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1)):
+        p = p * (LaurentPoly.one() - mono(e))
+    v = (
+        q
+        - qb.shift(dual)
+        + (q * qb * p).shift((-1, -1, -1))
+        + EquivariantCharacter(fe_char(leg), [E3])
+    )
+    return v.reduce()
+
+
+def _dual(conv: Convention):
+    return (-1, -1, -1) if conv.dt_dual_denominator == "t1t2t3" else (-1, -1, 0)
+
+
+class TestOneDivisionOracle:
+    """The one-division vertex characters against the two-denominator sum."""
+
+    LEGS = [Partition(), Partition([1]), Partition([2]), Partition([1, 1]), Partition([2, 1])]
+
+    # the PT character depends on the convention only through
+    # pt_column_sign, the DT one only through dt_dual_denominator: each
+    # oracle value is computed once per flag and compared under every convention
+
+    def test_pt_every_fixed_point(self):
+        oracle = {}
+        for conv in all_conventions():
+            for lam in self.LEGS[1:]:
+                for cfg in enum_rpp(lam, 4):
+                    key = (conv.pt_column_sign, cfg)
+                    if key not in oracle:
+                        kmap = {c: cfg.entry(c) for c in lam.cells()}
+                        q = pt_fullcolumn_char_raw(lam, kmap, conv)
+                        oracle[key] = _two_denominator_vertex(q, (-1, -1, -1), lam)
+                    assert vertex_char_pt(cfg, conv) == oracle[key], (conv, cfg)
+
+    def test_dt_every_fixed_point(self):
+        oracle = {}
+        for conv in all_conventions():
+            for leg in self.LEGS:
+                for pp in enum_legged_pp(leg, 4):
+                    key = (_dual(conv), pp)
+                    if key not in oracle:
+                        oracle[key] = _two_denominator_vertex(dt_boxes_char(pp), key[0], leg)
+                    assert vertex_char_dt(pp, conv) == oracle[key], (conv, pp)
+
+    def test_raw_column_data(self):
+        # arbitrary, also non-monotone, column depths on the cells of mu
+        for conv in all_conventions()[::3]:
+            for mu in enum_partitions(3):
+                cells = mu.cells()
+                for kv in product(range(3), repeat=len(cells)):
+                    kmap = dict(zip(cells, kv))
+                    q = pt_fullcolumn_char_raw(mu, kmap, conv)
+                    assert vertex_char_pt_raw(mu, kmap, conv) == _two_denominator_vertex(
+                        q, (-1, -1, -1), mu)
+                    fin = LaurentPoly()
+                    for (i, j), h in kmap.items():
+                        fin = fin + mono((i, j, 0)) - mono((i, j, h))
+                    q = EquivariantCharacter(fin, [E3])
+                    assert vertex_char_dt_raw(kmap, conv) == _two_denominator_vertex(
+                        q, _dual(conv), Partition())
+
+    def test_integer_coefficients(self):
+        pp = enum_legged_pp(Partition([2, 1]), 3)[-1]
+        assert all(type(c) is int for c in vertex_char_dt(pp).terms.values())
 
 
 class TestEdge:

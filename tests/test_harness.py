@@ -1,12 +1,19 @@
 import json
 import os
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
+import vertexforge
+from vertexforge import harness
 from vertexforge.cli import main
 from vertexforge.harness import (
     InvalidCheckSpec,
     calibrate,
+    canonical_json,
     compute,
     request_key,
     run_check,
@@ -31,6 +38,11 @@ class TestRunCheck:
         rep = run_check("egl", {"n_values": [1, 2], "u_orders": [2], "samples": 1})
         assert rep.verdict == "pass" and rep.exit_code == 0
 
+    def test_samples_above_three(self):
+        rep = run_check("egl", {"n_values": [1], "u_orders": [2], "samples": 5})
+        assert [c["sample"] for c in rep.cases] == [0, 1, 2, 3, 4]
+        assert rep.verdict == "pass"
+
 
 class TestCache:
     def test_roundtrip_and_hit(self, tmp_path):
@@ -53,6 +65,52 @@ class TestCache:
         k1 = request_key(req, DEFAULT_CONVENTION)
         k2 = request_key(req, Convention(1, "t1t2", 1, 0))
         assert k1 != k2
+
+    def test_forced_collision_is_a_miss(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(harness, "_digest", lambda *parts: "0" * 16)
+        base = {"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": []},
+                "seed": 3}
+        b1, hit1 = compute({**base, "qorder": 1}, None, str(tmp_path))
+        b2, hit2 = compute({**base, "qorder": 2}, None, str(tmp_path))
+        assert not hit1 and not hit2
+        assert json.loads(b2)["request"]["qorder"] == 2
+        assert len(json.loads(b2)["result"]["coeffs"]) == 3
+        assert os.listdir(tmp_path) == ["0" * 16 + ".json"]  # no temp file left
+        # the file now holds the second request; the first is recomputed
+        b3, hit3 = compute({**base, "qorder": 1}, None, str(tmp_path))
+        assert not hit3 and b3 == b1
+
+    def test_corrupt_file_is_recomputed(self, tmp_path):
+        req = {"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": []},
+               "qorder": 1, "seed": 3}
+        path = tmp_path / (request_key(req, DEFAULT_CONVENTION) + ".json")
+        path.write_bytes(b"[1, 2")
+        blob, hit = compute(req, DEFAULT_CONVENTION, str(tmp_path))
+        assert not hit and json.loads(blob)["recomputed_after_corruption"]
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (path.read_bytes(), True)
+        path.write_bytes(blob[:-1])  # truncated
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (blob, False)
+
+    def test_hit_check_matches_the_written_document(self, tmp_path):
+        req = {"type": "glue", "theory": "PT", "n": 1, "degrees": (-1, -1), "qorder": 1,
+               "seed": 2, "descendents_zero": [{"variable": "u", "order": 1}]}
+        blob, _ = compute(req, DEFAULT_CONVENTION, str(tmp_path))
+        doc = json.loads(blob)
+        assert blob == canonical_json(doc).encode()
+        payload = canonical_json({k: doc[k] for k in ("request", "convention", "version")}).encode()
+        assert doc["key"] == request_key(req, DEFAULT_CONVENTION) == (
+            f"{zlib.crc32(payload):08x}{zlib.adler32(payload):08x}")
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (blob, True)
+        other = dict(req, seed=3)
+        assert not harness._is_entry_of(
+            blob, doc["key"], canonical_json(other), canonical_json(doc["convention"]),
+            canonical_json(doc["version"]))
+
+    def test_no_openssl_import(self):
+        src = str(Path(vertexforge.__file__).resolve().parents[1])
+        code = "import sys, vertexforge.harness; sys.exit(2 if '_hashlib' in sys.modules else 0)"
+        env = dict(os.environ, PYTHONPATH=src)
+        assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
 
     def test_truncation_coherence(self, tmp_path):
         base = {
@@ -108,6 +166,22 @@ class TestCLI:
         rc = main(["compute", "{not json"])
         assert rc == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("request_json", [
+        '[1]',
+        '{"type": "vertex", "qorder": "3"}',
+        '{"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": [1]}, '
+        '"qorder": 2, "descendents": [{"variable": "u", "order": -1}]}',
+        '{"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": [1]}, '
+        '"qorder": 2, "descendents": [{"variable": "u", "order": 1}, '
+        '{"variable": "u", "order": 1}]}',
+    ])
+    def test_invalid_request_exit_2(self, request_json, tmp_path, capsys):
+        cache = tmp_path / "cache"
+        rc = main(["--cache-dir", str(cache), "compute", request_json])
+        assert rc == 2
+        assert "invalid request" in capsys.readouterr().err
+        assert not cache.exists() or not os.listdir(cache)
 
     def test_compute_and_report(self, tmp_path, capsys):
         req = json.dumps(

@@ -159,3 +159,87 @@ def test_divide_one_minus_roundtrip():
 def test_serialization_roundtrip():
     p = LaurentPoly({(1, -2, 3): F(5, 7), (0, 0, -1): F(-2)})
     assert LaurentPoly.from_json(p.to_json()) == p
+
+
+# ---------------------------------------------------------------------------
+# integer coefficients against all-Fraction references
+
+exps = st.tuples(st.integers(-2, 2), st.integers(-2, 2), st.integers(-2, 2))
+mixed_coeff = st.one_of(
+    st.integers(-5, 5),
+    st.fractions(min_value=-5, max_value=5, max_denominator=7),
+)
+mixed_poly = st.dictionaries(exps, mixed_coeff, max_size=5)
+nonzero_t = st.fractions(min_value=-9, max_value=9, max_denominator=9).filter(bool)
+
+
+def _ref_add(a, b):
+    out = {e: F(c) for e, c in a.items()}
+    for e, c in b.items():
+        out[e] = out.get(e, F(0)) + F(c)
+    return {e: c for e, c in out.items() if c}
+
+
+def _ref_mul(a, b):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            e = tuple(x + y for x, y in zip(e1, e2))
+            out[e] = out.get(e, F(0)) + F(c1) * F(c2)
+    return {e: c for e, c in out.items() if c}
+
+
+class TestIntegerCoefficients:
+    @given(a=mixed_poly, b=mixed_poly, k=mixed_coeff)
+    @settings(max_examples=60, deadline=None)
+    def test_mixed_arithmetic_matches_fraction_reference(self, a, b, k):
+        pa, pb = LaurentPoly(a), LaurentPoly(b)
+        assert (pa + pb).terms == _ref_add(a, b)
+        assert (pa - pb).terms == _ref_add(a, {e: -F(c) for e, c in b.items()})
+        assert (pa * pb).terms == _ref_mul(a, b)
+        assert (pa * k).terms == _ref_mul(a, {(0, 0, 0): k})
+        swap = pa.substitute_monomials([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
+        assert swap.terms == {(y, x, z): F(c) for (x, y, z), c in _ref_add(a, {}).items()}
+        # integral coefficients are stored as int, and int arithmetic stays int
+        assert all(type(c) is int or c.denominator != 1 for c in pa.terms.values())
+        if all(F(c).denominator == 1 for c in list(a.values()) + list(b.values())):
+            for p in (pa + pb, pa * pb, swap):
+                assert all(type(c) is int for c in p.terms.values())
+        assert LaurentPoly.from_json(pa.to_json()) == pa
+        assert hash(pa) == hash(LaurentPoly({e: F(c) for e, c in a.items()}))
+
+    @given(a=mixed_poly, d=exps.filter(any))
+    @settings(max_examples=60, deadline=None)
+    def test_divide_one_minus(self, a, d):
+        pa = LaurentPoly(a)
+        factor = LaurentPoly.one() - mono(d)
+        assert divide_one_minus(pa * factor, d) == pa
+        try:
+            q = divide_one_minus(pa, d)
+        except NonPolynomialCharacter:
+            assert not pa.is_zero()
+        else:
+            assert q * factor == pa
+
+    @given(
+        a=st.dictionaries(exps.filter(any), st.integers(-3, 3), max_size=5),
+        t=st.tuples(nonzero_t, nonzero_t, nonzero_t),
+        as_fraction=st.booleans(),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_exp_pleth_matches_naive_product(self, a, t, as_fraction):
+        p = LaurentPoly({e: F(c) if as_fraction else c for e, c in a.items()})
+        weights = {e: e[0] * t[0] + e[1] * t[1] + e[2] * t[2] for e, c in a.items() if c}
+        if any(w == 0 for w in weights.values()):
+            with pytest.raises(ValueError, match="genericity"):
+                exp_pleth(p, *t)
+            return
+        naive = F(1)
+        for e, w in weights.items():
+            naive *= w ** a[e]
+        value = exp_pleth(p, *t)
+        assert type(value) is F and value == naive
+
+    def test_exp_pleth_rejects_non_integer_exponent(self):
+        with pytest.raises(ValueError, match="integer coefficients"):
+            exp_pleth(mono(T1, F(1, 2)), F(2), F(3), F(5))

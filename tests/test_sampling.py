@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import vertexforge
-from vertexforge.sampling import _is_generic, sample_random, sample_triple
+from vertexforge.sampling import _is_generic, sample_random, seeded_samples
 
 
 def test_determinism():
@@ -42,8 +42,16 @@ def test_heights():
 
 
 def test_triple_distinct():
-    ss = sample_triple(9, 8)
+    ss = seeded_samples(9, 8, 3)
     assert len({(s.t1, s.t2, s.t3) for s in ss}) == 3
+
+
+def test_seeded_samples_prefix():
+    # the first three samples are the ones every check has always used
+    ss = seeded_samples(9, 8, 5)
+    assert ss[:3] == [sample_random(9 + 101 * i, 8) for i in range(3)]
+    assert seeded_samples(9, 8, 3) == ss[:3]
+    assert len({(s.t1, s.t2, s.t3) for s in ss}) == 5
 
 
 def test_bad_bound():
