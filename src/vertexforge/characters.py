@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Literal, Tuple
+from typing import Callable, Dict, Literal, Tuple
 
 from .laurent import EquivariantCharacter, LaurentPoly
 from .partitions import LeggedPlanePartition, Partition, RppConfig
@@ -142,6 +142,47 @@ def _vertex_char(n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition) -> 
     return EquivariantCharacter(num, [E3]).reduce()
 
 
+# G = (1-t1)(1-t2)/(t1t2)
+_G = _ONE_MINUS_T1_T2.shift((-1, -1, 0))
+
+
+def vertex_char_delta(
+    n: LaurentPoly, m: Tuple[int, int, int], eps: int, dual: Tuple[int, int, int]
+) -> LaurentPoly:
+    """V(N') - V(N) for the vertex character V of `_vertex_char` when the box
+    t^m is added with sign eps (+-1) to the box numerator: N' = N + eps t^m (1-t3).
+
+    With delta = eps t^m (1-t3) and bar(delta) = -eps t3^-1 t^-m (1-t3), every
+    change of the numerator of V is divisible by (1-t3), so the change of V
+    is a Laurent polynomial with O(|N|) terms and needs no division:
+
+        V(N') - V(N) = eps(t^m - t^dual t^-m)
+                       - G (eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1),
+
+    G = (1-t1)(1-t2)/(t1t2).  DT boxes have eps = +1; a PT column step has
+    eps = -pt_column_sign.
+    """
+    a, b, c = m
+    # x = eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1, accumulated in one dict
+    x = {(0, 0, 0): 1, (0, 0, -1): -1}
+    get = x.get
+    for (i, j, k), coef in n.terms.items():
+        coef *= eps
+        e = (a - i, b - j, c - k)
+        x[e] = get(e, 0) + coef
+        e = (i - a, j - b, k - c - 1)
+        x[e] = get(e, 0) - coef
+    dv = {m: eps}
+    e = (dual[0] - a, dual[1] - b, dual[2] - c)
+    dv[e] = dv.get(e, 0) - eps
+    get = dv.get
+    for (p, q, r), g in _G.terms.items():
+        for (i, j, k), coef in x.items():
+            e = (i + p, j + q, k + r)
+            dv[e] = get(e, 0) - g * coef
+    return LaurentPoly(dv)
+
+
 def vertex_char_pt_raw(
     shape: Partition, kmap: Dict[Tuple[int, int], int], conv: Convention = DEFAULT_CONVENTION
 ) -> LaurentPoly:
@@ -198,6 +239,70 @@ def pt_weight(cfg: RppConfig, s: ParamSample, conv: Convention = DEFAULT_CONVENT
 def dt_weight(pp: LeggedPlanePartition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION) -> Fraction:
     """Virtual localization weight Exp(-V^DT) at the sample."""
     return s.exp(-vertex_char_dt(pp, conv))
+
+
+def _running_weights(memo: dict, parent, numerator, eps: int, dual: Tuple[int, int, int],
+                     s: ParamSample):
+    """Weight lookup by box data, as a running product: `memo` holds the
+    box-free fixed point's weight, `parent(key)` gives the box data with one
+    box removed (still a fixed point) and that box's exponent, `numerator`
+    the box numerator N of box data, and
+    w(key) = w(parent) Exp(-(V(key) - V(parent)))."""
+
+    def weight(key) -> Fraction:
+        w = memo.get(key)
+        if w is None:
+            up, m = parent(key)
+            w = memo[key] = weight(up) * s.exp(-vertex_char_delta(numerator(up), m, eps, dual))
+        return w
+
+    return weight
+
+
+def _dt_parent(h):
+    # the top box of the last nonzero column in row-major order
+    (i, j), top = h[-1]
+    return h[:-1] + ((((i, j), top - 1),) if top > 1 else ()), (i, j, top - 1)
+
+
+def dt_running_weights(
+    leg: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
+) -> Callable[[LeggedPlanePartition], Fraction]:
+    """`dt_weight` of the legged plane partitions on `leg`, each from the one
+    with a box less (`vertex_char_delta`); a single `dt_weight` call seeds
+    the product."""
+    q_leg = leg_char(leg)
+    memo = {(): dt_weight(LeggedPlanePartition(leg), s, conv)}
+    weight = _running_weights(memo, _dt_parent, lambda h: q_leg + _stacks_num(h), 1, _dt_dual(conv), s)
+    return lambda pp: weight(pp.heights)
+
+
+def pt_running_weights(
+    shape: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
+) -> Callable[[RppConfig], Fraction]:
+    """`pt_weight` of the reverse plane partitions on `shape`, each from the
+    one with the first maximal entry (row-major) decremented
+    (`vertex_char_delta`); a single `pt_weight` call seeds the product."""
+    sigma = conv.pt_column_sign
+
+    def parent(k):
+        top = max(map(max, k))
+        i = next(r for r, row in enumerate(k) if top in row)
+        j = k[i].index(top)
+        rows = list(k)
+        rows[i] = k[i][:j] + (top - 1,) + k[i][j + 1:]
+        # the column t^(i,j,sigma k)/(1-t3) changes by the box between its
+        # tops at k = top - 1 and k = top
+        return tuple(rows), (i, j, min(sigma * top, sigma * (top - 1)))
+
+    def numerator(k):
+        kmap = {(i, j): v for i, row in enumerate(k) for j, v in enumerate(row)}
+        return pt_fullcolumn_char_raw(shape, kmap, conv).num
+
+    zero = RppConfig(shape, {})
+    memo = {zero.k: pt_weight(zero, s, conv)}
+    weight = _running_weights(memo, parent, numerator, -sigma, (-1, -1, -1), s)
+    return lambda cfg: weight(cfg.k)
 
 
 def edge_char(shape: Partition, d: Tuple[int, int]) -> EquivariantCharacter:

@@ -7,6 +7,7 @@ input, 3 informative-only.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import tempfile
@@ -625,14 +626,28 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
+@functools.cache
+def engine_fingerprint() -> str:
+    """The package version with a 64-bit checksum (crc32, adler32) of the
+    package's own `.py` sources, read once per process on first use: a
+    result cached by any other code is never served."""
+    pkg = os.path.dirname(os.path.abspath(__file__))
+    crc, adler = 0, 1
+    for name in sorted(f for f in os.listdir(pkg) if f.endswith(".py")):
+        with open(os.path.join(pkg, name), "rb") as fh:
+            chunk = name.encode() + b"\0" + fh.read()
+        crc, adler = zlib.crc32(chunk, crc), zlib.adler32(chunk, adler)
+    return f"{__version__}+{crc:08x}{adler:08x}"
+
+
 def _request_parts(request: dict, conv: Convention) -> tuple[str, str, str]:
-    """Canonical JSON of the request, the convention and the version."""
-    return canonical_json(request), canonical_json(conv.to_json()), canonical_json(__version__)
+    """Canonical JSON of the request, the convention and the engine fingerprint."""
+    return canonical_json(request), canonical_json(conv.to_json()), canonical_json(engine_fingerprint())
 
 
 def _digest(req_json: str, conv_json: str, version_json: str) -> str:
     # the checksummed payload is canonical_json({"convention": ..., "request":
-    # ..., "version": ...}), spelled out from the canonical parts
+    # ..., "version": <engine fingerprint>}), spelled out from the canonical parts
     data = f'{{"convention":{conv_json},"request":{req_json},"version":{version_json}}}'.encode()
     return f"{zlib.crc32(data):08x}{zlib.adler32(data):08x}"
 
@@ -648,7 +663,7 @@ def request_key(request: dict, conv: Convention) -> str:
 def _is_entry_of(blob: bytes, key: str, req_json: str, conv_json: str, version_json: str) -> bool:
     """Whether a cache file is the canonical document `compute` writes for
     this request: its keys are sorted, so the convention, key, request and
-    version sit at fixed places around the result."""
+    version (the engine fingerprint) sit at fixed places around the result."""
     head = f'{{"convention":{conv_json},"key":"{key}","recomputed_after_corruption":'.encode()
     mid = f',"request":{req_json},"result":'.encode()
     return (
@@ -688,7 +703,7 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
         "key": key,
         "request": request,
         "convention": conv.to_json(),
-        "version": __version__,
+        "version": engine_fingerprint(),
         "result": result,
         "recomputed_after_corruption": warn,
     }

@@ -234,48 +234,39 @@ class LeggedPlanePartition:
 
 
 def enum_legged_pp(leg: Partition, max_volume: int) -> List[LeggedPlanePartition]:
-    """All legged plane partitions with renormalized volume <= max_volume."""
+    """All legged plane partitions with renormalized volume <= max_volume.
+
+    Depth-first over the cells in row-major order.  Heights weakly decrease
+    along a row, so a zero height ends its row; below the leg a row is
+    bounded by the one above, so an empty row there ends the partition.
+    """
     if max_volume < 0:
         raise ValueError("max_volume must be >= 0")
-    # bounding box: any cell with positive height forces a staircase of
-    # positive heights back to the leg / origin, so coordinates are bounded
-    rows = len(leg.parts) + max_volume
-    cols = (leg.parts[0] if leg.parts else 0) + max_volume
-    cells = [
-        (i, j) for i in range(rows) for j in range(cols) if (i, j) not in leg
-    ]
-    cells.sort()
+    nleg = len(leg.parts)
     out: List[LeggedPlanePartition] = []
     hm: Dict[Cell, int] = {}
 
-    def upper_bound(i: int, j: int) -> int | None:
-        # None = unconstrained (all finite neighbours are off-grid or in the leg)
-        ub = None
-        for nb in ((i - 1, j), (i, j - 1)):
-            if nb[0] < 0 or nb[1] < 0 or nb in leg:
-                continue
-            v = hm.get(nb, 0)
-            ub = v if ub is None else min(ub, v)
-        return ub
+    def start(i: int) -> int:
+        return leg.parts[i] if i < nleg else 0
 
-    def rec(idx: int, used: int) -> None:
-        if idx == len(cells):
+    def rec(i: int, j: int, used: int) -> None:
+        # (i, j) is the next non-leg cell; the ones before it are decided.
+        # A neighbour in the leg or outside the quadrant does not bound it.
+        top = max_volume - used
+        if i > 0 and (i - 1, j) not in leg:
+            top = min(top, hm.get((i - 1, j), 0))
+        if j > start(i):
+            top = min(top, hm[(i, j - 1)])
+        for v in range(1, top + 1):
+            hm[(i, j)] = v
+            rec(i, j + 1, used + v)
+        hm.pop((i, j), None)
+        if i >= nleg and j == 0:
             out.append(LeggedPlanePartition(leg, dict(hm)))
-            return
-        i, j = cells[idx]
-        ub = upper_bound(i, j)
-        top = max_volume - used if ub is None else min(ub, max_volume - used)
-        for v in range(top + 1):
-            if v:
-                hm[(i, j)] = v
-            rec(idx + 1, used + v)
-            hm.pop((i, j), None)
+        else:
+            rec(i + 1, start(i + 1), used)
 
-    rec(0, 0)
-    # no configuration may touch the bounding box boundary
-    for pp in out:
-        for (i, j), _ in pp.heights:
-            assert i < rows and j < cols
+    rec(0, start(0), 0)
     out.sort(key=lambda pp: (pp.renorm_volume, pp.heights))
     return out
 

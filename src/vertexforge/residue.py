@@ -608,14 +608,6 @@ def _window_extract_ring(factors: List[RationalFactor], nvars: int, slack: int =
     return a
 
 
-def egl_integral(n: int, u_orders: Sequence[int], s, conv=None, total: int | None = None):
-    """Both methods; returns (localization, residue) DescSeries pair."""
-    return (
-        egl_localization(n, u_orders, s, conv, total),
-        egl_residue(n, u_orders, s, conv, total),
-    )
-
-
 # ---------------------------------------------------------------------------
 # the one-leg stable-pairs residue vertex
 
@@ -710,55 +702,55 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
 # closed Pochhammer form of the measure ratio
 
 
-def _interval_char(base, lo: int, hi: int):
-    from .laurent import LaurentPoly
-
-    p = LaurentPoly()
+def _interval(terms: Dict, base, lo: int, hi: int, sign: int) -> None:
+    # terms += sign * sum_{l=lo}^{hi} t^base t3^l  (base has no t3 part)
+    a, b = base
     for l in range(lo, hi + 1):
-        p = p + LaurentPoly.monomial((base[0], base[1], base[2] + l))
-    return p
+        e = (a, b, l)
+        terms[e] = terms.get(e, 0) + sign
 
 
-def _a_char(base, k: int):
-    # (t3^{-k} - 1)/(1 - t3) at base, any integer k
+def _a_char(terms: Dict, base, k: int, sign: int) -> None:
+    # terms += sign * (t3^{-k} - 1)/(1 - t3) at base, any integer k
     if k >= 0:
-        return _interval_char(base, -k, -1)
-    return -_interval_char(base, 0, -k - 1)
+        _interval(terms, base, -k, -1, sign)
+    else:
+        _interval(terms, base, 0, -k - 1, -sign)
 
 
-def _b_char(base, k: int):
-    return _a_char(base, -k)
-
-
-def _h_char(base, b: int):
-    # (t3^b - t3^{-b})/(1 - t3)
-    if b >= 0:
-        return -_interval_char(base, 0, b - 1) - _interval_char(base, -b, -1)
-    return _interval_char(base, 0, -b - 1) + _interval_char(base, b, -1)
+def _h_char(terms: Dict, base, b: int, sign: int) -> None:
+    # terms += sign * (t3^b - t3^{-b})/(1 - t3) at base
+    if b < 0:
+        b, sign = -b, -sign
+    _interval(terms, base, 0, b - 1, -sign)
+    _interval(terms, base, -b, -1, -sign)
 
 
 def measure_ratio_extended(mu, kvec: Dict, s):
     """(value, zero_order) form of the closed measure ratio; zero_order > 0
     means the ideal-sheaf weight vanishes to that order against the
-    stable-pairs weight (non-monotone column data), < 0 the reverse."""
+    stable-pairs weight (non-monotone column data), < 0 the reverse.
+
+    The character is a signed sum of t3-intervals, accumulated in one dict."""
     from .laurent import LaurentPoly
 
     cells = mu.cells()
-    total = LaurentPoly()
+    terms: Dict = {}
     for (i, j) in cells:
         k = kvec.get((i, j), 0)
-        for base in [(i, j, 0), (-i - 1, -j - 1, 0)]:
-            total = total + _a_char(base, k) + _b_char(base, k)
+        for base in ((i, j), (-i - 1, -j - 1)):
+            _a_char(terms, base, k, 1)
+            _a_char(terms, base, -k, 1)
     for (ic, jc) in cells:
         kc = kvec.get((ic, jc), 0)
         for (id_, jd) in cells:
             kd = kvec.get((id_, jd), 0)
-            b = kd - kc
-            for (sh, sg) in [((-1, -1), 1), ((-1, 0), -1), ((0, -1), -1), ((0, 0), 1)]:
-                base = (ic - id_ + sh[0], jc - jd + sh[1], 0)
-                x = _h_char(base, b) + _a_char(base, kd) + _b_char(base, kc)
-                total = total + (-sg) * x
-    return s.exp_extended(total)
+            for (sh0, sh1), sg in (((-1, -1), 1), ((-1, 0), -1), ((0, -1), -1), ((0, 0), 1)):
+                base = (ic - id_ + sh0, jc - jd + sh1)
+                _h_char(terms, base, kd - kc, -sg)
+                _a_char(terms, base, kd, -sg)
+                _a_char(terms, base, -kc, -sg)
+    return s.exp_extended(LaurentPoly(terms))
 
 
 def measure_ratio_closed(mu, kvec: Dict, s) -> Fraction:
@@ -960,7 +952,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
     """
     from itertools import product as iproduct
 
-    from .characters import DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_weight
+    from .characters import DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_running_weights
     from .laurent import LaurentPoly
     from .partitions import LeggedPlanePartition, Partition, RppConfig
     from .series import DescSeries
@@ -1059,12 +1051,13 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
     pt_target = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
     from .partitions import enum_rpp
 
+    weight = pt_running_weights(mu, s, conv)
     for cfg in enum_rpp(mu, qorder):
         heights = {c: cfg.entry(c) for c in cells}
         ratio, zr = measure_ratio_extended(mu, heights, s)
         if zr > 0:
             continue
-        w = pt_weight(cfg, s, conv) * ratio
+        w = weight(cfg) * ratio
         chp = descendent_char(cfg, DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
                               variables=vs, orders=orders_all)
         pt_target[cfg.size] = pt_target[cfg.size] + chp * w

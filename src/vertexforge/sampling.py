@@ -116,8 +116,3 @@ def seeded_samples(base_seed: int, L: int, n: int, line: int | None = None) -> l
     every prefix is the same for every n."""
     return [sample_random(base_seed + 101 * i, L, line) for i in range(n)]
 
-
-def genericity_bound(max_coord: int, max_k: int, qorder: int) -> int:
-    """Bound sufficient for every linear form met in a computation whose box
-    coordinates, column depths and q-order are so limited."""
-    return max_coord + max_k + qorder + 2

@@ -18,9 +18,9 @@ from .characters import (
     DEFAULT_CONVENTION,
     DescendentSpec,
     descendent_char,
-    dt_weight,
+    dt_running_weights,
     euler_hilb,
-    pt_weight,
+    pt_running_weights,
 )
 from .partitions import (
     LeggedPlanePartition,
@@ -124,8 +124,9 @@ def bare_pt(
         raise ValueError(f"unknown boundary kind {kind!r}")
     for parts, w in weights.items():
         mu = Partition(parts)
+        weight = pt_running_weights(mu, s, conv)
         for cfg in enum_rpp(mu, qorder):
-            coef = w * pt_weight(cfg, s, conv)
+            coef = w * weight(cfg)
             term = _desc_product(cfg, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
             out[cfg.size] = out[cfg.size] + term * coef
     return VertexResult("PT", boundary, out, 0, conv, s)
@@ -144,8 +145,9 @@ def bare_dt(
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
     out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
+    weight = dt_running_weights(leg, s, conv)
     for pp in enum_legged_pp(leg, qorder):
-        coef = dt_weight(pp, s, conv)
+        coef = weight(pp)
         term = _desc_product(pp, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
         out[pp.renorm_volume] = out[pp.renorm_volume] + term * coef
     return VertexResult("DT", ("leg", leg), out, 0, conv, s)
@@ -164,17 +166,14 @@ def dt0_slice(
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
     out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
+    weight = dt_running_weights(Partition(), s, conv)
     for pp in enum_legged_pp(Partition(), qorder):
         if first_slice(pp) != mu:
             continue
-        coef = dt_weight(pp, s, conv)
+        coef = weight(pp)
         term = _desc_product(pp, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
         out[pp.renorm_volume] = out[pp.renorm_volume] + term * coef
     return VertexResult("DT", ("slice", mu), out, 0, conv, s)
-
-
-def add_series(a: List[DescSeries], b: List[DescSeries]) -> List[DescSeries]:
-    return [x + y for x, y in zip(a, b)]
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from vertexforge.characters import (
     measure_difference_char,
     pt_fullcolumn_char_raw,
     pt_weight,
+    vertex_char_delta,
     vertex_char_dt,
     vertex_char_dt_raw,
     vertex_char_pt,
@@ -30,6 +31,7 @@ from vertexforge.laurent import EquivariantCharacter, LaurentPoly
 from vertexforge.partitions import (
     LeggedPlanePartition,
     Partition,
+    RppConfig,
     enum_legged_pp,
     enum_partitions,
     enum_rpp,
@@ -308,3 +310,43 @@ def test_convention_serialization():
     c = Convention(-1, "t1t2t3", -1, -1)
     assert Convention.from_json(c.to_json()) == c
     assert DEFAULT_CONVENTION == c
+
+
+class TestVertexCharDelta:
+    """`vertex_char_delta` against the difference of two whole vertex
+    characters, for every fixed point and every box whose removal leaves a
+    fixed point: DT under both dual terms, PT under both column signs
+    (eps = -sign)."""
+
+    LEGS = [Partition(p) for p in ((), (1,), (2,), (1, 1), (2, 1))]
+
+    def test_dt(self):
+        for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2")):
+            dual = _dual(conv)
+            for leg in self.LEGS:
+                for pp in enum_legged_pp(leg, 4):
+                    hm = pp.height_map()
+                    for (i, j), h in hm.items():
+                        try:
+                            down = LeggedPlanePartition(leg, {**hm, (i, j): h - 1})
+                        except ValueError:
+                            continue
+                        dv = vertex_char_delta(dt_boxes_char(down).num, (i, j, h - 1), 1, dual)
+                        assert dv == vertex_char_dt(pp, conv) - vertex_char_dt(down, conv), (conv, pp)
+
+    def test_pt(self):
+        for sigma in (-1, 1):
+            conv = Convention(sigma)
+            for lam in self.LEGS[1:]:
+                for cfg in enum_rpp(lam, 4):
+                    kmap = {c: cfg.entry(c) for c in lam.cells()}
+                    for (i, j), k in kmap.items():
+                        lower = {**kmap, (i, j): k - 1}
+                        try:
+                            down = RppConfig(lam, lower)
+                        except ValueError:
+                            continue
+                        m = (i, j, min(sigma * k, sigma * (k - 1)))
+                        dv = vertex_char_delta(pt_fullcolumn_char_raw(lam, lower, conv).num, m, -sigma,
+                                               (-1, -1, -1))
+                        assert dv == vertex_char_pt(cfg, conv) - vertex_char_pt(down, conv), (sigma, cfg)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 import zlib
@@ -105,6 +106,41 @@ class TestCache:
         assert not harness._is_entry_of(
             blob, doc["key"], canonical_json(other), canonical_json(doc["convention"]),
             canonical_json(doc["version"]))
+
+    def test_changed_engine_fingerprint_misses(self, tmp_path, monkeypatch):
+        req = {"type": "vertex", "theory": "PT", "boundary": {"kind": "fixedpoint", "shape": [1]},
+               "qorder": 2, "seed": 4}
+        blob, _ = compute(req, DEFAULT_CONVENTION, str(tmp_path))
+        assert json.loads(blob)["version"] == harness.engine_fingerprint()
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (blob, True)
+        old_key = request_key(req, DEFAULT_CONVENTION)
+        monkeypatch.setattr(harness, "engine_fingerprint",
+                            lambda: vertexforge.__version__ + "+0123456789abcdef")
+        new_key = request_key(req, DEFAULT_CONVENTION)
+        assert new_key != old_key
+        # an old engine's entry left under the new key is not served either
+        (tmp_path / f"{new_key}.json").write_bytes(blob)
+        fresh, hit = compute(req, DEFAULT_CONVENTION, str(tmp_path))
+        doc = json.loads(fresh)
+        assert not hit and not doc["recomputed_after_corruption"]
+        assert doc["version"] == vertexforge.__version__ + "+0123456789abcdef"
+        assert doc["key"] == new_key and doc["result"] == json.loads(blob)["result"]
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (fresh, True)
+
+    def test_engine_fingerprint_follows_the_sources(self, tmp_path):
+        shutil.copytree(Path(vertexforge.__file__).parent, tmp_path / "vertexforge",
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        code = "from vertexforge import harness; print(harness.engine_fingerprint())"
+        env = dict(os.environ, PYTHONPATH=str(tmp_path), PYTHONDONTWRITEBYTECODE="1")
+
+        def fingerprint():
+            return subprocess.run([sys.executable, "-c", code], env=env, timeout=60,
+                                  capture_output=True, text=True, check=True).stdout.strip()
+
+        assert fingerprint() == harness.engine_fingerprint()
+        with open(tmp_path / "vertexforge" / "vertex.py", "a") as fh:
+            fh.write("# edited\n")
+        assert fingerprint() != harness.engine_fingerprint()
 
     def test_no_openssl_import(self):
         src = str(Path(vertexforge.__file__).resolve().parents[1])

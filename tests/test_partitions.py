@@ -81,12 +81,38 @@ class TestRpp:
 
 class TestLeggedPP:
     def test_macmahon_counts(self):
-        oracle = macmahon_coeffs(5)
-        assert oracle == [1, 1, 3, 6, 13, 24]
-        counts = [0] * 6
-        for pp in enum_legged_pp(Partition(), 5):
+        oracle = macmahon_coeffs(8)
+        assert oracle[:6] == [1, 1, 3, 6, 13, 24]
+        counts = [0] * 9
+        for pp in enum_legged_pp(Partition(), 8):
             counts[pp.renorm_volume] += 1
         assert counts == oracle
+
+    @pytest.mark.parametrize("parts", [(), (1,), (2,), (1, 1), (2, 1), (3, 1)])
+    def test_matches_filtered_height_maps(self, parts):
+        # every height map on the cells of the old bounding box, grown one box
+        # at a time and kept when it is a legged plane partition (a nonempty
+        # one has a box whose removal leaves one, so this reaches them all)
+        leg, volume = Partition(parts), 5
+        box = [(i, j) for i in range(len(parts) + volume)
+               for j in range((parts[0] if parts else 0) + volume) if (i, j) not in leg]
+        level = [{}]
+        found = [LeggedPlanePartition(leg, {})]
+        for _ in range(volume):
+            grown = {}
+            for hm in level:
+                for c in box:
+                    new = {**hm, c: hm.get(c, 0) + 1}
+                    key = tuple(sorted(new.items()))
+                    if key not in grown:
+                        try:
+                            grown[key] = LeggedPlanePartition(leg, new)
+                        except ValueError:
+                            grown[key] = None
+            level = [dict(k) for k, pp in grown.items() if pp is not None]
+            found += [pp for pp in grown.values() if pp is not None]
+        found.sort(key=lambda pp: (pp.renorm_volume, pp.heights))
+        assert enum_legged_pp(leg, volume) == found
 
     def test_pure_cylinder(self):
         pps = enum_legged_pp(Partition([1]), 0)

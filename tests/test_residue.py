@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from vertexforge.characters import DescendentSpec
+from vertexforge.characters import DescendentSpec, measure_difference_char
 from vertexforge.laurent import pochhammer
 from vertexforge.partitions import Partition, enum_partitions
 from vertexforge.residue import (
@@ -235,3 +235,15 @@ class TestMeasureRatioClosed:
         # increasing columns are invalid ideal-sheaf data: ratio vanishes
         _, z = measure_ratio_extended(Partition([1, 1]), {(0, 0): 0, (1, 0): 2}, S)
         assert z > 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_equals_exp_of_measure_difference(self, n):
+        # value and zero order, every depth vector in {0..3}^cells (monotone
+        # or not), at two samples
+        for s in (S, sample_random(8, 20)):
+            for mu in enum_partitions(n):
+                cells = mu.cells()
+                for kv in product(range(4), repeat=len(cells)):
+                    kmap = dict(zip(cells, kv))
+                    assert measure_ratio_extended(mu, kmap, s) == s.exp_extended(
+                        measure_difference_char(mu, kmap)), (mu, kv)

@@ -1,8 +1,17 @@
 from fractions import Fraction as F
 
-from vertexforge.characters import DescendentSpec, euler_hilb
-from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions
+import pytest
+
+from vertexforge.characters import DescendentSpec, all_conventions, descendent_char, euler_hilb
+from vertexforge.partitions import (
+    LeggedPlanePartition,
+    Partition,
+    enum_legged_pp,
+    enum_partitions,
+    first_slice,
+)
 from vertexforge.sampling import sample_random
+from vertexforge.series import DescSeries
 from vertexforge.vertex import (
     bare_dt,
     bare_pt,
@@ -118,3 +127,101 @@ class TestSpecializationCheck:
             list(range(7)), 4, s, region="inner", desc_exp=(2,), basis="interp",
         )
         assert rep.verdict == "non-polynomial"
+
+
+class TestRunningProduct:
+    """The running-product sums against sum_pi Exp(-V(pi)) with the weight of
+    every fixed point built from scratch (`dt_weight`/`pt_weight`), per q-degree."""
+
+    LEGS = [Partition(p) for p in ((), (1,), (2,), (1, 1), (2, 1), (3, 1))]
+    Q = 5
+
+    @staticmethod
+    def _graded(pairs, qorder):
+        out = [F(0)] * (qorder + 1)
+        for n, w in pairs:
+            out[n] += w
+        return out
+
+    def test_dt_every_convention(self):
+        # dt_weight depends on the convention only through the dual term
+        oracle = {}
+        for conv in all_conventions():
+            for leg in self.LEGS:
+                key = (conv.dt_dual_denominator, leg)
+                if key not in oracle:
+                    oracle[key] = self._graded(
+                        ((pp.renorm_volume, dt_weight(pp, S, conv))
+                         for pp in enum_legged_pp(leg, self.Q)), self.Q)
+                got = [c.coeff(()) for c in bare_dt(leg, self.Q, (), S, conv).coeffs]
+                assert got == oracle[key], (conv, leg)
+
+    def test_pt_every_convention(self):
+        # pt_weight depends on the convention only through pt_column_sign;
+        # with sign +1 every weight with a box has a zero-weight monomial
+        oracle = {}
+
+        def inner(sigma, mu, conv):
+            key = (sigma, mu)
+            if key not in oracle:
+                try:
+                    oracle[key] = self._graded(
+                        ((cfg.size, pt_weight(cfg, S, conv)) for cfg in enum_rpp(mu, self.Q)), self.Q)
+                except ValueError:
+                    oracle[key] = None
+            return oracle[key]
+
+        raised = 0
+        for conv in all_conventions():
+            for lam in self.LEGS:
+                for kind in ("fixedpoint", "chern"):
+                    mus = [(lam, 1 / euler_hilb(lam, S, conv))] if kind == "fixedpoint" else [
+                        (mu, chern_monomial_value(lam, mu, S) / euler_hilb(mu, S, conv))
+                        for mu in enum_partitions(lam.size)]
+                    sums = [(w, inner(conv.pt_column_sign, mu, conv)) for mu, w in mus if w]
+                    if any(s is None for _, s in sums):
+                        with pytest.raises(ValueError):
+                            bare_pt((kind, lam), self.Q, (), S, conv)
+                        raised += 1
+                        continue
+                    expect = [sum(w * s[n] for w, s in sums) for n in range(self.Q + 1)]
+                    got = [c.coeff(()) for c in bare_pt((kind, lam), self.Q, (), S, conv).coeffs]
+                    assert got == expect, (conv, kind, lam)
+        # the 12 conventions with sign +1, at the 5 non-empty fixed-point legs
+        # and the 3 non-empty Chern legs other than (1) (c_1 vanishes at its
+        # only fixed point, so that sum is empty)
+        assert raised == 12 * (5 + 3)
+
+    def test_dt0_slice_every_convention(self):
+        pps = enum_legged_pp(Partition(), self.Q)
+        oracle = {}
+        for conv in all_conventions():
+            for n in range(self.Q + 1):
+                for mu in enum_partitions(n):
+                    key = (conv.dt_dual_denominator, mu)
+                    if key not in oracle:
+                        oracle[key] = self._graded(((pp.renorm_volume, dt_weight(pp, S, conv))
+                                                    for pp in pps if first_slice(pp) == mu), self.Q)
+                    got = [c.coeff(()) for c in dt0_slice(mu, (), S, self.Q, conv).coeffs]
+                    assert got == oracle[key], (conv, mu)
+
+    def test_descendents(self):
+        specs = (DescendentSpec("ch", 0, "u", 2), DescendentSpec("ch_hat", 0, "v", 1))
+        vs, orders = ("u", "v"), (2, 1)
+
+        def desc(config):
+            out = DescSeries.const(vs, orders, 1)
+            for sp in specs:
+                out = out * descendent_char(config, sp, S, variables=vs, orders=orders)
+            return out
+
+        for lam in self.LEGS[:5]:
+            expect = [DescSeries(vs, orders) for _ in range(4)]
+            for pp in enum_legged_pp(lam, 3):
+                expect[pp.renorm_volume] = expect[pp.renorm_volume] + desc(pp) * dt_weight(pp, S)
+            assert bare_dt(lam, 3, specs, S).coeffs == expect, lam
+            e = euler_hilb(lam, S)
+            expect = [DescSeries(vs, orders) for _ in range(4)]
+            for cfg in enum_rpp(lam, 3):
+                expect[cfg.size] = expect[cfg.size] + desc(cfg) * (pt_weight(cfg, S) / e)
+            assert bare_pt(("fixedpoint", lam), 3, specs, S).coeffs == expect, lam
