@@ -10,9 +10,8 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Dict, Literal, Tuple
+from typing import Callable, Dict, Literal, NamedTuple, Tuple
 
 from .laurent import EquivariantCharacter, LaurentPoly
 from .partitions import LeggedPlanePartition, Partition, RppConfig
@@ -25,8 +24,7 @@ KAPPA = (1, 1, 1)  # exponent triple of t1*t2*t3
 _ONE_MINUS_T1_T2 = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1})
 
 
-@dataclass(frozen=True)
-class Convention:
+class Convention(NamedTuple):
     pt_column_sign: int = -1        # sign of k in PT column monomials t3^(sign*k)
     dt_dual_denominator: str = "t1t2t3"  # "t1t2" or "t1t2t3"
     euler_sign: int = -1            # e_lambda = Exp(euler_sign * F_e)
@@ -63,8 +61,7 @@ def all_conventions():
     return out
 
 
-@dataclass(frozen=True)
-class DescendentSpec:
+class DescendentSpec(NamedTuple):
     mode: Literal["ch", "ch_prime", "ch_hat"] = "ch"
     insertion: Literal[0, "inf"] = 0
     variable: str = "u"

@@ -13,7 +13,6 @@ import os
 import tempfile
 import time
 import zlib
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, List
 
@@ -51,14 +50,34 @@ EXIT_INVALID = 2
 EXIT_INFORMATIVE = 3
 
 
-@dataclass
 class CheckReport:
-    name: str
-    verdict: str  # "pass" | "fail" | "informative"
-    cases: List[dict] = field(default_factory=list)
-    convention: Convention = DEFAULT_CONVENTION
-    elapsed: float = 0.0
-    notes: List[str] = field(default_factory=list)
+    _FIELDS = ("name", "verdict", "cases", "convention", "elapsed", "notes")
+    # full_report: the raw report of an exploratory check, kept out of
+    # equality and repr
+    __slots__ = _FIELDS + ("full_report",)
+    __hash__ = None
+
+    def __init__(self, name: str, verdict: str, cases: List[dict] | None = None,
+                 convention: Convention = DEFAULT_CONVENTION, elapsed: float = 0.0,
+                 notes: List[str] | None = None):
+        self.name = name
+        self.verdict = verdict  # "pass" | "fail" | "informative"
+        self.cases = [] if cases is None else cases
+        self.convention = convention
+        self.elapsed = elapsed
+        self.notes = [] if notes is None else notes
+        self.full_report = None
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, k) for k in self._FIELDS)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "CheckReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS) + ")"
 
     @property
     def exit_code(self) -> int:
@@ -392,7 +411,7 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
         + ("pass" if exact_ok else "FAIL")
     )
     out.notes.append(f"some (bound, orientation) choice matches the slice sum: {any_dt}")
-    out.full_report = rep  # type: ignore[attr-defined]
+    out.full_report = rep
     return out
 
 

@@ -5,7 +5,6 @@ classes in Chern roots, and the residue-form assembly of the glued series.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
@@ -52,14 +51,28 @@ def _monomial_symmetric(nvars: int, nu: Partition) -> Dict[Tuple[int, ...], Frac
     return out
 
 
-@dataclass
 class InterpPoly:
     """Symmetric polynomial with J(contents of mu) = delta_{lam,mu} e_mu."""
 
-    shape: Partition
-    nvars: int
-    support: List[Partition]
-    coeffs: List[Fraction]
+    __slots__ = ("shape", "nvars", "support", "coeffs")
+    __hash__ = None
+
+    def __init__(self, shape: Partition, nvars: int, support: List[Partition], coeffs: List[Fraction]):
+        self.shape = shape
+        self.nvars = nvars
+        self.support = support
+        self.coeffs = coeffs
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "InterpPoly(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def as_zpoly(self, nvars: int) -> Dict[Tuple[int, ...], Fraction]:
         out: Dict[Tuple[int, ...], Fraction] = {}
@@ -165,17 +178,35 @@ def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
 # gluing
 
 
-@dataclass
 class GlueRequest:
-    theory: str
-    degrees: Tuple[int, int]
-    n: int
-    desc_zero: Sequence[DescendentSpec]
-    desc_inf: Sequence[DescendentSpec]
-    qorder: int
-    sample: ParamSample
-    convention: Convention = DEFAULT_CONVENTION
-    total: int | None = None
+    __slots__ = ("theory", "degrees", "n", "desc_zero", "desc_inf", "qorder", "sample",
+                 "convention", "total")
+    __hash__ = None
+
+    def __init__(self, theory: str, degrees: Tuple[int, int], n: int,
+                 desc_zero: Sequence[DescendentSpec], desc_inf: Sequence[DescendentSpec],
+                 qorder: int, sample: ParamSample, convention: Convention = DEFAULT_CONVENTION,
+                 total: int | None = None):
+        self.theory = theory
+        self.degrees = degrees
+        self.n = n
+        self.desc_zero = desc_zero
+        self.desc_inf = desc_inf
+        self.qorder = qorder
+        self.sample = sample
+        self.convention = convention
+        self.total = total
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "GlueRequest(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def to_json(self) -> dict:
         return {

@@ -28,11 +28,10 @@ Both treat "integration" as coefficient extraction, never quadrature.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
-from math import factorial, prod
-from typing import Dict, Iterable, List, Sequence, Tuple
+from math import factorial, gcd, lcm, prod
+from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
 ZERO = Fraction(0)
 
@@ -45,8 +44,7 @@ class WindowInstability(ArithmeticError):
 # linear forms with scale-split constants
 
 
-@dataclass(frozen=True)
-class LinForm:
+class LinForm(NamedTuple):
     """c . z + big + small, the constant split by formal scale class.
 
     `big` collects integer-scale shifts (outside every inner contour),
@@ -104,13 +102,26 @@ def zp_linform(nvars: int, lf: LinForm) -> Dict:
 # the factored pole engine
 
 
-@dataclass
 class Term:
     """poly * prod L^e: a dense z-polynomial times linear forms with signed
-    exponents (e > 0 numerator, e < 0 denominator)."""
+    exponents (e > 0 numerator, e < 0 denominator).  The forms are rational
+    `LinForm`s, or the integer forms of the integrand builders (see
+    `_PoleEngine`)."""
 
-    poly: Dict
-    factors: Tuple[Tuple[LinForm, int], ...]
+    __slots__ = ("poly", "factors")
+    __hash__ = None
+
+    def __init__(self, poly: Dict, factors: Tuple[Tuple[object, int], ...]):
+        self.poly = poly
+        self.factors = factors
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.poly, self.factors) == (other.poly, other.factors)
+
+    def __repr__(self) -> str:
+        return f"Term(poly={self.poly!r}, factors={self.factors!r})"
 
 
 def _binom(e: int, k: int) -> int:
@@ -118,111 +129,159 @@ def _binom(e: int, k: int) -> int:
     return prod(range(e, e - k, -1)) // factorial(k)
 
 
+def _cleared(factors: Iterable[Tuple[LinForm, int]]):
+    """Rational `LinForm` factors as forms in w = D z: (c, D big, D small),
+    D the least common denominator of their constants."""
+    factors = list(factors)
+    scale = lcm(*(x.denominator for lf, _ in factors for x in (lf.big, lf.small)))
+    return [((*lf.coeffs, lf.big * scale, lf.small * scale), e) for lf, e in factors], scale
+
+
 class _PoleEngine:
     """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
 
-    Forms are interned by id with leading coefficient 1; a term is a
-    coefficient and a sorted tuple of (form id, signed exponent).  The
-    variables are taken innermost first, so at z_v every form has lost its
-    dependence on z_(v+1)..z_n and a pole lies inside the z_v contour
-    exactly when its form is z_v + constant (in the `inner` region, with no
-    integer-scale part).  Residues of monomials are memoized.
+    The forms are integer vectors (c_1..c_n, big, small) in the variables
+    w = scale * z, each standing for scale times its form in z; `scale`
+    clears the sample's denominators, so the z-integrand is
+    scale^-(n + sum e + |m|) times the w-integrand.  Rational `LinForm`
+    factors (scale None) are cleared on entry.  Every form is interned as a
+    primitive integer vector whose first nonzero coefficient is positive;
+    its rational multiple and the constant factors go into the coefficient,
+    an integer numerator/denominator pair, so proportional forms cancel.
+    A term is that pair and a sorted tuple of (form id, signed exponent).
+
+    The variables are taken innermost first, so at z_v every form has lost
+    its dependence on z_(v+1)..z_n and a pole lies inside the z_v contour
+    exactly when its form is c_p z_v + constant (in the `inner` region, with
+    no integer-scale part).  A form L_i at the root of L_p is
+    (c_p L_i - c_i L_p) / c_p.  Residues of monomials are memoized, one
+    `Fraction` each.
     """
 
-    def __init__(self, factors: Iterable[Tuple[LinForm, int]], nvars: int, region: str):
+    def __init__(self, factors: Iterable[Tuple[object, int]], nvars: int, region: str,
+                 scale: int | None = None):
         if region not in ("inner", "full"):
             raise ValueError(f"unknown region {region!r}")
+        if scale is None:
+            factors, scale = _cleared(factors)
         self.nvars = nvars
-        self.region = region
-        self.forms: List[Tuple[Tuple[Fraction, ...], Fraction, Fraction]] = []
-        self.ids: Dict[tuple, int] = {}
+        self.inner = region == "inner"
+        self.scale = scale
+        self.forms: List[Tuple[int, ...]] = []
+        self.ids: Dict[Tuple[int, ...], int] = {}
         self.lead: List[int] = []
-        self.subs: Dict[Tuple[int, int], Tuple[bool, object]] = {}
+        self.subs: Dict[Tuple[int, int], Tuple[int | None, int, int]] = {}
         self.memo: Dict[tuple, Fraction] = {}
-        self.var = [
-            self._intern(tuple(Fraction(v == w) for w in range(nvars)), ZERO, ZERO, v)
-            for v in range(nvars)
-        ]
-        self.coef = Fraction(1)
+        self.var = [self._intern(tuple(int(v == w) for w in range(nvars + 2))) for v in range(nvars)]
         self.base: Dict[int, int] = {}
-        for lf, e in factors:
-            nz = [v for v, x in enumerate(lf.coeffs) if x]
-            if nz:
-                c = lf.coeffs[nz[0]]
-                i = self._intern(tuple(x / c for x in lf.coeffs), lf.big / c, lf.small / c, nz[0])
-                self.coef *= c ** e
+        num = den = 1
+        shift = -nvars
+        for f, e in factors:
+            shift -= e
+            d = lcm(*(x.denominator for x in f))
+            vec = [x.numerator * (d // x.denominator) for x in f]
+            if any(vec[:nvars]):
+                i, sn = self._primitive(vec)
                 self.base[i] = self.base.get(i, 0) + e
-                continue
-            # a constant folds into the coefficient; zero kills a numerator
-            x = lf.big + lf.small
-            if x == 0 and e < 0:
-                raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
-            if e:
-                self.coef *= x ** e if x else ZERO
+            else:
+                # a constant folds into the coefficient; zero kills a numerator
+                sn = vec[nvars] + vec[nvars + 1]
+                if sn == 0 and e < 0:
+                    raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
+            if e > 0:
+                num *= sn ** e
+                den *= d ** e
+            elif e < 0:
+                num *= d ** -e
+                den *= sn ** -e
+        self.shift = shift
+        self.coef = Fraction(num, den) if num else Fraction(0)
 
-    def _intern(self, coeffs, big, small, lead: int) -> int:
-        key = (coeffs, big, small)
+    def _intern(self, key: Tuple[int, ...]) -> int:
         i = self.ids.get(key)
         if i is None:
             i = self.ids[key] = len(self.forms)
             self.forms.append(key)
-            self.lead.append(lead)
+            self.lead.append(next(v for v, x in enumerate(key) if x))
         return i
 
-    def _substitute(self, i: int, p: int) -> Tuple[bool, object]:
-        """Form i at the root of pole form p: (True, form id) or (False, value)."""
+    def _primitive(self, vec: List[int]) -> Tuple[int, int]:
+        """(form id, g) with vec = g * form, the form primitive with a
+        positive leading z-coefficient."""
+        g = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            g = -g
+        if g != 1:
+            vec = [x // g for x in vec]
+        return self._intern(tuple(vec)), g
+
+    def _substitute(self, i: int, p: int) -> Tuple[int | None, int, int]:
+        """Form i at the root of pole form p: (form id, num, den) for
+        num/den times that form, or (None, num, den) for the value num/den."""
         key = (i, p)
         out = self.subs.get(key)
         if out is None:
-            coeffs, big, small = self.forms[i]
+            f, pf = self.forms[i], self.forms[p]
             v = self.lead[p]
-            _, pbig, psmall = self.forms[p]
-            cv = coeffs[v]
-            rest = coeffs[:v] + (ZERO,) + coeffs[v + 1:]
-            big, small = big - cv * pbig, small - cv * psmall
-            if any(rest):
-                out = (True, self._intern(rest, big, small, self.lead[i]))
+            ci, cp = f[v], pf[v]
+            vec = [cp * x - ci * y for x, y in zip(f, pf)]
+            if any(vec[:self.nvars]):
+                j, g = self._primitive(vec)
+                out = (j, g, cp)
             else:
-                out = (False, big + small)
+                out = (None, vec[self.nvars] + vec[self.nvars + 1], cp)
             self.subs[key] = out
         return out
 
-    def _residues(self, key: tuple, coef: Fraction, v: int, out: Dict[tuple, Fraction]) -> None:
+    def _residues(self, key: tuple, num: int, den: int, v: int, out: Dict[tuple, List[int]]) -> None:
         """Add to `out` the residues of one term in z_v at its enclosed poles."""
         forms = self.forms
-        active = [(i, e) for i, e in key if forms[i][0][v]]
-        passive = [(i, e) for i, e in key if not forms[i][0][v]]
+        active = [(i, e) for i, e in key if forms[i][v]]
+        passive = [(i, e) for i, e in key if not forms[i][v]]
         for p, m in active:
-            if m >= 0 or self.lead[p] != v or (self.region == "inner" and forms[p][1]):
+            if m >= 0 or self.lead[p] != v or (self.inner and forms[p][self.nvars]):
                 continue
             others = []
             for i, e in active:
                 if i == p:
                     continue
-                is_form, val = self._substitute(i, p)
-                if not is_form and val == 0 and e < 0:
+                j, sn, sd = self._substitute(i, p)
+                if j is None and sn == 0 and e < 0:
                     raise ZeroDivisionError("pole at non-generic input: factor vanished on substitution")
-                others.append((i, e, forms[i][0][v], is_form, val))
+                others.append((e, forms[i][v], j, sn, sd))
+            # L_p^m = c_p^m (z_v - root)^m
+            d0 = den * forms[p][v] ** -m
             for ks in combinations_with_replacement(range(len(others)), -m - 1):
                 counts = Counter(ks)
-                c = coef
+                n, d = num, d0
                 exps = dict(passive)
-                for j, (i, e, cv, is_form, val) in enumerate(others):
-                    k = counts.get(j, 0)
+                for idx, (e, cv, j, sn, sd) in enumerate(others):
+                    k = counts.get(idx, 0)
                     if k:
-                        c *= _binom(e, k) * cv ** k
+                        n *= _binom(e, k) * cv ** k
+                        if not n:
+                            break
                     x = e - k
-                    if is_form:
-                        exps[val] = exps.get(val, 0) + x
-                    elif val:
-                        c *= val ** x
-                    elif x:
-                        c = ZERO
-                    if not c:
-                        break
+                    if j is not None:
+                        exps[j] = exps.get(j, 0) + x
+                    if x > 0:
+                        n *= sn ** x
+                        d *= sd ** x
+                        if not n:
+                            break
+                    elif x < 0:
+                        n *= sd ** -x
+                        d *= sn ** -x
                 else:
                     k2 = tuple(sorted((i, x) for i, x in exps.items() if x))
-                    out[k2] = out.get(k2, ZERO) + c
+                    acc = out.get(k2)
+                    if acc is None:
+                        out[k2] = [n, d]
+                    elif acc[1] == d:
+                        acc[0] += n
+                    else:
+                        acc[0] = acc[0] * d + n * acc[1]
+                        acc[1] *= d
 
     def monomial(self, mono: Tuple[int, ...]) -> Fraction:
         """Iterated residue of z^mono times the linear part."""
@@ -233,19 +292,32 @@ class _PoleEngine:
         for v, m in enumerate(mono):
             if m:
                 exps[self.var[v]] = exps.get(self.var[v], 0) + m
-        work = {tuple(sorted((i, x) for i, x in exps.items() if x)): self.coef} if self.coef else {}
+        coef = self.coef
+        work = {tuple(sorted((i, x) for i, x in exps.items() if x)): [coef.numerator, coef.denominator]}
         for v in range(self.nvars - 1, -1, -1):
-            nxt: Dict[tuple, Fraction] = {}
-            for key, c in work.items():
-                self._residues(key, c, v, nxt)
-            work = {k: c for k, c in nxt.items() if c}
+            if not work:
+                break
+            nxt: Dict[tuple, List[int]] = {}
+            for key, (n, d) in work.items():
+                if n:
+                    self._residues(key, n, d, v, nxt)
+            work = nxt
         # every form is constant once all variables are substituted
-        val = self.memo[mono] = sum(work.values(), ZERO)
+        n = d = 0
+        for n1, d1 in work.values():
+            n, d = (n1, d1) if not d else (n * d1 + n1 * d, d * d1)
+        if not n:
+            val = ZERO
+        else:
+            k = self.shift - sum(mono)
+            val = Fraction(n * self.scale ** k, d) if k >= 0 else Fraction(n, d * self.scale ** -k)
+        self.memo[mono] = val
         return val
 
 
 def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fraction:
-    """Iterated residue over z_n, ..., z_1 (innermost contour first).
+    """Iterated residue over z_n, ..., z_1 (innermost contour first) of
+    terms with rational `LinForm` factors.
 
     Region 'inner': only poles at infinitesimal locations are enclosed;
     'full': all finite poles (expansion at infinity).
@@ -269,9 +341,10 @@ def _u_buckets(dense: Dict) -> Dict[tuple, Dict]:
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
-                       vs, orders, total=None):
+                       vs, orders, total=None, scale: int | None = None):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
-    series in the descendent variables u (buckets None: the scalar integrand).
+    series in the descendent variables u (buckets None: the scalar integrand);
+    `scale` as in `_PoleEngine`.
 
     The residue is linear in the integrand, so each z-monomial of the dense
     parts is taken once against the shared linear forms."""
@@ -279,7 +352,7 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
 
     if buckets is None:
         buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
-    engine = _PoleEngine(term.factors, nvars, region)
+    engine = _PoleEngine(term.factors, nvars, region, scale)
     weights: Dict[tuple, Fraction] = {}
 
     def weight(ze):
@@ -304,8 +377,7 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
 # window-based expansion engine (all factors expanded at z = infinity)
 
 
-@dataclass(frozen=True)
-class RationalFactor:
+class RationalFactor(NamedTuple):
     """Factor kinds for the expansion engine.
 
     kind 'poly': payload is a z-polynomial dict.
@@ -422,10 +494,6 @@ def _lf(nv: int, coeffs: Dict[int, Fraction], big=0, small=0) -> LinForm:
     return LinForm.make(nv, coeffs, big, small)
 
 
-def _neg(coeffs: Dict[int, Fraction]) -> Dict[int, Fraction]:
-    return {v: -c for v, c in coeffs.items()}
-
-
 def omega_kernel(n: int, s) -> List[RationalFactor]:
     """Factors of prod_{i<j} omega(z_i - z_j) for the expansion engine,
     omega(z) = z(z - a1 - a2)/((z - a1)(z - a2)); the dz_i/z_i measure is the
@@ -443,69 +511,88 @@ def omega_kernel(n: int, s) -> List[RationalFactor]:
     return out
 
 
-def _kernel_factors(nv: int, x1: Fraction, x2: Fraction):
+def _cleared_pair(x1: Fraction, x2: Fraction) -> Tuple[int, int, int]:
+    """(p1, p2, D) with x1 = p1/D and x2 = p2/D, D the least common denominator."""
+    D = lcm(x1.denominator, x2.denominator)
+    return x1.numerator * (D // x1.denominator), x2.numerator * (D // x2.denominator), D
+
+
+def _form(nv: int, coeffs: Dict[int, int], big: int = 0, small: int = 0) -> Tuple[int, ...]:
+    """The integer form (c_1..c_n, big, small) of `_PoleEngine`, in w = D z:
+    a form c . z + l + x with x = p/D is written (c, D l, p)."""
+    out = [0] * (nv + 2)
+    for v, x in coeffs.items():
+        out[v] = x
+    out[nv], out[nv + 1] = big, small
+    return tuple(out)
+
+
+def _kernel_factors(nv: int, p1: int, p2: int):
     """The measure prod_i dz_i/z_i and prod_{i<j} omega(z_i - z_j),
-    omega(w) = w(w - x1 - x2)/((w - x1)(w - x2)), as signed linear forms."""
-    out = [(_lf(nv, {i: Fraction(1)}), -1) for i in range(nv)]
+    omega(w) = w(w - x1 - x2)/((w - x1)(w - x2)), as signed integer forms
+    (x_i = p_i/D)."""
+    out = [(_form(nv, {i: 1}), -1) for i in range(nv)]
     for i, j in combinations(range(nv), 2):
-        w = {i: Fraction(1), j: Fraction(-1)}
-        out += [(_lf(nv, w), 1), (_lf(nv, w, small=-x1 - x2), 1),
-                (_lf(nv, w, small=-x1), -1), (_lf(nv, w, small=-x2), -1)]
+        w = {i: 1, j: -1}
+        out += [(_form(nv, w), 1), (_form(nv, w, 0, -p1 - p2), 1),
+                (_form(nv, w, 0, -p1), -1), (_form(nv, w, 0, -p2), -1)]
     return out
 
 
-def _signed(polys: Sequence[LinForm], recips: Sequence[LinForm]):
+def _signed(polys: Sequence, recips: Sequence):
     """A block's (numerator, denominator) forms as (form, +-1) factors."""
     return [(L, 1) for L in polys] + [(L, -1) for L in recips]
 
 
-def _column_block(nv: int, i: int, k: int, a1: Fraction, a2: Fraction):
-    """Single-column weight [-z_i - a1 - a2]_k / [z_i - k]_k."""
-    A = a1 + a2
-    polys = [_lf(nv, {i: Fraction(-1)}, big=l, small=-A) for l in range(k)]
-    recips = [_lf(nv, {i: Fraction(1)}, big=-l) for l in range(1, k + 1)]
+def _column_block(nv: int, i: int, k: int, cs):
+    """Single-column weight [-z_i - a1 - a2]_k / [z_i - k]_k; cs = (p1, p2, D)
+    clears a1 = p1/D, a2 = p2/D."""
+    p1, p2, D = cs
+    polys = [_form(nv, {i: -1}, D * l, -p1 - p2) for l in range(k)]
+    recips = [_form(nv, {i: 1}, -D * l) for l in range(1, k + 1)]
     return polys, recips
 
 
-def _pair_block(nv: int, i: int, j: int, b: int, a1: Fraction, a2: Fraction):
+def _pair_block(nv: int, i: int, j: int, b: int, cs):
     """Two-column interaction for outer variable z_i, inner z_j, b = k_j - k_i.
 
     Derived from Exp(V(pi') - V(pi)) for adding a column; equals, with
-    w = z_j - z_i,
+    w = z_j - z_i and A = a1 + a2,
       prod_{l=1..b}   (w-A-l)(w-l) / ((w-a1-l)(w-a2-l))
     * prod_{l=0..b-1} (-w-a1+l)(-w-a2+l) / ((-w-A+l)(-w+l))
     for b >= 0, and the reciprocal mirror for b < 0.
     """
-    A = a1 + a2
-    w = {j: Fraction(1), i: Fraction(-1)}
-    polys: List[LinForm] = []
-    recips: List[LinForm] = []
+    p1, p2, D = cs
+    A = p1 + p2
+    w, mw = {j: 1, i: -1}, {j: -1, i: 1}
+    polys: List[tuple] = []
+    recips: List[tuple] = []
     if b >= 0:
         for l in range(1, b + 1):
-            polys += [_lf(nv, w, big=-l, small=-A), _lf(nv, w, big=-l)]
-            recips += [_lf(nv, w, big=-l, small=-a1), _lf(nv, w, big=-l, small=-a2)]
+            polys += [_form(nv, w, -D * l, -A), _form(nv, w, -D * l)]
+            recips += [_form(nv, w, -D * l, -p1), _form(nv, w, -D * l, -p2)]
         for l in range(b):
-            polys += [_lf(nv, _neg(w), big=l, small=-a1), _lf(nv, _neg(w), big=l, small=-a2)]
-            recips += [_lf(nv, _neg(w), big=l, small=-A), _lf(nv, _neg(w), big=l)]
+            polys += [_form(nv, mw, D * l, -p1), _form(nv, mw, D * l, -p2)]
+            recips += [_form(nv, mw, D * l, -A), _form(nv, mw, D * l)]
     else:
         beta = -b
         for l in range(beta):
-            polys += [_lf(nv, w, big=l, small=-a1), _lf(nv, w, big=l, small=-a2)]
-            recips += [_lf(nv, w, big=l, small=-A), _lf(nv, w, big=l)]
+            polys += [_form(nv, w, D * l, -p1), _form(nv, w, D * l, -p2)]
+            recips += [_form(nv, w, D * l, -A), _form(nv, w, D * l)]
         for l in range(1, beta + 1):
-            polys += [_lf(nv, _neg(w), big=-l, small=-A), _lf(nv, _neg(w), big=-l)]
-            recips += [_lf(nv, _neg(w), big=-l, small=-a1), _lf(nv, _neg(w), big=-l, small=-a2)]
+            polys += [_form(nv, mw, -D * l, -A), _form(nv, mw, -D * l)]
+            recips += [_form(nv, mw, -D * l, -p1), _form(nv, mw, -D * l, -p2)]
     return polys, recips
 
 
-def _pt_factors(nv: int, kvec, a1: Fraction, a2: Fraction):
+def _pt_factors(nv: int, kvec, cs):
     """Linear part of the stable-pairs integrand at one k-vector: the
     kernel, the single-column blocks and the two-column interactions."""
-    out = _kernel_factors(nv, a1, a2)
+    out = _kernel_factors(nv, cs[0], cs[1])
     for i, k in enumerate(kvec):
-        out += _signed(*_column_block(nv, i, k, a1, a2))
+        out += _signed(*_column_block(nv, i, k, cs))
     for i, j in combinations(range(nv), 2):
-        out += _signed(*_pair_block(nv, i, j, kvec[j] - kvec[i], a1, a2))
+        out += _signed(*_pair_block(nv, i, j, kvec[j] - kvec[i], cs))
     return out
 
 
@@ -572,6 +659,7 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
         if p:
             buckets[a] = p
     norm = Fraction(t1 * t2) ** (conv.hilb_norm * n) / factorial(n)
+    p1, p2, D = _cleared_pair(t1, t2)
     if engine == "window":
         # expansion engine: exact but exponential in n; kept for small-n
         # cross-checks of the pole-summation engine
@@ -591,8 +679,8 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
         if isinstance(res, Fraction):
             res = DescSeries.const(vs, u_orders, res, total)
     else:
-        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, t1, t2)))
-        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total)
+        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)))
+        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total, D)
     return res * norm
 
 
@@ -657,7 +745,7 @@ def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern"
         orders_all = tuple(sp.order for sp in desc_specs)
         sigma = conv.pt_column_sign
         desc_poly = _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total)
-    return Term(poly, tuple(_pt_factors(nv, kvec, s.a1, s.a2))), desc_poly
+    return Term(poly, tuple(_pt_factors(nv, kvec, _cleared_pair(s.a1, s.a2)))), desc_poly
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -685,6 +773,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
         basis_poly = interp_poly(shape, s).as_zpoly(n)
         scale = Fraction(1) / euler_hilb(shape, s, conv)
     norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
+    D = _cleared_pair(s.a1, s.a2)[2]
     from itertools import product as iproduct
 
     for kvec in iproduct(range(qorder + 1), repeat=n):
@@ -693,7 +782,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
             continue
         t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly, total)
         buckets = None if dpoly is None else _u_buckets(dpoly)
-        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total)
+        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total, D)
         out[d] = out[d] + val * norm
     return out
 
@@ -775,31 +864,34 @@ def measure_ratio_closed(mu, kvec: Dict, s) -> Fraction:
 # degree-0 ideal-sheaf slice sums: residue exploration report
 
 
-def _ratio_cell_blocks_symbolic(nv: int, i: int, k: int, a1, a2):
+def _ratio_cell_blocks_symbolic(nv: int, i: int, k: int, cs):
     """Measure-ratio per-cell blocks at symbolic z_i:
-    [z-k]_k [-z-A-k]_k / ([z]_k [-z-A]_k)."""
-    A = a1 + a2
+    [z-k]_k [-z-A-k]_k / ([z]_k [-z-A]_k); cs = (p1, p2, D) as in
+    `_column_block`."""
+    p1, p2, D = cs
+    A = p1 + p2
     polys, recips = [], []
     for l in range(1, k + 1):
-        polys += [_lf(nv, {i: Fraction(1)}, big=-l), _lf(nv, {i: Fraction(-1)}, big=-l, small=-A)]
+        polys += [_form(nv, {i: 1}, -D * l), _form(nv, {i: -1}, -D * l, -A)]
     for l in range(k):
-        recips += [_lf(nv, {i: Fraction(1)}, big=l), _lf(nv, {i: Fraction(-1)}, big=l, small=-A)]
+        recips += [_form(nv, {i: 1}, D * l), _form(nv, {i: -1}, D * l, -A)]
     return polys, recips
 
 
-def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, a1, a2):
+def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, cs):
     """Measure-ratio blocks for the ordered cell pair (c, d) mapped to
     variables (i, j): Exp(-G m_c/m_d (H(kd-kc) + A(kd) + B(kc))) with w =
     z_i - z_j symbolic; the degenerate diagonal (c = d) is excluded upstream."""
-    A = a1 + a2
+    p1, p2, D = cs
+    A = p1 + p2
     b = kd - kc
-    w = {i: Fraction(1), j: Fraction(-1)}
+    w = {i: 1, j: -1}
     polys, recips = [], []
 
     def emit(base_coeffs, lo, hi, small, sign):
         # sign +1: poly factors, -1: recips, for each l in lo..hi
         for l in range(lo, hi + 1):
-            L = _lf(nv, base_coeffs, big=l, small=small)
+            L = _form(nv, base_coeffs, D * l, small)
             (polys if sign > 0 else recips).append(L)
 
     # X = H(b) + A(kd) + B(kc) as t3-intervals at the four G-shifts
@@ -812,7 +904,7 @@ def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, a1, a
     intervals += [(1, -kd, -1)]          # A(kd)
     intervals += [(-1, 0, kc - 1)]       # B(kc)
     # Exp(-G m X): G-shift signs {(-A): -, (-a1): +, (-a2): +, (0): -}
-    for small, gsign in ((-A, -1), (-a1, 1), (-a2, 1), (Fraction(0), -1)):
+    for small, gsign in ((-A, -1), (-p1, 1), (-p2, 1), (0, -1)):
         for isign, lo, hi in intervals:
             emit(w, lo, hi, small, gsign * isign)
     return polys, recips
@@ -869,48 +961,49 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
     from .series import DescSeries
 
     nv = mu.size
-    a1, a2 = s.a1, s.a2
-    A = a1 + a2
+    cs = _cleared_pair(s.a1, s.a2)
+    p1, p2, D = cs
+    A = p1 + p2
     vs = tuple(w["var"] for w in wspecs)
     orders_all = tuple(w["order"] for w in wspecs)
     jp = interp_poly(mu, s).as_zpoly(nv)
     if variant == "derived":
-        factors = _pt_factors(nv, kvec, a1, a2)
+        factors = _pt_factors(nv, kvec, cs)
         for i, k in enumerate(kvec):
-            factors += _signed(*_ratio_cell_blocks_symbolic(nv, i, k, a1, a2))
+            factors += _signed(*_ratio_cell_blocks_symbolic(nv, i, k, cs))
         for ci in range(nv):
             for cj in range(nv):
                 if ci != cj:
-                    factors += _signed(*_ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], a1, a2))
+                    factors += _signed(*_ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], cs))
     elif variant == "printed":
         factors = []
         # first factors [z_i + 1 + A]_{k_i} / [z_i]_{k_i}
         for i, k in enumerate(kvec):
-            factors += _signed(*_poch_lin(nv, {i: Fraction(1)}, Fraction(1), A, k))
-            factors += _signed(*_poch_lin(nv, {i: Fraction(1)}, Fraction(0), Fraction(0), k, invert=True))
+            factors += _signed(*_poch_lin(nv, {i: 1}, 1, A, k, D))
+            factors += _signed(*_poch_lin(nv, {i: 1}, 0, 0, k, D, invert=True))
         # F^{-1}_{k_i - k_j}(z_i - z_j) for i < j, as printed
         for i, j in combinations(range(nv), 2):
             b = kvec[i] - kvec[j]
-            w = {i: Fraction(1), j: Fraction(-1)}
-            for small, inv in ((a1, False), (a2, False), (-A, False), (-a1, True), (-a2, True), (A, True)):
-                factors += _signed(*_poch_lin(nv, w, Fraction(0), small, b, invert=inv))
+            w = {i: 1, j: -1}
+            for small, inv in ((p1, False), (p2, False), (-A, False), (-p1, True), (-p2, True), (A, True)):
+                factors += _signed(*_poch_lin(nv, w, 0, small, b, D, invert=inv))
         # quadruple product over ordered pairs i != j with index k_i
         for i in range(nv):
             for j in range(nv):
                 if i == j:
                     continue
-                w = {i: Fraction(1), j: Fraction(-1)}
+                w = {i: 1, j: -1}
                 for big, small, inv in (
-                    (1, Fraction(0), False),
+                    (1, 0, False),
                     (1, A, False),
-                    (0, -a1, False),
-                    (0, -a2, False),
-                    (0, Fraction(0), True),
+                    (0, -p1, False),
+                    (0, -p2, False),
+                    (0, 0, True),
                     (0, -A, True),
-                    (1, a1, True),
-                    (1, a2, True),
+                    (1, p1, True),
+                    (1, p2, True),
                 ):
-                    factors += _signed(*_poch_lin(nv, w, Fraction(big), small, kvec[i], invert=inv))
+                    factors += _signed(*_poch_lin(nv, w, big, small, kvec[i], D, invert=inv))
     else:
         raise ValueError(f"unknown variant {variant!r}")
     buckets = None
@@ -920,19 +1013,20 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
             gz = zp_mul(gz, _g_factor_zpoly(nv, kvec, {"vs": vs, "var": wsp["var"]}, s, orders_all, total))
         buckets = _u_buckets(gz)
     try:
-        return residue_sum_series(Term(jp, tuple(factors)), buckets, nv, "inner", vs, orders_all, total)
+        return residue_sum_series(Term(jp, tuple(factors)), buckets, nv, "inner", vs, orders_all, total, D)
     except ZeroDivisionError:
         return None
 
 
-def _poch_lin(nv, wcoeffs, big, small, b, invert=False):
-    """[w + big + small]_b as (polys, recips); invert for denominators."""
+def _poch_lin(nv, wcoeffs, big, small, b, D, invert=False):
+    """[w + big + small/D]_b as integer (polys, recips); invert for
+    denominators."""
     polys, recips = [], []
     if b >= 0:
-        fl = [_lf(nv, wcoeffs, big=big + l, small=small) for l in range(b)]
+        fl = [_form(nv, wcoeffs, D * (big + l), small) for l in range(b)]
         polys = fl
     else:
-        fl = [_lf(nv, wcoeffs, big=big - l, small=small) for l in range(1, -b + 1)]
+        fl = [_form(nv, wcoeffs, D * (big - l), small) for l in range(1, -b + 1)]
         recips = fl
     if invert:
         polys, recips = recips, polys

@@ -9,16 +9,15 @@ not implied by that line.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .laurent import LaurentPoly, exp_pleth
 
 _RETRY_BUDGET = 200
 
 
-@dataclass(frozen=True)
-class ParamSample:
+class ParamSample(NamedTuple):
     t1: Fraction
     t2: Fraction
     t3: Fraction

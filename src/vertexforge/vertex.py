@@ -8,7 +8,6 @@ different chi-normalizations stay comparable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
@@ -34,16 +33,31 @@ from .sampling import ParamSample
 from .series import DescSeries, QSeries
 
 
-@dataclass
 class VertexResult:
     """Series coefficients by q-power (plus shift), with the request echoed."""
 
-    theory: str
-    boundary: Tuple[str, Partition]
-    coeffs: List[DescSeries]
-    shift: int
-    convention: Convention
-    sample: ParamSample
+    __slots__ = ("theory", "boundary", "coeffs", "shift", "convention", "sample")
+    __hash__ = None
+
+    def __init__(self, theory: str, boundary: Tuple[str, Partition], coeffs: List[DescSeries],
+                 shift: int, convention: Convention, sample: ParamSample):
+        self.theory = theory
+        self.boundary = boundary
+        self.coeffs = coeffs
+        self.shift = shift
+        self.convention = convention
+        self.sample = sample
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "VertexResult(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def scalar_series(self) -> QSeries:
         """QSeries view, valid when there are no descendent variables."""
@@ -180,18 +194,35 @@ def dt0_slice(
 # polynomiality of the per-k residue vertex under t1 + t2 = c t3
 
 
-@dataclass
 class PolyFitReport:
-    shape: Partition
-    line: int | None
-    fit_degree: int
-    grid: List[int]
-    values: List[Fraction]
-    fit_coeffs: List[Fraction] | None
-    holdout: List[int]
-    holdout_ok: bool | None
-    verdict: str
-    notes: List[str] = field(default_factory=list)
+    __slots__ = ("shape", "line", "fit_degree", "grid", "values", "fit_coeffs", "holdout",
+                 "holdout_ok", "verdict", "notes")
+    __hash__ = None
+
+    def __init__(self, shape: Partition, line: int | None, fit_degree: int, grid: List[int],
+                 values: List[Fraction], fit_coeffs: List[Fraction] | None, holdout: List[int],
+                 holdout_ok: bool | None, verdict: str, notes: List[str] | None = None):
+        self.shape = shape
+        self.line = line
+        self.fit_degree = fit_degree
+        self.grid = grid
+        self.values = values
+        self.fit_coeffs = fit_coeffs
+        self.holdout = holdout
+        self.holdout_ok = holdout_ok
+        self.verdict = verdict
+        self.notes = [] if notes is None else notes
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, k) for k in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __repr__(self) -> str:
+        return "PolyFitReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def to_json(self) -> dict:
         return {
