@@ -130,11 +130,20 @@ def _binom(e: int, k: int) -> int:
 
 
 def _cleared(factors: Iterable[Tuple[LinForm, int]]):
-    """Rational `LinForm` factors as forms in w = D z: (c, D big, D small),
-    D the least common denominator of their constants."""
+    """Rational `LinForm` factors as integer forms in w = D z, D the least
+    common denominator of their constants: L = (c, D big, D small) / D is
+    written (d c, d D big, d D small)^e times the constant (d)^-e, d the
+    denominator left in the form's z-coefficients."""
     factors = list(factors)
     scale = lcm(*(x.denominator for lf, _ in factors for x in (lf.big, lf.small)))
-    return [((*lf.coeffs, lf.big * scale, lf.small * scale), e) for lf, e in factors], scale
+    out = []
+    for lf, e in factors:
+        vec = (*lf.coeffs, lf.big * scale, lf.small * scale)
+        d = lcm(*(x.denominator for x in vec))
+        out.append((tuple(int(x * d) for x in vec), e))
+        if d != 1:
+            out.append((_form(len(lf.coeffs), {}, d * scale), -e))
+    return out, scale
 
 
 class _PoleEngine:
@@ -178,22 +187,18 @@ class _PoleEngine:
         shift = -nvars
         for f, e in factors:
             shift -= e
-            d = lcm(*(x.denominator for x in f))
-            vec = [x.numerator * (d // x.denominator) for x in f]
-            if any(vec[:nvars]):
-                i, sn = self._primitive(vec)
+            if any(f[:nvars]):
+                i, g = self._primitive(f)
                 self.base[i] = self.base.get(i, 0) + e
             else:
                 # a constant folds into the coefficient; zero kills a numerator
-                sn = vec[nvars] + vec[nvars + 1]
-                if sn == 0 and e < 0:
+                g = f[nvars] + f[nvars + 1]
+                if g == 0 and e < 0:
                     raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
             if e > 0:
-                num *= sn ** e
-                den *= d ** e
+                num *= g ** e
             elif e < 0:
-                num *= d ** -e
-                den *= sn ** -e
+                den *= g ** -e
         self.shift = shift
         self.coef = Fraction(num, den) if num else Fraction(0)
 
@@ -205,7 +210,7 @@ class _PoleEngine:
             self.lead.append(next(v for v, x in enumerate(key) if x))
         return i
 
-    def _primitive(self, vec: List[int]) -> Tuple[int, int]:
+    def _primitive(self, vec: Sequence[int]) -> Tuple[int, int]:
         """(form id, g) with vec = g * form, the form primitive with a
         positive leading z-coefficient."""
         g = gcd(*vec)
@@ -702,29 +707,42 @@ def _window_extract_ring(factors: List[RationalFactor], nvars: int, slack: int =
 
 def _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total):
     """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r (z_i + sigma k_i)}
-    as a z-polynomial with truncated-series coefficients."""
-    from .series import DescSeries, exp_single
+    as a z-polynomial with truncated-series coefficients.
 
+    The r-th factor is sum_i sum_m base_{k_i}(u_r) (t3 u_r z_i)^m / m! with
+    base_k(u) = sum_x +-e^{(sigma k t3 + x) u} over x = 0, t1, t2, t1 + t2.
+    Over the common denominator d of t1, t2, t3 the coefficient of
+    u_r^(a+m) z_i^m has denominator d^(a+m) a! m! for every i, so numerators
+    add as integers and each coefficient is one `Fraction`."""
+    from .series import DescSeries
+
+    d = lcm(s.t1.denominator, s.t2.denominator, s.t3.denominator)
+    n1, n2, n3 = (t.numerator * (d // t.denominator) for t in (s.t1, s.t2, s.t3))
     vs = tuple(sp.variable for sp in desc_specs)
-    out = zp_const(nv, DescSeries.const(vs, orders_all, Fraction(1), total))
-    for r, sp in enumerate(desc_specs):
-        one = DescSeries.const(vs, orders_all, Fraction(1), total)
-        pref = (one - exp_single(vs, orders_all, sp.variable, s.t1, total)) * (
-            one - exp_single(vs, orders_all, sp.variable, s.t2, total)
-        )
-        factor: Dict = {}
-        uord = orders_all[r] if total is None else min(orders_all[r], total)
+    out = None
+    for r in range(len(desc_specs)):
+        top = orders_all[r] if total is None else min(orders_all[r], total)
+        bases: Dict[int, List[int]] = {}
+        factor: Dict[tuple, Dict[tuple, int]] = {}
         for i, k in enumerate(kvec):
-            shift = exp_single(vs, orders_all, sp.variable, s.t3 * sigma * k, total)
-            base = pref * shift
-            for m in range(uord + 1):
-                c = DescSeries(vs, orders_all, total)
-                ce = tuple(m if w == r else 0 for w in range(len(vs)))
-                c.coeffs[ce] = Fraction(s.t3) ** m / factorial(m)
-                e = tuple(m if v == i else 0 for v in range(nv))
-                term = base * c
-                factor[e] = factor.get(e, DescSeries(vs, orders_all, total)) + term
-        out = zp_mul(out, factor)
+            base = bases.get(k)
+            if base is None:
+                c = sigma * k * n3
+                base = bases[k] = [c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a
+                                   for a in range(top + 1)]
+            for m in range(top + 1):
+                nums = factor.setdefault(tuple(m if v == i else 0 for v in range(nv)), {})
+                for a in range(top + 1 - m):
+                    if base[a]:
+                        ue = tuple(a + m if w == r else 0 for w in range(len(vs)))
+                        nums[ue] = nums.get(ue, 0) + base[a] * n3 ** m
+        series = {}
+        for ze, nums in factor.items():
+            m = max(ze)
+            ds = series[ze] = DescSeries(vs, orders_all, total)
+            ds.coeffs = {ue: Fraction(x, d ** ue[r] * factorial(ue[r] - m) * factorial(m))
+                         for ue, x in nums.items() if x}
+        out = series if out is None else zp_mul(out, series)
     return out
 
 
