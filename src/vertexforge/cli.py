@@ -119,10 +119,14 @@ def main(argv=None) -> int:
             params.update(json.loads(cfg[f"check.{args.name}"]))
         if args.params:
             try:
-                params.update(json.loads(args.params))
+                given = json.loads(args.params)
             except json.JSONDecodeError as exc:
                 print(f"invalid --params JSON: {exc}", file=sys.stderr)
                 return EXIT_INVALID
+            if not isinstance(given, dict):
+                print("invalid check spec: --params must be a JSON object", file=sys.stderr)
+                return EXIT_INVALID
+            params.update(given)
         try:
             report = run_check(args.name, params, _convention_from_args(args))
         except InvalidCheckSpec as exc:

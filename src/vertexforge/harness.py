@@ -141,7 +141,7 @@ def check_egl(params: dict, conv: Convention) -> CheckReport:
             b = egl_residue(n, uorders, s, conv, total)
             ok = a == b
             allok = allok and ok
-            cases.append({"n": n, "sample": i, "equal": ok})
+            cases.append({"n": n, "sample": i, "sample_values": s.to_json(), "equal": ok})
     return CheckReport("egl", "pass" if allok else "fail", cases, conv, time.time() - t0)
 
 
@@ -175,7 +175,8 @@ def check_mainpt(params: dict, conv: Convention) -> CheckReport:
             # a case that compared only zeros in every basis certifies nothing
             allok = allok and ok_c and ok_f and nz_c + nz_f > 0
             cases.append(
-                {"shape": lam.to_json(), "sample": i, "chern_basis": ok_c,
+                {"shape": lam.to_json(), "sample": i, "sample_values": s.to_json(),
+                 "chern_basis": ok_c,
                  "fixedpoint_basis": ok_f, "chern_nonzero": nz_c,
                  "fixedpoint_nonzero": nz_f, "q_shift": 0}
             )
@@ -331,7 +332,8 @@ def check_ptint(params: dict, conv: Convention) -> CheckReport:
             pr = ptint_residue(degrees, 1, desc, (), s, qorder, conv)
             ok, nonzero = _compare_series(gl, pr)
             allok = allok and ok and nonzero > 0
-            cases.append({"degrees": list(degrees), "sample": i, "equal": ok, "nonzero": nonzero})
+            cases.append({"degrees": list(degrees), "sample": i, "sample_values": s.to_json(),
+                          "equal": ok, "nonzero": nonzero})
     return CheckReport("ptint", "pass" if allok else "fail", cases, conv, time.time() - t0)
 
 
@@ -392,12 +394,14 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
     exact_ok = (
         rep["exact_checks_pass"] and rep2["pass"] and rep3["pass"]
     )
-    any_dt = any(r["dt_side_match"] for r in rep["scan"])
+    dt_matches = sum(r["dt_side_match"] is True for r in rep["scan"])
+    vacuous = sum(r["dt_side_match"] is None for r in rep["scan"])
     cases = [
         {"mu": [1], "g_identity": rep["g_identity"]["pass"],
          "ratio_rebalancing": rep["ratio_rebalancing"]["pass"],
          "scan": [
-             {k: r[k] for k in ("variant", "bound", "orientation", "dt_side_match", "pt_side_match")}
+             {k: r[k] for k in ("variant", "bound", "orientation", "dt_side_match", "dt_nonzero",
+                                "pt_side_match", "pt_nonzero")}
              for r in rep["scan"]
          ]},
         {"mu": [1, 1], "vanishing": rep2["pass"], "rows": rep2["rows"]},
@@ -410,7 +414,9 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
         "(descendent generating function, vanishing, measure-ratio rebalancing) "
         + ("pass" if exact_ok else "FAIL")
     )
-    out.notes.append(f"some (bound, orientation) choice matches the slice sum: {any_dt}")
+    out.notes.append(
+        f"(bound, orientation) choices matching the slice sum on nonzero coefficients: "
+        f"{dt_matches} of {len(rep['scan'])}; {vacuous} compare only zeros and count as none")
     out.full_report = rep
     return out
 
@@ -517,6 +523,9 @@ def _validate_params(name: str, params: dict) -> None:
         ):
             what = "a non-empty list of integer pairs" if name == "ptint" else "an integer pair"
             raise InvalidCheckSpec(f"degrees must be {what}")
+    if name == "simple" and params.get("qorder", 3) < 1:
+        # at q-order 0 the factorization compares 1 with 1
+        raise InvalidCheckSpec("simple needs qorder >= 1")
 
 
 def run_check(name: str, params: dict | None = None, conv: Convention | None = None) -> CheckReport:
@@ -527,7 +536,11 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
     if bad:
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
     _validate_params(name, params)
-    return CHECKS[name](params, conv or load_default_convention())
+    report = CHECKS[name](params, conv or load_default_convention())
+    if not report.cases:
+        # a check that compared nothing certifies nothing
+        raise InvalidCheckSpec(f"check {name} has no case at parameters {params}")
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -755,7 +768,7 @@ def _validate_request(request) -> None:
     if not isinstance(request, dict):
         raise InvalidCheckSpec("a request must be a JSON object")
     kind = request.get("type")
-    if kind not in _REQUEST_KEYS:
+    if not isinstance(kind, str) or kind not in _REQUEST_KEYS:
         raise InvalidCheckSpec(f"unknown request type {kind!r}")
     bad = set(request) - _REQUEST_KEYS[kind]
     if bad:

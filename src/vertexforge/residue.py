@@ -1191,20 +1191,17 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                 for d in range(min(by_degree, default=0), qorder + 1):
                     c = by_degree.get(d, DescSeries(vs, orders_all))
                     series.append(c * (Fraction(orient) ** abs(d)))
-                head_zero = all(c.is_zero() for c in series[: -(qorder + 1)])
-                dt_match = head_zero and len(series) >= qorder + 1 and all(
-                    a == b for a, b in zip(series[-(qorder + 1):], target.coeffs)
-                )
-                pt_match = head_zero and len(series) >= qorder + 1 and all(
-                    a == b for a, b in zip(series[-(qorder + 1):], pt_target)
-                )
+                dt_match, dt_nonzero = _scan_match(series, target.coeffs)
+                pt_match, pt_nonzero = _scan_match(series, pt_target)
                 scan.append({
                     "variant": variant,
                     "bound": bound,
                     "orientation": orient,
                     "feasible": feasible,
                     "dt_side_match": dt_match,
+                    "dt_nonzero": dt_nonzero,
                     "pt_side_match": pt_match,
+                    "pt_nonzero": pt_nonzero,
                     "series": [c.to_json() for c in series],
                 })
     report["scan"] = scan
@@ -1213,6 +1210,21 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
     report["exact_checks_pass"] = exact_ok
     report["verdict"] = "informative"
     return report
+
+
+def _scan_match(series, target) -> Tuple[bool | None, int]:
+    """(match, nonzero) of a scan series against a target list: the series
+    ends in the target and is zero before it.  `nonzero` counts the
+    coefficients compared that are nonzero on either side; a comparison of
+    zeros only is no match either way, and reads None."""
+    head, tail = series[:-len(target)], series[-len(target):]
+    nonzero = sum(len(c.coeffs) for c in head) + sum(
+        len(a.coeffs.keys() | b.coeffs.keys()) for a, b in zip(tail, target))
+    if not nonzero:
+        return None, 0
+    match = len(series) >= len(target) and not any(c.coeffs for c in head) and all(
+        a == b for a, b in zip(tail, target))
+    return match, nonzero
 
 
 def _g_at_contents(mu, kvec, s, worder):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import shutil
@@ -7,6 +9,8 @@ import zlib
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import vertexforge
 from vertexforge import harness
@@ -236,3 +240,137 @@ class TestCLI:
         rc = main(["--format", "csv", "check", "slices", "--params", '{"qorder": 2, "count_upto": 3}'])
         out = capsys.readouterr().out
         assert rc == 0 and "counts" in out
+
+
+# --- malformed input never crashes: every one exits 2 with a message ------
+
+_NOT_INT = st.one_of(st.booleans(), st.none(), st.text(max_size=3),
+                     st.floats(allow_nan=False, allow_infinity=False),
+                     st.lists(st.integers(-2, 2), max_size=2),
+                     st.dictionaries(st.text(max_size=2), st.integers(), max_size=1))
+_BAD_SHAPES = st.one_of(
+    _NOT_INT.filter(lambda x: not isinstance(x, list) or not x), st.just([[]]),
+    st.lists(st.lists(st.one_of(st.integers(-2, 0), st.booleans(), st.text(max_size=1)),
+                      min_size=1, max_size=3), min_size=1, max_size=2),
+    st.just([[1, 2]]), st.just([[2, 1], [1, 3]]),
+)
+_BAD_PAIR = st.one_of(_NOT_INT.filter(lambda x: not (isinstance(x, list) and len(x) == 2)),
+                      st.lists(st.integers(-3, 3), min_size=3, max_size=3),
+                      st.lists(st.one_of(st.booleans(), st.text(max_size=1)), min_size=2, max_size=2))
+
+
+@st.composite
+def _bad_check(draw):
+    """(name, params): one parameter of a check malformed, an unknown key,
+    or a size at which the check has no case."""
+    name = draw(st.sampled_from(sorted(harness.CHECKS)))
+    keys = sorted(harness._CHECK_PARAM_KEYS[name])
+    kind = draw(st.sampled_from(["unknown", "value", "zero-case", "not-object"]))
+    if kind == "unknown":
+        key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in keys))
+        return name, {key: draw(st.integers())}
+    if kind == "zero-case":
+        return draw(st.sampled_from([("measure-ratio", {"max_size": 0}),
+                                     ("measure-ratio", {"max_size": 0, "kmax": 0}),
+                                     ("simple", {"qorder": 0})]))
+    if kind == "not-object":
+        return name, draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
+                                    st.text(max_size=3)))
+    key = draw(st.sampled_from(keys))
+    if key in harness._INT_PARAMS:
+        bad = st.one_of(_NOT_INT, st.integers(max_value=harness._INT_PARAMS[key] - 1))
+        if key == "u_total":  # null is a valid total order
+            bad = bad.filter(lambda x: x is not None)
+    elif key in harness._INT_LIST_PARAMS:
+        least = harness._INT_LIST_PARAMS[key]
+        element = st.one_of(st.booleans(), st.none(), st.text(max_size=2))
+        if least is not None:
+            element = st.one_of(element, st.integers(max_value=least - 1))
+        bad = st.one_of(_NOT_INT.filter(lambda x: not isinstance(x, list) or not x),
+                        st.lists(element, min_size=1, max_size=3))
+    elif key == "shapes":
+        bad = _BAD_SHAPES
+    else:  # degrees: one pair for simple, a non-empty list of pairs for ptint
+        bad = _BAD_PAIR if name == "simple" else st.one_of(
+            _NOT_INT.filter(lambda x: not isinstance(x, list) or not x),
+            st.lists(_BAD_PAIR, min_size=1, max_size=2))
+    return name, {key: draw(bad)}
+
+
+_VALID_VERTEX = {"type": "vertex", "theory": "PT", "boundary": {"kind": "fixedpoint", "shape": [1]},
+                 "qorder": 1, "seed": 1}
+_VALID_GLUE = {"type": "glue", "theory": "PT", "degrees": [-1, -1], "n": 1, "qorder": 1, "seed": 1}
+
+
+@st.composite
+def _bad_request(draw):
+    """A compute request with one field malformed, or not an object."""
+    kind = draw(st.sampled_from(["not-object", "type", "unknown", "int", "theory", "boundary",
+                                 "descendents", "degrees"]))
+    if kind == "not-object":
+        return draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
+                              st.text(max_size=3), st.none()))
+    req = dict(draw(st.sampled_from([_VALID_VERTEX, _VALID_GLUE])))
+    if kind == "type":
+        req["type"] = draw(st.one_of(_NOT_INT, st.text(max_size=5)).filter(
+            lambda x: x not in ("vertex", "glue")))
+    elif kind == "unknown":
+        req[draw(st.text(min_size=1, max_size=6).filter(
+            lambda k: k not in harness._REQUEST_KEYS[req["type"]]))] = 1
+    elif kind == "int":
+        key = draw(st.sampled_from(["qorder", "seed"] + (["n"] if req["type"] == "glue" else [])))
+        req[key] = draw(st.one_of(_NOT_INT, st.integers(max_value=-1)))
+    elif kind == "theory":
+        req["theory"] = draw(st.one_of(_NOT_INT, st.text(max_size=3)).filter(
+            lambda x: x not in ("PT", "DT")))
+    elif kind == "boundary" and req["type"] == "vertex":
+        req["boundary"] = draw(st.one_of(
+            _NOT_INT.filter(lambda x: not isinstance(x, dict)),
+            # a shape list of the check parameters, not one partition
+            st.builds(lambda s: {"kind": "fixedpoint", "shape": s}, _BAD_SHAPES.filter(
+                lambda s: s not in ([], [[]]))),
+            st.builds(lambda k: {"kind": k, "shape": [1]}, st.one_of(
+                _NOT_INT, st.sampled_from(["leg", "x"]))),
+            st.just({"kind": "fixedpoint", "shape": [1], "extra": 1})))
+    elif kind == "degrees" and req["type"] == "glue":
+        req["degrees"] = draw(_BAD_PAIR)
+    else:  # descendents
+        key = "descendents" if req["type"] == "vertex" else "descendents_zero"
+        good = {"variable": "u", "order": 1}
+        spec = draw(st.one_of(
+            st.builds(lambda o: {**good, "order": o}, st.one_of(_NOT_INT, st.integers(max_value=-1))),
+            st.builds(lambda v: {**good, "variable": v}, _NOT_INT.filter(lambda x: not isinstance(x, str))),
+            st.builds(lambda m: {**good, "mode": m}, st.one_of(_NOT_INT, st.just("chx"))),
+            st.builds(lambda i: {**good, "insertion": i}, st.one_of(
+                _NOT_INT.filter(lambda x: x != 0 or isinstance(x, bool)), st.just("zero"))),
+            st.just({"variable": "u"}), st.just({**good, "extra": 1}), _NOT_INT,
+        ))
+        req[key] = draw(st.one_of(st.just([spec]), st.just([good, good]),
+                                  _NOT_INT.filter(lambda x: not isinstance(x, list) and x is not None)))
+    return req
+
+
+def _run_cli(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+class TestMalformedInput:
+    @settings(max_examples=150, deadline=5000)
+    @given(case=_bad_check())
+    def test_check_params_exit_2(self, case):
+        name, params = case
+        rc, err = _run_cli(["check", name, "--params", json.dumps(params)])
+        assert rc == 2, (name, params, err)
+        assert "invalid" in err and "Traceback" not in err
+
+    @settings(max_examples=150, deadline=5000)
+    @given(req=_bad_request())
+    def test_compute_requests_exit_2(self, req, tmp_path_factory):
+        cache = tmp_path_factory.mktemp("cache")
+        rc, err = _run_cli(["--cache-dir", str(cache), "compute", json.dumps(req)])
+        assert rc == 2, (req, err)
+        assert "invalid" in err and "Traceback" not in err
+        assert not os.listdir(cache)

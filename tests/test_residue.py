@@ -197,6 +197,17 @@ class TestMainPT:
         assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
         assert any(not c.is_zero() for c in res)
 
+    @pytest.mark.parametrize("parts", [[2, 2], [2, 1, 1]])
+    def test_size_four_with_descendent(self, parts):
+        # |lambda| = 4 with a ch insertion to u^2: poles of order two occur
+        # among the integrands, and nonzero coefficients are compared
+        lam = Partition(parts)
+        desc = (DescendentSpec("ch", 0, "u", 2),)
+        loc = bare_pt(("chern", lam), 2, desc, S)
+        res = pt_residue_vertex(lam, 2, desc, S)
+        assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
+        assert any(not c.is_zero() for c in res)
+
     def test_k_zero_weight_is_one(self):
         # Pi(0, z) = 1: the q^0 term is the tautological integral
         lam = Partition([1])

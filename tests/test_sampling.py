@@ -94,3 +94,12 @@ def test_no_numpy_import():
     code = "import sys, vertexforge.harness; sys.exit(2 if 'numpy' in sys.modules else 0)"
     env = dict(os.environ, PYTHONPATH=src)
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
+
+
+def test_no_dataclasses_or_inspect_import():
+    # importing dataclasses pulls in inspect, ast, dis and tokenize
+    src = str(Path(vertexforge.__file__).resolve().parents[1])
+    code = ("import sys, vertexforge.harness, vertexforge.residue, vertexforge.localcurve; "
+            "sys.exit(2 if {'dataclasses', 'inspect'} & set(sys.modules) else 0)")
+    env = dict(os.environ, PYTHONPATH=src)
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=60).returncode == 0
