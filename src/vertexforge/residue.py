@@ -5,17 +5,21 @@ Two exact evaluators:
 * `residue_sum` / `residue_sum_series` — the factored pole engine.  An
   integrand is a small dense z-polynomial (a Chern or interpolation basis
   polynomial, descendent or EGL u-buckets) times linear forms with signed
-  exponents.  Every form is normalized to leading coefficient 1, so equal
-  numerator and denominator forms cancel; a monomial z_i^m is the form z_i
-  to the power m.  The residue in z_v at an enclosed pole of order m is a
-  sum over the ways to put m - 1 derivatives on the other forms
-  (d/dz_v L^e = e c_v L^(e-1)), after which the root is substituted into
-  each form; terms stay factored throughout.  Pole locations carry a split
-  constant (an integer-scale part and an infinitesimal-scale part built
-  from a_1, a_2); in the `inner` region only poles with vanishing
-  integer-scale part are enclosed, in the `full` region every finite pole
-  is enclosed.  The dense parts enter by linearity: residues are taken per
-  z-monomial and memoized.
+  exponents.  The forms are integer vectors: the sample's denominators are
+  cleared once (w = D z, D the common denominator of a_1, a_2 or t_1, t_2),
+  and every form is kept primitive with a positive leading coefficient, so
+  equal numerator and denominator forms cancel; a monomial z_i^m is the
+  form z_i to the power m.  The residue in z_v at an enclosed pole of order
+  m is a sum over the ways to put m - 1 derivatives on the other forms
+  (d/dz_v L^e = e c_v L^(e-1)), after which the root of the pole form L_p
+  is substituted into each form by cross-multiplying, c_p L_i - c_i L_p;
+  terms stay factored throughout, each with an integer numerator and
+  denominator.  Pole locations carry a split constant (an integer-scale
+  part and an infinitesimal-scale part built from a_1, a_2); in the `inner`
+  region only poles with vanishing integer-scale part are enclosed, in the
+  `full` region every finite pole is enclosed.  The dense parts enter by
+  linearity: residues are taken per z-monomial and memoized, one `Fraction`
+  each.  Rational `LinForm` factors are accepted and cleared on entry.
 
 * `iterated_residue` — formal Laurent expansion with per-variable truncation
   windows (valid when every reciprocal factor is expanded in negative powers
@@ -308,9 +312,7 @@ class _PoleEngine:
                     self._residues(key, n, d, v, nxt)
             work = nxt
         # every form is constant once all variables are substituted
-        n = d = 0
-        for n1, d1 in work.values():
-            n, d = (n1, d1) if not d else (n * d1 + n1 * d, d * d1)
+        n, d = work.get((), (0, 1))
         if not n:
             val = ZERO
         else:
@@ -516,10 +518,10 @@ def omega_kernel(n: int, s) -> List[RationalFactor]:
     return out
 
 
-def _cleared_pair(x1: Fraction, x2: Fraction) -> Tuple[int, int, int]:
-    """(p1, p2, D) with x1 = p1/D and x2 = p2/D, D the least common denominator."""
-    D = lcm(x1.denominator, x2.denominator)
-    return x1.numerator * (D // x1.denominator), x2.numerator * (D // x2.denominator), D
+def _over_common_denominator(*xs: Fraction) -> Tuple[int, ...]:
+    """(n_1, ..., n_k, D) with x_i = n_i / D, D the least common denominator."""
+    D = lcm(*(x.denominator for x in xs))
+    return (*(x.numerator * (D // x.denominator) for x in xs), D)
 
 
 def _form(nv: int, coeffs: Dict[int, int], big: int = 0, small: int = 0) -> Tuple[int, ...]:
@@ -664,7 +666,7 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
         if p:
             buckets[a] = p
     norm = Fraction(t1 * t2) ** (conv.hilb_norm * n) / factorial(n)
-    p1, p2, D = _cleared_pair(t1, t2)
+    p1, p2, D = _over_common_denominator(t1, t2)
     if engine == "window":
         # expansion engine: exact but exponential in n; kept for small-n
         # cross-checks of the pole-summation engine
@@ -716,8 +718,7 @@ def _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total):
     add as integers and each coefficient is one `Fraction`."""
     from .series import DescSeries
 
-    d = lcm(s.t1.denominator, s.t2.denominator, s.t3.denominator)
-    n1, n2, n3 = (t.numerator * (d // t.denominator) for t in (s.t1, s.t2, s.t3))
+    n1, n2, n3, d = _over_common_denominator(s.t1, s.t2, s.t3)
     vs = tuple(sp.variable for sp in desc_specs)
     out = None
     for r in range(len(desc_specs)):
@@ -763,7 +764,7 @@ def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern"
         orders_all = tuple(sp.order for sp in desc_specs)
         sigma = conv.pt_column_sign
         desc_poly = _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total)
-    return Term(poly, tuple(_pt_factors(nv, kvec, _cleared_pair(s.a1, s.a2)))), desc_poly
+    return Term(poly, tuple(_pt_factors(nv, kvec, _over_common_denominator(s.a1, s.a2)))), desc_poly
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -791,7 +792,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
         basis_poly = interp_poly(shape, s).as_zpoly(n)
         scale = Fraction(1) / euler_hilb(shape, s, conv)
     norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
-    D = _cleared_pair(s.a1, s.a2)[2]
+    D = _over_common_denominator(s.a1, s.a2)[2]
     from itertools import product as iproduct
 
     for kvec in iproduct(range(qorder + 1), repeat=n):
@@ -979,7 +980,7 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
     from .series import DescSeries
 
     nv = mu.size
-    cs = _cleared_pair(s.a1, s.a2)
+    cs = _over_common_denominator(s.a1, s.a2)
     p1, p2, D = cs
     A = p1 + p2
     vs = tuple(w["var"] for w in wspecs)
