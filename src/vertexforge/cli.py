@@ -115,16 +115,18 @@ def main(argv=None) -> int:
 
     if args.verb == "check":
         params = {}
-        if cfg.get(f"check.{args.name}"):
-            params.update(json.loads(cfg[f"check.{args.name}"]))
-        if args.params:
+        # the config file's defaults first, then the flag
+        for source, text in ((f"config check.{args.name}", cfg.get(f"check.{args.name}")),
+                             ("--params", args.params)):
+            if not text:
+                continue
             try:
-                given = json.loads(args.params)
+                given = json.loads(text)
             except json.JSONDecodeError as exc:
-                print(f"invalid --params JSON: {exc}", file=sys.stderr)
+                print(f"invalid {source} JSON: {exc}", file=sys.stderr)
                 return EXIT_INVALID
             if not isinstance(given, dict):
-                print("invalid check spec: --params must be a JSON object", file=sys.stderr)
+                print(f"invalid check spec: {source} must be a JSON object", file=sys.stderr)
                 return EXIT_INVALID
             params.update(given)
         try:

@@ -195,6 +195,14 @@ class TestCLI:
         assert rc == 2
         assert "invalid check spec" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", ["check.egl = [1]", "check.egl = {not json"])
+    def test_config_params_not_an_object_exit_2(self, line, tmp_path, capsys):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(line + "\n")
+        rc = main(["--config", str(cfg), "check", "egl"])
+        assert rc == 2
+        assert "config check.egl" in capsys.readouterr().err
+
     def test_vacuous_mainpt_fails(self, capsys):
         # lambda = (1), q <= 1, u <= 1: both bases compare only zeros
         rc = main(["check", "mainpt", "--params",

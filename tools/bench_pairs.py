@@ -83,8 +83,8 @@ def main(argv=None) -> int:
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
         "seconds": args.seconds, "pairs": args.pairs,
         "seeds": [args.seed0 + i for i in range(args.pairs)],
-        "base": {"path": str(args.base), "commit": git_commit(args.base)},
-        "change": {"path": str(args.change), "commit": git_commit(args.change)},
+        "base": {"checkout": args.base.name, "commit": git_commit(args.base)},
+        "change": {"checkout": args.change.name, "commit": git_commit(args.change)},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
                  "processor": platform.processor() or None},
         "workloads": {},
