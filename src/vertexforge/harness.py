@@ -526,6 +526,11 @@ def _validate_params(name: str, params: dict) -> None:
     if name == "simple" and params.get("qorder", 3) < 1:
         # at q-order 0 the factorization compares 1 with 1
         raise InvalidCheckSpec("simple needs qorder >= 1")
+    if name == "spec-poly":
+        grid, fit_upto = params.get("grid", range(9)), params.get("fit_upto", 5)
+        if not (any(k <= fit_upto for k in grid) and any(k > fit_upto for k in grid)):
+            # the fit needs a point and the verification a held-out one
+            raise InvalidCheckSpec("spec-poly needs grid points both at most and above fit_upto")
 
 
 def run_check(name: str, params: dict | None = None, conv: Convention | None = None) -> CheckReport:

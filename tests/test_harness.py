@@ -280,7 +280,9 @@ def _bad_check(draw):
     if kind == "zero-case":
         return draw(st.sampled_from([("measure-ratio", {"max_size": 0}),
                                      ("measure-ratio", {"max_size": 0, "kmax": 0}),
-                                     ("simple", {"qorder": 0})]))
+                                     ("simple", {"qorder": 0}),
+                                     ("spec-poly", {"grid": [0, 1, 2], "fit_upto": 5}),
+                                     ("spec-poly", {"grid": [6, 7, 8]})]))
     if kind == "not-object":
         return name, draw(st.one_of(st.lists(st.integers(), max_size=2), st.integers(),
                                     st.text(max_size=3)))
