@@ -132,6 +132,33 @@ class TestPoleEngine:
         t = Term(zp_const(1, F(1)), (num, den))
         assert residue_sum([t], 1, "inner") == 2
 
+    def test_non_unit_leading_coefficients(self):
+        # (3z - a)/((2z - c)^2 (z - d)), c and a infinitesimal, d integer-scale:
+        # 2z - c stays a pole form with leading coefficient 2 after its
+        # denominators are cleared; the residue at c/2 is
+        # (1/4) d/dz (3z - a)/(z - d) = (a - 3d) / (4 (c/2 - d)^2), and the
+        # full region adds the pole at d, the sum vanishing like z^-2
+        a, c, d = F(5, 7), F(1, 3), F(5)
+        t = Term(zp_const(1, F(1)), ((LinForm.make(1, {0: 3}, small=-a), 1),
+                                     (LinForm.make(1, {0: 2}, small=-c), -2),
+                                     (lf(1, {0: F(1)}, big=-d), -1)))
+        assert residue_sum([t], 1, "inner") == (a - 3 * d) / (4 * (c / 2 - d) ** 2)
+        assert residue_sum([t], 1, "full") == 0
+        # 1/((2 z2 - c)^2 (z1 - 3 z2 - d) z1): at z2 = c/2 the residue is
+        # (3/4) / ((z1 - 3c/2 - d)^2 z1), whose root at z1 has leading
+        # coefficient 2 after the cross-multiplied substitution; at z1 = 0 it
+        # is (3/4) / (d + 3c/2)^2, and the full region's double pole cancels it
+        t = Term(zp_const(2, F(1)), ((LinForm.make(2, {1: 2}, small=-c), -2),
+                                     (LinForm.make(2, {0: 1, 1: -3}, big=-d), -1),
+                                     (lf(2, {0: F(1)}), -1)))
+        assert residue_sum([t], 2, "inner") == F(3, 4) / (d + 3 * c / 2) ** 2
+        assert residue_sum([t], 2, "full") == 0
+        # a fractional z-coefficient: 1/((z/2 - c)(z - d)) has residue
+        # 2/(2c - d) at z = 2c
+        t = Term(zp_const(1, F(1)), ((LinForm.make(1, {0: F(1, 2)}, small=-c), -1),
+                                     (lf(1, {0: F(1)}, big=-d), -1)))
+        assert residue_sum([t], 1, "inner") == 2 / (2 * c - d)
+
     def test_full_region(self):
         # z^2/((z - c)(z - d)(z - e)): every finite pole is enclosed, so the
         # sum is the coefficient of 1/z at infinity; the inner region
