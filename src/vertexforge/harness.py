@@ -39,6 +39,7 @@ from .partitions import (
     pp_from_slices,
     slices_of,
 )
+from .records import Record
 from .sampling import ParamSample, sample_random, seeded_samples
 from .series import QSeries, align_up_to_shift
 from .vertex import bare_dt, bare_pt, dt0_slice, specialization_poly_check
@@ -50,12 +51,11 @@ EXIT_INVALID = 2
 EXIT_INFORMATIVE = 3
 
 
-class CheckReport:
-    _FIELDS = ("name", "verdict", "cases", "convention", "elapsed", "notes")
+class CheckReport(Record):
+    _fields = ("name", "verdict", "cases", "convention", "elapsed", "notes")
     # full_report: the raw report of an exploratory check, kept out of
     # equality and repr
-    __slots__ = _FIELDS + ("full_report",)
-    __hash__ = None
+    __slots__ = _fields + ("full_report",)
 
     def __init__(self, name: str, verdict: str, cases: List[dict] | None = None,
                  convention: Convention = DEFAULT_CONVENTION, elapsed: float = 0.0,
@@ -67,17 +67,6 @@ class CheckReport:
         self.elapsed = elapsed
         self.notes = [] if notes is None else notes
         self.full_report = None
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, k) for k in self._FIELDS)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "CheckReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self._FIELDS) + ")"
 
     @property
     def exit_code(self) -> int:

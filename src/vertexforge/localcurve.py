@@ -17,6 +17,7 @@ from .characters import (
     euler_hilb,
 )
 from .partitions import Partition, enum_partitions
+from .records import Record
 from .sampling import ParamSample
 from .series import DescSeries
 from .vertex import VertexResult, bare_dt, bare_pt, contents_at
@@ -51,28 +52,16 @@ def _monomial_symmetric(nvars: int, nu: Partition) -> Dict[Tuple[int, ...], Frac
     return out
 
 
-class InterpPoly:
+class InterpPoly(Record):
     """Symmetric polynomial with J(contents of mu) = delta_{lam,mu} e_mu."""
 
     __slots__ = ("shape", "nvars", "support", "coeffs")
-    __hash__ = None
 
     def __init__(self, shape: Partition, nvars: int, support: List[Partition], coeffs: List[Fraction]):
         self.shape = shape
         self.nvars = nvars
         self.support = support
         self.coeffs = coeffs
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "InterpPoly(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def as_zpoly(self, nvars: int) -> Dict[Tuple[int, ...], Fraction]:
         out: Dict[Tuple[int, ...], Fraction] = {}
@@ -178,10 +167,9 @@ def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
 # gluing
 
 
-class GlueRequest:
+class GlueRequest(Record):
     __slots__ = ("theory", "degrees", "n", "desc_zero", "desc_inf", "qorder", "sample",
                  "convention", "total")
-    __hash__ = None
 
     def __init__(self, theory: str, degrees: Tuple[int, int], n: int,
                  desc_zero: Sequence[DescendentSpec], desc_inf: Sequence[DescendentSpec],
@@ -196,17 +184,6 @@ class GlueRequest:
         self.sample = sample
         self.convention = convention
         self.total = total
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "GlueRequest(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def to_json(self) -> dict:
         return {

@@ -11,10 +11,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
+from .records import Frozen
+
 Cell = Tuple[int, int]
 
 
-class Partition:
+class Partition(Frozen):
     __slots__ = ("parts",)
     parts: Tuple[int, ...]
 
@@ -25,17 +27,6 @@ class Partition:
         if any(parts[i] < parts[i + 1] for i in range(len(parts) - 1)):
             raise ValueError("parts must be weakly decreasing")
         object.__setattr__(self, "parts", parts)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.parts == other.parts
-
-    def __hash__(self) -> int:
-        return hash((self.parts,))
 
     @property
     def size(self) -> int:
@@ -107,7 +98,7 @@ def partitions_up_to(n: int) -> List[Partition]:
     return out
 
 
-class RppConfig:
+class RppConfig(Frozen):
     """PT one-leg fixed point: k >= 0 on cells of the shape, weakly
     increasing along rows and columns (k_{i-1,j} <= k_{ij}, k_{i,j-1} <= k_{ij}).
     """
@@ -128,20 +119,6 @@ class RppConfig:
         object.__setattr__(self, "k", rows)
         if not self.is_valid():
             raise ValueError("monotonicity violated: not a reverse plane partition")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.shape, self.k) == (other.shape, other.k)
-
-    def __hash__(self) -> int:
-        return hash((self.shape, self.k))
-
-    def __repr__(self) -> str:
-        return f"RppConfig(shape={self.shape!r}, k={self.k!r})"
 
     def is_valid(self) -> bool:
         if tuple(len(r) for r in self.k) != self.shape.parts:
@@ -203,7 +180,7 @@ def enum_rpp(shape: Partition, max_size: int) -> List[RppConfig]:
     return out
 
 
-class LeggedPlanePartition:
+class LeggedPlanePartition(Frozen):
     """DT one-leg fixed point: heights h >= 0 off the leg, infinity exactly on
     the leg, full height function weakly decreasing in i and j."""
 
@@ -221,20 +198,6 @@ class LeggedPlanePartition:
         object.__setattr__(self, "heights", cleaned)
         if not self.is_valid():
             raise ValueError("not a legged plane partition")
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.leg, self.heights) == (other.leg, other.heights)
-
-    def __hash__(self) -> int:
-        return hash((self.leg, self.heights))
-
-    def __repr__(self) -> str:
-        return f"LeggedPlanePartition(leg={self.leg!r}, heights={self.heights!r})"
 
     def height(self, cell: Cell) -> int:
         if cell in self.leg:
@@ -309,7 +272,7 @@ def enum_legged_pp(leg: Partition, max_volume: int) -> List[LeggedPlanePartition
     return out
 
 
-class SliceSeq:
+class SliceSeq(Frozen):
     """Nested sequence of partitions: slice s (1-based) = {(i,j): h_ij >= s}."""
 
     __slots__ = ("slices",)
@@ -322,20 +285,6 @@ class SliceSeq:
             if any(x < y for x, y in zip(pa, b.parts)):
                 raise ValueError("slices must be nested")
         object.__setattr__(self, "slices", slices)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.slices == other.slices
-
-    def __hash__(self) -> int:
-        return hash((self.slices,))
-
-    def __repr__(self) -> str:
-        return f"SliceSeq(slices={self.slices!r})"
 
     @property
     def total(self) -> int:

@@ -37,6 +37,8 @@ from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
 
+from .records import Record
+
 ZERO = Fraction(0)
 
 
@@ -106,26 +108,18 @@ def zp_linform(nvars: int, lf: LinForm) -> Dict:
 # the factored pole engine
 
 
-class Term:
+class Term(Record):
     """poly * prod L^e: a dense z-polynomial times linear forms with signed
-    exponents (e > 0 numerator, e < 0 denominator).  The forms are rational
-    `LinForm`s, or the integer forms of the integrand builders (see
-    `_PoleEngine`)."""
+    exponents (e > 0 numerator, e < 0 denominator).  With `scale` None the
+    forms are rational `LinForm`s; the integrand builders give integer forms
+    in w = scale * z and set `scale` (see `_PoleEngine`)."""
 
-    __slots__ = ("poly", "factors")
-    __hash__ = None
+    __slots__ = ("poly", "factors", "scale")
 
-    def __init__(self, poly: Dict, factors: Tuple[Tuple[object, int], ...]):
+    def __init__(self, poly: Dict, factors: Tuple[Tuple[object, int], ...], scale: int | None = None):
         self.poly = poly
         self.factors = factors
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.poly, self.factors) == (other.poly, other.factors)
-
-    def __repr__(self) -> str:
-        return f"Term(poly={self.poly!r}, factors={self.factors!r})"
+        self.scale = scale
 
 
 def _binom(e: int, k: int) -> int:
@@ -153,11 +147,12 @@ def _cleared(factors: Iterable[Tuple[LinForm, int]]):
 class _PoleEngine:
     """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
 
-    The forms are integer vectors (c_1..c_n, big, small) in the variables
-    w = scale * z, each standing for scale times its form in z; `scale`
-    clears the sample's denominators, so the z-integrand is
-    scale^-(n + sum e + |m|) times the w-integrand.  Rational `LinForm`
-    factors (scale None) are cleared on entry.  Every form is interned as a
+    `factors` and `scale` are a `Term`'s: integer vectors
+    (c_1..c_n, big, small) in the variables w = scale * z, each standing for
+    scale times its form in z, where `scale` clears the sample's
+    denominators, so the z-integrand is scale^-(n + sum e + |m|) times the
+    w-integrand; or, with scale None, rational `LinForm`s, cleared here by
+    `_cleared`.  Every form is interned as a
     primitive integer vector whose first nonzero coefficient is positive;
     its rational multiple and the constant factors go into the coefficient,
     an integer numerator/denominator pair, so proportional forms cancel.
@@ -324,14 +319,14 @@ class _PoleEngine:
 
 def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fraction:
     """Iterated residue over z_n, ..., z_1 (innermost contour first) of
-    terms with rational `LinForm` factors.
+    `Term`s.
 
     Region 'inner': only poles at infinitesimal locations are enclosed;
     'full': all finite poles (expansion at infinity).
     """
     total = ZERO
     for t in terms:
-        engine = _PoleEngine(t.factors, nvars, region)
+        engine = _PoleEngine(t.factors, nvars, region, t.scale)
         total += sum((c * engine.monomial(e) for e, c in t.poly.items()), ZERO)
     return total
 
@@ -348,10 +343,9 @@ def _u_buckets(dense: Dict) -> Dict[tuple, Dict]:
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
-                       vs, orders, total=None, scale: int | None = None):
+                       vs, orders, total=None):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
-    series in the descendent variables u (buckets None: the scalar integrand);
-    `scale` as in `_PoleEngine`.
+    series in the descendent variables u (buckets None: the scalar integrand).
 
     The residue is linear in the integrand, so each z-monomial of the dense
     parts is taken once against the shared linear forms."""
@@ -359,7 +353,7 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
 
     if buckets is None:
         buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
-    engine = _PoleEngine(term.factors, nvars, region, scale)
+    engine = _PoleEngine(term.factors, nvars, region, term.scale)
     weights: Dict[tuple, Fraction] = {}
 
     def weight(ze):
@@ -686,8 +680,8 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
         if isinstance(res, Fraction):
             res = DescSeries.const(vs, u_orders, res, total)
     else:
-        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)))
-        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total, D)
+        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)), D)
+        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total)
     return res * norm
 
 
@@ -764,7 +758,8 @@ def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern"
         orders_all = tuple(sp.order for sp in desc_specs)
         sigma = conv.pt_column_sign
         desc_poly = _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total)
-    return Term(poly, tuple(_pt_factors(nv, kvec, _over_common_denominator(s.a1, s.a2)))), desc_poly
+    cs = _over_common_denominator(s.a1, s.a2)
+    return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), desc_poly
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -792,7 +787,6 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
         basis_poly = interp_poly(shape, s).as_zpoly(n)
         scale = Fraction(1) / euler_hilb(shape, s, conv)
     norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
-    D = _over_common_denominator(s.a1, s.a2)[2]
     from itertools import product as iproduct
 
     for kvec in iproduct(range(qorder + 1), repeat=n):
@@ -801,7 +795,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
             continue
         t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly, total)
         buckets = None if dpoly is None else _u_buckets(dpoly)
-        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total, D)
+        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total)
         out[d] = out[d] + val * norm
     return out
 
@@ -1032,7 +1026,7 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
             gz = zp_mul(gz, _g_factor_zpoly(nv, kvec, {"vs": vs, "var": wsp["var"]}, s, orders_all, total))
         buckets = _u_buckets(gz)
     try:
-        return residue_sum_series(Term(jp, tuple(factors)), buckets, nv, "inner", vs, orders_all, total, D)
+        return residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all, total)
     except ZeroDivisionError:
         return None
 

@@ -21,6 +21,7 @@ from .characters import (
     euler_hilb,
     pt_running_weights,
 )
+from .records import Record
 from .partitions import (
     LeggedPlanePartition,
     Partition,
@@ -33,11 +34,10 @@ from .sampling import ParamSample
 from .series import DescSeries, QSeries
 
 
-class VertexResult:
+class VertexResult(Record):
     """Series coefficients by q-power (plus shift), with the request echoed."""
 
     __slots__ = ("theory", "boundary", "coeffs", "shift", "convention", "sample")
-    __hash__ = None
 
     def __init__(self, theory: str, boundary: Tuple[str, Partition], coeffs: List[DescSeries],
                  shift: int, convention: Convention, sample: ParamSample):
@@ -47,17 +47,6 @@ class VertexResult:
         self.shift = shift
         self.convention = convention
         self.sample = sample
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "VertexResult(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def scalar_series(self) -> QSeries:
         """QSeries view, valid when there are no descendent variables."""
@@ -194,10 +183,9 @@ def dt0_slice(
 # polynomiality of the per-k residue vertex under t1 + t2 = c t3
 
 
-class PolyFitReport:
+class PolyFitReport(Record):
     __slots__ = ("shape", "line", "fit_degree", "grid", "values", "fit_coeffs", "holdout",
                  "holdout_ok", "verdict", "notes")
-    __hash__ = None
 
     def __init__(self, shape: Partition, line: int | None, fit_degree: int, grid: List[int],
                  values: List[Fraction], fit_coeffs: List[Fraction] | None, holdout: List[int],
@@ -212,17 +200,6 @@ class PolyFitReport:
         self.holdout_ok = holdout_ok
         self.verdict = verdict
         self.notes = [] if notes is None else notes
-
-    def _astuple(self) -> tuple:
-        return tuple(getattr(self, k) for k in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._astuple() == other._astuple()
-
-    def __repr__(self) -> str:
-        return "PolyFitReport(" + ", ".join(f"{k}={getattr(self, k)!r}" for k in self.__slots__) + ")"
 
     def to_json(self) -> dict:
         return {

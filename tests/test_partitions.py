@@ -1,3 +1,5 @@
+import copy
+import pickle
 from itertools import product
 
 import pytest
@@ -6,6 +8,7 @@ from vertexforge.partitions import (
     LeggedPlanePartition,
     Partition,
     RppConfig,
+    SliceSeq,
     enum_legged_pp,
     enum_partitions,
     enum_rpp,
@@ -163,3 +166,19 @@ def test_serialization():
     assert doc["shape"] == [2, 1]
     pp = enum_legged_pp(Partition([1]), 1)[1]
     assert pp.to_json()["leg"] == [1]
+
+
+def test_copy_and_pickle_round_trip():
+    pp = LeggedPlanePartition(Partition([1]), {(0, 1): 2, (1, 0): 1})
+    values = [
+        Partition([2, 1]),
+        RppConfig(Partition([2, 1]), {(0, 0): 1, (0, 1): 2, (1, 0): 3}),
+        pp,
+        slices_of(LeggedPlanePartition(Partition(), {(0, 0): 2, (1, 0): 1})),
+    ]
+    assert isinstance(values[-1], SliceSeq)
+    for x in values:
+        for y in (copy.copy(x), copy.deepcopy(x), pickle.loads(pickle.dumps(x))):
+            assert type(y) is type(x) and y == x and hash(y) == hash(x)
+        with pytest.raises(AttributeError):
+            x.extra = 1

@@ -1,16 +1,17 @@
 """Paired benchmark runs of two checkouts.
 
     python3 tools/bench_pairs.py --base DIR --change DIR --label NAME \
-        --workload certify-residue [--workload ...] --pairs 10 --seed0 2001 \
-        [--seconds 30] [--out BENCH_NAME.json]
+        --workload certify-residue [--workload ...] --seed0 2001
 
-For each workload and each pair i, runs `perfbench/run.py --seed seed0+i`
-once in each checkout, one after the other; even pairs run the base first,
-odd pairs the change first, so a drift of the host's speed favours neither
-side. Writes every run's result line, and per end-to-end metric (from
-`BENCHMARK.json`) the median and quartiles of each side, the median ratio
-change/base and the number of pairs the change wins, to
-`BENCH_<label>.json` (or `--out`). Progress goes to standard error.
+For each workload and each of 10 pairs i, runs `perfbench/run.py --seed
+seed0+i` for the change checkout's `BENCHMARK.json` `run_seconds` once in
+each checkout, one after the other; even pairs run the base first, odd
+pairs the change first, so a drift of the host's speed favours neither
+side. Writes every run's result line, and per end-to-end metric (from the
+same `BENCHMARK.json`) the median and quartiles of each side, the median
+ratio change/base and the number of pairs the change wins, to
+`BENCH_<label>.json` in the working directory. Progress goes to standard
+error.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import subprocess
 import sys
 import time
 from pathlib import Path
+
+PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -72,17 +75,15 @@ def main(argv=None) -> int:
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--label", required=True)
     ap.add_argument("--workload", action="append", required=True)
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed0", type=int, required=True)
-    ap.add_argument("--seconds", type=float, default=30)
-    ap.add_argument("--out", type=Path)
     args = ap.parse_args(argv)
-    metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
+    bench = json.loads((args.change / "BENCHMARK.json").read_text())
+    seconds, metrics = bench["run_seconds"], bench["end_to_end"]
     doc = {
         "label": args.label,
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
-        "seconds": args.seconds, "pairs": args.pairs,
-        "seeds": [args.seed0 + i for i in range(args.pairs)],
+        "seconds": seconds, "pairs": PAIRS,
+        "seeds": [args.seed0 + i for i in range(PAIRS)],
         "base": {"checkout": args.base.name, "commit": git_commit(args.base)},
         "change": {"checkout": args.change.name, "commit": git_commit(args.change)},
         "host": {"python": platform.python_version(), "machine": platform.machine(),
@@ -91,13 +92,13 @@ def main(argv=None) -> int:
     }
     for workload in args.workload:
         runs = []
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             seed = args.seed0 + i
             order = ("base", "change") if i % 2 == 0 else ("change", "base")
             row = {"pair": i, "seed": seed, "first": order[0]}
             for side in order:
                 t0 = time.time()
-                row[side] = run_once(getattr(args, side), workload, seed, args.seconds)
+                row[side] = run_once(getattr(args, side), workload, seed, seconds)
                 print(f"{workload} pair {i} {side}: correct={row[side]['correct']} "
                       f"ops_per_s={row[side]['metrics']['ops_per_s']['value']:.2f} "
                       f"({time.time() - t0:.0f} s)", file=sys.stderr, flush=True)
@@ -107,7 +108,7 @@ def main(argv=None) -> int:
             "summary": summarize(runs, metrics),
             "runs": runs,
         }
-    out = args.out or Path(f"BENCH_{args.label}.json")
+    out = Path(f"BENCH_{args.label}.json")
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(f"wrote {out}", file=sys.stderr)
     return 0
