@@ -17,6 +17,7 @@ bytes unchanged.
 """
 
 import json
+import tempfile
 
 from vertexforge.harness import calibrate, compute, run_check
 
@@ -38,8 +39,9 @@ request = {
     "qorder": 3,
     "seed": 1,
 }
-blob, hit = compute(request, cache_dir="/tmp/vertexforge-demo-cache")
-blob2, hit2 = compute(request, cache_dir="/tmp/vertexforge-demo-cache")
+with tempfile.TemporaryDirectory() as cache_dir:
+    blob, hit = compute(request, cache_dir=cache_dir)
+    blob2, hit2 = compute(request, cache_dir=cache_dir)
 assert not hit and hit2 and blob == blob2
 coeffs = json.loads(blob)["result"]["coeffs"]
 print("leg-free ideal-sheaf series coefficients:")

@@ -23,7 +23,6 @@ from .harness import (
     calibrate,
     compute,
     default_cache_dir,
-    load_default_convention,
     run_check,
 )
 from .characters import Convention

@@ -13,7 +13,6 @@ import os
 import tempfile
 import time
 import zlib
-from fractions import Fraction
 from typing import Callable, Dict, List
 
 from . import __version__
@@ -26,11 +25,9 @@ from .characters import (
     euler_hook_oracle,
     measure_difference_char,
     pt_weight,
-    vertex_char_pt_raw,
 )
 from .laurent import NonPolynomialCharacter
 from .partitions import (
-    LeggedPlanePartition,
     Partition,
     enum_legged_pp,
     enum_partitions,
@@ -40,7 +37,7 @@ from .partitions import (
     slices_of,
 )
 from .records import Record
-from .sampling import ParamSample, sample_random, seeded_samples
+from .sampling import sample_random, seeded_samples
 from .series import QSeries, align_up_to_shift
 from .vertex import bare_dt, bare_pt, dt0_slice, specialization_poly_check
 
@@ -96,14 +93,6 @@ def _compare_series(xs, ys) -> tuple[bool, int]:
         equal = equal and a == b
         nonzero += len(a.coeffs.keys() | b.coeffs.keys())
     return equal, nonzero
-
-
-def _scalar_list(coeffs) -> List[str]:
-    out = []
-    for c in coeffs:
-        v = c.coeff(()) if not c.variables else c.coeff((0,) * len(c.variables))
-        out.append(str(v))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -369,7 +358,7 @@ def check_spec_poly(params: dict, conv: Convention) -> CheckReport:
 def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
     """Exploratory degree-0 report; exact subchecks must pass, the
     side-by-side bound/orientation verdicts are informative."""
-    from .residue import dtpt0_report
+    from .residue import dt0_vanishing, dtpt0_report
 
     t0 = time.time()
     seed = params.get("seed", 31)
@@ -378,8 +367,8 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
     s = sample_random(seed, qorder + worder + 10)
     rep = dtpt0_report(Partition([1]), worder, qorder, s, conv)
     # vanishing rows live on two-cell shapes
-    rep2 = dtpt0_report_vanishing_only(Partition([1, 1]), s, conv)
-    rep3 = dtpt0_report_vanishing_only(Partition([2]), s, conv)
+    rep2 = dt0_vanishing(Partition([1, 1]), s, conv)
+    rep3 = dt0_vanishing(Partition([2]), s, conv)
     exact_ok = (
         rep["exact_checks_pass"] and rep2["pass"] and rep3["pass"]
     )
@@ -408,32 +397,6 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
         f"{dt_matches} of {len(rep['scan'])}; {vacuous} compare only zeros and count as none")
     out.full_report = rep
     return out
-
-
-def dtpt0_report_vanishing_only(mu: Partition, s: ParamSample, conv: Convention) -> dict:
-    """The vanishing table of the degree-0 weight on invalid column data."""
-    from itertools import product as iproduct
-
-    from .residue import measure_ratio_extended
-
-    cells = mu.cells()
-    rows = []
-    ok = True
-    for kv in iproduct(range(1, 4), repeat=len(cells)):
-        heights = dict(zip(cells, kv))
-        valid = all(
-            heights.get((i - 1, j), 10**9) >= h and heights.get((i, j - 1), 10**9) >= h
-            for (i, j), h in heights.items()
-        )
-        if valid:
-            continue
-        _, zr = measure_ratio_extended(mu, heights, s)
-        vpt = vertex_char_pt_raw(mu, heights, conv)
-        _, zpt = s.exp_extended(-vpt)
-        vanishes = zr + zpt > 0
-        ok = ok and vanishes
-        rows.append({"k": list(kv), "vanishes": vanishes})
-    return {"pass": ok, "rows": rows}
 
 
 CHECKS: Dict[str, Callable[[dict, Convention], CheckReport]] = {

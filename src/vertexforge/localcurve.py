@@ -6,7 +6,6 @@ classes in Chern roots, and the residue-form assembly of the glued series.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, product
 from typing import Dict, List, Sequence, Tuple
 
 from .characters import (
@@ -20,7 +19,7 @@ from .partitions import Partition, enum_partitions
 from .records import Record
 from .sampling import ParamSample
 from .series import DescSeries
-from .vertex import VertexResult, bare_dt, bare_pt, contents_at
+from .vertex import bare_dt, bare_pt, contents_at
 
 
 class SingularInterpolation(ValueError):

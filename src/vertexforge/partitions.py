@@ -91,13 +91,6 @@ def enum_partitions(n: int) -> List[Partition]:
     return out
 
 
-def partitions_up_to(n: int) -> List[Partition]:
-    out = []
-    for m in range(n + 1):
-        out.extend(enum_partitions(m))
-    return out
-
-
 class RppConfig(Frozen):
     """PT one-leg fixed point: k >= 0 on cells of the shape, weakly
     increasing along rows and columns (k_{i-1,j} <= k_{ij}, k_{i,j-1} <= k_{ij}).

@@ -1,32 +1,23 @@
 """Iterated-residue evaluation in nested contour regions |z_1| > ... > |z_n|.
 
-Two exact evaluators:
-
-* `residue_sum` / `residue_sum_series` — the factored pole engine.  An
-  integrand is a small dense z-polynomial (a Chern or interpolation basis
-  polynomial, descendent or EGL u-buckets) times linear forms with signed
-  exponents.  The forms are integer vectors: the sample's denominators are
-  cleared once (w = D z, D the common denominator of a_1, a_2 or t_1, t_2),
-  and every form is kept primitive with a positive leading coefficient, so
-  equal numerator and denominator forms cancel; a monomial z_i^m is the
-  form z_i to the power m.  The residue in z_v at an enclosed pole of order
-  m is a sum over the ways to put m - 1 derivatives on the other forms
-  (d/dz_v L^e = e c_v L^(e-1)), after which the root of the pole form L_p
-  is substituted into each form by cross-multiplying, c_p L_i - c_i L_p;
-  terms stay factored throughout, each with an integer numerator and
-  denominator.  Pole locations carry a split constant (an integer-scale
-  part and an infinitesimal-scale part built from a_1, a_2); in the `inner`
-  region only poles with vanishing integer-scale part are enclosed, in the
-  `full` region every finite pole is enclosed.  The dense parts enter by
-  linearity: residues are taken per z-monomial and memoized, one `Fraction`
-  each.  Rational `LinForm` factors are accepted and cleared on entry.
-
-* `iterated_residue` — formal Laurent expansion with per-variable truncation
-  windows (valid when every reciprocal factor is expanded in negative powers
-  of its leading z, i.e. all finite poles sit inside every contour); window
-  stability is asserted by recomputation at enlarged windows.
-
-Both treat "integration" as coefficient extraction, never quadrature.
+`residue_sum` / `residue_sum_series` — the factored pole engine.  An
+integrand is a small dense z-polynomial (a Chern or interpolation basis
+polynomial, descendent or EGL u-buckets) times linear forms with signed
+exponents.  The forms are integer vectors: the sample's denominators are
+cleared once (w = D z, D the common denominator of a_1, a_2 or t_1, t_2),
+and every form is kept primitive with a positive leading coefficient, so
+equal numerator and denominator forms cancel; a monomial z_i^m is the
+form z_i to the power m.  The residue in z_v at an enclosed pole of order
+m is a sum over the ways to put m - 1 derivatives on the other forms
+(d/dz_v L^e = e c_v L^(e-1)), after which the root of the pole form L_p
+is substituted into each form by cross-multiplying, c_p L_i - c_i L_p;
+terms stay factored throughout, each with an integer numerator and
+denominator.  Pole locations carry a split constant (an integer-scale
+part and an infinitesimal-scale part built from a_1, a_2); in the `inner`
+region only poles with vanishing integer-scale part are enclosed, in the
+`full` region every finite pole is enclosed.  The dense parts enter by
+linearity: residues are taken per z-monomial and memoized, one `Fraction`
+each.  "Integration" is coefficient extraction, never quadrature.
 """
 
 from __future__ import annotations
@@ -35,38 +26,11 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from math import factorial, gcd, lcm, prod
-from typing import Dict, Iterable, List, NamedTuple, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .records import Record
 
 ZERO = Fraction(0)
-
-
-class WindowInstability(ArithmeticError):
-    """Enlarging the truncation windows changed an extracted coefficient."""
-
-
-# ---------------------------------------------------------------------------
-# linear forms with scale-split constants
-
-
-class LinForm(NamedTuple):
-    """c . z + big + small, the constant split by formal scale class.
-
-    `big` collects integer-scale shifts (outside every inner contour),
-    `small` collects combinations of the infinitesimal parameters.
-    """
-
-    coeffs: Tuple[Fraction, ...]
-    big: Fraction
-    small: Fraction
-
-    @staticmethod
-    def make(nvars: int, var_coeffs: Dict[int, Fraction] | None = None, big=0, small=0) -> "LinForm":
-        c = [ZERO] * nvars
-        for v, x in (var_coeffs or {}).items():
-            c[v] = Fraction(x)
-        return LinForm(tuple(c), Fraction(big), Fraction(small))
 
 
 # ---------------------------------------------------------------------------
@@ -91,32 +55,18 @@ def zp_const(nvars: int, c) -> Dict:
     return {(0,) * nvars: c}
 
 
-def zp_linform(nvars: int, lf: LinForm) -> Dict:
-    """The linear form as a polynomial (scale classes merge to a value)."""
-    out: Dict = {}
-    for v, x in enumerate(lf.coeffs):
-        if x:
-            e = tuple(1 if w == v else 0 for w in range(nvars))
-            out[e] = x
-    c = lf.big + lf.small
-    if c:
-        out[(0,) * nvars] = c
-    return out
-
-
 # ---------------------------------------------------------------------------
 # the factored pole engine
 
 
 class Term(Record):
     """poly * prod L^e: a dense z-polynomial times linear forms with signed
-    exponents (e > 0 numerator, e < 0 denominator).  With `scale` None the
-    forms are rational `LinForm`s; the integrand builders give integer forms
-    in w = scale * z and set `scale` (see `_PoleEngine`)."""
+    exponents (e > 0 numerator, e < 0 denominator), the forms integer
+    vectors in w = scale * z (see `_PoleEngine`)."""
 
     __slots__ = ("poly", "factors", "scale")
 
-    def __init__(self, poly: Dict, factors: Tuple[Tuple[object, int], ...], scale: int | None = None):
+    def __init__(self, poly: Dict, factors: Tuple[Tuple[Tuple[int, ...], int], ...], scale: int):
         self.poly = poly
         self.factors = factors
         self.scale = scale
@@ -127,23 +77,6 @@ def _binom(e: int, k: int) -> int:
     return prod(range(e, e - k, -1)) // factorial(k)
 
 
-def _cleared(factors: Iterable[Tuple[LinForm, int]]):
-    """Rational `LinForm` factors as integer forms in w = D z, D the least
-    common denominator of their constants: L = (c, D big, D small) / D is
-    written (d c, d D big, d D small)^e times the constant (d)^-e, d the
-    denominator left in the form's z-coefficients."""
-    factors = list(factors)
-    scale = lcm(*(x.denominator for lf, _ in factors for x in (lf.big, lf.small)))
-    out = []
-    for lf, e in factors:
-        vec = (*lf.coeffs, lf.big * scale, lf.small * scale)
-        d = lcm(*(x.denominator for x in vec))
-        out.append((tuple(int(x * d) for x in vec), e))
-        if d != 1:
-            out.append((_form(len(lf.coeffs), {}, d * scale), -e))
-    return out, scale
-
-
 class _PoleEngine:
     """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
 
@@ -151,11 +84,10 @@ class _PoleEngine:
     (c_1..c_n, big, small) in the variables w = scale * z, each standing for
     scale times its form in z, where `scale` clears the sample's
     denominators, so the z-integrand is scale^-(n + sum e + |m|) times the
-    w-integrand; or, with scale None, rational `LinForm`s, cleared here by
-    `_cleared`.  Every form is interned as a
-    primitive integer vector whose first nonzero coefficient is positive;
-    its rational multiple and the constant factors go into the coefficient,
-    an integer numerator/denominator pair, so proportional forms cancel.
+    w-integrand.  Every form is interned as a primitive integer vector whose
+    first nonzero coefficient is positive; its rational multiple and the
+    constant factors go into the coefficient, an integer
+    numerator/denominator pair, so proportional forms cancel.
     A term is that pair and a sorted tuple of (form id, signed exponent).
 
     The variables are taken innermost first, so at z_v every form has lost
@@ -166,12 +98,10 @@ class _PoleEngine:
     `Fraction` each.
     """
 
-    def __init__(self, factors: Iterable[Tuple[object, int]], nvars: int, region: str,
-                 scale: int | None = None):
+    def __init__(self, factors: Iterable[Tuple[Tuple[int, ...], int]], nvars: int, region: str,
+                 scale: int):
         if region not in ("inner", "full"):
             raise ValueError(f"unknown region {region!r}")
-        if scale is None:
-            factors, scale = _cleared(factors)
         self.nvars = nvars
         self.inner = region == "inner"
         self.scale = scale
@@ -375,141 +305,7 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
 
 
 # ---------------------------------------------------------------------------
-# window-based expansion engine (all factors expanded at z = infinity)
-
-
-class RationalFactor(NamedTuple):
-    """Factor kinds for the expansion engine.
-
-    kind 'poly': payload is a z-polynomial dict.
-    kind 'inv_lin': 1/(z_i - c), expanded z_i^{-1} sum (c/z_i)^m.
-    kind 'inv_pair': 1/(z_i - z_j - c), i < j, expanded in (z_j + c)/z_i.
-    """
-
-    kind: str
-    i: int = 0
-    j: int = 0
-    c: Fraction = ZERO
-    poly: tuple = ()
-
-    @staticmethod
-    def of_poly(p: Dict) -> "RationalFactor":
-        return RationalFactor("poly", poly=tuple(sorted((e, c) for e, c in p.items())))
-
-    def poly_dict(self) -> Dict:
-        return {e: c for e, c in self.poly}
-
-
-def _positive_budgets(factors: Sequence[RationalFactor], nvars: int, slack: int) -> List[int]:
-    """Per-variable bound on the total positive degree the product can carry.
-
-    Polynomial factors contribute their max degree; a pair factor
-    1/(z_i - z_j - c) dumps positive powers of z_j bounded by the z_i budget,
-    so budgets are propagated in increasing variable order (i < j).
-    """
-    pos = [slack] * nvars
-    for f in factors:
-        if f.kind == "poly":
-            for v in range(nvars):
-                pos[v] += max((e[v] for e, _ in f.poly), default=0)
-    for v in range(nvars):
-        for f in factors:
-            if f.kind == "inv_pair" and f.j == v:
-                pos[v] += pos[f.i] + 1
-    return pos
-
-
-def _expand_product(factors: Sequence[RationalFactor], nvars: int, windows: List[int]) -> Dict:
-    from math import comb
-
-    acc: Dict = {(0,) * nvars: Fraction(1)}
-
-    def clip(d: Dict) -> Dict:
-        return {
-            e: c
-            for e, c in d.items()
-            if c and all(-windows[v] <= e[v] <= windows[v] for v in range(nvars))
-        }
-
-    for f in factors:
-        if f.kind == "poly":
-            acc = clip(zp_mul(acc, f.poly_dict()))
-            continue
-        out: Dict = {}
-        if f.kind == "inv_lin":
-            # 1/(z_i - c) = sum_m c^m z_i^{-m-1}
-            for e, coeff in acc.items():
-                cm = Fraction(1)
-                for m in range(0, e[f.i] + windows[f.i] + 1):
-                    e2 = tuple(x - m - 1 if v == f.i else x for v, x in enumerate(e))
-                    if e2[f.i] < -windows[f.i]:
-                        break
-                    val = coeff * cm
-                    s = out.get(e2)
-                    out[e2] = val if s is None else s + val
-                    cm *= f.c
-        elif f.kind == "inv_pair":
-            # 1/(z_i - z_j - c) = sum_m (z_j + c)^m z_i^{-m-1}
-            for e, coeff in acc.items():
-                for m in range(0, e[f.i] + windows[f.i] + 1):
-                    ei = e[f.i] - m - 1
-                    if ei < -windows[f.i]:
-                        break
-                    for r in range(m + 1):
-                        ej = e[f.j] + r
-                        if ej > windows[f.j]:
-                            break
-                        e2 = list(e)
-                        e2[f.i] = ei
-                        e2[f.j] = ej
-                        e2t = tuple(e2)
-                        val = coeff * comb(m, r) * f.c ** (m - r)
-                        s = out.get(e2t)
-                        out[e2t] = val if s is None else s + val
-        else:
-            raise ValueError(f"unknown factor kind {f.kind}")
-        acc = clip(out)
-    return acc
-
-
-def iterated_residue(factors: Sequence[RationalFactor], nvars: int, slack: int = 2) -> Fraction:
-    """Coefficient of z_1^0 ... z_n^0 of the product expanded in the region
-    |z_1| > ... > |z_n| (all reciprocals in negative powers of the leading
-    variable).  Recomputed at enlarged windows; disagreement raises
-    WindowInstability.
-    """
-    w1 = _positive_budgets(factors, nvars, slack)
-    a = _expand_product(factors, nvars, w1).get((0,) * nvars, Fraction(0))
-    w2 = [w + 2 for w in w1]
-    b = _expand_product(factors, nvars, w2).get((0,) * nvars, Fraction(0))
-    if a != b:
-        raise WindowInstability(f"window instability: {a} vs {b}")
-    return a
-
-
-# ---------------------------------------------------------------------------
 # integrand builders (a-scale variables: z ~ content / t3, a_i = t_i / t3)
-
-
-def _lf(nv: int, coeffs: Dict[int, Fraction], big=0, small=0) -> LinForm:
-    return LinForm.make(nv, coeffs, big, small)
-
-
-def omega_kernel(n: int, s) -> List[RationalFactor]:
-    """Factors of prod_{i<j} omega(z_i - z_j) for the expansion engine,
-    omega(z) = z(z - a1 - a2)/((z - a1)(z - a2)); the dz_i/z_i measure is the
-    engine's zero-coefficient extraction itself."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a1, a2 = s.a1, s.a2
-    out: List[RationalFactor] = []
-    for i, j in combinations(range(n), 2):
-        w = _lf(n, {i: Fraction(1), j: Fraction(-1)})
-        num = zp_mul(zp_linform(n, w), zp_linform(n, LinForm(w.coeffs, w.big, -a1 - a2)))
-        out.append(RationalFactor.of_poly(num))
-        out.append(RationalFactor("inv_pair", i=i, j=j, c=a1))
-        out.append(RationalFactor("inv_pair", i=i, j=j, c=a2))
-    return out
 
 
 def _over_common_denominator(*xs: Fraction) -> Tuple[int, ...]:
@@ -558,31 +354,20 @@ def _pair_block(nv: int, i: int, j: int, b: int, cs):
     """Two-column interaction for outer variable z_i, inner z_j, b = k_j - k_i.
 
     Derived from Exp(V(pi') - V(pi)) for adding a column; equals, with
-    w = z_j - z_i and A = a1 + a2,
-      prod_{l=1..b}   (w-A-l)(w-l) / ((w-a1-l)(w-a2-l))
-    * prod_{l=0..b-1} (-w-a1+l)(-w-a2+l) / ((-w-A+l)(-w+l))
-    for b >= 0, and the reciprocal mirror for b < 0.
+    w = z_j - z_i, A = a1 + a2 and the signed rising factorial [x]_b of
+    `_poch_lin`,
+      [w-a1]_{-b} [w-a2]_{-b} / ([w-A]_{-b} [w]_{-b})
+    * [-w-a1]_b [-w-a2]_b / ([-w-A]_b [-w]_b).
     """
     p1, p2, D = cs
     A = p1 + p2
-    w, mw = {j: 1, i: -1}, {j: -1, i: 1}
     polys: List[tuple] = []
     recips: List[tuple] = []
-    if b >= 0:
-        for l in range(1, b + 1):
-            polys += [_form(nv, w, -D * l, -A), _form(nv, w, -D * l)]
-            recips += [_form(nv, w, -D * l, -p1), _form(nv, w, -D * l, -p2)]
-        for l in range(b):
-            polys += [_form(nv, mw, D * l, -p1), _form(nv, mw, D * l, -p2)]
-            recips += [_form(nv, mw, D * l, -A), _form(nv, mw, D * l)]
-    else:
-        beta = -b
-        for l in range(beta):
-            polys += [_form(nv, w, D * l, -p1), _form(nv, w, D * l, -p2)]
-            recips += [_form(nv, w, D * l, -A), _form(nv, w, D * l)]
-        for l in range(1, beta + 1):
-            polys += [_form(nv, mw, -D * l, -A), _form(nv, mw, -D * l)]
-            recips += [_form(nv, mw, -D * l, -p1), _form(nv, mw, -D * l, -p2)]
+    for w, depth in (({j: 1, i: -1}, -b), ({j: -1, i: 1}, b)):
+        for small, invert in ((-p1, False), (-p2, False), (-A, True), (0, True)):
+            num, den = _poch_lin(nv, w, 0, small, depth, D, invert)
+            polys += num
+            recips += den
     return polys, recips
 
 
@@ -639,12 +424,11 @@ def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int |
     return out
 
 
-def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None = None,
-                engine: str = "pole"):
+def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None = None):
     """Method B: (1/n!) (t1 t2)^{gamma n} x iterated residue of
     prod_{i<j} omega(z_i - z_j) prod_k prod_l (1 - u_l z_k), t-scale roots."""
     from .characters import DEFAULT_CONVENTION
-    from .series import DescSeries, enumerate_exponents
+    from .series import enumerate_exponents
 
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
@@ -661,40 +445,8 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
             buckets[a] = p
     norm = Fraction(t1 * t2) ** (conv.hilb_norm * n) / factorial(n)
     p1, p2, D = _over_common_denominator(t1, t2)
-    if engine == "window":
-        # expansion engine: exact but exponential in n; kept for small-n
-        # cross-checks of the pole-summation engine
-        factors: List[RationalFactor] = []
-        for i, j in combinations(range(n), 2):
-            w = {i: Fraction(1), j: Fraction(-1)}
-            num = zp_mul(zp_linform(n, _lf(n, w)), zp_linform(n, _lf(n, w, small=-t1 - t2)))
-            factors.append(RationalFactor.of_poly(num))
-            factors.append(RationalFactor("inv_pair", i=i, j=j, c=t1))
-            factors.append(RationalFactor("inv_pair", i=i, j=j, c=t2))
-        upoly: Dict = {}
-        for a, p in buckets.items():
-            for ze, c in p.items():
-                upoly.setdefault(ze, DescSeries(vs, u_orders, total)).coeffs[a] = c
-        factors.append(RationalFactor.of_poly(upoly))
-        res = _window_extract_ring(factors, n)
-        if isinstance(res, Fraction):
-            res = DescSeries.const(vs, u_orders, res, total)
-    else:
-        term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)), D)
-        res = residue_sum_series(term, buckets, n, "inner", vs, u_orders, total)
-    return res * norm
-
-
-def _window_extract_ring(factors: List[RationalFactor], nvars: int, slack: int = 2):
-    """iterated_residue for ring-valued polynomial coefficients, measure
-    prod dz_i / z_i included (zero-coefficient extraction)."""
-    w1 = _positive_budgets(factors, nvars, slack)
-    a = _expand_product(factors, nvars, w1).get((0,) * nvars, Fraction(0))
-    w2 = [w + 2 for w in w1]
-    b = _expand_product(factors, nvars, w2).get((0,) * nvars, Fraction(0))
-    if not a == b:
-        raise WindowInstability("window instability in ring-valued extraction")
-    return a
+    term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)), D)
+    return residue_sum_series(term, buckets, n, "inner", vs, u_orders, total) * norm
 
 
 # ---------------------------------------------------------------------------
@@ -1032,8 +784,9 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
 
 
 def _poch_lin(nv, wcoeffs, big, small, b, D, invert=False):
-    """[w + big + small/D]_b as integer (polys, recips); invert for
-    denominators."""
+    """[x]_b at x = w + big + small/D as integer (polys, recips): the rising
+    factorial x(x+1)...(x+b-1) for b >= 0, 1/((x-1)(x-2)...(x+b)) for b < 0;
+    invert for denominators."""
     polys, recips = [], []
     if b >= 0:
         fl = [_form(nv, wcoeffs, D * (big + l), small) for l in range(b)]
@@ -1044,6 +797,33 @@ def _poch_lin(nv, wcoeffs, big, small, b, D, invert=False):
     if invert:
         polys, recips = recips, polys
     return polys, recips
+
+
+def dt0_vanishing(mu, s, conv) -> dict:
+    """The vanishing table of the degree-0 weight on invalid column data:
+    every depth vector in {1, 2, 3}^cells that is not a plane partition, and
+    whether the measure ratio times Exp(-V^PT) vanishes there."""
+    from itertools import product as iproduct
+
+    from .characters import vertex_char_pt_raw
+
+    cells = mu.cells()
+    rows = []
+    ok = True
+    for kv in iproduct(range(1, 4), repeat=len(cells)):
+        heights = dict(zip(cells, kv))
+        valid = all(
+            heights.get((i - 1, j), 10**9) >= h and heights.get((i, j - 1), 10**9) >= h
+            for (i, j), h in heights.items()
+        )
+        if valid:
+            continue
+        _, zr = measure_ratio_extended(mu, heights, s)
+        _, zpt = s.exp_extended(-vertex_char_pt_raw(mu, heights, conv))
+        vanishes = zr + zpt > 0
+        ok = ok and vanishes
+        rows.append({"k": list(kv), "vanishes": vanishes})
+    return {"rows": rows, "pass": ok}
 
 
 def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
@@ -1060,8 +840,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
     from itertools import product as iproduct
 
     from .characters import DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_running_weights
-    from .laurent import LaurentPoly
-    from .partitions import LeggedPlanePartition, Partition, RppConfig
+    from .partitions import LeggedPlanePartition, Partition
     from .series import DescSeries
     from .characters import vertex_char_pt_raw
     from .vertex import dt0_slice
@@ -1105,26 +884,8 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
         "normalization": "g equals the character divided by t1*t2*t3 (the weight of ch_k(1))",
     }
 
-    # --- vanishing on invalid column data (exact, size <= 2 cone)
-    vanish_rows = []
-    vanish_ok = True
-    if n >= 2:
-        for kv in iproduct(range(1, 4), repeat=n):
-            heights = {c: k for c, k in zip(cells, kv)}
-            valid = all(
-                heights.get((i - 1, j), 10**9) >= h and heights.get((i, j - 1), 10**9) >= h
-                for (i, j), h in heights.items()
-            )
-            if valid:
-                continue
-            val, zorder = measure_ratio_extended(mu, heights, s)
-            vpt = vertex_char_pt_raw(mu, heights, conv)
-            _, zpt = s.exp_extended(-vpt)
-            total_zero = zorder + zpt
-            ok = total_zero > 0
-            vanish_rows.append({"k": list(kv), "zero_order": total_zero, "vanishes": ok})
-            vanish_ok = vanish_ok and ok
-    report["vanishing"] = {"rows": vanish_rows, "pass": vanish_ok}
+    report["vanishing"] = dt0_vanishing(mu, s, conv)
+    vanish_ok = report["vanishing"]["pass"]
 
     # --- measure-ratio-weighted rebalancing (exact): sum over k >= 1 of
     #     ratio x Exp(-V^PT) x DT descendent weights equals the slice sum

@@ -36,11 +36,6 @@ class QSeries:
     def copy(self) -> "QSeries":
         return QSeries(self.order, list(self.coeffs), self.shift)
 
-    def add_term(self, n: int, c) -> None:
-        """Accumulate c * q^(shift + n); silently drops beyond the order."""
-        if 0 <= n <= self.order:
-            self.coeffs[n] += c
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .characters import (
     Convention,
@@ -23,7 +23,6 @@ from .characters import (
 )
 from .records import Record
 from .partitions import (
-    LeggedPlanePartition,
     Partition,
     enum_legged_pp,
     enum_partitions,
