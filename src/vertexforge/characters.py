@@ -11,6 +11,7 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Dict, Literal, NamedTuple, Tuple
 
 from .laurent import EquivariantCharacter, LaurentPoly
@@ -20,8 +21,6 @@ from .series import DescSeries, exp_single
 
 E3 = (0, 0, 1)
 KAPPA = (1, 1, 1)  # exponent triple of t1*t2*t3
-# (1 - t1)(1 - t2)
-_ONE_MINUS_T1_T2 = LaurentPoly({(0, 0, 0): 1, (1, 0, 0): -1, (0, 1, 0): -1, (1, 1, 0): 1})
 
 
 class Convention(NamedTuple):
@@ -81,14 +80,38 @@ def leg_char(shape: Partition) -> LaurentPoly:
     return LaurentPoly({(i, j, 0): 1 for (i, j) in shape.cells()})
 
 
+def _add_pair_term(out: dict, items, sign: int) -> None:
+    """out += sign N bar(N) (1-t1)(1-t2)/(t1t2) for N = sum of c t^b over
+    the items (b, c); (1-t1)(1-t2)/(t1t2) = t^(-1,-1,0) - t^(0,-1,0)
+    - t^(-1,0,0) + 1."""
+    nnb: Dict[Tuple[int, int, int], int] = {}
+    for (i, j, k), c in items:
+        for (p, q, r), c2 in items:
+            e = (i - p, j - q, k - r)
+            nnb[e] = nnb.get(e, 0) + c * c2
+    get = out.get
+    for (i, j, k), c in nnb.items():
+        c *= sign
+        for e, g in (((i - 1, j - 1, k), c), ((i, j - 1, k), -c), ((i - 1, j, k), -c), ((i, j, k), c)):
+            out[e] = get(e, 0) + g
+
+
+def _add_fe(out: dict, shape: Partition, sign: int = 1) -> None:
+    """out += sign F_e, F_e = -Q_e - bar(Q_e)/(t1 t2) + Q_e bar(Q_e) (1-t1)(1-t2)/(t1 t2)."""
+    cells = shape.cells()
+    get = out.get
+    for (i, j) in cells:
+        out[(i, j, 0)] = get((i, j, 0), 0) - sign
+        e = (-i - 1, -j - 1, 0)
+        out[e] = get(e, 0) - sign
+    _add_pair_term(out, [((i, j, 0), 1) for (i, j) in cells], sign)
+
+
 def fe_char(shape: Partition) -> LaurentPoly:
     """F_e = -Q_e - bar(Q_e)/(t1 t2) + Q_e bar(Q_e) (1-t1)(1-t2)/(t1 t2)."""
-    q = leg_char(shape)
-    qb = q.bar()
-    g = (LaurentPoly.one() - LaurentPoly.monomial((1, 0, 0))) * (
-        LaurentPoly.one() - LaurentPoly.monomial((0, 1, 0))
-    )
-    return -q - qb.shift((-1, -1, 0)) + (q * qb * g).shift((-1, -1, 0))
+    out: dict = {}
+    _add_fe(out, shape)
+    return LaurentPoly(out)
 
 
 def euler_hilb(shape: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION) -> Fraction:
@@ -122,62 +145,31 @@ def pt_fullcolumn_char_raw(
     return EquivariantCharacter(LaurentPoly(terms), [E3])
 
 
-def _vertex_char(n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
-    """V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3) + F_e/(1-t3)
-    for a box character Q = N/(1-t3), reduced with one division: since
-    bar(Q) = -t3 bar(N)/(1-t3),
+def _add_vertex_num(out: dict, n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition,
+                    sign: int = 1) -> None:
+    """out += sign times the numerator over (1-t3) of the vertex character
+    V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3) + F_e/(1-t3)
+    of a box character Q = N/(1-t3): since bar(Q) = -t3 bar(N)/(1-t3),
 
         V = [N + t3 t^dual bar(N) - N bar(N)(1-t1)(1-t2)/(t1t2) + F_e] / (1-t3).
     """
-    nb = n.bar()
-    num = (
-        n
-        + nb.shift((dual[0], dual[1], dual[2] + 1))
-        - (n * nb * _ONE_MINUS_T1_T2).shift((-1, -1, 0))
-        + fe_char(leg)
-    )
-    return EquivariantCharacter(num, [E3]).reduce()
+    items = list(n.terms.items())
+    get = out.get
+    d1, d2, d3 = dual[0], dual[1], dual[2] + 1
+    for (i, j, k), c in items:
+        c *= sign
+        out[(i, j, k)] = get((i, j, k), 0) + c
+        e = (d1 - i, d2 - j, d3 - k)
+        out[e] = get(e, 0) + c
+    _add_pair_term(out, items, -sign)
+    _add_fe(out, leg, sign)
 
 
-# G = (1-t1)(1-t2)/(t1t2)
-_G = _ONE_MINUS_T1_T2.shift((-1, -1, 0))
-
-
-def vertex_char_delta(
-    n: LaurentPoly, m: Tuple[int, int, int], eps: int, dual: Tuple[int, int, int]
-) -> LaurentPoly:
-    """V(N') - V(N) for the vertex character V of `_vertex_char` when the box
-    t^m is added with sign eps (+-1) to the box numerator: N' = N + eps t^m (1-t3).
-
-    With delta = eps t^m (1-t3) and bar(delta) = -eps t3^-1 t^-m (1-t3), every
-    change of the numerator of V is divisible by (1-t3), so the change of V
-    is a Laurent polynomial with O(|N|) terms and needs no division:
-
-        V(N') - V(N) = eps(t^m - t^dual t^-m)
-                       - G (eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1),
-
-    G = (1-t1)(1-t2)/(t1t2).  DT boxes have eps = +1; a PT column step has
-    eps = -pt_column_sign.
-    """
-    a, b, c = m
-    # x = eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1, accumulated in one dict
-    x = {(0, 0, 0): 1, (0, 0, -1): -1}
-    get = x.get
-    for (i, j, k), coef in n.terms.items():
-        coef *= eps
-        e = (a - i, b - j, c - k)
-        x[e] = get(e, 0) + coef
-        e = (i - a, j - b, k - c - 1)
-        x[e] = get(e, 0) - coef
-    dv = {m: eps}
-    e = (dual[0] - a, dual[1] - b, dual[2] - c)
-    dv[e] = dv.get(e, 0) - eps
-    get = dv.get
-    for (p, q, r), g in _G.terms.items():
-        for (i, j, k), coef in x.items():
-            e = (i + p, j + q, k + r)
-            dv[e] = get(e, 0) - g * coef
-    return LaurentPoly(dv)
+def _vertex_char(n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
+    """V of `_add_vertex_num`, reduced with one division."""
+    num: dict = {}
+    _add_vertex_num(num, n, dual, leg)
+    return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()
 
 
 def vertex_char_pt_raw(
@@ -238,19 +230,107 @@ def dt_weight(pp: LeggedPlanePartition, s: ParamSample, conv: Convention = DEFAU
     return s.exp(-vertex_char_dt(pp, conv))
 
 
-def _running_weights(memo: dict, parent, numerator, eps: int, dual: Tuple[int, int, int],
-                     s: ParamSample):
+def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
+    """step(terms, m) = Exp(-(V(N') - V(N))) at the sample, for the box
+    numerator N = sum c t^b given by its terms (b, c) and
+    N' = N + eps t^m (1-t3): the factor a running product multiplies by
+    when the box t^m is added (eps = +1 for ideal-sheaf boxes,
+    -pt_column_sign for a stable-pairs column step).
+
+    Adding eps t^m (1-t3) to N changes V by
+    eps(t^m - t^dual t^-m) - G(eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1),
+    G = (1-t1)(1-t2)/(t1t2), so with h(d) = Exp(G t^d) and
+    r(d) = h(-d)/h(d - e3) the step is
+
+        Exp(-eps t^m + eps t^(dual-m)) r(0) prod_{c t^b in N} r(b-m)^(eps c).
+
+    Every factor's exponent has coefficient sum 0, so at t_i = x_i/D the D
+    cancels: a factor is a quotient of products of the integer forms
+    i x1 + j x2 + k x3, and r is memoized in the step's life as
+    (num, den, vanishing forms).  A vanishing form is set aside with its
+    exponent and order; as in `exp_pleth` of the whole change, the step
+    raises ValueError unless each such exponent's orders net to 0 (at a
+    generic sample only exponent 0 has one)."""
+    d = lcm(s.t1.denominator, s.t2.denominator, s.t3.denominator)
+    x1, x2, x3 = (t.numerator * (d // t.denominator) for t in (s.t1, s.t2, s.t3))
+
+    def forms(signed):
+        """(num, den, vanishing (e, a)) of the product of the forms e^a, a = +-1."""
+        num = den = 1
+        vanishing = ()
+        for (i, j, k), a in signed:
+            w = i * x1 + j * x2 + k * x3
+            if w == 0:
+                vanishing += (((i, j, k), a),)
+            elif a > 0:
+                num *= w
+            else:
+                den *= w
+        return num, den, vanishing
+
+    def r(i, j, k):
+        return forms((((-i - 1, -j - 1, -k), 1), ((-i, -j - 1, -k), -1), ((-i - 1, -j, -k), -1),
+                      ((-i, -j, -k), 1), ((i - 1, j - 1, k - 1), -1), ((i, j - 1, k - 1), 1),
+                      ((i - 1, j, k - 1), 1), ((i, j, k - 1), -1)))
+
+    ratios = {(0, 0, 0): r(0, 0, 0)}
+
+    def step(terms, m) -> Fraction:
+        a, b, c = m
+        num, den, vanishing = forms((((dual[0] - a, dual[1] - b, dual[2] - c), eps), (m, -eps)))
+        zeros = dict(vanishing)
+        rn, rd, vanishing = ratios[(0, 0, 0)]
+        num *= rn
+        den *= rd
+        for e, z in vanishing:
+            zeros[e] = zeros.get(e, 0) + z
+        for (i, j, k), coef in terms:
+            key = (i - a, j - b, k - c)
+            rt = ratios.get(key)
+            if rt is None:
+                rt = ratios[key] = r(*key)
+            rn, rd, vanishing = rt
+            p = eps * coef
+            for e, z in vanishing:
+                zeros[e] = zeros.get(e, 0) + p * z
+            if p < 0:
+                rn, rd, p = rd, rn, -p
+            if p == 1:
+                num *= rn
+                den *= rd
+            else:
+                num *= rn**p
+                den *= rd**p
+        if zeros.get((0, 0, 0)):
+            raise ValueError("zero-weight monomial: constant term in plethystic exponent")
+        for (i, j, k), z in zeros.items():
+            if z:
+                raise ValueError(f"sample genericity insufficient: weight {i}*t1+{j}*t2+{k}*t3 vanishes")
+        return Fraction(num, den)
+
+    return step
+
+
+def _running_weights(memo: dict, parent, numerator, step):
     """Weight lookup by box data, as a running product: `memo` holds the
     box-free fixed point's weight, `parent(key)` gives the box data with one
     box removed (still a fixed point) and that box's exponent, `numerator`
-    the box numerator N of box data, and
-    w(key) = w(parent) Exp(-(V(key) - V(parent)))."""
+    the terms (b, c) of the box numerator N = sum c t^b of box data, and
+    w(key) = w(parent) step(numerator(parent), box) (`_weight_step`)."""
 
     def weight(key) -> Fraction:
+        # walk up to a weighed ancestor, then multiply back down; a loop, not
+        # a self-referencing closure, so the tables die with the lookup
+        # instead of waiting for the cycle collector
+        chain = []
         w = memo.get(key)
-        if w is None:
+        while w is None:
             up, m = parent(key)
-            w = memo[key] = weight(up) * s.exp(-vertex_char_delta(numerator(up), m, eps, dual))
+            chain.append((key, up, m))
+            key = up
+            w = memo.get(key)
+        for key, up, m in reversed(chain):
+            w = memo[key] = w * step(numerator(up), m)
         return w
 
     return weight
@@ -266,11 +346,15 @@ def dt_running_weights(
     leg: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
 ) -> Callable[[LeggedPlanePartition], Fraction]:
     """`dt_weight` of the legged plane partitions on `leg`, each from the one
-    with a box less (`vertex_char_delta`); a single `dt_weight` call seeds
-    the product."""
-    q_leg = leg_char(leg)
+    with a box less; a single `dt_weight` call seeds the product."""
+    legs = [((i, j, 0), 1) for (i, j) in leg.cells()]
+
+    def numerator(h):
+        # leg cells and stack bases are distinct, so no term cancels
+        return legs + [t for (i, j), top in h for t in (((i, j, 0), 1), ((i, j, top), -1))]
+
     memo = {(): dt_weight(LeggedPlanePartition(leg), s, conv)}
-    weight = _running_weights(memo, _dt_parent, lambda h: q_leg + _stacks_num(h), 1, _dt_dual(conv), s)
+    weight = _running_weights(memo, _dt_parent, numerator, _weight_step(s, 1, _dt_dual(conv)))
     return lambda pp: weight(pp.heights)
 
 
@@ -278,8 +362,8 @@ def pt_running_weights(
     shape: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
 ) -> Callable[[RppConfig], Fraction]:
     """`pt_weight` of the reverse plane partitions on `shape`, each from the
-    one with the first maximal entry (row-major) decremented
-    (`vertex_char_delta`); a single `pt_weight` call seeds the product."""
+    one with the first maximal entry (row-major) decremented; a single
+    `pt_weight` call seeds the product."""
     sigma = conv.pt_column_sign
 
     def parent(k):
@@ -293,12 +377,11 @@ def pt_running_weights(
         return tuple(rows), (i, j, min(sigma * top, sigma * (top - 1)))
 
     def numerator(k):
-        kmap = {(i, j): v for i, row in enumerate(k) for j, v in enumerate(row)}
-        return pt_fullcolumn_char_raw(shape, kmap, conv).num
+        return [((i, j, sigma * v), 1) for i, row in enumerate(k) for j, v in enumerate(row)]
 
     zero = RppConfig(shape, {})
     memo = {zero.k: pt_weight(zero, s, conv)}
-    weight = _running_weights(memo, parent, numerator, -sigma, (-1, -1, -1), s)
+    weight = _running_weights(memo, parent, numerator, _weight_step(s, -sigma, (-1, -1, -1)))
     return lambda cfg: weight(cfg.k)
 
 
@@ -397,7 +480,10 @@ def measure_difference_char(
 ) -> LaurentPoly:
     """V^PT(pi(k)) - V^DT(pi(k)) on the common column parametrization
     (PT columns of depth k on mu; DT heights k on the same cells).  Defined
-    for arbitrary k >= 0, monotone or not."""
-    vpt = vertex_char_pt_raw(mu, dict(kvec), conv)
-    vdt = vertex_char_dt_raw({c: kvec.get(c, 0) for c in mu.cells()}, conv)
-    return vpt - vdt
+    for arbitrary k >= 0, monotone or not.  Both characters sit over the one
+    denominator (1-t3), so their numerators are subtracted and reduced once."""
+    num: dict = {}
+    _add_vertex_num(num, pt_fullcolumn_char_raw(mu, kvec, conv).num, (-1, -1, -1), mu)
+    _add_vertex_num(num, _stacks_num((c, kvec.get(c, 0)) for c in mu.cells()), _dt_dual(conv),
+                    Partition(), -1)
+    return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()

@@ -46,6 +46,9 @@ def _monomial_symmetric(nvars: int, nu: Partition) -> Dict[Tuple[int, ...], Frac
             perms(rem[:idx] + rem[idx + 1:], acc + [x])
 
     perms(base, [])
+    # `perms` refers to itself through its closure: dropping it frees
+    # `seen` now rather than at the next cycle collection
+    del perms
     for e in seen:
         out[e] = Fraction(1)
     return out

@@ -88,6 +88,9 @@ def enum_partitions(n: int) -> List[Partition]:
             acc.pop()
 
     rec(n, n if n else 1, [])
+    # `rec` refers to itself through its closure: dropping it frees
+    # `out` now rather than at the next cycle collection
+    del rec
     return out
 
 
@@ -169,6 +172,9 @@ def enum_rpp(shape: Partition, max_size: int) -> List[RppConfig]:
         values.pop((i, j), None)
 
     rec(0, 0)
+    # `rec` refers to itself through its closure: dropping it frees
+    # `out` now rather than at the next cycle collection
+    del rec
     out.sort(key=lambda cfg: (cfg.size, cfg.k))
     return out
 
@@ -261,6 +267,9 @@ def enum_legged_pp(leg: Partition, max_volume: int) -> List[LeggedPlanePartition
             rec(i + 1, start(i + 1), used)
 
     rec(0, start(0), 0)
+    # `rec` refers to itself through its closure: dropping it frees
+    # `out` now rather than at the next cycle collection
+    del rec
     out.sort(key=lambda pp: (pp.renorm_volume, pp.heights))
     return out
 

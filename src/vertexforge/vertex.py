@@ -95,6 +95,25 @@ def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv, total=N
     return out
 
 
+def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s, conv,
+                total) -> List[DescSeries]:
+    """Series coefficients by q-degree of a sum over (degree, weight, fixed
+    point) terms of the weight times the fixed point's descendent weights.
+    With no descendents each degree adds exact numbers and builds one
+    constant series."""
+    vs = tuple(sp.variable for sp in desc_specs)
+    orders = tuple(sp.order for sp in desc_specs)
+    if not desc_specs:
+        sums = [Fraction(0)] * (qorder + 1)
+        for d, w, _ in terms:
+            sums[d] += w
+        return [DescSeries(vs, orders, total, {(): c}) for c in sums]
+    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
+    for d, w, config in terms:
+        out[d] = out[d] + _desc_product(config, desc_specs, s, conv, total) * w
+    return out
+
+
 def bare_pt(
     boundary: Tuple[str, Partition],
     qorder: int,
@@ -111,9 +130,6 @@ def bare_pt(
     """
     kind, shape = boundary
     n = shape.size
-    vs = tuple(sp.variable for sp in desc_specs)
-    orders = tuple(sp.order for sp in desc_specs)
-    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
     if kind == "fixedpoint":
         weights = {shape.parts: Fraction(1) / euler_hilb(shape, s, conv)}
     elif kind == "chern":
@@ -124,13 +140,15 @@ def bare_pt(
                 weights[mu.parts] = c / euler_hilb(mu, s, conv)
     else:
         raise ValueError(f"unknown boundary kind {kind!r}")
-    for parts, w in weights.items():
-        mu = Partition(parts)
-        weight = pt_running_weights(mu, s, conv)
-        for cfg in enum_rpp(mu, qorder):
-            coef = w * weight(cfg)
-            term = _desc_product(cfg, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
-            out[cfg.size] = out[cfg.size] + term * coef
+
+    def terms():
+        for parts, w in weights.items():
+            mu = Partition(parts)
+            weight = pt_running_weights(mu, s, conv)
+            for cfg in enum_rpp(mu, qorder):
+                yield cfg.size, w * weight(cfg), cfg
+
+    out = _graded_sum(qorder, terms(), desc_specs, s, conv, total)
     return VertexResult("PT", boundary, out, 0, conv, s)
 
 
@@ -144,14 +162,9 @@ def bare_dt(
 ) -> VertexResult:
     """Bare DT vertex: sum over legged plane partitions of
     q^{renormalized volume} Exp(-V^DT) times descendent weights."""
-    vs = tuple(sp.variable for sp in desc_specs)
-    orders = tuple(sp.order for sp in desc_specs)
-    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
     weight = dt_running_weights(leg, s, conv)
-    for pp in enum_legged_pp(leg, qorder):
-        coef = weight(pp)
-        term = _desc_product(pp, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
-        out[pp.renorm_volume] = out[pp.renorm_volume] + term * coef
+    terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(leg, qorder))
+    out = _graded_sum(qorder, terms, desc_specs, s, conv, total)
     return VertexResult("DT", ("leg", leg), out, 0, conv, s)
 
 
@@ -165,16 +178,10 @@ def dt0_slice(
 ) -> VertexResult:
     """Restriction of the leg-free DT vertex to plane partitions whose first
     slice is exactly mu."""
-    vs = tuple(sp.variable for sp in desc_specs)
-    orders = tuple(sp.order for sp in desc_specs)
-    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
     weight = dt_running_weights(Partition(), s, conv)
-    for pp in enum_legged_pp(Partition(), qorder):
-        if first_slice(pp) != mu:
-            continue
-        coef = weight(pp)
-        term = _desc_product(pp, desc_specs, s, conv, total) if desc_specs else DescSeries.const(vs, orders, Fraction(1), total)
-        out[pp.renorm_volume] = out[pp.renorm_volume] + term * coef
+    terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(Partition(), qorder)
+             if first_slice(pp) == mu)
+    out = _graded_sum(qorder, terms, desc_specs, s, conv, total)
     return VertexResult("DT", ("slice", mu), out, 0, conv, s)
 
 

@@ -10,7 +10,9 @@ from vertexforge.characters import (
     DescendentSpec,
     all_conventions,
     descendent_char,
+    _weight_step,
     dt_boxes_char,
+    dt_running_weights,
     dt_weight,
     edge_char,
     edge_factor,
@@ -21,7 +23,6 @@ from vertexforge.characters import (
     measure_difference_char,
     pt_fullcolumn_char_raw,
     pt_weight,
-    vertex_char_delta,
     vertex_char_dt,
     vertex_char_dt_raw,
     vertex_char_pt,
@@ -36,7 +37,7 @@ from vertexforge.partitions import (
     enum_partitions,
     enum_rpp,
 )
-from vertexforge.sampling import sample_random
+from vertexforge.sampling import ParamSample, sample_random
 
 S = sample_random(2, 16)
 
@@ -312,6 +313,72 @@ def test_convention_serialization():
     assert DEFAULT_CONVENTION == c
 
 
+# G = (1-t1)(1-t2)/(t1t2)
+_G = LaurentPoly({(-1, -1, 0): 1, (0, -1, 0): -1, (-1, 0, 0): -1, (0, 0, 0): 1})
+
+
+def vertex_char_delta(n: LaurentPoly, m, eps: int, dual) -> LaurentPoly:
+    """V(N') - V(N) for the vertex character V of `_vertex_char` when the box
+    t^m is added with sign eps (+-1) to the box numerator: N' = N + eps t^m (1-t3).
+
+    With delta = eps t^m (1-t3) and bar(delta) = -eps t3^-1 t^-m (1-t3), every
+    change of the numerator of V is divisible by (1-t3), so the change of V
+    is a Laurent polynomial with O(|N|) terms and needs no division:
+
+        V(N') - V(N) = eps(t^m - t^dual t^-m)
+                       - G (eps(t^m bar(N) - t3^-1 t^-m N) + 1 - t3^-1).
+
+    DT boxes have eps = +1; a PT column step has eps = -pt_column_sign.  The
+    running-product weights factor Exp(-(V(N') - V(N))); this is their
+    oracle.
+    """
+    a, b, c = m
+    x = {(0, 0, 0): 1, (0, 0, -1): -1}
+    for (i, j, k), coef in n.terms.items():
+        coef *= eps
+        e = (a - i, b - j, c - k)
+        x[e] = x.get(e, 0) + coef
+        e = (i - a, j - b, k - c - 1)
+        x[e] = x.get(e, 0) - coef
+    dv = {m: eps}
+    e = (dual[0] - a, dual[1] - b, dual[2] - c)
+    dv[e] = dv.get(e, 0) - eps
+    for (p, q, r), g in _G.terms.items():
+        for (i, j, k), coef in x.items():
+            e = (i + p, j + q, k + r)
+            dv[e] = dv.get(e, 0) - g * coef
+    return LaurentPoly(dv)
+
+
+def _dt_steps(leg: Partition, qorder: int, conv: Convention):
+    """(fixed point, fixed point with one box less, the smaller one's box
+    numerator, the box's exponent) for every removable box of every
+    legged plane partition on `leg` up to `qorder`."""
+    for pp in enum_legged_pp(leg, qorder):
+        hm = pp.height_map()
+        for (i, j), h in hm.items():
+            try:
+                down = LeggedPlanePartition(leg, {**hm, (i, j): h - 1})
+            except ValueError:
+                continue
+            yield pp, down, dt_boxes_char(down).num, (i, j, h - 1)
+
+
+def _pt_steps(lam: Partition, qorder: int, conv: Convention):
+    """As `_dt_steps` for the reverse plane partitions on `lam`: a step
+    lowers one column depth by one."""
+    sigma = conv.pt_column_sign
+    for cfg in enum_rpp(lam, qorder):
+        kmap = {c: cfg.entry(c) for c in lam.cells()}
+        for (i, j), k in kmap.items():
+            lower = {**kmap, (i, j): k - 1}
+            try:
+                down = RppConfig(lam, lower)
+            except ValueError:
+                continue
+            yield cfg, down, pt_fullcolumn_char_raw(lam, lower, conv).num, (i, j, min(sigma * k, sigma * (k - 1)))
+
+
 class TestVertexCharDelta:
     """`vertex_char_delta` against the difference of two whole vertex
     characters, for every fixed point and every box whose removal leaves a
@@ -322,31 +389,87 @@ class TestVertexCharDelta:
 
     def test_dt(self):
         for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2")):
-            dual = _dual(conv)
             for leg in self.LEGS:
-                for pp in enum_legged_pp(leg, 4):
-                    hm = pp.height_map()
-                    for (i, j), h in hm.items():
-                        try:
-                            down = LeggedPlanePartition(leg, {**hm, (i, j): h - 1})
-                        except ValueError:
-                            continue
-                        dv = vertex_char_delta(dt_boxes_char(down).num, (i, j, h - 1), 1, dual)
-                        assert dv == vertex_char_dt(pp, conv) - vertex_char_dt(down, conv), (conv, pp)
+                for pp, down, n, m in _dt_steps(leg, 4, conv):
+                    dv = vertex_char_delta(n, m, 1, _dual(conv))
+                    assert dv == vertex_char_dt(pp, conv) - vertex_char_dt(down, conv), (conv, pp)
 
     def test_pt(self):
         for sigma in (-1, 1):
             conv = Convention(sigma)
             for lam in self.LEGS[1:]:
-                for cfg in enum_rpp(lam, 4):
-                    kmap = {c: cfg.entry(c) for c in lam.cells()}
-                    for (i, j), k in kmap.items():
-                        lower = {**kmap, (i, j): k - 1}
-                        try:
-                            down = RppConfig(lam, lower)
-                        except ValueError:
-                            continue
-                        m = (i, j, min(sigma * k, sigma * (k - 1)))
-                        dv = vertex_char_delta(pt_fullcolumn_char_raw(lam, lower, conv).num, m, -sigma,
-                                               (-1, -1, -1))
-                        assert dv == vertex_char_pt(cfg, conv) - vertex_char_pt(down, conv), (sigma, cfg)
+                for cfg, down, n, m in _pt_steps(lam, 4, conv):
+                    dv = vertex_char_delta(n, m, -sigma, (-1, -1, -1))
+                    assert dv == vertex_char_pt(cfg, conv) - vertex_char_pt(down, conv), (sigma, cfg)
+
+
+def _outcome(f):
+    try:
+        return f()
+    except ValueError:
+        return "ValueError"
+
+
+class TestWeightStep:
+    """The integer-factored running-product step against the plethystic
+    exponential of `vertex_char_delta`, value or ValueError, at every step
+    of every fixed point up to q=4 under all 24 conventions."""
+
+    LEGS = TestVertexCharDelta.LEGS
+
+    def _compare(self, s, conv):
+        """(steps, raising steps) after asserting every step agrees."""
+        count = raised = 0
+        dual = _dual(conv)
+        step = _weight_step(s, 1, dual)
+        for leg in self.LEGS:
+            for _, _, n, m in _dt_steps(leg, 4, conv):
+                want = _outcome(lambda: s.exp(-vertex_char_delta(n, m, 1, dual)))
+                assert _outcome(lambda: step(n.terms.items(), m)) == want, (conv, leg, n, m)
+                count += 1
+                raised += want == "ValueError"
+        eps = -conv.pt_column_sign
+        step = _weight_step(s, eps, (-1, -1, -1))
+        for lam in self.LEGS[1:]:
+            for _, _, n, m in _pt_steps(lam, 4, conv):
+                want = _outcome(lambda: s.exp(-vertex_char_delta(n, m, eps, (-1, -1, -1))))
+                assert _outcome(lambda: step(n.terms.items(), m)) == want, (conv, lam, n, m)
+                count += 1
+                raised += want == "ValueError"
+        return count, raised
+
+    def test_every_convention(self):
+        raised = {}
+        for conv in all_conventions():
+            count, raised[conv] = self._compare(S, conv)
+            assert count > 300
+        # with pt_column_sign +1 a column step has a constant term
+        assert all((r > 0) == (conv.pt_column_sign == 1) for conv, r in raised.items())
+
+    def test_non_generic_sample(self):
+        # t1 = t2: the form t1 - t2 vanishes; the step raises exactly where
+        # the Exp of the whole change does
+        s = ParamSample(F(3, 7), F(3, 7), F(-5, 11), 16)
+        count, raised = self._compare(s, DEFAULT_CONVENTION)
+        assert 0 < raised < count
+        pp = LeggedPlanePartition(Partition(), {(0, 0): 1, (0, 1): 1})
+        with pytest.raises(ValueError):
+            dt_weight(pp, s)
+        with pytest.raises(ValueError):
+            dt_running_weights(Partition(), s)(pp)
+
+
+class TestMeasureDifferenceOneDivision:
+    def test_equals_difference_of_vertex_characters(self):
+        # the one-division difference against the two reduced characters, at
+        # every depth vector in {0..3}^cells for |mu| <= 3, under both column
+        # signs and both dual terms (the only convention flags it reads)
+        for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"),
+                     Convention(1, "t1t2t3"), Convention(1, "t1t2")):
+            for n in (1, 2, 3):
+                for mu in enum_partitions(n):
+                    cells = mu.cells()
+                    for kv in product(range(4), repeat=len(cells)):
+                        kmap = dict(zip(cells, kv))
+                        want = vertex_char_pt_raw(mu, kmap, conv) - vertex_char_dt_raw(kmap, conv)
+                        assert measure_difference_char(mu, kmap, conv) == want, (conv, mu, kv)
