@@ -9,9 +9,12 @@ each checkout, one after the other; even pairs run the base first, odd
 pairs the change first, so a drift of the host's speed favours neither
 side. Writes every run's result line, and per end-to-end metric (from the
 same `BENCHMARK.json`) the median and quartiles of each side, the median
-ratio change/base and the number of pairs the change wins, to
-`BENCH_<label>.json` in the working directory. Progress goes to standard
-error.
+ratio change/base, the number of pairs the change wins and
+`worse_beyond_bound` (the change's median is worse than the base's by more
+than the metric's bound, the benchmark's rejection rule), plus each side's
+median number of operations (`attempted`, against which a `peak_rss_mb`
+that grows with throughput reads), to `BENCH_<label>.json` in the working
+directory. Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         change = [r["change"]["metrics"][name]["value"] for r in runs]
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         qb, qc = quartiles(base), quartiles(change)
+        worse = (qb["median"] - qc["median"]) if higher else (qc["median"] - qb["median"])
         out[name] = {
             "better": m["better"], "bound": m["bound"],
             "base": qb, "change": qc,
@@ -60,6 +64,7 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
             "wins": wins, "pairs": len(runs),
             "median_gain_exceeds_base_iqr":
                 ((qc["median"] - qb["median"]) if higher else (qb["median"] - qc["median"])) > qb["iqr"],
+            "worse_beyond_bound": worse > m["bound"] * abs(qb["median"]),
         }
     return out
 
@@ -105,6 +110,8 @@ def main(argv=None) -> int:
             runs.append(row)
         doc["workloads"][workload] = {
             "all_correct": all(r[s]["correct"] for r in runs for s in ("base", "change")),
+            "attempted": {side: statistics.median(r[side]["attempted"] for r in runs)
+                          for side in ("base", "change")},
             "summary": summarize(runs, metrics),
             "runs": runs,
         }

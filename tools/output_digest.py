@@ -1,6 +1,6 @@
 """Byte-identity digest of the library's outputs.
 
-    PYTHONPATH=src python3 tools/output_digest.py
+    PYTHONPATH=src python3 tools/output_digest.py [--entries]
 
 Computes a fixed list of outputs and prints the number of entries and a
 sha256 over their canonical JSON (sorted keys, no spaces, fractions as
@@ -14,32 +14,42 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `dtpt0_report` at `worder` 2, 3 and 4;
 * `bare_dt`, `bare_pt` and `glue` series;
 * the JSON of every named check at its default parameters, without its
-  elapsed time, and of `calibrate`.
+  elapsed time, and of `calibrate`;
+* scalar `bare_dt`, `bare_pt` (both boundaries) and `dt0_slice` under all
+  24 conventions, a raising case recorded as "ValueError";
+* `measure_difference_char` at every depth vector in {0..3}^cells for
+  |mu| <= 3, under both column signs and both dual terms;
+* `bare_dt` and `bare_pt` with `ch_hat` and `ch_prime` insertions at 0 and
+  `inf` in two variables.
 
 Run it in two checkouts: equal digests mean a change kept every one of
-these outputs.  It takes about a minute.
+these outputs; with `--entries` it also prints one sha256 per entry, so two
+listings show which outputs differ.  It takes about a minute.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from fractions import Fraction
 from itertools import product
 
-from vertexforge.characters import DEFAULT_CONVENTION as CONV, DescendentSpec
+from vertexforge.characters import DEFAULT_CONVENTION as CONV
+from vertexforge.characters import Convention, DescendentSpec, all_conventions, measure_difference_char
 from vertexforge.harness import CHECKS, calibrate, run_check
+from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
-from vertexforge.partitions import Partition
+from vertexforge.partitions import Partition, enum_partitions
 from vertexforge.residue import dt0_residue_value, dtpt0_report, egl_residue, pt_residue_vertex
 from vertexforge.sampling import sample_random
 from vertexforge.series import DescSeries
-from vertexforge.vertex import bare_dt, bare_pt
+from vertexforge.vertex import bare_dt, bare_pt, dt0_slice
 
 
 def canon(x):
     """A JSON-ready value: series and fractions as their exact strings."""
-    if isinstance(x, DescSeries):
+    if isinstance(x, (DescSeries, LaurentPoly)):
         return x.to_json()
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
@@ -95,14 +105,52 @@ def entries():
         yield f"check {name}", doc
     yield "calibrate", calibrate()
 
+    def coeffs_or_error(f):
+        try:
+            return f().coeffs
+        except ValueError:
+            return "ValueError"
 
-def main() -> None:
+    for conv in all_conventions():
+        c = tuple(conv)
+        for leg in ([], [1], [2, 1]):
+            yield f"bare_dt {leg} {c}", coeffs_or_error(lambda: bare_dt(Partition(leg), 4, (), s, conv))
+        for kind, parts in (("chern", [2, 1]), ("fixedpoint", [2, 1]), ("fixedpoint", [1])):
+            yield (f"bare_pt {kind} {parts} {c}",
+                   coeffs_or_error(lambda: bare_pt((kind, Partition(parts)), 4, (), s, conv)))
+        for parts in ([1], [2], [1, 1]):
+            yield (f"dt0_slice {parts} {c}",
+                   coeffs_or_error(lambda: dt0_slice(Partition(parts), (), s, 4, conv)))
+
+    for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"), Convention(1, "t1t2t3"),
+                 Convention(1, "t1t2")):
+        for n in (1, 2, 3):
+            for mu in enum_partitions(n):
+                cells = mu.cells()
+                for kv in product(range(4), repeat=len(cells)):
+                    yield (f"measure_difference_char {list(mu.parts)} {kv} {tuple(conv)}",
+                           measure_difference_char(mu, dict(zip(cells, kv)), conv))
+
+    for ins_u, ins_v in ((0, "inf"), ("inf", 0)):
+        desc3 = (DescendentSpec("ch_hat", ins_u, "u", 2), DescendentSpec("ch_prime", ins_v, "v", 2))
+        for leg in ([], [1], [2, 1]):
+            yield f"bare_dt {leg} {ins_u} {ins_v}", bare_dt(Partition(leg), 3, desc3, s, CONV).coeffs
+        for kind, parts in (("chern", [2, 1]), ("fixedpoint", [1])):
+            yield (f"bare_pt {kind} {parts} {ins_u} {ins_v}",
+                   bare_pt((kind, Partition(parts)), 3, desc3, s, CONV).coeffs)
+
+
+def main(argv=None) -> None:
+    show = "--entries" in (sys.argv[1:] if argv is None else argv)
     digest = hashlib.sha256()
     count = 0
     for name, value in entries():
-        digest.update(json.dumps([name, canon(value)], sort_keys=True, separators=(",", ":")).encode())
+        line = json.dumps([name, canon(value)], sort_keys=True, separators=(",", ":")).encode()
+        digest.update(line)
         digest.update(b"\n")
         count += 1
+        if show:
+            print(hashlib.sha256(line).hexdigest(), name)
     print(f"{count} entries sha256 {digest.hexdigest()}")
 
 
