@@ -243,8 +243,6 @@ def _lift(ds: DescSeries, vs, orders, total) -> DescSeries:
         for pos, x in zip(idx, e):
             e2[pos] = x
         out.coeffs[tuple(e2)] = c
-    if not ds.coeffs:
-        pass
     return out
 
 

@@ -802,7 +802,8 @@ def _poch_lin(nv, wcoeffs, big, small, b, D, invert=False):
 def dt0_vanishing(mu, s, conv) -> dict:
     """The vanishing table of the degree-0 weight on invalid column data:
     every depth vector in {1, 2, 3}^cells that is not a plane partition, and
-    whether the measure ratio times Exp(-V^PT) vanishes there."""
+    whether the measure ratio times Exp(-V^PT) vanishes there.  A table with
+    no row (one cell has no such vector) passes nothing: "pass" reads None."""
     from itertools import product as iproduct
 
     from .characters import vertex_char_pt_raw
@@ -823,7 +824,7 @@ def dt0_vanishing(mu, s, conv) -> dict:
         vanishes = zr + zpt > 0
         ok = ok and vanishes
         rows.append({"k": list(kv), "vanishes": vanishes})
-    return {"rows": rows, "pass": ok}
+    return {"rows": rows, "pass": ok if rows else None}
 
 
 def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
@@ -962,7 +963,8 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                 })
     report["scan"] = scan
     report["pt_side_target"] = [c.to_json() for c in pt_target]
-    exact_ok = g_ok and vanish_ok and rebal_ok
+    # an empty vanishing table is no evidence either way and does not count
+    exact_ok = g_ok and vanish_ok is not False and rebal_ok
     report["exact_checks_pass"] = exact_ok
     report["verdict"] = "informative"
     return report

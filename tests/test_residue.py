@@ -3,7 +3,7 @@ from itertools import product
 
 import pytest
 
-from vertexforge.characters import DescendentSpec, measure_difference_char
+from vertexforge.characters import DEFAULT_CONVENTION, DescendentSpec, measure_difference_char
 from vertexforge.laurent import pochhammer
 from vertexforge.partitions import Partition, enum_partitions
 from vertexforge.residue import (
@@ -12,6 +12,8 @@ from vertexforge.residue import (
     _form,
     _kernel_factors,
     _over_common_denominator,
+    dt0_vanishing,
+    dtpt0_report,
     egl_localization,
     egl_residue,
     measure_ratio_closed,
@@ -241,3 +243,20 @@ class TestMeasureRatioClosed:
                     kmap = dict(zip(cells, kv))
                     assert measure_ratio_extended(mu, kmap, s) == s.exp_extended(
                         measure_difference_char(mu, kmap)), (mu, kv)
+
+
+class TestDt0Vanishing:
+    S31 = sample_random(31, 14)
+
+    def test_one_cell_table_is_empty_and_does_not_count(self):
+        # one cell has no depth vector outside the plane-partition cone
+        assert dt0_vanishing(Partition([1]), self.S31, DEFAULT_CONVENTION) == {"rows": [], "pass": None}
+        rep = dtpt0_report(Partition([1]), 2, 2, self.S31, DEFAULT_CONVENTION)
+        assert rep["vanishing"]["pass"] is None
+        assert rep["g_identity"]["pass"] and rep["ratio_rebalancing"]["pass"]
+        assert rep["exact_checks_pass"] is True
+
+    @pytest.mark.parametrize("parts", [[1, 1], [2]])
+    def test_two_cell_tables_carry_the_verdict(self, parts):
+        table = dt0_vanishing(Partition(parts), self.S31, DEFAULT_CONVENTION)
+        assert table["rows"] and table["pass"] is True
