@@ -11,6 +11,7 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Callable, Dict, Literal, NamedTuple, Tuple
 
@@ -273,18 +274,16 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
                       ((-i, -j, -k), 1), ((i - 1, j - 1, k - 1), -1), ((i, j - 1, k - 1), 1),
                       ((i - 1, j, k - 1), 1), ((i, j, k - 1), -1)))
 
-    ratios = {(0, 0, 0): r(0, 0, 0)}
+    ratios: dict = {}
 
     def step(terms, m) -> Fraction:
         a, b, c = m
         num, den, vanishing = forms((((dual[0] - a, dual[1] - b, dual[2] - c), eps), (m, -eps)))
-        zeros = dict(vanishing)
-        rn, rd, vanishing = ratios[(0, 0, 0)]
-        num *= rn
-        den *= rd
+        zeros: dict = {}
         for e, z in vanishing:
             zeros[e] = zeros.get(e, 0) + z
-        for (i, j, k), coef in terms:
+        # the term (m, eps) brings the factor r(0)
+        for (i, j, k), coef in chain(((m, eps),), terms):
             key = (i - a, j - b, k - c)
             rt = ratios.get(key)
             if rt is None:
