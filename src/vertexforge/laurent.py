@@ -233,10 +233,6 @@ class EquivariantCharacter:
         self.num = num
         self.den: Tuple[Exponent, ...] = tuple(sorted(tuple(d) for d in den))
 
-    @staticmethod
-    def from_poly(p: LaurentPoly) -> "EquivariantCharacter":
-        return EquivariantCharacter(p, ())
-
     def den_poly(self) -> LaurentPoly:
         p = LaurentPoly.one()
         for d in self.den:

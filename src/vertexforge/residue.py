@@ -55,6 +55,11 @@ def zp_const(nvars: int, c) -> Dict:
     return {(0,) * nvars: c}
 
 
+def _zp_at(p: Dict, z: Sequence, zero):
+    """The z-polynomial p, coefficients in any ring with `zero`, at the point z."""
+    return sum((c * prod(x ** e for x, e in zip(z, ze)) for ze, c in p.items()), zero)
+
+
 # ---------------------------------------------------------------------------
 # the factored pole engine
 
@@ -336,18 +341,21 @@ def _kernel_factors(nv: int, p1: int, p2: int):
     return out
 
 
-def _signed(polys: Sequence, recips: Sequence):
-    """A block's (numerator, denominator) forms as (form, +-1) factors."""
-    return [(L, 1) for L in polys] + [(L, -1) for L in recips]
+def _poch_lin(nv, wcoeffs, big, small, b, D, sign=1):
+    """The signed rising factorial [x]_b to the power `sign` at
+    x = w + big + small/D, as (form, exponent) factors: x(x+1)...(x+b-1)
+    for b >= 0, 1/((x-1)(x-2)...(x+b)) for b < 0."""
+    if b >= 0:
+        return [(_form(nv, wcoeffs, D * (big + l), small), sign) for l in range(b)]
+    return [(_form(nv, wcoeffs, D * (big - l), small), -sign) for l in range(1, -b + 1)]
 
 
 def _column_block(nv: int, i: int, k: int, cs):
     """Single-column weight [-z_i - a1 - a2]_k / [z_i - k]_k; cs = (p1, p2, D)
-    clears a1 = p1/D, a2 = p2/D."""
+    clears a1 = p1/D, a2 = p2/D.  A negative depth carries no block."""
     p1, p2, D = cs
-    polys = [_form(nv, {i: -1}, D * l, -p1 - p2) for l in range(k)]
-    recips = [_form(nv, {i: 1}, -D * l) for l in range(1, k + 1)]
-    return polys, recips
+    k = max(k, 0)
+    return _poch_lin(nv, {i: -1}, 0, -p1 - p2, k, D) + _poch_lin(nv, {i: 1}, -k, 0, k, D, -1)
 
 
 def _pair_block(nv: int, i: int, j: int, b: int, cs):
@@ -360,15 +368,11 @@ def _pair_block(nv: int, i: int, j: int, b: int, cs):
     * [-w-a1]_b [-w-a2]_b / ([-w-A]_b [-w]_b).
     """
     p1, p2, D = cs
-    A = p1 + p2
-    polys: List[tuple] = []
-    recips: List[tuple] = []
+    out = []
     for w, depth in (({j: 1, i: -1}, -b), ({j: -1, i: 1}, b)):
-        for small, invert in ((-p1, False), (-p2, False), (-A, True), (0, True)):
-            num, den = _poch_lin(nv, w, 0, small, depth, D, invert)
-            polys += num
-            recips += den
-    return polys, recips
+        for small, sign in ((-p1, 1), (-p2, 1), (-p1 - p2, -1), (0, -1)):
+            out += _poch_lin(nv, w, 0, small, depth, D, sign)
+    return out
 
 
 def _pt_factors(nv: int, kvec, cs):
@@ -376,9 +380,9 @@ def _pt_factors(nv: int, kvec, cs):
     kernel, the single-column blocks and the two-column interactions."""
     out = _kernel_factors(nv, cs[0], cs[1])
     for i, k in enumerate(kvec):
-        out += _signed(*_column_block(nv, i, k, cs))
+        out += _column_block(nv, i, k, cs)
     for i, j in combinations(range(nv), 2):
-        out += _signed(*_pair_block(nv, i, j, kvec[j] - kvec[i], cs))
+        out += _pair_block(nv, i, j, kvec[j] - kvec[i], cs)
     return out
 
 
@@ -453,30 +457,35 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
 # the one-leg stable-pairs residue vertex
 
 
-def _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total):
-    """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r (z_i + sigma k_i)}
-    as a z-polynomial with truncated-series coefficients.
+def _descendent_zpoly(shifts, desc_specs, s, total):
+    """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r z_i} sum_(m, e) e e^{m t3 u_r}
+    as a z-polynomial with truncated-series coefficients, `shifts[i]` the
+    signed t3-shifts (m, e) of z_i.
 
-    The r-th factor is sum_i sum_m base_{k_i}(u_r) (t3 u_r z_i)^m / m! with
-    base_k(u) = sum_x +-e^{(sigma k t3 + x) u} over x = 0, t1, t2, t1 + t2.
-    Over the common denominator d of t1, t2, t3 the coefficient of
+    The r-th factor is sum_i sum_m base_i(u_r) (t3 u_r z_i)^m / m! with
+    base_i(u) = sum_(m, e) e sum_x +-e^{(m t3 + x) u} over x = 0, t1, t2,
+    t1 + t2.  Over the common denominator d of t1, t2, t3 the coefficient of
     u_r^(a+m) z_i^m has denominator d^(a+m) a! m! for every i, so numerators
     add as integers and each coefficient is one `Fraction`."""
     from .series import DescSeries
 
     n1, n2, n3, d = _over_common_denominator(s.t1, s.t2, s.t3)
+    nv = len(shifts)
     vs = tuple(sp.variable for sp in desc_specs)
+    orders_all = tuple(sp.order for sp in desc_specs)
     out = None
     for r in range(len(desc_specs)):
         top = orders_all[r] if total is None else min(orders_all[r], total)
-        bases: Dict[int, List[int]] = {}
+        bases: Dict[tuple, List[int]] = {}
         factor: Dict[tuple, Dict[tuple, int]] = {}
-        for i, k in enumerate(kvec):
-            base = bases.get(k)
+        for i, sh in enumerate(shifts):
+            base = bases.get(sh)
             if base is None:
-                c = sigma * k * n3
-                base = bases[k] = [c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a
-                                   for a in range(top + 1)]
+                base = bases[sh] = [0] * (top + 1)
+                for m, e in sh:
+                    c = m * n3
+                    for a in range(top + 1):
+                        base[a] += e * (c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a)
             for m in range(top + 1):
                 nums = factor.setdefault(tuple(m if v == i else 0 for v in range(nv)), {})
                 for a in range(top + 1 - m):
@@ -493,6 +502,17 @@ def _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total):
     return out
 
 
+def _dt0_descendent_zpoly(kvec, desc_specs, s, total=None):
+    """The degree-0 descendent factor g as (z-polynomial, scalar): per
+    variable, prod(1 - e^{w t_i})/(t1 t2 t3) sum_i e^{t3 z_i w} times
+    sum_{m in [0, k_i)} e^{m w t3}, signed for k_i < 0.  Since
+    (1 - e^{w t3}) sum_{m in [0, k)} e^{m w t3} = 1 - e^{k w t3} for either
+    sign of k, z_i has the t3-shifts 0 and k_i with signs +1, -1; the
+    1/(t1 t2 t3) factors are the scalar."""
+    zpoly = _descendent_zpoly([((0, 1), (k, -1)) for k in kvec], desc_specs, s, total)
+    return zpoly, (s.t1 * s.t2 * s.t3) ** -len(desc_specs)
+
+
 def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern",
                         basis_poly=None, total=None) -> Tuple[Term, Dict | None]:
     """Integrand for one k-vector of the residue vertex, a-scale variables:
@@ -507,9 +527,8 @@ def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern"
         raise ValueError(f"unknown basis {basis!r}")
     desc_poly = None
     if desc_specs:
-        orders_all = tuple(sp.order for sp in desc_specs)
         sigma = conv.pt_column_sign
-        desc_poly = _descendent_zpoly(nv, kvec, desc_specs, s, sigma, orders_all, total)
+        desc_poly = _descendent_zpoly([((sigma * k, 1),) for k in kvec], desc_specs, s, total)
     cs = _over_common_denominator(s.a1, s.a2)
     return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), desc_poly
 
@@ -632,89 +651,36 @@ def measure_ratio_closed(mu, kvec: Dict, s) -> Fraction:
 def _ratio_cell_blocks_symbolic(nv: int, i: int, k: int, cs):
     """Measure-ratio per-cell blocks at symbolic z_i:
     [z-k]_k [-z-A-k]_k / ([z]_k [-z-A]_k); cs = (p1, p2, D) as in
-    `_column_block`."""
+    `_column_block`.  A negative depth carries no block."""
     p1, p2, D = cs
     A = p1 + p2
-    polys, recips = [], []
-    for l in range(1, k + 1):
-        polys += [_form(nv, {i: 1}, -D * l), _form(nv, {i: -1}, -D * l, -A)]
-    for l in range(k):
-        recips += [_form(nv, {i: 1}, D * l), _form(nv, {i: -1}, D * l, -A)]
-    return polys, recips
+    k = max(k, 0)
+    return (_poch_lin(nv, {i: 1}, -k, 0, k, D) + _poch_lin(nv, {i: -1}, -k, -A, k, D)
+            + _poch_lin(nv, {i: 1}, 0, 0, k, D, -1) + _poch_lin(nv, {i: -1}, 0, -A, k, D, -1))
 
 
 def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, cs):
     """Measure-ratio blocks for the ordered cell pair (c, d) mapped to
     variables (i, j): Exp(-G m_c/m_d (H(kd-kc) + A(kd) + B(kc))) with w =
-    z_i - z_j symbolic; the degenerate diagonal (c = d) is excluded upstream."""
+    z_i - z_j symbolic; the degenerate diagonal (c = d) is excluded upstream.
+
+    As rising factorials, H(b) gives [w]_{-b}/[w]_b, A(kd) gives [w-kd]_kd
+    and B(kc) gives 1/[w]_kc at each G-shift of w, to the power of that
+    shift's plethystic sign; a negative depth has an empty A or B interval."""
     p1, p2, D = cs
-    A = p1 + p2
     b = kd - kc
+    kd, kc = max(kd, 0), max(kc, 0)
     w = {i: 1, j: -1}
-    polys, recips = [], []
-
-    def emit(base_coeffs, lo, hi, small, sign):
-        # sign +1: poly factors, -1: recips, for each l in lo..hi
-        for l in range(lo, hi + 1):
-            L = _form(nv, base_coeffs, D * l, small)
-            (polys if sign > 0 else recips).append(L)
-
-    # X = H(b) + A(kd) + B(kc) as t3-intervals at the four G-shifts
-    # shifts with plethystic signs: -A: -1(recip-part of G: +), careful below
-    intervals = []
-    if b >= 0:
-        intervals += [(-1, 0, b - 1), (-1, -b, -1)]
-    else:
-        intervals += [(1, 0, -b - 1), (1, b, -1)]
-    intervals += [(1, -kd, -1)]          # A(kd)
-    intervals += [(-1, 0, kc - 1)]       # B(kc)
-    # Exp(-G m X): G-shift signs {(-A): -, (-a1): +, (-a2): +, (0): -}
-    for small, gsign in ((-A, -1), (-p1, 1), (-p2, 1), (0, -1)):
-        for isign, lo, hi in intervals:
-            emit(w, lo, hi, small, gsign * isign)
-    return polys, recips
-
-
-def _g_factor_zpoly(nv, kvec, wspec, s, orders_all, total, with_kappa=True):
-    """g(k, w, z): prod(1 - e^{w t_i}) / (t1 t2 t3) x
-    sum_i e^{t3 z_i w} (1 - e^{k_i w t3})/(1 - e^{w t3}), the interval sum
-    written exactly as sum_{m} e^{m w t3} with m ranging over 0..k-1
-    (or -(grid) for negative k)."""
-    from .series import DescSeries, exp_single
-
-    vs = wspec["vs"]
-    var = wspec["var"]
-    one = DescSeries.const(vs, orders_all, Fraction(1), total)
-    pref = (
-        (one - exp_single(vs, orders_all, var, s.t1, total))
-        * (one - exp_single(vs, orders_all, var, s.t2, total))
-        * (one - exp_single(vs, orders_all, var, s.t3, total))
-    )
-    if with_kappa:
-        pref = pref * (Fraction(1) / (s.t1 * s.t2 * s.t3))
-    r = vs.index(var)
-    uord = orders_all[r] if total is None else min(orders_all[r], total)
-    out: Dict = {}
-    for i, k in enumerate(kvec):
-        mrange = range(k) if k >= 0 else range(k, 0)
-        sgn = 1 if k >= 0 else -1
-        for m in mrange:
-            shift = exp_single(vs, orders_all, var, s.t3 * m, total)
-            base = pref * shift * sgn
-            for deg in range(uord + 1):
-                c = DescSeries(vs, orders_all, total)
-                ce = tuple(deg if x == r else 0 for x in range(len(vs)))
-                c.coeffs[ce] = Fraction(s.t3) ** deg / factorial(deg)
-                e = tuple(deg if v == i else 0 for v in range(nv))
-                term = base * c
-                out[e] = out.get(e, DescSeries(vs, orders_all, total)) + term
-    if not out:
-        out = zp_const(nv, DescSeries(vs, orders_all, total))
+    out = []
+    for small, sign in ((-p1 - p2, -1), (-p1, 1), (-p2, 1), (0, -1)):
+        out += (_poch_lin(nv, w, 0, small, -b, D, sign) + _poch_lin(nv, w, 0, small, b, D, -sign)
+                + _poch_lin(nv, w, -kd, small, kd, D, sign) + _poch_lin(nv, w, 0, small, kc, D, -sign))
     return out
 
 
-def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=None):
-    """Residue of the degree-0 integrand at one k-vector.
+def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived", total=None):
+    """Residue of the degree-0 integrand at one k-vector, with the
+    descendent factor g of `_dt0_descendent_zpoly` for `DescendentSpec`s.
 
     variant 'derived': stable-pairs integrand times the derived measure-ratio
     blocks (off-diagonal pairs; the diagonal blocks are degenerate constants
@@ -723,80 +689,62 @@ def dt0_residue_value(mu, kvec, s, conv, wspecs=(), variant="derived", total=Non
     quadruple-ratio product over i != j.
     """
     from .localcurve import interp_poly
-    from .series import DescSeries
 
     nv = mu.size
     cs = _over_common_denominator(s.a1, s.a2)
     p1, p2, D = cs
     A = p1 + p2
-    vs = tuple(w["var"] for w in wspecs)
-    orders_all = tuple(w["order"] for w in wspecs)
+    vs = tuple(sp.variable for sp in desc_specs)
+    orders_all = tuple(sp.order for sp in desc_specs)
     jp = interp_poly(mu, s).as_zpoly(nv)
     if variant == "derived":
         factors = _pt_factors(nv, kvec, cs)
         for i, k in enumerate(kvec):
-            factors += _signed(*_ratio_cell_blocks_symbolic(nv, i, k, cs))
+            factors += _ratio_cell_blocks_symbolic(nv, i, k, cs)
         for ci in range(nv):
             for cj in range(nv):
                 if ci != cj:
-                    factors += _signed(*_ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], cs))
+                    factors += _ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], cs)
     elif variant == "printed":
         factors = []
         # first factors [z_i + 1 + A]_{k_i} / [z_i]_{k_i}
         for i, k in enumerate(kvec):
-            factors += _signed(*_poch_lin(nv, {i: 1}, 1, A, k, D))
-            factors += _signed(*_poch_lin(nv, {i: 1}, 0, 0, k, D, invert=True))
+            factors += _poch_lin(nv, {i: 1}, 1, A, k, D)
+            factors += _poch_lin(nv, {i: 1}, 0, 0, k, D, -1)
         # F^{-1}_{k_i - k_j}(z_i - z_j) for i < j, as printed
         for i, j in combinations(range(nv), 2):
             b = kvec[i] - kvec[j]
             w = {i: 1, j: -1}
-            for small, inv in ((p1, False), (p2, False), (-A, False), (-p1, True), (-p2, True), (A, True)):
-                factors += _signed(*_poch_lin(nv, w, 0, small, b, D, invert=inv))
+            for small, sign in ((p1, 1), (p2, 1), (-A, 1), (-p1, -1), (-p2, -1), (A, -1)):
+                factors += _poch_lin(nv, w, 0, small, b, D, sign)
         # quadruple product over ordered pairs i != j with index k_i
         for i in range(nv):
             for j in range(nv):
                 if i == j:
                     continue
                 w = {i: 1, j: -1}
-                for big, small, inv in (
-                    (1, 0, False),
-                    (1, A, False),
-                    (0, -p1, False),
-                    (0, -p2, False),
-                    (0, 0, True),
-                    (0, -A, True),
-                    (1, p1, True),
-                    (1, p2, True),
+                for big, small, sign in (
+                    (1, 0, 1),
+                    (1, A, 1),
+                    (0, -p1, 1),
+                    (0, -p2, 1),
+                    (0, 0, -1),
+                    (0, -A, -1),
+                    (1, p1, -1),
+                    (1, p2, -1),
                 ):
-                    factors += _signed(*_poch_lin(nv, w, big, small, kvec[i], D, invert=inv))
+                    factors += _poch_lin(nv, w, big, small, kvec[i], D, sign)
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    buckets = None
-    if wspecs:
-        gz = zp_const(nv, DescSeries.const(vs, orders_all, Fraction(1), total))
-        for wsp in wspecs:
-            gz = zp_mul(gz, _g_factor_zpoly(nv, kvec, {"vs": vs, "var": wsp["var"]}, s, orders_all, total))
+    buckets, scalar = None, 1
+    if desc_specs:
+        gz, scalar = _dt0_descendent_zpoly(kvec, desc_specs, s, total)
         buckets = _u_buckets(gz)
     try:
-        return residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all, total)
+        val = residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all, total)
     except ZeroDivisionError:
         return None
-
-
-def _poch_lin(nv, wcoeffs, big, small, b, D, invert=False):
-    """[x]_b at x = w + big + small/D as integer (polys, recips): the rising
-    factorial x(x+1)...(x+b-1) for b >= 0, 1/((x-1)(x-2)...(x+b)) for b < 0;
-    invert for denominators."""
-    polys, recips = [], []
-    if b >= 0:
-        fl = [_form(nv, wcoeffs, D * (big + l), small) for l in range(b)]
-        polys = fl
-    else:
-        fl = [_form(nv, wcoeffs, D * (big - l), small) for l in range(1, -b + 1)]
-        recips = fl
-    if invert:
-        polys, recips = recips, polys
-    return polys, recips
+    return val * scalar
 
 
 def dt0_vanishing(mu, s, conv) -> dict:
@@ -840,16 +788,16 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
     """
     from itertools import product as iproduct
 
-    from .characters import DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_running_weights
+    from .characters import (DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_running_weights,
+                             vertex_char_pt_raw)
     from .partitions import LeggedPlanePartition, Partition
     from .series import DescSeries
-    from .characters import vertex_char_pt_raw
     from .vertex import dt0_slice
 
     conv = conv or DEFAULT_CONVENTION
     n = mu.size
     cells = mu.cells()
-    wspecs = [{"var": "w1", "order": worder}]
+    wspec = DescendentSpec("ch", 0, "w1", worder)
     vs = ("w1",)
     orders_all = (worder,)
     report: dict = {
@@ -864,7 +812,10 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
         ],
     }
 
-    # --- g vs descendent character (exact; kappa normalization as printed)
+    # --- g vs descendent character (exact; kappa normalization as printed):
+    #     the z-polynomial that `dt0_residue_value` integrates, at the contents
+    gspec = DescendentSpec("ch", 0, "w1", worder + 1)
+    contents = [i * s.a1 + j * s.a2 for (i, j) in cells]
     g_ok = True
     g_count = 0
     for kv in iproduct(range(0, 3), repeat=n):
@@ -873,11 +824,10 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
             pp = LeggedPlanePartition(Partition(), heights)
         except ValueError:
             continue
-        spec = DescendentSpec("ch", 0, "w1", worder + 1)
-        direct = descendent_char(pp, spec, s, conv, variables=("w1",), orders=(worder + 1,))
-        gval = _g_at_contents(mu, kv, s, worder + 1)
+        gz, scalar = _dt0_descendent_zpoly(kv, (gspec,), s)
+        gval = _zp_at(gz, contents, DescSeries(vs, (worder + 1,))) * scalar
         g_count += 1
-        if not gval * (s.t1 * s.t2 * s.t3) == direct:
+        if not gval * (s.t1 * s.t2 * s.t3) == descendent_char(pp, gspec, s, conv):
             g_ok = False
     report["g_identity"] = {
         "cases": g_count,
@@ -890,7 +840,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
 
     # --- measure-ratio-weighted rebalancing (exact): sum over k >= 1 of
     #     ratio x Exp(-V^PT) x DT descendent weights equals the slice sum
-    target = dt0_slice(mu, (DescendentSpec("ch", 0, "w1", worder),), s, qorder, conv)
+    target = dt0_slice(mu, (wspec,), s, qorder, conv)
     rebal = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
     for kv in iproduct(range(1, qorder + 2), repeat=n):
         d = sum(kv)
@@ -905,8 +855,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
         if zr + zpt < 0:
             raise ZeroDivisionError("pole in rebalanced weight")
         pp = LeggedPlanePartition(Partition(), heights)
-        ch = descendent_char(pp, DescendentSpec("ch", 0, "w1", worder), s, conv,
-                             variables=vs, orders=orders_all)
+        ch = descendent_char(pp, wspec, s, conv, variables=vs, orders=orders_all)
         rebal[d] = rebal[d] + ch * (ratio * wpt)
     rebal_ok = all(a == b for a, b in zip(rebal, target.coeffs))
     report["ratio_rebalancing"] = {
@@ -938,7 +887,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                 d = sum(kv)
                 if d > qorder:
                     continue
-                val = dt0_residue_value(mu, kv, s, conv, wspecs, variant)
+                val = dt0_residue_value(mu, kv, s, conv, (wspec,), variant)
                 if val is None:
                     feasible = False
                     continue
@@ -971,38 +920,17 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
 
 
 def _scan_match(series, target) -> Tuple[bool | None, int]:
-    """(match, nonzero) of a scan series against a target list: the series
-    ends in the target and is zero before it.  `nonzero` counts the
-    coefficients compared that are nonzero on either side; a comparison of
-    zeros only is no match either way, and reads None."""
-    head, tail = series[:-len(target)], series[-len(target):]
-    nonzero = sum(len(c.coeffs) for c in head) + sum(
-        len(a.coeffs.keys() | b.coeffs.keys()) for a, b in zip(tail, target))
+    """(match, nonzero) of a scan series against a target list, both ending
+    at the same degree: they are aligned from the end, and a degree only one
+    of them covers is compared with zero.  `nonzero` counts the coefficients
+    compared that are nonzero on either side; a comparison of zeros only is
+    no match either way, and reads None."""
+    m = min(len(series), len(target))
+    uncovered = series[:len(series) - m] + target[:len(target) - m]
+    pairs = list(zip(series[len(series) - m:], target[len(target) - m:]))
+    nonzero = sum(len(c.coeffs) for c in uncovered) + sum(
+        len(a.coeffs.keys() | b.coeffs.keys()) for a, b in pairs)
     if not nonzero:
         return None, 0
-    match = len(series) >= len(target) and not any(c.coeffs for c in head) and all(
-        a == b for a, b in zip(tail, target))
+    match = not any(c.coeffs for c in uncovered) and all(a == b for a, b in pairs)
     return match, nonzero
-
-
-def _g_at_contents(mu, kvec, s, worder):
-    """g(k, w, c) with the content values substituted; exact interval form."""
-    from .series import DescSeries, exp_single
-
-    vs = ("w1",)
-    orders = (worder,)
-    one = DescSeries.const(vs, orders, Fraction(1))
-    pref = (
-        (one - exp_single(vs, orders, "w1", s.t1))
-        * (one - exp_single(vs, orders, "w1", s.t2))
-        * (one - exp_single(vs, orders, "w1", s.t3))
-        * (Fraction(1) / (s.t1 * s.t2 * s.t3))
-    )
-    total = DescSeries(vs, orders)
-    for (i, j), k in zip(mu.cells(), kvec):
-        c = i * s.t1 + j * s.t2
-        mrange = range(k) if k >= 0 else range(k, 0)
-        sgn = 1 if k >= 0 else -1
-        for m in mrange:
-            total = total + exp_single(vs, orders, "w1", c + m * s.t3) * sgn
-    return pref * total

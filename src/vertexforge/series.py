@@ -33,9 +33,6 @@ class QSeries:
         s.coeffs[0] = Fraction(1)
         return s
 
-    def copy(self) -> "QSeries":
-        return QSeries(self.order, list(self.coeffs), self.shift)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -90,15 +87,6 @@ class QSeries:
         if 0 <= m <= self.order:
             return self.coeffs[m]
         return Fraction(0)
-
-    def scale_sign(self, sign: int) -> "QSeries":
-        """q -> sign*q, i.e. multiply coefficient of q^n by sign^n (absolute n)."""
-        out = self.copy()
-        for m in range(len(out.coeffs)):
-            n = out.shift + m
-            if sign == -1 and n % 2:
-                out.coeffs[m] = -out.coeffs[m]
-        return out
 
     def __repr__(self) -> str:
         bits = [f"({c})*q^{self.shift + n}" for n, c in enumerate(self.coeffs)]

@@ -85,7 +85,7 @@ class TestReduce:
 
     def test_equality_cross_multiplication(self):
         a = EquivariantCharacter(LaurentPoly.one() - mono((0, 0, 2)), [T3])
-        b = EquivariantCharacter.from_poly(LaurentPoly.one() + mono(T3))
+        b = EquivariantCharacter(LaurentPoly.one() + mono(T3), ())
         assert a == b
 
 

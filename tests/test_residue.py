@@ -3,15 +3,25 @@ from itertools import product
 
 import pytest
 
-from vertexforge.characters import DEFAULT_CONVENTION, DescendentSpec, measure_difference_char
+from vertexforge.characters import (
+    DEFAULT_CONVENTION,
+    Convention,
+    DescendentSpec,
+    descendent_char,
+    measure_difference_char,
+)
 from vertexforge.laurent import pochhammer
-from vertexforge.partitions import Partition, enum_partitions
+from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions, enum_rpp
 from vertexforge.residue import (
     Term,
     _PoleEngine,
+    _dt0_descendent_zpoly,
     _form,
     _kernel_factors,
     _over_common_denominator,
+    _scan_match,
+    _zp_at,
+    dt0_residue_value,
     dt0_vanishing,
     dtpt0_report,
     egl_localization,
@@ -19,10 +29,12 @@ from vertexforge.residue import (
     measure_ratio_closed,
     measure_ratio_extended,
     pt_residue_vertex,
+    pt_vertex_integrand,
     residue_sum,
     zp_const,
 )
 from vertexforge.sampling import sample_random
+from vertexforge.series import DescSeries
 from vertexforge.vertex import bare_pt
 
 S = sample_random(3, 16)
@@ -260,3 +272,90 @@ class TestDt0Vanishing:
     def test_two_cell_tables_carry_the_verdict(self, parts):
         table = dt0_vanishing(Partition(parts), self.S31, DEFAULT_CONVENTION)
         assert table["rows"] and table["pass"] is True
+
+
+def _contents(mu, s):
+    """The a-scale contents i a1 + j a2 of mu's cells, in cell order."""
+    return [i * s.a1 + j * s.a2 for (i, j) in mu.cells()]
+
+
+class TestDescendentZpoly:
+    """The residue route's descendent z-polynomial at z_i = the content of
+    the i-th cell is the localization route's descendent character of the
+    fixed point with k_i on that cell."""
+
+    @pytest.mark.parametrize("sign", [-1, 1])
+    @pytest.mark.parametrize("parts", [[1], [2], [1, 1], [2, 1]])
+    def test_pt_integrand_at_contents(self, parts, sign):
+        lam = Partition(parts)
+        conv = Convention(pt_column_sign=sign)
+        spec = DescendentSpec("ch", 0, "u", 3)
+        zero = DescSeries(("u",), (3,))
+        configs = enum_rpp(lam, 3)
+        assert len(configs) > 1
+        for cfg in configs:
+            kvec = [cfg.entry(c) for c in lam.cells()]
+            _, dpoly = pt_vertex_integrand(lam.parts, kvec, S, conv, (spec,))
+            assert _zp_at(dpoly, _contents(lam, S), zero) == descendent_char(cfg, spec, S, conv), kvec
+
+    @pytest.mark.parametrize("parts", [[1], [2], [1, 1]])
+    def test_dt0_g_at_contents(self, parts):
+        mu = Partition(parts)
+        spec = DescendentSpec("ch", 0, "w1", 4)
+        zero = DescSeries(("w1",), (4,))
+        count = 0
+        for kv in product(range(4), repeat=mu.size):
+            try:
+                pp = LeggedPlanePartition(Partition(), dict(zip(mu.cells(), kv)))
+            except ValueError:
+                continue
+            gz, scalar = _dt0_descendent_zpoly(kv, (spec,), S)
+            direct = descendent_char(pp, spec, S) * (1 / (S.t1 * S.t2 * S.t3))
+            assert _zp_at(gz, _contents(mu, S), zero) * scalar == direct, kv
+            count += 1
+        assert count > 1
+
+
+class TestDt0ResidueValue:
+    @pytest.mark.parametrize("variant", ["derived", "printed"])
+    def test_leading_descendent_coefficient(self, variant):
+        # g = prod_(i=1,2) (1 - e^{w t_i}) / (t1 t2 t3) sum_i e^{t3 z_i w} (1 - e^{k_i w t3})
+        # starts at w^3 with the z-free coefficient -(k_1 + ... + k_n), so
+        # the value with one insertion vanishes below w^3 and its w^3
+        # coefficient is -|k| times the value without insertions
+        spec = DescendentSpec("ch", 0, "w1", 3)
+        compared = 0
+        for parts in ([1], [2], [1, 1]):
+            mu = Partition(parts)
+            for kv in product(range(3), repeat=mu.size):
+                if sum(kv) > 3:  # (2, 2) takes seconds in the derived variant
+                    continue
+                bare = dt0_residue_value(mu, kv, S, DEFAULT_CONVENTION, (), variant)
+                val = dt0_residue_value(mu, kv, S, DEFAULT_CONVENTION, (spec,), variant)
+                assert (bare is None) == (val is None)
+                if bare is None:
+                    continue
+                assert all(val.coeff((d,)) == 0 for d in range(3))
+                assert val.coeff((3,)) == -sum(kv) * bare.coeff(())
+                compared += bool(val.coeff((3,)))
+        assert compared > 0
+
+
+class TestScanMatch:
+    A = DescSeries(("w1",), (3,), coeffs={(3,): F(2, 5)})
+    B = DescSeries(("w1",), (3,), coeffs={(3,): F(1), (2,): F(1, 3)})
+    ZERO = DescSeries(("w1",), (3,))
+
+    def test_aligned_by_degree_from_the_end(self):
+        # a series starting at q^1 against a target from q^0 whose q^0 entry is 0
+        assert _scan_match([self.A], [self.ZERO, self.A]) == (True, 1)
+        assert _scan_match([self.A, self.B], [self.ZERO, self.A, self.B]) == (True, 3)
+        assert _scan_match([self.A], [self.A, self.ZERO]) == (False, 2)
+
+    def test_uncovered_degrees_compare_with_zero(self):
+        assert _scan_match([self.A], [self.B, self.A]) == (False, 3)
+        assert _scan_match([self.ZERO, self.A], [self.A]) == (True, 1)
+        assert _scan_match([self.B, self.A], [self.A]) == (False, 3)
+
+    def test_zeros_only_read_none(self):
+        assert _scan_match([self.ZERO], [self.ZERO, self.ZERO]) == (None, 0)

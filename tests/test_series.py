@@ -30,11 +30,6 @@ class TestQSeries:
         ok, _ = align_up_to_shift(a, b)
         assert not ok
 
-    def test_scale_sign(self):
-        a = QSeries(2, [1, 2, 3], shift=1)
-        b = a.scale_sign(-1)
-        assert [b.coeff_at(n) for n in (1, 2, 3)] == [-1, 2, -3]
-
     @given(
         xs=st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3),
         ys=st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3),

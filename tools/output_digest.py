@@ -78,13 +78,13 @@ def entries():
     for n in (1, 2, 3, 4):
         yield f"egl_residue {n}", egl_residue(n, [4, 4], s, CONV, 4)
 
-    wspecs = [{"var": "w1", "order": 3}]
+    wspec = DescendentSpec("ch", 0, "w1", 3)
     for parts in ([1], [2], [1, 1]):
         mu = Partition(parts)
         for kv in product(range(-1, 3), repeat=mu.size):
             for variant in ("derived", "printed"):
                 yield (f"dt0_residue_value {parts} {kv} {variant}",
-                       dt0_residue_value(mu, kv, s, CONV, wspecs, variant))
+                       dt0_residue_value(mu, kv, s, CONV, (wspec,), variant))
 
     for worder in (2, 3, 4):
         yield f"dtpt0_report {worder}", dtpt0_report(Partition([1]), worder, 2, sample_random(31, 14), CONV)
