@@ -11,6 +11,7 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import chain
 from math import lcm
 from typing import Callable, Dict, Literal, NamedTuple, Tuple
@@ -76,11 +77,6 @@ class DescendentSpec(NamedTuple):
         }
 
 
-def leg_char(shape: Partition) -> LaurentPoly:
-    """Q_e = sum over cells (i,j) of t1^i t2^j."""
-    return LaurentPoly({(i, j, 0): 1 for (i, j) in shape.cells()})
-
-
 def _add_pair_term(out: dict, items, sign: int) -> None:
     """out += sign N bar(N) (1-t1)(1-t2)/(t1t2) for N = sum of c t^b over
     the items (b, c); (1-t1)(1-t2)/(t1t2) = t^(-1,-1,0) - t^(0,-1,0)
@@ -134,42 +130,58 @@ def euler_hook_oracle(shape: Partition, s: ParamSample) -> Fraction:
     return out
 
 
-def pt_fullcolumn_char_raw(
-    shape: Partition, kmap: Dict[Tuple[int, int], int], conv: Convention
-) -> EquivariantCharacter:
-    """F_v for the stable-pairs side: per cell, the full column
-    t1^i t2^j t3^(sigma*k_ij) / (1 - t3).  No monotonicity requirement (the
-    measure extends to arbitrary integer column data)."""
+def pt_box_terms(k, conv: Convention = DEFAULT_CONVENTION) -> list:
+    """Terms (b, c) of the box numerator N = sum c t^b of stable-pairs column
+    data, whose box character is Q = N/(1-t3): one t^(i,j,sigma k[i][j]) per
+    cell, for the depths k given row by row as `RppConfig.k` stores them.
+    Any integer depth is allowed, monotone or not (the measure extends to
+    arbitrary column data)."""
     sigma = conv.pt_column_sign
-    # distinct cells give distinct exponents
-    terms = {(i, j, sigma * kmap.get((i, j), 0)): 1 for (i, j) in shape.cells()}
-    return EquivariantCharacter(LaurentPoly(terms), [E3])
+    return [((i, j, sigma * v), 1) for i, row in enumerate(k) for j, v in enumerate(row)]
 
 
-def _add_vertex_num(out: dict, n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition,
+def dt_box_terms(leg: Partition, heights) -> list:
+    """Terms (b, c) of the box numerator N = sum c t^b of ideal-sheaf box data,
+    whose box character is Q = N/(1-t3): one t^(i,j,0) per leg cell (the
+    infinite leg column) plus t^(i,j,0) - t^(i,j,h) per stack ((i, j), h) of
+    `heights` (the boxes (i, j, m), 0 <= m < h).  A stack of height 0 gives
+    no term; leg cells and stacks sit on distinct cells, so no term cancels."""
+    out = [((i, j, 0), 1) for (i, j) in leg.cells()]
+    for (i, j), h in heights:
+        if h:
+            out += (((i, j, 0), 1), ((i, j, h), -1))
+    return out
+
+
+def _depth_rows(shape: Partition, kmap: Dict[Tuple[int, int], int]):
+    """The depths of `kmap` row by row over the cells of `shape` (missing: 0)."""
+    return [[kmap.get((i, j), 0) for j in range(p)] for i, p in enumerate(shape.parts)]
+
+
+def _add_vertex_num(out: dict, terms: list, dual: Tuple[int, int, int], leg: Partition,
                     sign: int = 1) -> None:
     """out += sign times the numerator over (1-t3) of the vertex character
     V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3) + F_e/(1-t3)
-    of a box character Q = N/(1-t3): since bar(Q) = -t3 bar(N)/(1-t3),
+    of a box character Q = N/(1-t3), N given by its terms (b, c): since
+    bar(Q) = -t3 bar(N)/(1-t3),
 
         V = [N + t3 t^dual bar(N) - N bar(N)(1-t1)(1-t2)/(t1t2) + F_e] / (1-t3).
     """
-    items = list(n.terms.items())
     get = out.get
     d1, d2, d3 = dual[0], dual[1], dual[2] + 1
-    for (i, j, k), c in items:
+    for (i, j, k), c in terms:
         c *= sign
         out[(i, j, k)] = get((i, j, k), 0) + c
         e = (d1 - i, d2 - j, d3 - k)
         out[e] = get(e, 0) + c
-    _add_pair_term(out, items, -sign)
+    _add_pair_term(out, terms, -sign)
     _add_fe(out, leg, sign)
 
 
-def _vertex_char(n: LaurentPoly, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
+def _vertex_char(terms: list, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
     """V of `_add_vertex_num`, reduced with one division."""
     num: dict = {}
-    _add_vertex_num(num, n, dual, leg)
+    _add_vertex_num(num, terms, dual, leg)
     return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()
 
 
@@ -177,29 +189,14 @@ def vertex_char_pt_raw(
     shape: Partition, kmap: Dict[Tuple[int, int], int], conv: Convention = DEFAULT_CONVENTION
 ) -> LaurentPoly:
     """V^PT = F_v - bar(F_v)/(t1t2t3) + F_v bar(F_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
-    + F_e/(1-t3), reduced to a finite Laurent polynomial."""
-    return _vertex_char(pt_fullcolumn_char_raw(shape, kmap, conv).num, (-1, -1, -1), shape)
+    + F_e/(1-t3), F_v the box character of the columns of depth kmap on
+    `shape` (any integer depths), reduced to a finite Laurent polynomial."""
+    return _vertex_char(pt_box_terms(_depth_rows(shape, kmap), conv), (-1, -1, -1), shape)
 
 
 def vertex_char_pt(cfg: RppConfig, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
     """V^PT of an actual reverse-plane-partition fixed point."""
-    kmap = {c: cfg.entry(c) for c in cfg.shape.cells()}
-    return vertex_char_pt_raw(cfg.shape, kmap, conv)
-
-
-def dt_boxes_char(pp: LeggedPlanePartition) -> EquivariantCharacter:
-    """Q_v: monomial character of the boxes (leg columns as Q_e/(1-t3))."""
-    return EquivariantCharacter(leg_char(pp.leg) + _stacks_num(pp.heights), [E3])
-
-
-def _stacks_num(heights) -> LaurentPoly:
-    """sum over (i, j), h of t1^i t2^j (1 - t3^h): the numerator over (1 - t3)
-    of the finite stacks (i, j, m), 0 <= m < h."""
-    terms: Dict[Tuple[int, int, int], int] = {}
-    for (i, j), h in heights:
-        terms[(i, j, 0)] = terms.get((i, j, 0), 0) + 1
-        terms[(i, j, h)] = terms.get((i, j, h), 0) - 1
-    return LaurentPoly(terms)
+    return _vertex_char(pt_box_terms(cfg.k, conv), (-1, -1, -1), cfg.shape)
 
 
 def _dt_dual(conv: Convention) -> Tuple[int, int, int]:
@@ -210,7 +207,7 @@ def _dt_dual(conv: Convention) -> Tuple[int, int, int]:
 def vertex_char_dt(pp: LeggedPlanePartition, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
     """V^DT = Q_v - bar(Q_v)/D + Q_v bar(Q_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
     + F_e/(1-t3), D per convention, reduced."""
-    return _vertex_char(dt_boxes_char(pp).num, _dt_dual(conv), pp.leg)
+    return _vertex_char(dt_box_terms(pp.leg, pp.heights), _dt_dual(conv), pp.leg)
 
 
 def vertex_char_dt_raw(
@@ -218,7 +215,7 @@ def vertex_char_dt_raw(
 ) -> LaurentPoly:
     """V^DT for leg-free box data given by an arbitrary height map (no
     plane-partition validity requirement; measure continuation)."""
-    return _vertex_char(_stacks_num(heights.items()), _dt_dual(conv), Partition())
+    return _vertex_char(dt_box_terms(Partition(), heights.items()), _dt_dual(conv), Partition())
 
 
 def pt_weight(cfg: RppConfig, s: ParamSample, conv: Convention = DEFAULT_CONVENTION) -> Fraction:
@@ -310,26 +307,35 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
     return step
 
 
-def _running_weights(memo: dict, parent, numerator, step):
+def _running_weights(memo: dict, parent, numerator, step, direct):
     """Weight lookup by box data, as a running product: `memo` holds the
     box-free fixed point's weight, `parent(key)` gives the box data with one
     box removed (still a fixed point) and that box's exponent, `numerator`
     the terms (b, c) of the box numerator N = sum c t^b of box data, and
-    w(key) = w(parent) step(numerator(parent), box) (`_weight_step`)."""
+    w(key) = w(parent) step(numerator(parent), box) (`_weight_step`).
+
+    At a non-generic sample an ancestor's own weight can be undefined while
+    the key's is not; a step into that ancestor then raises, and the lookup
+    returns `direct(key)`, the key's weight computed on its own (which
+    raises when the key's weight is undefined too)."""
 
     def weight(key) -> Fraction:
         # walk up to a weighed ancestor, then multiply back down; a loop, not
         # a self-referencing closure, so the tables die with the lookup
         # instead of waiting for the cycle collector
         chain = []
+        want = key
         w = memo.get(key)
         while w is None:
             up, m = parent(key)
             chain.append((key, up, m))
             key = up
             w = memo.get(key)
-        for key, up, m in reversed(chain):
-            w = memo[key] = w * step(numerator(up), m)
+        try:
+            for key, up, m in reversed(chain):
+                w = memo[key] = w * step(numerator(up), m)
+        except ValueError:
+            w = memo[want] = direct(want)
         return w
 
     return weight
@@ -346,14 +352,10 @@ def dt_running_weights(
 ) -> Callable[[LeggedPlanePartition], Fraction]:
     """`dt_weight` of the legged plane partitions on `leg`, each from the one
     with a box less; a single `dt_weight` call seeds the product."""
-    legs = [((i, j, 0), 1) for (i, j) in leg.cells()]
-
-    def numerator(h):
-        # leg cells and stack bases are distinct, so no term cancels
-        return legs + [t for (i, j), top in h for t in (((i, j, 0), 1), ((i, j, top), -1))]
-
     memo = {(): dt_weight(LeggedPlanePartition(leg), s, conv)}
-    weight = _running_weights(memo, _dt_parent, numerator, _weight_step(s, 1, _dt_dual(conv)))
+    weight = _running_weights(memo, _dt_parent, partial(dt_box_terms, leg),
+                              _weight_step(s, 1, _dt_dual(conv)),
+                              lambda h: dt_weight(LeggedPlanePartition(leg, h), s, conv))
     return lambda pp: weight(pp.heights)
 
 
@@ -375,12 +377,11 @@ def pt_running_weights(
         # tops at k = top - 1 and k = top
         return tuple(rows), (i, j, min(sigma * top, sigma * (top - 1)))
 
-    def numerator(k):
-        return [((i, j, sigma * v), 1) for i, row in enumerate(k) for j, v in enumerate(row)]
-
     zero = RppConfig(shape, {})
     memo = {zero.k: pt_weight(zero, s, conv)}
-    weight = _running_weights(memo, parent, numerator, _weight_step(s, -sigma, (-1, -1, -1)))
+    weight = _running_weights(memo, parent, partial(pt_box_terms, conv=conv),
+                              _weight_step(s, -sigma, (-1, -1, -1)),
+                              lambda k: pt_weight(RppConfig(shape, k), s, conv))
     return lambda cfg: weight(cfg.k)
 
 
@@ -399,11 +400,6 @@ def edge_factor(shape: Partition, d: Tuple[int, int], s: ParamSample) -> Fractio
     return s.exp(-e.reduce())
 
 
-def _box_exponents_pt(cfg: RppConfig, conv: Convention) -> list[Tuple[int, int, int]]:
-    sigma = conv.pt_column_sign
-    return [(i, j, sigma * cfg.entry((i, j))) for (i, j) in cfg.shape.cells()]
-
-
 def descendent_char(
     config,
     spec: DescendentSpec,
@@ -411,7 +407,6 @@ def descendent_char(
     conv: Convention = DEFAULT_CONVENTION,
     variables: Tuple[str, ...] | None = None,
     orders: Tuple[int, ...] | None = None,
-    total: int | None = None,
 ) -> DescSeries:
     """Weight generating function of the Chern-character insertions at a
     fixed point, as a truncated series in the descendent variable.
@@ -429,9 +424,9 @@ def descendent_char(
     vs, os_ = variables, orders
 
     def e_rate(rate: Fraction) -> DescSeries:
-        return exp_single(vs, os_, var, rate, total)
+        return exp_single(vs, os_, var, rate)
 
-    one = DescSeries.const(vs, os_, 1, total)
+    one = DescSeries.const(vs, os_, 1)
     d1 = one - e_rate(s.t1)
     d2 = one - e_rate(s.t2)
     d3 = one - e_rate(s.t3)
@@ -439,17 +434,17 @@ def descendent_char(
     if isinstance(config, RppConfig):
         if spec.mode == "ch_prime":
             # kernel boxes: the finite quotient columns of the stable pair
-            out = DescSeries(vs, os_, total)
+            out = DescSeries(vs, os_)
             sigma = conv.pt_column_sign
             for (i, j) in config.shape.cells():
                 k = config.entry((i, j))
                 for m in range(1, k + 1):
                     out = out + e_rate(i * s.t1 + j * s.t2 + sigma * m * s.t3)
             return d1 * d2 * d3 * out
-        total_sum = DescSeries(vs, os_, total)
-        for (i, j, kk) in _box_exponents_pt(config, conv):
-            total_sum = total_sum + e_rate(i * s.t1 + j * s.t2 + kk * s.t3)
-        body = d1 * d2 * total_sum
+        boxes = DescSeries(vs, os_)
+        for (i, j, k), _ in pt_box_terms(config.k, conv):
+            boxes = boxes + e_rate(i * s.t1 + j * s.t2 + k * s.t3)
+        body = d1 * d2 * boxes
         if spec.mode == "ch":
             return body
         if spec.mode == "ch_hat":
@@ -457,10 +452,10 @@ def descendent_char(
         raise ValueError(f"unknown descendent mode {spec.mode}")
 
     if isinstance(config, LeggedPlanePartition):
-        legpart = DescSeries(vs, os_, total)
+        legpart = DescSeries(vs, os_)
         for (i, j) in config.leg.cells():
             legpart = legpart + e_rate(i * s.t1 + j * s.t2)
-        boxpart = DescSeries(vs, os_, total)
+        boxpart = DescSeries(vs, os_)
         for (i, j), h in config.heights:
             for m in range(h):
                 boxpart = boxpart + e_rate(i * s.t1 + j * s.t2 + m * s.t3)
@@ -482,7 +477,7 @@ def measure_difference_char(
     for arbitrary k >= 0, monotone or not.  Both characters sit over the one
     denominator (1-t3), so their numerators are subtracted and reduced once."""
     num: dict = {}
-    _add_vertex_num(num, pt_fullcolumn_char_raw(mu, kvec, conv).num, (-1, -1, -1), mu)
-    _add_vertex_num(num, _stacks_num((c, kvec.get(c, 0)) for c in mu.cells()), _dt_dual(conv),
-                    Partition(), -1)
+    _add_vertex_num(num, pt_box_terms(_depth_rows(mu, kvec), conv), (-1, -1, -1), mu)
+    _add_vertex_num(num, dt_box_terms(Partition(), ((c, kvec.get(c, 0)) for c in mu.cells())),
+                    _dt_dual(conv), Partition(), -1)
     return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()

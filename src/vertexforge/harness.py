@@ -105,11 +105,8 @@ def check_egl(params: dict, conv: Convention) -> CheckReport:
     from .residue import egl_localization, egl_residue
 
     t0 = time.time()
-    ns = params.get("n_values", [1, 2, 3, 4])
-    uorders = params.get("u_orders", [4, 4])
-    total = params.get("u_total", 4)
-    seed = params.get("seed", 7)
-    nsamples = params.get("samples", 3)
+    ns, uorders, total = params["n_values"], params["u_orders"], params["u_total"]
+    seed, nsamples = params["seed"], params["samples"]
     cases = []
     allok = True
     for n in ns:
@@ -129,11 +126,9 @@ def check_mainpt(params: dict, conv: Convention) -> CheckReport:
     from .residue import pt_residue_vertex
 
     t0 = time.time()
-    shapes = [Partition(p) for p in params.get("shapes", [[1], [2], [1, 1], [2, 1]])]
-    qorder = params.get("qorder", 3)
-    uorder = params.get("uorder", 4)
-    seed = params.get("seed", 11)
-    nsamples = params.get("samples", 3)
+    shapes = [Partition(p) for p in params["shapes"]]
+    qorder, uorder = params["qorder"], params["uorder"]
+    seed, nsamples = params["seed"], params["samples"]
     cases = []
     allok = True
     for lam in shapes:
@@ -171,11 +166,8 @@ def check_measure_ratio(params: dict, conv: Convention) -> CheckReport:
     from .residue import measure_ratio_extended
 
     t0 = time.time()
-    size = params.get("max_size", 3)
-    kmax = params.get("kmax", 3)
-    seed = params.get("seed", 13)
-    nsamples = params.get("samples", 3)
-    samples = seeded_samples(seed, 2 * (size + kmax) + 6, nsamples)
+    size, kmax = params["max_size"], params["kmax"]
+    samples = seeded_samples(params["seed"], 2 * (size + kmax) + 6, params["samples"])
     cases = []
     allok = True
     for n in range(1, size + 1):
@@ -204,9 +196,7 @@ def check_slices(params: dict, conv: Convention) -> CheckReport:
     formula through both representations, and the slice decomposition of the
     leg-free vertex."""
     t0 = time.time()
-    seed = params.get("seed", 17)
-    qorder = params.get("qorder", 4)
-    nmax = params.get("count_upto", 5)
+    seed, qorder, nmax = params["seed"], params["qorder"], params["count_upto"]
     cases = []
     allok = True
     oracle = macmahon_coeffs(max(nmax, 6))
@@ -253,11 +243,9 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
     from .localcurve import GlueRequest, dt0_localcurve, glue
 
     t0 = time.time()
-    seed = params.get("seed", 19)
-    qorder = params.get("qorder", 3)
-    degrees = tuple(params.get("degrees", (-1, -1)))
-    nsamples = params.get("samples", 3)
-    samples = seeded_samples(seed, qorder + 10, nsamples)
+    qorder = params["qorder"]
+    degrees = tuple(params["degrees"])
+    samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
     cases = []
     pt_all = []
     for s in samples:
@@ -297,14 +285,11 @@ def check_ptint(params: dict, conv: Convention) -> CheckReport:
     from .localcurve import GlueRequest, glue, ptint_residue
 
     t0 = time.time()
-    seed = params.get("seed", 23)
-    qorder = params.get("qorder", 2)
-    uorder = params.get("uorder", 2)
-    nsamples = params.get("samples", 2)
+    seed, qorder, uorder = params["seed"], params["qorder"], params["uorder"]
     cases = []
     allok = True
-    for degrees in [tuple(d) for d in params.get("degrees", [(0, 0), (-1, -1)])]:
-        for i, s in enumerate(seeded_samples(seed, qorder + uorder + 10, nsamples)):
+    for degrees in [tuple(d) for d in params["degrees"]]:
+        for i, s in enumerate(seeded_samples(seed, qorder + uorder + 10, params["samples"])):
             desc = (DescendentSpec("ch", 0, "u", uorder),)
             gl = glue(GlueRequest("PT", degrees, 1, desc, (), qorder, s, conv))
             pr = ptint_residue(degrees, 1, desc, (), s, qorder, conv)
@@ -320,11 +305,8 @@ def check_spec_poly(params: dict, conv: Convention) -> CheckReport:
     verification, the closed two-column specialization identity, and the
     non-polynomial control off the line."""
     t0 = time.time()
-    seed = params.get("seed", 29)
-    cvals = params.get("c_values", [1, 2])
-    grid = params.get("grid", list(range(9)))
-    fit_upto = params.get("fit_upto", 5)
-    uorder = params.get("uorder", 2)
+    seed, cvals, grid = params["seed"], params["c_values"], params["grid"]
+    fit_upto, uorder = params["fit_upto"], params["uorder"]
     cases = []
     allok = True
     for c in cvals:
@@ -361,10 +343,8 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
     from .residue import dt0_vanishing, dtpt0_report
 
     t0 = time.time()
-    seed = params.get("seed", 31)
-    worder = params.get("worder", 2)
-    qorder = params.get("qorder", 2)
-    s = sample_random(seed, qorder + worder + 10)
+    worder, qorder = params["worder"], params["qorder"]
+    s = sample_random(params["seed"], qorder + worder + 10)
     rep = dtpt0_report(Partition([1]), worder, qorder, s, conv)
     # vanishing rows live on two-cell shapes
     rep2 = dt0_vanishing(Partition([1, 1]), s, conv)
@@ -410,15 +390,19 @@ CHECKS: Dict[str, Callable[[dict, Convention], CheckReport]] = {
     "slices": check_slices,
 }
 
-_CHECK_PARAM_KEYS = {
-    "egl": {"n_values", "u_orders", "u_total", "seed", "samples"},
-    "mainpt": {"shapes", "qorder", "uorder", "seed", "samples"},
-    "measure-ratio": {"max_size", "kmax", "seed", "samples"},
-    "dtpt0": {"seed", "worder", "qorder"},
-    "ptint": {"seed", "qorder", "uorder", "samples", "degrees"},
-    "simple": {"seed", "qorder", "degrees", "samples"},
-    "spec-poly": {"seed", "c_values", "grid", "fit_upto", "uorder"},
-    "slices": {"seed", "qorder", "count_upto"},
+# every parameter of each check, with its default; `run_check` fills in
+# the defaults before validating, so a check reads all of its parameters
+CHECK_DEFAULTS: Dict[str, dict] = {
+    "egl": {"n_values": [1, 2, 3, 4], "u_orders": [4, 4], "u_total": 4, "seed": 7, "samples": 3},
+    "mainpt": {"shapes": [[1], [2], [1, 1], [2, 1]], "qorder": 3, "uorder": 4, "seed": 11,
+               "samples": 3},
+    "measure-ratio": {"max_size": 3, "kmax": 3, "seed": 13, "samples": 3},
+    "dtpt0": {"seed": 31, "worder": 2, "qorder": 2},
+    "ptint": {"seed": 23, "qorder": 2, "uorder": 2, "samples": 2, "degrees": [(0, 0), (-1, -1)]},
+    "simple": {"seed": 19, "qorder": 3, "degrees": (-1, -1), "samples": 3},
+    "spec-poly": {"seed": 29, "c_values": [1, 2], "grid": list(range(9)), "fit_upto": 5,
+                  "uorder": 2},
+    "slices": {"seed": 17, "qorder": 4, "count_upto": 5},
 }
 
 
@@ -475,11 +459,11 @@ def _validate_params(name: str, params: dict) -> None:
         ):
             what = "a non-empty list of integer pairs" if name == "ptint" else "an integer pair"
             raise InvalidCheckSpec(f"degrees must be {what}")
-    if name == "simple" and params.get("qorder", 3) < 1:
+    if name == "simple" and params["qorder"] < 1:
         # at q-order 0 the factorization compares 1 with 1
         raise InvalidCheckSpec("simple needs qorder >= 1")
     if name == "spec-poly":
-        grid, fit_upto = params.get("grid", range(9)), params.get("fit_upto", 5)
+        grid, fit_upto = params["grid"], params["fit_upto"]
         if not (any(k <= fit_upto for k in grid) and any(k > fit_upto for k in grid)):
             # the fit needs a point and the verification a held-out one
             raise InvalidCheckSpec("spec-poly needs grid points both at most and above fit_upto")
@@ -489,11 +473,12 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
     if name not in CHECKS:
         raise InvalidCheckSpec(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     params = dict(params or {})
-    bad = set(params) - _CHECK_PARAM_KEYS[name]
+    bad = set(params) - CHECK_DEFAULTS[name].keys()
     if bad:
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
-    _validate_params(name, params)
-    report = CHECKS[name](params, conv or load_default_convention())
+    full = {**CHECK_DEFAULTS[name], **params}
+    _validate_params(name, full)
+    report = CHECKS[name](full, conv or load_default_convention())
     if not report.cases:
         # a check that compared nothing certifies nothing
         raise InvalidCheckSpec(f"check {name} has no case at parameters {params}")
@@ -545,7 +530,7 @@ def _calib_battery(conv: Convention, seed: int = 43) -> Dict[str, bool]:
         out["measure_ratio"] = False
     # small local-curve factorization
     try:
-        rep = check_simple({"seed": seed, "qorder": 2, "samples": 1}, conv)
+        rep = run_check("simple", {"seed": seed, "qorder": 2, "samples": 1}, conv)
         out["simple"] = rep.verdict == "pass"
     except (ValueError, ZeroDivisionError, NonPolynomialCharacter, ArithmeticError):
         out["simple"] = False

@@ -171,12 +171,11 @@ def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
 
 class GlueRequest(Record):
     __slots__ = ("theory", "degrees", "n", "desc_zero", "desc_inf", "qorder", "sample",
-                 "convention", "total")
+                 "convention")
 
     def __init__(self, theory: str, degrees: Tuple[int, int], n: int,
                  desc_zero: Sequence[DescendentSpec], desc_inf: Sequence[DescendentSpec],
-                 qorder: int, sample: ParamSample, convention: Convention = DEFAULT_CONVENTION,
-                 total: int | None = None):
+                 qorder: int, sample: ParamSample, convention: Convention = DEFAULT_CONVENTION):
         self.theory = theory
         self.degrees = degrees
         self.n = n
@@ -185,7 +184,6 @@ class GlueRequest(Record):
         self.qorder = qorder
         self.sample = sample
         self.convention = convention
-        self.total = total
 
     def to_json(self) -> dict:
         return {
@@ -200,43 +198,51 @@ class GlueRequest(Record):
         }
 
 
-def _vertex_weight_series(theory, lam, desc, s, qorder, conv, total):
+def _vertex_weight_series(theory, lam, desc, s, qorder, conv):
     """Vertex sum WITHOUT the 1/e_mu fixed-point normalization: the edge
     placement convention keeps all transverse directions in the edge factor."""
     if theory == "PT":
-        res = bare_pt(("fixedpoint", lam), qorder, desc, s, conv, total)
+        res = bare_pt(("fixedpoint", lam), qorder, desc, s, conv)
         scale = euler_hilb(lam, s, conv)
         return [c * scale for c in res.coeffs]
-    res = bare_dt(lam, qorder, desc, s, conv, total)
+    res = bare_dt(lam, qorder, desc, s, conv)
     return res.coeffs
+
+
+def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> List[DescSeries]:
+    """sum over cross-section fixed points lambda of n of
+    W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted), q-degree
+    by q-degree, with `vertex(lambda, desc, sample)` the coefficients of
+    W(lambda) by q-power."""
+    ssub = s.substituted(*degrees)
+    vs = tuple(sp.variable for sp in tuple(desc_zero) + tuple(desc_inf))
+    orders = tuple(sp.order for sp in tuple(desc_zero) + tuple(desc_inf))
+    out = [DescSeries(vs, orders) for _ in range(qorder + 1)]
+    for lam in enum_partitions(n):
+        w0 = vertex(lam, desc_zero, s)
+        winf = vertex(lam, desc_inf, ssub)
+        ed = edge_factor(lam, degrees, s)
+        for n0, c0 in enumerate(w0):
+            for ni, ci in enumerate(winf):
+                if n0 + ni > qorder:
+                    continue
+                prod_ds = _lift(c0, vs, orders) * _lift(ci, vs, orders)
+                out[n0 + ni] = out[n0 + ni] + prod_ds * ed
+    return out
 
 
 def glue(req: GlueRequest) -> List[DescSeries]:
     """Local-curve series: sum over cross-section fixed points lambda of
     W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted)."""
-    s = req.sample
-    d1, d2 = req.degrees
-    ssub = s.substituted(d1, d2)
-    conv = req.convention
-    vs = tuple(sp.variable for sp in tuple(req.desc_zero) + tuple(req.desc_inf))
-    orders = tuple(sp.order for sp in tuple(req.desc_zero) + tuple(req.desc_inf))
-    out = [DescSeries(vs, orders, req.total) for _ in range(req.qorder + 1)]
-    for lam in enum_partitions(req.n):
-        w0 = _vertex_weight_series(req.theory, lam, req.desc_zero, s, req.qorder, conv, req.total)
-        winf = _vertex_weight_series(req.theory, lam, req.desc_inf, ssub, req.qorder, conv, req.total)
-        ed = edge_factor(lam, req.degrees, s)
-        for n0, c0 in enumerate(w0):
-            for ni, ci in enumerate(winf):
-                if n0 + ni > req.qorder:
-                    continue
-                prod_ds = _lift(c0, vs, orders, req.total) * _lift(ci, vs, orders, req.total)
-                out[n0 + ni] = out[n0 + ni] + prod_ds * ed
-    return out
+    return _glue_sum(
+        req.degrees, req.n, req.desc_zero, req.desc_inf, req.sample, req.qorder,
+        lambda lam, desc, s: _vertex_weight_series(req.theory, lam, desc, s, req.qorder,
+                                                   req.convention))
 
 
-def _lift(ds: DescSeries, vs, orders, total) -> DescSeries:
+def _lift(ds: DescSeries, vs, orders) -> DescSeries:
     """Reindex a DescSeries into the joint variable tuple."""
-    out = DescSeries(vs, orders, total)
+    out = DescSeries(vs, orders)
     idx = [vs.index(v) for v in ds.variables]
     for e, c in ds.coeffs.items():
         e2 = [0] * len(vs)
@@ -268,7 +274,6 @@ def ptint_residue(
     s: ParamSample,
     qorder: int,
     conv: Convention = DEFAULT_CONVENTION,
-    total: int | None = None,
 ) -> List[DescSeries]:
     """Glued local-curve series evaluated through the residue form of both
     vertices: the interpolation-polynomial edge kernel is diagonal in the
@@ -278,22 +283,11 @@ def ptint_residue(
 
     if n != 1:
         raise ValueError("residue assembly implemented at desk scale n = 1")
-    ssub = s.substituted(*degrees)
-    vs = tuple(sp.variable for sp in tuple(desc_zero) + tuple(desc_inf))
-    orders = tuple(sp.order for sp in tuple(desc_zero) + tuple(desc_inf))
-    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
-    for lam in enum_partitions(n):
-        v0 = pt_residue_vertex(lam, qorder, desc_zero, s, conv, basis="interp")
-        vi = pt_residue_vertex(lam, qorder, desc_inf, ssub, conv, basis="interp")
+
+    def vertex(lam, desc, smp):
         # interp-basis residue vertices match bare_pt fixed-point mode, i.e.
         # carry 1/e; restore the vertex-weight normalization for gluing
-        e0 = euler_hilb(lam, s, conv)
-        ei = euler_hilb(lam, ssub, conv)
-        ed = edge_factor(lam, degrees, s)
-        for n0, c0 in enumerate(v0):
-            for ni, ci in enumerate(vi):
-                if n0 + ni > qorder:
-                    continue
-                prod_ds = _lift(c0, vs, orders, total) * _lift(ci, vs, orders, total)
-                out[n0 + ni] = out[n0 + ni] + prod_ds * (e0 * ei * ed)
-    return out
+        e = euler_hilb(lam, smp, conv)
+        return [c * e for c in pt_residue_vertex(lam, qorder, desc, smp, conv, basis="interp")]
+
+    return _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex)

@@ -457,7 +457,7 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
 # the one-leg stable-pairs residue vertex
 
 
-def _descendent_zpoly(shifts, desc_specs, s, total):
+def _descendent_zpoly(shifts, desc_specs, s):
     """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r z_i} sum_(m, e) e e^{m t3 u_r}
     as a z-polynomial with truncated-series coefficients, `shifts[i]` the
     signed t3-shifts (m, e) of z_i.
@@ -475,7 +475,7 @@ def _descendent_zpoly(shifts, desc_specs, s, total):
     orders_all = tuple(sp.order for sp in desc_specs)
     out = None
     for r in range(len(desc_specs)):
-        top = orders_all[r] if total is None else min(orders_all[r], total)
+        top = orders_all[r]
         bases: Dict[tuple, List[int]] = {}
         factor: Dict[tuple, Dict[tuple, int]] = {}
         for i, sh in enumerate(shifts):
@@ -495,26 +495,26 @@ def _descendent_zpoly(shifts, desc_specs, s, total):
         series = {}
         for ze, nums in factor.items():
             m = max(ze)
-            ds = series[ze] = DescSeries(vs, orders_all, total)
+            ds = series[ze] = DescSeries(vs, orders_all)
             ds.coeffs = {ue: Fraction(x, d ** ue[r] * factorial(ue[r] - m) * factorial(m))
                          for ue, x in nums.items() if x}
         out = series if out is None else zp_mul(out, series)
     return out
 
 
-def _dt0_descendent_zpoly(kvec, desc_specs, s, total=None):
+def _dt0_descendent_zpoly(kvec, desc_specs, s):
     """The degree-0 descendent factor g as (z-polynomial, scalar): per
     variable, prod(1 - e^{w t_i})/(t1 t2 t3) sum_i e^{t3 z_i w} times
     sum_{m in [0, k_i)} e^{m w t3}, signed for k_i < 0.  Since
     (1 - e^{w t3}) sum_{m in [0, k)} e^{m w t3} = 1 - e^{k w t3} for either
     sign of k, z_i has the t3-shifts 0 and k_i with signs +1, -1; the
     1/(t1 t2 t3) factors are the scalar."""
-    zpoly = _descendent_zpoly([((0, 1), (k, -1)) for k in kvec], desc_specs, s, total)
+    zpoly = _descendent_zpoly([((0, 1), (k, -1)) for k in kvec], desc_specs, s)
     return zpoly, (s.t1 * s.t2 * s.t3) ** -len(desc_specs)
 
 
 def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern",
-                        basis_poly=None, total=None) -> Tuple[Term, Dict | None]:
+                        basis_poly=None) -> Tuple[Term, Dict | None]:
     """Integrand for one k-vector of the residue vertex, a-scale variables:
     the basis polynomial times the linear part, and the descendent
     z-polynomial with series coefficients (None without descendents)."""
@@ -528,13 +528,13 @@ def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern"
     desc_poly = None
     if desc_specs:
         sigma = conv.pt_column_sign
-        desc_poly = _descendent_zpoly([((sigma * k, 1),) for k in kvec], desc_specs, s, total)
+        desc_poly = _descendent_zpoly([((sigma * k, 1),) for k in kvec], desc_specs, s)
     cs = _over_common_denominator(s.a1, s.a2)
     return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), desc_poly
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
-                      region: str = "inner", total=None):
+                      region: str = "inner"):
     """Iterated-residue evaluation of the one-leg stable-pairs vertex.
 
     Returns a list of series coefficients by q-power (0..qorder), normalized
@@ -548,7 +548,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     n = shape.size
     vs = tuple(sp.variable for sp in desc_specs)
     orders_all = tuple(sp.order for sp in desc_specs)
-    zero = DescSeries(vs, orders_all, total)
+    zero = DescSeries(vs, orders_all)
     out = [zero for _ in range(qorder + 1)]
     basis_poly = None
     scale = Fraction(s.t3) ** (-n)
@@ -564,9 +564,9 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
         d = sum(kvec)
         if d > qorder:
             continue
-        t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly, total)
+        t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly)
         buckets = None if dpoly is None else _u_buckets(dpoly)
-        val = residue_sum_series(t, buckets, n, region, vs, orders_all, total)
+        val = residue_sum_series(t, buckets, n, region, vs, orders_all)
         out[d] = out[d] + val * norm
     return out
 
@@ -678,7 +678,7 @@ def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, cs):
     return out
 
 
-def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived", total=None):
+def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
     """Residue of the degree-0 integrand at one k-vector, with the
     descendent factor g of `_dt0_descendent_zpoly` for `DescendentSpec`s.
 
@@ -738,10 +738,10 @@ def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived", total
         raise ValueError(f"unknown variant {variant!r}")
     buckets, scalar = None, 1
     if desc_specs:
-        gz, scalar = _dt0_descendent_zpoly(kvec, desc_specs, s, total)
+        gz, scalar = _dt0_descendent_zpoly(kvec, desc_specs, s)
         buckets = _u_buckets(gz)
     try:
-        val = residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all, total)
+        val = residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all)
     except ZeroDivisionError:
         return None
     return val * scalar

@@ -86,17 +86,17 @@ def chern_monomial_value(nu: Partition, mu: Partition, s: ParamSample) -> Fracti
     return out
 
 
-def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv, total=None) -> DescSeries:
+def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> DescSeries:
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
-    out = DescSeries.const(vs, orders, Fraction(1), total)
+    out = DescSeries.const(vs, orders, Fraction(1))
     for sp in desc_specs:
-        out = out * descendent_char(config, sp, s, conv, variables=vs, orders=orders, total=total)
+        out = out * descendent_char(config, sp, s, conv, variables=vs, orders=orders)
     return out
 
 
-def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s, conv,
-                total) -> List[DescSeries]:
+def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s,
+                conv) -> List[DescSeries]:
     """Series coefficients by q-degree of a sum over (degree, weight, fixed
     point) terms of the weight times the fixed point's descendent weights.
     With no descendents each degree adds exact numbers and builds one
@@ -107,10 +107,10 @@ def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s, con
         sums = [Fraction(0)] * (qorder + 1)
         for d, w, _ in terms:
             sums[d] += w
-        return [DescSeries(vs, orders, total, {(): c}) for c in sums]
-    out = [DescSeries(vs, orders, total) for _ in range(qorder + 1)]
+        return [DescSeries(vs, orders, None, {(): c}) for c in sums]
+    out = [DescSeries(vs, orders) for _ in range(qorder + 1)]
     for d, w, config in terms:
-        out[d] = out[d] + _desc_product(config, desc_specs, s, conv, total) * w
+        out[d] = out[d] + _desc_product(config, desc_specs, s, conv) * w
     return out
 
 
@@ -120,7 +120,6 @@ def bare_pt(
     desc_specs: Sequence[DescendentSpec],
     s: ParamSample,
     conv: Convention = DEFAULT_CONVENTION,
-    total: int | None = None,
 ) -> VertexResult:
     """Bare PT vertex by localization.
 
@@ -148,7 +147,7 @@ def bare_pt(
             for cfg in enum_rpp(mu, qorder):
                 yield cfg.size, w * weight(cfg), cfg
 
-    out = _graded_sum(qorder, terms(), desc_specs, s, conv, total)
+    out = _graded_sum(qorder, terms(), desc_specs, s, conv)
     return VertexResult("PT", boundary, out, 0, conv, s)
 
 
@@ -158,13 +157,12 @@ def bare_dt(
     desc_specs: Sequence[DescendentSpec],
     s: ParamSample,
     conv: Convention = DEFAULT_CONVENTION,
-    total: int | None = None,
 ) -> VertexResult:
     """Bare DT vertex: sum over legged plane partitions of
     q^{renormalized volume} Exp(-V^DT) times descendent weights."""
     weight = dt_running_weights(leg, s, conv)
     terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(leg, qorder))
-    out = _graded_sum(qorder, terms, desc_specs, s, conv, total)
+    out = _graded_sum(qorder, terms, desc_specs, s, conv)
     return VertexResult("DT", ("leg", leg), out, 0, conv, s)
 
 
@@ -174,14 +172,13 @@ def dt0_slice(
     s: ParamSample,
     qorder: int,
     conv: Convention = DEFAULT_CONVENTION,
-    total: int | None = None,
 ) -> VertexResult:
     """Restriction of the leg-free DT vertex to plane partitions whose first
     slice is exactly mu."""
     weight = dt_running_weights(Partition(), s, conv)
     terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(Partition(), qorder)
              if first_slice(pp) == mu)
-    out = _graded_sum(qorder, terms, desc_specs, s, conv, total)
+    out = _graded_sum(qorder, terms, desc_specs, s, conv)
     return VertexResult("DT", ("slice", mu), out, 0, conv, s)
 
 

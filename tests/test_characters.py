@@ -11,7 +11,7 @@ from vertexforge.characters import (
     all_conventions,
     descendent_char,
     _weight_step,
-    dt_boxes_char,
+    dt_box_terms,
     dt_running_weights,
     dt_weight,
     edge_char,
@@ -19,9 +19,9 @@ from vertexforge.characters import (
     euler_hilb,
     euler_hook_oracle,
     fe_char,
-    leg_char,
     measure_difference_char,
-    pt_fullcolumn_char_raw,
+    pt_box_terms,
+    pt_running_weights,
     pt_weight,
     vertex_char_dt,
     vertex_char_dt_raw,
@@ -46,17 +46,36 @@ def mono(e, c=1):
     return LaurentPoly.monomial(e, c)
 
 
-class TestLegChar:
-    def test_empty(self):
-        assert leg_char(Partition()) == LaurentPoly.zero()
+class TestBoxTerms:
+    """The box numerators N of Q = N/(1-t3), term by term."""
 
-    def test_single(self):
-        assert leg_char(Partition([1])) == LaurentPoly.one()
+    def test_pt_columns(self):
+        # shape (2, 1), depths k[0] = (1, 3), k[1] = (2,)
+        assert pt_box_terms(((1, 3), (2,)), Convention(-1)) == [
+            ((0, 0, -1), 1), ((0, 1, -3), 1), ((1, 0, -2), 1)]
+        assert pt_box_terms(((1, 3), (2,)), Convention(1)) == [
+            ((0, 0, 1), 1), ((0, 1, 3), 1), ((1, 0, 2), 1)]
 
-    def test_hook(self):
-        assert leg_char(Partition([2, 1])) == (
-            LaurentPoly.one() + mono((1, 0, 0)) + mono((0, 1, 0))
-        )
+    def test_pt_non_monotone_and_negative_depths(self):
+        # no reverse plane partition has these depths; the builder takes them
+        assert pt_box_terms(((2, 0), (-1,)), Convention(-1)) == [
+            ((0, 0, -2), 1), ((0, 1, 0), 1), ((1, 0, 1), 1)]
+
+    def test_pt_empty_shape(self):
+        assert pt_box_terms((), DEFAULT_CONVENTION) == []
+
+    def test_dt_leg(self):
+        assert dt_box_terms(Partition([2, 1]), ()) == [
+            ((0, 0, 0), 1), ((0, 1, 0), 1), ((1, 0, 0), 1)]
+
+    def test_dt_leg_and_stacks(self):
+        assert dt_box_terms(Partition([1]), (((0, 1), 2), ((1, 0), 1))) == [
+            ((0, 0, 0), 1), ((0, 1, 0), 1), ((0, 1, 2), -1), ((1, 0, 0), 1), ((1, 0, 1), -1)]
+
+    def test_dt_zero_height(self):
+        assert dt_box_terms(Partition(), (((0, 0), 0), ((0, 1), 1))) == [
+            ((0, 1, 0), 1), ((0, 1, 1), -1)]
+        assert dt_box_terms(Partition(), (((0, 0), 0),)) == []
 
 
 class TestFeChar:
@@ -159,6 +178,22 @@ def _dual(conv: Convention):
     return (-1, -1, -1) if conv.dt_dual_denominator == "t1t2t3" else (-1, -1, 0)
 
 
+# box characters built by hand, independently of the builders they check
+
+
+def _pt_num(kmap, sigma: int) -> LaurentPoly:
+    """The numerator over (1-t3) of the columns t^(i,j,sigma k)/(1-t3)."""
+    return LaurentPoly({(i, j, sigma * k): 1 for (i, j), k in kmap.items()})
+
+
+def _dt_num(leg: Partition, heights) -> LaurentPoly:
+    """The numerator over (1-t3) of the leg columns t^(i,j,0)/(1-t3) and of
+    the boxes (i, j, m), 0 <= m < h, summed box by box and times (1-t3)."""
+    legs = LaurentPoly({(i, j, 0): 1 for (i, j) in leg.cells()})
+    boxes = LaurentPoly({(i, j, m): 1 for (i, j), h in heights for m in range(h)})
+    return legs + boxes * (LaurentPoly.one() - mono(E3))
+
+
 class TestOneDivisionOracle:
     """The one-division vertex characters against the two-denominator sum."""
 
@@ -176,7 +211,7 @@ class TestOneDivisionOracle:
                     key = (conv.pt_column_sign, cfg)
                     if key not in oracle:
                         kmap = {c: cfg.entry(c) for c in lam.cells()}
-                        q = pt_fullcolumn_char_raw(lam, kmap, conv)
+                        q = EquivariantCharacter(_pt_num(kmap, conv.pt_column_sign), [E3])
                         oracle[key] = _two_denominator_vertex(q, (-1, -1, -1), lam)
                     assert vertex_char_pt(cfg, conv) == oracle[key], (conv, cfg)
 
@@ -187,7 +222,8 @@ class TestOneDivisionOracle:
                 for pp in enum_legged_pp(leg, 4):
                     key = (_dual(conv), pp)
                     if key not in oracle:
-                        oracle[key] = _two_denominator_vertex(dt_boxes_char(pp), key[0], leg)
+                        q = EquivariantCharacter(_dt_num(leg, pp.heights), [E3])
+                        oracle[key] = _two_denominator_vertex(q, key[0], leg)
                     assert vertex_char_dt(pp, conv) == oracle[key], (conv, pp)
 
     def test_raw_column_data(self):
@@ -197,7 +233,7 @@ class TestOneDivisionOracle:
                 cells = mu.cells()
                 for kv in product(range(3), repeat=len(cells)):
                     kmap = dict(zip(cells, kv))
-                    q = pt_fullcolumn_char_raw(mu, kmap, conv)
+                    q = EquivariantCharacter(_pt_num(kmap, conv.pt_column_sign), [E3])
                     assert vertex_char_pt_raw(mu, kmap, conv) == _two_denominator_vertex(
                         q, (-1, -1, -1), mu)
                     fin = LaurentPoly()
@@ -361,7 +397,7 @@ def _dt_steps(leg: Partition, qorder: int, conv: Convention):
                 down = LeggedPlanePartition(leg, {**hm, (i, j): h - 1})
             except ValueError:
                 continue
-            yield pp, down, dt_boxes_char(down).num, (i, j, h - 1)
+            yield pp, down, _dt_num(leg, down.heights), (i, j, h - 1)
 
 
 def _pt_steps(lam: Partition, qorder: int, conv: Convention):
@@ -376,7 +412,7 @@ def _pt_steps(lam: Partition, qorder: int, conv: Convention):
                 down = RppConfig(lam, lower)
             except ValueError:
                 continue
-            yield cfg, down, pt_fullcolumn_char_raw(lam, lower, conv).num, (i, j, min(sigma * k, sigma * (k - 1)))
+            yield cfg, down, _pt_num(lower, sigma), (i, j, min(sigma * k, sigma * (k - 1)))
 
 
 class TestVertexCharDelta:
@@ -457,6 +493,28 @@ class TestWeightStep:
             dt_weight(pp, s)
         with pytest.raises(ValueError):
             dt_running_weights(Partition(), s)(pp)
+
+    def test_running_weights_past_undefined_ancestor(self):
+        # at t1 = t2 the L-shaped plane partition has a weight while its
+        # parent (0,0),(0,1) has none; the running product then agrees with
+        # the direct weight, value or ValueError, at every fixed point
+        s = ParamSample(F(3, 7), F(3, 7), F(-5, 11), 16)
+        ell = LeggedPlanePartition(Partition(), {(0, 0): 1, (0, 1): 1, (1, 0): 1})
+        assert dt_running_weights(Partition(), s)(ell) == F(-8, 40389195) == dt_weight(ell, s)
+        count = raised = 0
+        for leg in self.LEGS:
+            weight = dt_running_weights(leg, s)
+            for pp in enum_legged_pp(leg, 4):
+                want = _outcome(lambda: dt_weight(pp, s))
+                assert _outcome(lambda: weight(pp)) == want, pp
+                count += 1
+                raised += want == "ValueError"
+        for lam in self.LEGS[1:]:
+            weight = pt_running_weights(lam, s)
+            for cfg in enum_rpp(lam, 4):
+                assert _outcome(lambda: weight(cfg)) == _outcome(lambda: pt_weight(cfg, s)), cfg
+                count += 1
+        assert 0 < raised < count
 
 
 class TestMeasureDifferenceOneDivision:

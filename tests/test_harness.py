@@ -272,7 +272,7 @@ def _bad_check(draw):
     """(name, params): one parameter of a check malformed, an unknown key,
     or a size at which the check has no case."""
     name = draw(st.sampled_from(sorted(harness.CHECKS)))
-    keys = sorted(harness._CHECK_PARAM_KEYS[name])
+    keys = sorted(harness.CHECK_DEFAULTS[name])
     kind = draw(st.sampled_from(["unknown", "value", "zero-case", "not-object"]))
     if kind == "unknown":
         key = draw(st.text(min_size=1, max_size=6).filter(lambda k: k not in keys))

@@ -10,7 +10,7 @@ from vertexforge.partitions import (
     enum_partitions,
     first_slice,
 )
-from vertexforge.sampling import sample_random
+from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import (
     bare_dt,
@@ -89,6 +89,13 @@ class TestDt0Slice:
         box = LeggedPlanePartition(Partition(), {(0, 0): 1})
         assert res.coeffs[0].coeff(()) == 0
         assert res.coeffs[1].coeff(()) == dt_weight(box, S)
+
+    def test_non_generic_sample(self):
+        # t1 = t2: the only fixed point of slice (2, 1) up to q^3 has a weight,
+        # though the plane partition its running product passes through has none
+        s = ParamSample(F(3, 7), F(3, 7), F(-5, 11), 20)
+        res = dt0_slice(Partition([2, 1]), (), s, 3)
+        assert [c.coeff(()) for c in res.coeffs] == [0, 0, 0, F(-8, 40389195)]
 
     def test_slices_partition_the_vertex(self):
         qorder = 3
