@@ -210,9 +210,9 @@ def _vertex_weight_series(theory, lam, desc, s, qorder, conv):
 
 
 def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> List[DescSeries]:
-    """sum over cross-section fixed points lambda of n of
+    """Sum over cross-section fixed points lambda, |lambda| = n, of
     W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted), q-degree
-    by q-degree, with `vertex(lambda, desc, sample)` the coefficients of
+    by q-degree, `vertex(lambda, desc, sample)` giving the coefficients of
     W(lambda) by q-power."""
     ssub = s.substituted(*degrees)
     vs = tuple(sp.variable for sp in tuple(desc_zero) + tuple(desc_inf))

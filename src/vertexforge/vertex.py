@@ -95,8 +95,7 @@ def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> Desc
     return out
 
 
-def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s,
-                conv) -> List[DescSeries]:
+def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s, conv) -> List[DescSeries]:
     """Series coefficients by q-degree of a sum over (degree, weight, fixed
     point) terms of the weight times the fixed point's descendent weights.
     With no descendents each degree adds exact numbers and builds one
