@@ -409,64 +409,48 @@ def descendent_char(
     orders: Tuple[int, ...] | None = None,
 ) -> DescSeries:
     """Weight generating function of the Chern-character insertions at a
-    fixed point, as a truncated series in the descendent variable.
+    fixed point, as a truncated series in the descendent variable z:
 
-    DT mode (`ch`): leg cells give (1-e^{t1 z})(1-e^{t2 z}) e^{(i t1 + j t2) z}
-    (geometric-series closure of the infinite column); finite boxes keep the
-    full (1-e^{t1 z})(1-e^{t2 z})(1-e^{t3 z}) prefactor.  PT mode: cell (i,j)
-    gives (1-e^{t1 z})(1-e^{t2 z}) e^{(i t1 + j t2 + sigma k t3) z}.
-    `ch_prime`: finite quotient boxes only.  `ch_hat`: 1 - prod(1-e^{t_i z}) Sum.
+        body = (1-e^{t1 z})(1-e^{t2 z}) sum_{(b,c)} c e^{(b.t) z}
+
+    over the terms (b, c) of a box numerator N = sum c t^b (box character
+    N/(1-t3)).  `ch` and `ch_hat` take the fixed point's own N
+    (`pt_box_terms`, `dt_box_terms`); `ch_prime` takes the finite quotient
+    boxes: the same N for ideal sheaves, and for stable pairs the kernel
+    boxes t^(i,j,sigma m), 1 <= m <= k, of each column of depth k, whose
+    numerator is t^(i,j,lo) - t^(i,j,hi+1), (lo, hi) = sorted(sigma, sigma k).
+    `ch` and `ch_prime` give body, `ch_hat` gives 1 - body.
     """
-    if variables is None:
-        variables = (spec.variable,)
-        orders = (spec.order,)
-    var = spec.variable
-    vs, os_ = variables, orders
-
-    def e_rate(rate: Fraction) -> DescSeries:
-        return exp_single(vs, os_, var, rate)
-
-    one = DescSeries.const(vs, os_, 1)
-    d1 = one - e_rate(s.t1)
-    d2 = one - e_rate(s.t2)
-    d3 = one - e_rate(s.t3)
-
+    if spec.mode not in ("ch", "ch_prime", "ch_hat"):
+        raise ValueError(f"unknown descendent mode {spec.mode}")
     if isinstance(config, RppConfig):
         if spec.mode == "ch_prime":
-            # kernel boxes: the finite quotient columns of the stable pair
-            out = DescSeries(vs, os_)
             sigma = conv.pt_column_sign
-            for (i, j) in config.shape.cells():
-                k = config.entry((i, j))
-                for m in range(1, k + 1):
-                    out = out + e_rate(i * s.t1 + j * s.t2 + sigma * m * s.t3)
-            return d1 * d2 * d3 * out
-        boxes = DescSeries(vs, os_)
-        for (i, j, k), _ in pt_box_terms(config.k, conv):
-            boxes = boxes + e_rate(i * s.t1 + j * s.t2 + k * s.t3)
-        body = d1 * d2 * boxes
-        if spec.mode == "ch":
-            return body
-        if spec.mode == "ch_hat":
-            return one - body
-        raise ValueError(f"unknown descendent mode {spec.mode}")
+            terms = []
+            for i, row in enumerate(config.k):
+                for j, k in enumerate(row):
+                    if k > 0:
+                        lo, hi = sorted((sigma, sigma * k))
+                        terms += (((i, j, lo), 1), ((i, j, hi + 1), -1))
+        else:
+            terms = pt_box_terms(config.k, conv)
+    elif isinstance(config, LeggedPlanePartition):
+        terms = dt_box_terms(config.leg, config.heights)
+    else:
+        raise TypeError(f"unsupported fixed-point data {type(config)}")
+    if variables is None:
+        variables, orders = (spec.variable,), (spec.order,)
 
-    if isinstance(config, LeggedPlanePartition):
-        legpart = DescSeries(vs, os_)
-        for (i, j) in config.leg.cells():
-            legpart = legpart + e_rate(i * s.t1 + j * s.t2)
-        boxpart = DescSeries(vs, os_)
-        for (i, j), h in config.heights:
-            for m in range(h):
-                boxpart = boxpart + e_rate(i * s.t1 + j * s.t2 + m * s.t3)
-        body = d1 * d2 * (legpart + d3 * boxpart)
-        if spec.mode in ("ch", "ch_prime"):
-            return body
-        if spec.mode == "ch_hat":
-            return one - body
-        raise ValueError(f"unknown descendent mode {spec.mode}")
+    def e_rate(rate: Fraction) -> DescSeries:
+        return exp_single(variables, orders, spec.variable, rate)
 
-    raise TypeError(f"unsupported fixed-point data {type(config)}")
+    boxes = DescSeries(variables, orders)
+    for (i, j, k), c in terms:
+        e = e_rate(i * s.t1 + j * s.t2 + k * s.t3)
+        boxes = boxes + e if c == 1 else boxes - e
+    one = DescSeries.const(variables, orders, 1)
+    body = (one - e_rate(s.t1)) * (one - e_rate(s.t2)) * boxes
+    return one - body if spec.mode == "ch_hat" else body
 
 
 def measure_difference_char(

@@ -25,53 +25,77 @@ from .harness import (
     default_cache_dir,
     run_check,
 )
-from .characters import Convention
+from .characters import Convention, all_conventions
+
+FORMATS = ("json", "csv")
 
 
 def _load_config(path: str | None) -> dict:
-    cfg = {}
-    if path is None and os.path.exists("vertexforge.cfg"):
+    if path is None:
+        if not os.path.exists("vertexforge.cfg"):
+            return {}
         path = "vertexforge.cfg"
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            for line in fh:
-                line = line.strip()
-                if not line or line.startswith("#") or "=" not in line:
-                    continue
-                key, val = line.split("=", 1)
-                cfg[key.strip()] = val.strip()
+    cfg = {}
+    for line in _read_text(path, "config file").splitlines():
+        line = line.strip()
+        if not line or line.startswith("#") or "=" not in line:
+            continue
+        key, val = line.split("=", 1)
+        cfg[key.strip()] = val.strip()
     return cfg
 
 
-def _emit(doc: dict, fmt: str, out=None) -> None:
-    out = out if out is not None else sys.stdout
+class _InvalidInput(Exception):
+    """Input the CLI rejects: exit 2 with this message."""
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _InvalidInput(f"invalid {what}: cannot read {path}: {exc}") from None
+
+
+def _read_json(path: str, what: str):
+    try:
+        return json.loads(_read_text(path, what))
+    except json.JSONDecodeError as exc:
+        raise _InvalidInput(f"invalid {what}: {path} is not JSON: {exc}") from None
+
+
+def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
-        json.dump(doc, out, indent=2, sort_keys=True)
-        out.write("\n")
+        json.dump(doc, sys.stdout, indent=2, sort_keys=True)
+        sys.stdout.write("\n")
         return
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        rows = doc.get("cases") or doc.get("coeffs") or [doc]
-        if rows and isinstance(rows[0], dict):
-            keys = sorted({k for r in rows for k in r})
-            writer.writerow(keys)
-            for r in rows:
-                writer.writerow([json.dumps(r.get(k)) for k in keys])
-        else:
-            for i, r in enumerate(rows):
-                writer.writerow([i, json.dumps(r)])
-        out.write(buf.getvalue())
-        return
-    raise ValueError(f"unknown format {fmt!r}")
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    rows = doc.get("cases") or doc.get("coeffs") or [doc]
+    if rows and isinstance(rows[0], dict):
+        keys = sorted({k for r in rows for k in r})
+        writer.writerow(keys)
+        for r in rows:
+            writer.writerow([json.dumps(r.get(k)) for k in keys])
+    else:
+        for i, r in enumerate(rows):
+            writer.writerow([i, json.dumps(r)])
+    sys.stdout.write(buf.getvalue())
 
 
 def _convention_from_args(args) -> Convention | None:
-    if getattr(args, "convention", None):
-        with open(args.convention) as fh:
-            doc = json.load(fh)
-        return Convention.from_json(doc.get("winner") or doc)
-    return None
+    if not args.convention:
+        return None
+    doc = _read_json(args.convention, "convention document")
+    if isinstance(doc, dict):
+        doc = doc.get("winner") or doc
+    try:
+        conv = Convention.from_json(doc)
+    except (KeyError, TypeError):
+        conv = None
+    if conv not in all_conventions():
+        raise _InvalidInput(f"invalid convention document: {args.convention} names no convention")
+    return conv
 
 
 def main(argv=None) -> int:
@@ -82,7 +106,7 @@ def main(argv=None) -> int:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument("--config", help="key=value config file (flags override)")
     parser.add_argument("--cache-dir", help="result cache directory")
-    parser.add_argument("--format", choices=("json", "csv"), default="json")
+    parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
     parser.add_argument("--convention", help="convention document written by `calibrate`")
     sub = parser.add_subparsers(dest="verb", required=True)
 
@@ -103,6 +127,14 @@ def main(argv=None) -> int:
     p_rep.add_argument("path")
 
     args = parser.parse_args(argv)
+    try:
+        return _run(args)
+    except _InvalidInput as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_INVALID
+
+
+def _run(args) -> int:
     cfg = _load_config(args.config)
     if args.cache_dir:
         cache_dir = args.cache_dir
@@ -111,6 +143,9 @@ def main(argv=None) -> int:
     else:
         cache_dir = default_cache_dir()
     fmt = args.format or cfg.get("format", "json")
+    if fmt not in FORMATS:
+        raise _InvalidInput(f"invalid config format {fmt!r}: expected one of {', '.join(FORMATS)}")
+    conv = _convention_from_args(args)
 
     if args.verb == "check":
         params = {}
@@ -122,17 +157,14 @@ def main(argv=None) -> int:
             try:
                 given = json.loads(text)
             except json.JSONDecodeError as exc:
-                print(f"invalid {source} JSON: {exc}", file=sys.stderr)
-                return EXIT_INVALID
+                raise _InvalidInput(f"invalid {source} JSON: {exc}") from None
             if not isinstance(given, dict):
-                print(f"invalid check spec: {source} must be a JSON object", file=sys.stderr)
-                return EXIT_INVALID
+                raise _InvalidInput(f"invalid check spec: {source} must be a JSON object")
             params.update(given)
         try:
-            report = run_check(args.name, params, _convention_from_args(args))
+            report = run_check(args.name, params, conv)
         except InvalidCheckSpec as exc:
-            print(f"invalid check spec: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _InvalidInput(f"invalid check spec: {exc}") from None
         doc = report.to_json()
         if getattr(report, "full_report", None):
             doc["full_report"] = report.full_report
@@ -145,18 +177,15 @@ def main(argv=None) -> int:
     if args.verb == "compute":
         raw = args.request
         if raw.startswith("@"):
-            with open(raw[1:]) as fh:
-                raw = fh.read()
+            raw = _read_text(raw[1:], "request file")
         try:
             request = json.loads(raw)
         except json.JSONDecodeError as exc:
-            print(f"malformed request JSON: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _InvalidInput(f"malformed request JSON: {exc}") from None
         try:
-            blob, hit = compute(request, _convention_from_args(args), cache_dir)
+            blob, hit = compute(request, conv, cache_dir)
         except (InvalidCheckSpec, KeyError, ValueError) as exc:
-            print(f"invalid request: {exc}", file=sys.stderr)
-            return EXIT_INVALID
+            raise _InvalidInput(f"invalid request: {exc}") from None
         if args.out:
             with open(args.out, "wb") as fh:
                 fh.write(blob)
@@ -180,21 +209,17 @@ def main(argv=None) -> int:
         )
         return 1
 
-    if args.verb == "report":
-        if not os.path.exists(args.path):
-            print(f"no such report: {args.path}", file=sys.stderr)
-            return EXIT_INVALID
-        with open(args.path) as fh:
-            doc = json.load(fh)
-        _emit(doc, fmt)
-        verdict = doc.get("verdict")
-        if verdict == "pass":
-            return 0
-        if verdict == "informative":
-            return EXIT_INFORMATIVE
-        return 1 if verdict == "fail" else 0
-
-    return EXIT_INVALID
+    # report
+    doc = _read_json(args.path, "report")
+    if not isinstance(doc, dict):
+        raise _InvalidInput(f"invalid report: {args.path} is not a JSON object")
+    _emit(doc, fmt)
+    verdict = doc.get("verdict")
+    if verdict == "pass":
+        return 0
+    if verdict == "informative":
+        return EXIT_INFORMATIVE
+    return 1 if verdict == "fail" else 0
 
 
 if __name__ == "__main__":

@@ -39,7 +39,7 @@ from .partitions import (
 from .records import Record
 from .sampling import sample_random, seeded_samples
 from .series import QSeries, align_up_to_shift
-from .vertex import bare_dt, bare_pt, dt0_slice, specialization_poly_check
+from .vertex import bare_dt, bare_pt, dt0_slice, fk_specialization_identity, specialization_poly_check
 
 
 EXIT_PASS = 0
@@ -311,25 +311,24 @@ def check_spec_poly(params: dict, conv: Convention) -> CheckReport:
     allok = True
     for c in cvals:
         sline = sample_random(seed, max(grid) + 8, line=c)
-        for desc, de in [((), None), ((DescendentSpec("ch", 0, "u", uorder),), (uorder,))]:
-            rep = specialization_poly_check(
-                Partition([1]), c, desc, grid, fit_upto, sline, conv, desc_exp=de
-            )
-            ok = rep.holdout_ok and all("exact" in n for n in rep.notes)
-            allok = allok and bool(ok)
+        fk_ok = fk_specialization_identity(c, sline)
+        notes = [f"two-column specialization closed form: {'exact' if fk_ok else 'FAILED'}"]
+        for desc in ((), (DescendentSpec("ch", 0, "u", uorder),)):
+            rep = specialization_poly_check(desc, grid, fit_upto, sline, conv)
+            allok = allok and rep.holdout_ok and fk_ok
             cases.append(
                 {
                     "c": c,
                     "descendent_order": uorder if desc else 0,
                     "fit_degree": rep.fit_degree,
                     "holdout_ok": rep.holdout_ok,
-                    "notes": rep.notes,
+                    "notes": notes,
                 }
             )
     s = sample_random(seed + 1, max(grid) + 8)
     control = specialization_poly_check(
-        Partition([1]), None, (DescendentSpec("ch", 0, "u", uorder),), grid, fit_upto,
-        s, conv, region="inner", desc_exp=(uorder,), basis="interp"
+        (DescendentSpec("ch", 0, "u", uorder),), grid, fit_upto, s, conv, region="inner",
+        basis="interp"
     )
     control_ok = control.verdict == "non-polynomial"
     allok = allok and control_ok

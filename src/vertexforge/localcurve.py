@@ -87,11 +87,10 @@ class InterpPoly(Record):
         return out
 
 
-def interp_poly(lam: Partition, s: ParamSample, scale: str = "a",
-                conv: Convention = DEFAULT_CONVENTION) -> InterpPoly:
-    """Solve J_lam(contents(mu)) = delta_{lam,mu} e_mu over the monomial
-    symmetric basis (partitions of size <= n into <= n parts); any solution
-    of the underdetermined system is accepted and re-verified."""
+def interp_poly(lam: Partition, s: ParamSample) -> InterpPoly:
+    """Solve J_lam(contents(mu)/t3) = delta_{lam,mu} e_mu/t3^(2n) over the
+    monomial symmetric basis (partitions of size <= n into <= n parts); any
+    solution of the underdetermined system is accepted and re-verified."""
     n = lam.size
     mus = enum_partitions(n)
     basis: List[Partition] = []
@@ -99,11 +98,10 @@ def interp_poly(lam: Partition, s: ParamSample, scale: str = "a",
         for nu in enum_partitions(m):
             if len(nu.parts) <= n:
                 basis.append(nu)
-    div = s.t3 if scale == "a" else Fraction(1)
     rows = []
     rhs = []
     for mu in mus:
-        conts = [c / div for c in contents_at(mu, s)]
+        conts = [c / s.t3 for c in contents_at(mu, s)]
         row = []
         for nu in basis:
             val = Fraction(0)
@@ -114,16 +112,14 @@ def interp_poly(lam: Partition, s: ParamSample, scale: str = "a",
                 val += pr
             row.append(val)
         rows.append(row)
-        e_mu = euler_hilb(mu, s, conv)
-        if scale == "a":
-            e_mu = e_mu / s.t3 ** (2 * n)
+        e_mu = euler_hilb(mu, s) / s.t3 ** (2 * n)
         rhs.append(e_mu if mu == lam else Fraction(0))
     coeffs = _solve_underdetermined(rows, rhs)
     if coeffs is None:
         raise SingularInterpolation("singular interpolation system")
     out = InterpPoly(lam, n, basis, coeffs)
     for mu, target in zip(mus, rhs):
-        conts = [c / div for c in contents_at(mu, s)]
+        conts = [c / s.t3 for c in contents_at(mu, s)]
         if out.eval_at(conts) != target:
             raise SingularInterpolation("interpolation verification failed")
     return out
@@ -263,7 +259,7 @@ def dt0_localcurve(degrees: Tuple[int, int], s: ParamSample, qorder: int,
 
 
 # ---------------------------------------------------------------------------
-# residue assembly of the glued series (desk scale n = 1)
+# residue assembly of the glued series
 
 
 def ptint_residue(
@@ -280,9 +276,6 @@ def ptint_residue(
     fixed-point classes, each vertex is an iterated residue, and the infinity
     vertex carries the substituted parameters."""
     from .residue import pt_residue_vertex
-
-    if n != 1:
-        raise ValueError("residue assembly implemented at desk scale n = 1")
 
     def vertex(lam, desc, smp):
         # interp-basis residue vertices match bare_pt fixed-point mode, i.e.

@@ -8,7 +8,6 @@ column j < parts[i]; its content linear form is i*t1 + j*t2.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .records import Frozen
@@ -61,9 +60,6 @@ class Partition(Frozen):
     def leg(self, cell: Cell) -> int:
         i, j = cell
         return sum(1 for r in range(i + 1, len(self.parts)) if self.parts[r] > j)
-
-    def contents(self, t1: Fraction, t2: Fraction) -> List[Fraction]:
-        return [i * t1 + j * t2 for (i, j) in self.cells()]
 
     def to_json(self) -> list:
         return list(self.parts)

@@ -775,16 +775,15 @@ def dt0_vanishing(mu, s, conv) -> dict:
     return {"rows": rows, "pass": ok if rows else None}
 
 
-def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
-                 orientations=(1, -1)) -> dict:
+def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     """Structured exploration of the degree-0 ideal-sheaf slice identities.
 
     Exact components: the generating function g of descendent characters
     against the direct character computation; the vanishing of the weight on
     column data outside the slice cone; the measure-ratio-weighted
     stable-pairs rebalancing of the slice sum.  The residue-side summation
-    bound and orientation are scanned and reported side by side; those
-    verdicts are informative.
+    bound (-1, 0, 1) and orientation (+-1) are scanned and reported side by
+    side; those verdicts are informative.
     """
     from itertools import product as iproduct
 
@@ -880,7 +879,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                               variables=vs, orders=orders_all)
         pt_target[cfg.size] = pt_target[cfg.size] + chp * w
     for variant in ("derived", "printed"):
-        for bound in bounds:
+        for bound in (-1, 0, 1):
             by_degree: Dict[int, DescSeries] = {}
             feasible = True
             for kv in iproduct(range(bound, qorder + 1), repeat=n):
@@ -892,7 +891,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None, bounds=(-1, 0, 1),
                     feasible = False
                     continue
                 by_degree[d] = by_degree.get(d, DescSeries(vs, orders_all)) + val
-            for orient in orientations:
+            for orient in (1, -1):
                 series = []
                 for d in range(min(by_degree, default=0), qorder + 1):
                     c = by_degree.get(d, DescSeries(vs, orders_all))

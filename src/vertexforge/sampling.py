@@ -110,8 +110,8 @@ def sample_random(seed: int, L: int, line: int | None = None) -> ParamSample:
     raise RuntimeError("sampling exhausted: no generic sample within retry budget")
 
 
-def seeded_samples(base_seed: int, L: int, n: int, line: int | None = None) -> list[ParamSample]:
+def seeded_samples(base_seed: int, L: int, n: int) -> list[ParamSample]:
     """n independent generic samples from the distinct seeds base_seed + 101 i;
     every prefix is the same for every n."""
-    return [sample_random(base_seed + 101 * i, L, line) for i in range(n)]
+    return [sample_random(base_seed + 101 * i, L) for i in range(n)]
 

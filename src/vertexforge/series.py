@@ -239,12 +239,11 @@ class DescSeries:
         }
 
 
-def exp_single(variables, orders, var: str, rate: Fraction, total=None) -> DescSeries:
+def exp_single(variables, orders, var: str, rate: Fraction) -> DescSeries:
     """e^{rate * var} truncated: sum_m rate^m var^m / m!."""
-    out = DescSeries(variables, orders, total)
+    out = DescSeries(variables, orders)
     idx = out.variables.index(var)
-    top = orders[idx] if total is None else min(orders[idx], total)
-    for m in range(top + 1):
+    for m in range(orders[idx] + 1):
         e = tuple(m if i == idx else 0 for i in range(len(out.variables)))
         out.coeffs[e] = Fraction(rate) ** m / factorial(m)
     if rate == 0:

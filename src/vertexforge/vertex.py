@@ -186,35 +186,12 @@ def dt0_slice(
 
 
 class PolyFitReport(Record):
-    __slots__ = ("shape", "line", "fit_degree", "grid", "values", "fit_coeffs", "holdout",
-                 "holdout_ok", "verdict", "notes")
+    __slots__ = ("fit_degree", "holdout_ok", "verdict")
 
-    def __init__(self, shape: Partition, line: int | None, fit_degree: int, grid: List[int],
-                 values: List[Fraction], fit_coeffs: List[Fraction] | None, holdout: List[int],
-                 holdout_ok: bool | None, verdict: str, notes: List[str] | None = None):
-        self.shape = shape
-        self.line = line
+    def __init__(self, fit_degree: int, holdout_ok: bool, verdict: str):
         self.fit_degree = fit_degree
-        self.grid = grid
-        self.values = values
-        self.fit_coeffs = fit_coeffs
-        self.holdout = holdout
         self.holdout_ok = holdout_ok
         self.verdict = verdict
-        self.notes = [] if notes is None else notes
-
-    def to_json(self) -> dict:
-        return {
-            "shape": self.shape.to_json(),
-            "line": self.line,
-            "fit_degree": self.fit_degree,
-            "grid": self.grid,
-            "values": [str(v) for v in self.values],
-            "holdout": self.holdout,
-            "holdout_ok": self.holdout_ok,
-            "verdict": self.verdict,
-            "notes": self.notes,
-        }
 
 
 def _fit_polynomial(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
@@ -249,18 +226,18 @@ def _poly_eval(coeffs: List[Fraction], x: int) -> Fraction:
     return out
 
 
-def fk_specialization_identity(c: int, s: ParamSample, kmax: int = 6) -> bool:
+def fk_specialization_identity(c: int, s: ParamSample) -> bool:
     """On t1 + t2 = c t3 the two-column interaction ratio telescopes into a
-    finite product rational in the column index; check the closed form
-    exactly at rational test points (corrected second bracket: the paper's
-    printed denominator is off by c)."""
+    finite product rational in the column index k; check the closed form
+    exactly for k <= 6 at rational test points (corrected second bracket:
+    the paper's printed denominator is off by c)."""
     from .laurent import pochhammer
 
     if s.line != c:
         raise ValueError("sample is not on the line")
     a1 = s.a1
     A = Fraction(c)
-    for k in range(kmax + 1):
+    for k in range(7):
         for z in (Fraction(17, 13), Fraction(-23, 7), Fraction(101, 19)):
             lhs = (
                 pochhammer(z - a1, k)
@@ -283,19 +260,17 @@ def fk_specialization_identity(c: int, s: ParamSample, kmax: int = 6) -> bool:
 
 
 def specialization_poly_check(
-    shape: Partition,
-    line: int | None,
     desc_specs: Sequence[DescendentSpec],
     grid: Sequence[int],
     fit_upto: int,
     s: ParamSample,
     conv: Convention = DEFAULT_CONVENTION,
     region: str = "full",
-    desc_exp: Tuple[int, ...] | None = None,
     basis: str = "chern",
 ) -> PolyFitReport:
-    """Fit a polynomial in k to the per-k residue-vertex values on the low
-    part of the grid and verify the held-out points exactly.
+    """Fit a polynomial in k to the per-k values of the single-cell residue
+    vertex (its coefficient at the descendent orders) on the low part of the
+    grid and verify the held-out points exactly.
 
     The per-k value is taken in the source orientation (an extra (-1)^k
     against the localization-matching weights); in the 'full' region its
@@ -306,32 +281,13 @@ def specialization_poly_check(
     """
     from .residue import pt_residue_vertex
 
-    if line is not None and s.line != line:
-        raise ValueError("sample is not on the requested specialization line")
-    n = shape.size
-    if n != 1:
-        raise ValueError("desk-scale check is single-cell only")
-    coeffs = pt_residue_vertex(shape, max(grid), desc_specs, s, conv, basis, region)
-    values = []
-    for k in grid:
-        v = coeffs[k]
-        if desc_specs:
-            e = desc_exp if desc_exp is not None else tuple(sp.order for sp in desc_specs)
-            raw = v.coeff(e)
-        else:
-            raw = v.coeff(())
-        values.append(raw if k % 2 == 0 else -raw)
+    coeffs = pt_residue_vertex(Partition([1]), max(grid), desc_specs, s, conv, basis, region)
+    e = tuple(sp.order for sp in desc_specs)
+    values = [coeffs[k].coeff(e) * (-1) ** k for k in grid]
     fit_xs = [k for k in grid if k <= fit_upto]
     fit_ys = values[: len(fit_xs)]
     hold_xs = [k for k in grid if k > fit_upto]
     hold_ys = values[len(fit_xs):]
     fit = _fit_polynomial(fit_xs, fit_ys)
     ok = all(_poly_eval(fit, x) == y for x, y in zip(hold_xs, hold_ys))
-    verdict = "polynomial" if ok else "non-polynomial"
-    notes = []
-    if line is not None:
-        fk_ok = fk_specialization_identity(line, s)
-        notes.append(f"two-column specialization closed form: {'exact' if fk_ok else 'FAILED'}")
-    return PolyFitReport(
-        shape, line, len(fit) - 1, list(grid), values, fit, hold_xs, ok, verdict, notes
-    )
+    return PolyFitReport(len(fit) - 1, ok, "polynomial" if ok else "non-polynomial")

@@ -38,6 +38,7 @@ from vertexforge.partitions import (
     enum_rpp,
 )
 from vertexforge.sampling import ParamSample, sample_random
+from vertexforge.series import DescSeries, exp_single
 
 S = sample_random(2, 16)
 
@@ -291,8 +292,6 @@ class TestDescendentChar:
         assert ch.coeff((3,)) == S.t1 * S.t2 * (S.t1 + S.t2) / 2
 
     def test_dt_additivity_over_boxes(self):
-        from vertexforge.series import DescSeries, exp_single
-
         spec = DescendentSpec("ch", 0, "z", 4)
         b = LeggedPlanePartition(Partition(), {(0, 0): 2})
         c = LeggedPlanePartition(Partition(), {(0, 0): 2, (0, 1): 1})
@@ -314,13 +313,69 @@ class TestDescendentChar:
         spec = DescendentSpec("ch", 0, "z", 3)
         closed = descendent_char(pp, spec, S)
         # direct: (1-e^{t1z})(1-e^{t2z}) * 1 at cell (0,0)
-        from vertexforge.series import DescSeries, exp_single
-
         one = DescSeries.const(("z",), (3,), 1)
         direct = (one - exp_single(("z",), (3,), "z", S.t1)) * (
             one - exp_single(("z",), (3,), "z", S.t2)
         )
         assert closed == direct
+
+
+def descendent_char_per_box(config, spec, s, conv, variables, orders):
+    """`descendent_char` summed box by box: a DT leg cell gives
+    (1-e^{t1 z})(1-e^{t2 z}) e^{(i t1 + j t2) z} (its infinite column
+    resummed) and a finite box (i, j, m) (1-e^{t1 z})(1-e^{t2 z})(1-e^{t3 z})
+    e^{(i t1 + j t2 + m t3) z}; a PT cell of depth k gives
+    (1-e^{t1 z})(1-e^{t2 z}) e^{(i t1 + j t2 + sigma k t3) z} and, for
+    `ch_prime`, its kernel boxes (i, j, sigma m), 1 <= m <= k, the finite
+    prefactor.  `ch_hat` is 1 minus the `ch` sum; this is the oracle."""
+    var = spec.variable
+    one = DescSeries.const(variables, orders, 1)
+    d1, d2, d3 = (one - exp_single(variables, orders, var, t) for t in (s.t1, s.t2, s.t3))
+
+    def boxes(exps):
+        out = DescSeries(variables, orders)
+        for i, j, k in exps:
+            out = out + exp_single(variables, orders, var, i * s.t1 + j * s.t2 + k * s.t3)
+        return out
+
+    if isinstance(config, RppConfig):
+        sigma = conv.pt_column_sign
+        cells = [(i, j, config.entry((i, j))) for (i, j) in config.shape.cells()]
+        if spec.mode == "ch_prime":
+            return d1 * d2 * d3 * boxes((i, j, sigma * m) for i, j, k in cells
+                                        for m in range(1, k + 1))
+        body = d1 * d2 * boxes((i, j, sigma * k) for i, j, k in cells)
+    else:
+        legpart = boxes((i, j, 0) for (i, j) in config.leg.cells())
+        boxpart = boxes((i, j, m) for (i, j), h in config.heights for m in range(h))
+        body = d1 * d2 * (legpart + d3 * boxpart)
+    return one - body if spec.mode == "ch_hat" else body
+
+
+class TestDescendentCharOracle:
+    """`descendent_char` against the per-box sum, for every mode, both column
+    signs and both of two joint variables, at every fixed point up to q = 4."""
+
+    Q = 4
+    VS, ORDERS = ("u", "v"), (3, 2)
+
+    def _check(self, configs):
+        for conv in (Convention(-1), Convention(1)):
+            for mode in ("ch", "ch_prime", "ch_hat"):
+                for var, order in zip(self.VS, self.ORDERS):
+                    spec = DescendentSpec(mode, 0, var, order)
+                    for config in configs:
+                        got = descendent_char(config, spec, S, conv, self.VS, self.ORDERS)
+                        want = descendent_char_per_box(config, spec, S, conv, self.VS, self.ORDERS)
+                        assert got == want, (config, spec, conv)
+
+    @pytest.mark.parametrize("leg", [(), (1,), (2, 1)])
+    def test_dt(self, leg):
+        self._check(enum_legged_pp(Partition(leg), self.Q))
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (2, 1)])
+    def test_pt(self, shape):
+        self._check(enum_rpp(Partition(shape), self.Q))
 
 
 class TestMeasureDifference:

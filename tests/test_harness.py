@@ -249,6 +249,41 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0 and "counts" in out
 
+    def test_config_format_applies(self, tmp_path, capsys):
+        cfg = tmp_path / "csv.cfg"
+        cfg.write_text("format = csv\n")
+        rc = main(["--config", str(cfg), "check", "slices", "--params",
+                   '{"qorder": 2, "count_upto": 3}'])
+        out = capsys.readouterr().out
+        assert rc == 0 and out.startswith("counts,")
+
+    @pytest.mark.parametrize("case", [
+        "report not json", "report array", "compute missing file", "convention missing",
+        "convention not json", "convention no fields", "config format xml", "config missing",
+    ])
+    def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
+        files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
+                 "xml.cfg": "format = xml\n"}
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        check = ["check", "slices", "--params", '{"qorder": 2, "count_upto": 3}']
+        argv = {
+            "report not json": ["report", "bad.json"],
+            "report array": ["report", "array.json"],
+            "compute missing file": cache + ["compute", "@missing.json"],
+            "convention missing": ["--convention", "missing.json"] + check,
+            "convention not json": ["--convention", "bad.json"] + check,
+            "convention no fields": ["--convention", "empty.json"] + check,
+            "config format xml": ["--config", "xml.cfg", "report", "empty.json"],
+            "config missing": ["--config", "missing.cfg", "report", "empty.json"],
+        }[case]
+        monkeypatch.chdir(tmp_path)
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert "invalid" in err and "Traceback" not in err
+
 
 # --- malformed input never crashes: every one exits 2 with a message ------
 

@@ -98,9 +98,12 @@ class TestPtintResidue:
         pr = ptint_residue((-1, -1), 1, desc, (), S, 2)
         assert all(a == b for a, b in zip(gl, pr))
 
-    def test_desk_scale_only(self):
-        with pytest.raises(ValueError):
-            ptint_residue((0, 0), 2, (), (), S, 1)
+    def test_two_boxes(self):
+        desc = (DescendentSpec("ch", 0, "u", 4),)
+        for degrees in ((0, 0), (-1, -1)):
+            gl = glue(GlueRequest("PT", degrees, 2, desc, (), 3, S))
+            pr = ptint_residue(degrees, 2, desc, (), S, 3)
+            assert gl == pr and sum(len(c.coeffs) for c in gl) > 0, degrees
 
 
 def test_glue_json():

@@ -48,8 +48,8 @@ class TestDescSeries:
         assert e.coeff((3,)) == F(4, 3)
 
     def test_total_cap(self):
-        a = exp_single(("u", "v"), (4, 4), "u", F(1), total=2)
-        b = exp_single(("u", "v"), (4, 4), "v", F(1), total=2)
+        a = DescSeries(("u", "v"), (4, 4), 2, exp_single(("u", "v"), (4, 4), "u", F(1)).coeffs)
+        b = DescSeries(("u", "v"), (4, 4), 2, exp_single(("u", "v"), (4, 4), "v", F(1)).coeffs)
         p = a * b
         assert p.coeff((2, 1)) == 0  # beyond the total cap
         assert p.coeff((1, 1)) == 1

@@ -112,7 +112,7 @@ class TestDt0Slice:
 class TestSpecializationCheck:
     def test_line_polynomial(self):
         sline = sample_random(5, 14, line=1)
-        rep = specialization_poly_check(Partition([1]), 1, (), list(range(7)), 4, sline)
+        rep = specialization_poly_check((), list(range(7)), 4, sline)
         assert rep.holdout_ok and rep.verdict == "polynomial"
 
     def test_degree_grows_with_descendent_order(self):
@@ -120,9 +120,7 @@ class TestSpecializationCheck:
         degs = []
         for uorder in (1, 2, 3):
             desc = (DescendentSpec("ch", 0, "u", uorder),)
-            rep = specialization_poly_check(
-                Partition([1]), 2, desc, list(range(8)), 5, sline, desc_exp=(uorder,)
-            )
+            rep = specialization_poly_check(desc, list(range(8)), 5, sline)
             assert rep.holdout_ok
             degs.append(rep.fit_degree)
         assert degs == sorted(degs) and degs[-1] > degs[0]
@@ -130,8 +128,8 @@ class TestSpecializationCheck:
     def test_control(self):
         s = sample_random(6, 14)
         rep = specialization_poly_check(
-            Partition([1]), None, (DescendentSpec("ch", 0, "u", 2),),
-            list(range(7)), 4, s, region="inner", desc_exp=(2,), basis="interp",
+            (DescendentSpec("ch", 0, "u", 2),), list(range(7)), 4, s, region="inner",
+            basis="interp",
         )
         assert rep.verdict == "non-polynomial"
 

@@ -20,7 +20,10 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `measure_difference_char` at every depth vector in {0..3}^cells for
   |mu| <= 3, under both column signs and both dual terms;
 * `bare_dt` and `bare_pt` with `ch_hat` and `ch_prime` insertions at 0 and
-  `inf` in two variables.
+  `inf` in two variables;
+* `descendent_char` in every mode, under both column signs, in each of two
+  joint variables, at every fixed point up to q = 4 on the legs (), (1),
+  (2,1) and the shapes (1), (2), (1,1), (2,1).
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
@@ -37,11 +40,12 @@ from fractions import Fraction
 from itertools import product
 
 from vertexforge.characters import DEFAULT_CONVENTION as CONV
-from vertexforge.characters import Convention, DescendentSpec, all_conventions, measure_difference_char
+from vertexforge.characters import (Convention, DescendentSpec, all_conventions, descendent_char,
+                                    measure_difference_char)
 from vertexforge.harness import CHECKS, calibrate, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
-from vertexforge.partitions import Partition, enum_partitions
+from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
 from vertexforge.residue import dt0_residue_value, dtpt0_report, egl_residue, pt_residue_vertex
 from vertexforge.sampling import sample_random
 from vertexforge.series import DescSeries
@@ -139,6 +143,18 @@ def entries():
         for kind, parts in (("chern", [2, 1]), ("fixedpoint", [1])):
             yield (f"bare_pt {kind} {parts} {ins_u} {ins_v}",
                    bare_pt((kind, Partition(parts)), 3, desc3, s, CONV).coeffs)
+
+    vs, orders = ("u", "v"), (3, 2)
+    fixed_points = [(f"dt {leg}", enum_legged_pp(Partition(leg), 4)) for leg in ([], [1], [2, 1])]
+    fixed_points += [(f"pt {parts}", enum_rpp(Partition(parts), 4))
+                     for parts in ([1], [2], [1, 1], [2, 1])]
+    for name, configs in fixed_points:
+        for conv in (Convention(-1), Convention(1)):
+            for mode in ("ch", "ch_prime", "ch_hat"):
+                for var, order in zip(vs, orders):
+                    spec = DescendentSpec(mode, 0, var, order)
+                    yield (f"descendent_char {name} {conv.pt_column_sign} {mode} {var}",
+                           [descendent_char(c, spec, s, conv, vs, orders) for c in configs])
 
 
 def main(argv=None) -> None:
