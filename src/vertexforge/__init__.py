@@ -25,7 +25,7 @@ from .partitions import (
     slices_of,
 )
 from .sampling import ParamSample, sample_random, seeded_samples
-from .series import DescSeries, QSeries, align_up_to_shift
+from .series import DescSeries, QSeries
 
 __version__ = "0.1.0"
 
@@ -52,6 +52,5 @@ __all__ = [
     "seeded_samples",
     "DescSeries",
     "QSeries",
-    "align_up_to_shift",
     "__version__",
 ]

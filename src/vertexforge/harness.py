@@ -38,7 +38,7 @@ from .partitions import (
 )
 from .records import Record
 from .sampling import sample_random, seeded_samples
-from .series import QSeries, align_up_to_shift
+from .series import QSeries
 from .vertex import bare_dt, bare_pt, dt0_slice, fk_specialization_identity, specialization_poly_check
 
 
@@ -259,7 +259,7 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
     prod = [
         sum(zpt[i] * zdt0[m - i] for i in range(m + 1)) for m in range(qorder + 1)
     ]
-    ok, shift = align_up_to_shift(QSeries(qorder, zdt), QSeries(qorder, prod))
+    ok = zdt == prod
     residual = None
     if not ok:
         residual = [str(a - b) for a, b in zip(zdt, prod)]
@@ -267,7 +267,7 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
         {
             "degrees": list(degrees),
             "factorization": ok,
-            "q_shift": shift,
+            "q_shift": 0,
             "pt_parameter_independent": pt_indep,
             "Z_PT": [str(x) for x in zpt],
             "Z_DT": [str(x) for x in zdt],
@@ -426,8 +426,8 @@ def _is_int_pair(d) -> bool:
 # integer parameters and their least allowed value
 _INT_PARAMS = {"qorder": 0, "uorder": 0, "seed": 0, "samples": 1, "worder": 0, "max_size": 0,
                "kmax": 0, "u_total": 0, "fit_upto": 0, "count_upto": 0}
-# list-of-integer parameters and the least allowed element (None: any)
-_INT_LIST_PARAMS = {"n_values": 1, "u_orders": 0, "grid": 0, "c_values": None}
+# list-of-integer parameters and the least allowed element
+_INT_LIST_PARAMS = {"n_values": 1, "u_orders": 0, "grid": 0, "c_values": 1}
 
 
 def _validate_params(name: str, params: dict) -> None:
@@ -439,10 +439,9 @@ def _validate_params(name: str, params: dict) -> None:
         if key in params:
             xs = params[key]
             if not isinstance(xs, (list, tuple)) or not xs or not all(
-                _is_int(x) and (least is None or x >= least) for x in xs
+                _is_int(x) and x >= least for x in xs
             ):
-                bound = "" if least is None else f" >= {least}"
-                raise InvalidCheckSpec(f"{key} must be a non-empty list of integers{bound}")
+                raise InvalidCheckSpec(f"{key} must be a non-empty list of integers >= {least}")
     if "shapes" in params:
         shapes = params["shapes"]
         if not isinstance(shapes, (list, tuple)) or not shapes or not all(
@@ -568,23 +567,9 @@ def calibrate(seed: int = 43) -> dict:
     return doc
 
 
-_DEFAULT_CONV_CACHE: Convention | None = None
-
-
 def load_default_convention() -> Convention:
-    """The calibrated default; a written convention document overrides."""
-    global _DEFAULT_CONV_CACHE
-    if _DEFAULT_CONV_CACHE is not None:
-        return _DEFAULT_CONV_CACHE
-    path = os.environ.get("VERTEXFORGE_CONVENTION", "")
-    if path and os.path.exists(path):
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("winner"):
-            _DEFAULT_CONV_CACHE = Convention.from_json(doc["winner"])
-            return _DEFAULT_CONV_CACHE
-    _DEFAULT_CONV_CACHE = DEFAULT_CONVENTION
-    return _DEFAULT_CONV_CACHE
+    """The calibrated default; the CLI's `--convention` picks another."""
+    return DEFAULT_CONVENTION
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,12 @@
 """Gluing two one-leg vertices into local-curve invariants over P^1 with
-normal degrees (d1, d2), interpolation polynomials representing fixed-point
-classes in Chern roots, and the residue-form assembly of the glued series.
+normal degrees (d1, d2), and the residue-form assembly of the glued series
+(interpolation-basis residue vertices, see `residue.interp_poly`).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .characters import (
     Convention,
@@ -19,146 +19,7 @@ from .partitions import Partition, enum_partitions
 from .records import Record
 from .sampling import ParamSample
 from .series import DescSeries
-from .vertex import bare_dt, bare_pt, contents_at
-
-
-class SingularInterpolation(ValueError):
-    """The interpolation system lost rank at a non-generic sample."""
-
-
-def _monomial_symmetric(nvars: int, nu: Partition) -> Dict[Tuple[int, ...], Fraction]:
-    """Monomial symmetric polynomial m_nu in nvars variables as an exponent map."""
-    if len(nu.parts) > nvars:
-        return {}
-    out: Dict[Tuple[int, ...], Fraction] = {}
-    base = list(nu.parts) + [0] * (nvars - len(nu.parts))
-    seen = set()
-
-    def perms(rem, acc):
-        if not rem:
-            seen.add(tuple(acc))
-            return
-        used = set()
-        for idx, x in enumerate(rem):
-            if x in used:
-                continue
-            used.add(x)
-            perms(rem[:idx] + rem[idx + 1:], acc + [x])
-
-    perms(base, [])
-    # `perms` refers to itself through its closure: dropping it frees
-    # `seen` now rather than at the next cycle collection
-    del perms
-    for e in seen:
-        out[e] = Fraction(1)
-    return out
-
-
-class InterpPoly(Record):
-    """Symmetric polynomial with J(contents of mu) = delta_{lam,mu} e_mu."""
-
-    __slots__ = ("shape", "nvars", "support", "coeffs")
-
-    def __init__(self, shape: Partition, nvars: int, support: List[Partition], coeffs: List[Fraction]):
-        self.shape = shape
-        self.nvars = nvars
-        self.support = support
-        self.coeffs = coeffs
-
-    def as_zpoly(self, nvars: int) -> Dict[Tuple[int, ...], Fraction]:
-        out: Dict[Tuple[int, ...], Fraction] = {}
-        for nu, c in zip(self.support, self.coeffs):
-            if c == 0:
-                continue
-            for e, _ in _monomial_symmetric(nvars, nu).items():
-                out[e] = out.get(e, Fraction(0)) + c
-        return {e: c for e, c in out.items() if c}
-
-    def eval_at(self, xs: Sequence[Fraction]) -> Fraction:
-        out = Fraction(0)
-        for nu, c in zip(self.support, self.coeffs):
-            if c == 0:
-                continue
-            for e in _monomial_symmetric(self.nvars, nu):
-                pr = Fraction(1)
-                for x, m in zip(xs, e):
-                    pr *= x**m
-                out += c * pr
-        return out
-
-
-def interp_poly(lam: Partition, s: ParamSample) -> InterpPoly:
-    """Solve J_lam(contents(mu)/t3) = delta_{lam,mu} e_mu/t3^(2n) over the
-    monomial symmetric basis (partitions of size <= n into <= n parts); any
-    solution of the underdetermined system is accepted and re-verified."""
-    n = lam.size
-    mus = enum_partitions(n)
-    basis: List[Partition] = []
-    for m in range(n + 1):
-        for nu in enum_partitions(m):
-            if len(nu.parts) <= n:
-                basis.append(nu)
-    rows = []
-    rhs = []
-    for mu in mus:
-        conts = [c / s.t3 for c in contents_at(mu, s)]
-        row = []
-        for nu in basis:
-            val = Fraction(0)
-            for e in _monomial_symmetric(n, nu):
-                pr = Fraction(1)
-                for x, mexp in zip(conts, e):
-                    pr *= x**mexp
-                val += pr
-            row.append(val)
-        rows.append(row)
-        e_mu = euler_hilb(mu, s) / s.t3 ** (2 * n)
-        rhs.append(e_mu if mu == lam else Fraction(0))
-    coeffs = _solve_underdetermined(rows, rhs)
-    if coeffs is None:
-        raise SingularInterpolation("singular interpolation system")
-    out = InterpPoly(lam, n, basis, coeffs)
-    for mu, target in zip(mus, rhs):
-        conts = [c / s.t3 for c in contents_at(mu, s)]
-        if out.eval_at(conts) != target:
-            raise SingularInterpolation("interpolation verification failed")
-    return out
-
-
-def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
-    """Gaussian elimination choosing the lexicographically first pivot
-    columns; free variables set to zero."""
-    m = len(rows)
-    ncols = len(rows[0]) if rows else 0
-    a = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        piv = None
-        for i in range(r, m):
-            if a[i][col] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        pv = a[r][col]
-        a[r] = [x / pv for x in a[r]]
-        for i in range(m):
-            if i != r and a[i][col] != 0:
-                f = a[i][col]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(col)
-        r += 1
-        if r == m:
-            break
-    for i in range(r, m):
-        if a[i][ncols] != 0:
-            return None
-    out = [Fraction(0)] * ncols
-    for i, col in enumerate(pivots):
-        out[col] = a[i][ncols]
-    return out
+from .vertex import bare_dt, bare_pt
 
 
 # ---------------------------------------------------------------------------

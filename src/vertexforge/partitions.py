@@ -194,14 +194,6 @@ class LeggedPlanePartition(Frozen):
         if not self.is_valid():
             raise ValueError("not a legged plane partition")
 
-    def height(self, cell: Cell) -> int:
-        if cell in self.leg:
-            raise ValueError("height is infinite on the leg")
-        for c, h in self.heights:
-            if c == cell:
-                return h
-        return 0
-
     def height_map(self) -> Dict[Cell, int]:
         return dict(self.heights)
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
@@ -34,7 +34,7 @@ ZERO = Fraction(0)
 
 
 # ---------------------------------------------------------------------------
-# polynomials in the z variables over an arbitrary coefficient ring
+# polynomials in the z variables: {exponent tuple: Fraction}
 
 
 def zp_mul(p: Dict, q: Dict) -> Dict:
@@ -44,10 +44,10 @@ def zp_mul(p: Dict, q: Dict) -> Dict:
             e = tuple(a + b for a, b in zip(e1, e2))
             s = out.get(e)
             s = c1 * c2 if s is None else s + c1 * c2
-            if isinstance(s, Fraction) and s == 0:
-                out.pop(e, None)
-            else:
+            if s:
                 out[e] = s
+            else:
+                out.pop(e, None)
     return out
 
 
@@ -55,9 +55,9 @@ def zp_const(nvars: int, c) -> Dict:
     return {(0,) * nvars: c}
 
 
-def _zp_at(p: Dict, z: Sequence, zero):
-    """The z-polynomial p, coefficients in any ring with `zero`, at the point z."""
-    return sum((c * prod(x ** e for x, e in zip(z, ze)) for ze, c in p.items()), zero)
+def _zp_at(p: Dict, z: Sequence) -> Fraction:
+    """The z-polynomial p at the point z."""
+    return sum((c * prod(x ** e for x, e in zip(z, ze)) for ze, c in p.items()), ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -266,17 +266,6 @@ def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fra
     return total
 
 
-def _u_buckets(dense: Dict) -> Dict[tuple, Dict]:
-    """A z-polynomial with DescSeries coefficients as scalar z-polynomials
-    keyed by descendent exponent."""
-    out: Dict[tuple, Dict] = {}
-    for ze, c in dense.items():
-        for ue, x in c.coeffs.items():
-            b = out.setdefault(ue, {})
-            b[ze] = b.get(ze, ZERO) + x
-    return out
-
-
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
                        vs, orders, total=None):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
@@ -401,6 +390,77 @@ def chern_monomial_poly(nv: int, parts: Sequence[int]) -> Dict:
     return out
 
 
+class SingularInterpolation(ValueError):
+    """The interpolation system lost rank at a non-generic sample."""
+
+
+def _monomial_symmetric(nvars: int, nu) -> set:
+    """The exponent vectors of the monomial symmetric polynomial m_nu in
+    nvars >= len(nu) variables."""
+    return set(permutations(tuple(nu.parts) + (0,) * (nvars - len(nu.parts))))
+
+
+def interp_poly(lam, s) -> Dict:
+    """The symmetric z-polynomial J_lam with J_lam(contents(mu)/t3) =
+    delta_{lam,mu} e_mu/t3^(2n), solved over the monomial symmetric basis
+    (partitions of size <= n into <= n parts); any solution of the
+    underdetermined system is accepted and re-verified."""
+    from .characters import euler_hilb
+    from .partitions import enum_partitions
+    from .vertex import contents_at
+
+    n = lam.size
+    mus = enum_partitions(n)
+    basis = [nu for m in range(n + 1) for nu in enum_partitions(m) if len(nu.parts) <= n]
+    points = [[c / s.t3 for c in contents_at(mu, s)] for mu in mus]
+    rows = [[sum((prod(x ** m for x, m in zip(conts, e)) for e in _monomial_symmetric(n, nu)), ZERO)
+             for nu in basis] for conts in points]
+    rhs = [euler_hilb(mu, s) / s.t3 ** (2 * n) if mu == lam else ZERO for mu in mus]
+    coeffs = _solve_underdetermined(rows, rhs)
+    if coeffs is None:
+        raise SingularInterpolation("singular interpolation system")
+    out = {e: c for nu, c in zip(basis, coeffs) if c for e in _monomial_symmetric(n, nu)}
+    if any(_zp_at(out, conts) != target for conts, target in zip(points, rhs)):
+        raise SingularInterpolation("interpolation verification failed")
+    return out
+
+
+def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
+    """Gaussian elimination choosing the lexicographically first pivot
+    columns; free variables set to zero."""
+    m = len(rows)
+    ncols = len(rows[0]) if rows else 0
+    a = [list(r) + [b] for r, b in zip(rows, rhs)]
+    pivots = []
+    r = 0
+    for col in range(ncols):
+        piv = None
+        for i in range(r, m):
+            if a[i][col] != 0:
+                piv = i
+                break
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        pv = a[r][col]
+        a[r] = [x / pv for x in a[r]]
+        for i in range(m):
+            if i != r and a[i][col] != 0:
+                f = a[i][col]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(col)
+        r += 1
+        if r == m:
+            break
+    for i in range(r, m):
+        if a[i][ncols] != 0:
+            return None
+    out = [Fraction(0)] * ncols
+    for i, col in enumerate(pivots):
+        out[col] = a[i][ncols]
+    return out
+
+
 # ---------------------------------------------------------------------------
 # EGL tautological integrals: localization sum vs iterated residue
 
@@ -457,27 +517,25 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
 # the one-leg stable-pairs residue vertex
 
 
-def _descendent_zpoly(shifts, desc_specs, s):
+def _descendent_buckets(shifts, desc_specs, s):
     """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r z_i} sum_(m, e) e e^{m t3 u_r}
-    as a z-polynomial with truncated-series coefficients, `shifts[i]` the
-    signed t3-shifts (m, e) of z_i.
+    as u-buckets {ue: z-polynomial}, `shifts[i]` the signed t3-shifts
+    (m, e) of z_i.
 
     The r-th factor is sum_i sum_m base_i(u_r) (t3 u_r z_i)^m / m! with
     base_i(u) = sum_(m, e) e sum_x +-e^{(m t3 + x) u} over x = 0, t1, t2,
     t1 + t2.  Over the common denominator d of t1, t2, t3 the coefficient of
     u_r^(a+m) z_i^m has denominator d^(a+m) a! m! for every i, so numerators
-    add as integers and each coefficient is one `Fraction`."""
-    from .series import DescSeries
-
+    add as integers and each coefficient is one `Fraction`.  The factors
+    multiply by concatenating their u-exponents and multiplying their
+    z-polynomials."""
     n1, n2, n3, d = _over_common_denominator(s.t1, s.t2, s.t3)
     nv = len(shifts)
-    vs = tuple(sp.variable for sp in desc_specs)
-    orders_all = tuple(sp.order for sp in desc_specs)
-    out = None
-    for r in range(len(desc_specs)):
-        top = orders_all[r]
+    out = {(): zp_const(nv, Fraction(1))}
+    for sp in desc_specs:
+        top = sp.order
         bases: Dict[tuple, List[int]] = {}
-        factor: Dict[tuple, Dict[tuple, int]] = {}
+        nums: Dict[int, Dict[tuple, int]] = {}
         for i, sh in enumerate(shifts):
             base = bases.get(sh)
             if base is None:
@@ -487,50 +545,43 @@ def _descendent_zpoly(shifts, desc_specs, s):
                     for a in range(top + 1):
                         base[a] += e * (c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a)
             for m in range(top + 1):
-                nums = factor.setdefault(tuple(m if v == i else 0 for v in range(nv)), {})
+                ze = tuple(m if v == i else 0 for v in range(nv))
                 for a in range(top + 1 - m):
                     if base[a]:
-                        ue = tuple(a + m if w == r else 0 for w in range(len(vs)))
-                        nums[ue] = nums.get(ue, 0) + base[a] * n3 ** m
-        series = {}
-        for ze, nums in factor.items():
-            m = max(ze)
-            ds = series[ze] = DescSeries(vs, orders_all)
-            ds.coeffs = {ue: Fraction(x, d ** ue[r] * factorial(ue[r] - m) * factorial(m))
-                         for ue, x in nums.items() if x}
-        out = series if out is None else zp_mul(out, series)
+                        zp = nums.setdefault(a + m, {})
+                        zp[ze] = zp.get(ze, 0) + base[a] * n3 ** m
+        factor = {}
+        for u, zp in nums.items():
+            zp = {ze: Fraction(x, d ** u * factorial(u - max(ze)) * factorial(max(ze)))
+                  for ze, x in zp.items() if x}
+            if zp:
+                factor[u] = zp
+        out = {ue + (u,): zp_mul(p, zp) for ue, p in out.items() for u, zp in factor.items()}
     return out
 
 
-def _dt0_descendent_zpoly(kvec, desc_specs, s):
-    """The degree-0 descendent factor g as (z-polynomial, scalar): per
+def _dt0_descendent_buckets(kvec, desc_specs, s):
+    """The degree-0 descendent factor g as (u-buckets, scalar): per
     variable, prod(1 - e^{w t_i})/(t1 t2 t3) sum_i e^{t3 z_i w} times
     sum_{m in [0, k_i)} e^{m w t3}, signed for k_i < 0.  Since
     (1 - e^{w t3}) sum_{m in [0, k)} e^{m w t3} = 1 - e^{k w t3} for either
     sign of k, z_i has the t3-shifts 0 and k_i with signs +1, -1; the
     1/(t1 t2 t3) factors are the scalar."""
-    zpoly = _descendent_zpoly([((0, 1), (k, -1)) for k in kvec], desc_specs, s)
-    return zpoly, (s.t1 * s.t2 * s.t3) ** -len(desc_specs)
+    buckets = _descendent_buckets([((0, 1), (k, -1)) for k in kvec], desc_specs, s)
+    return buckets, (s.t1 * s.t2 * s.t3) ** -len(desc_specs)
 
 
-def pt_vertex_integrand(shape_parts, kvec, s, conv, desc_specs=(), basis="chern",
-                        basis_poly=None) -> Tuple[Term, Dict | None]:
+def pt_vertex_integrand(poly, kvec, s, conv, desc_specs=()) -> Tuple[Term, Dict | None]:
     """Integrand for one k-vector of the residue vertex, a-scale variables:
-    the basis polynomial times the linear part, and the descendent
-    z-polynomial with series coefficients (None without descendents)."""
+    the basis z-polynomial `poly` times the linear part, and the descendent
+    u-buckets (None without descendents)."""
     nv = len(kvec)
-    if basis == "chern":
-        poly = chern_monomial_poly(nv, shape_parts)
-    elif basis == "interp":
-        poly = basis_poly
-    else:
-        raise ValueError(f"unknown basis {basis!r}")
-    desc_poly = None
+    buckets = None
     if desc_specs:
         sigma = conv.pt_column_sign
-        desc_poly = _descendent_zpoly([((sigma * k, 1),) for k in kvec], desc_specs, s)
+        buckets = _descendent_buckets([((sigma * k, 1),) for k in kvec], desc_specs, s)
     cs = _over_common_denominator(s.a1, s.a2)
-    return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), desc_poly
+    return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), buckets
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -541,6 +592,8 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     to match the localization vertex: chern basis is divided by t3^n (the
     root-scale factor), interp basis by the fixed-point Euler class.
     """
+    from itertools import product as iproduct
+
     from .characters import DEFAULT_CONVENTION, euler_hilb
     from .series import DescSeries
 
@@ -548,24 +601,20 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     n = shape.size
     vs = tuple(sp.variable for sp in desc_specs)
     orders_all = tuple(sp.order for sp in desc_specs)
+    if basis == "chern":
+        poly, scale = chern_monomial_poly(n, shape.parts), Fraction(s.t3) ** (-n)
+    elif basis == "interp":
+        poly, scale = interp_poly(shape, s), Fraction(1) / euler_hilb(shape, s, conv)
+    else:
+        raise ValueError(f"unknown basis {basis!r}")
+    norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
     zero = DescSeries(vs, orders_all)
     out = [zero for _ in range(qorder + 1)]
-    basis_poly = None
-    scale = Fraction(s.t3) ** (-n)
-    if basis == "interp":
-        from .localcurve import interp_poly
-
-        basis_poly = interp_poly(shape, s).as_zpoly(n)
-        scale = Fraction(1) / euler_hilb(shape, s, conv)
-    norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
-    from itertools import product as iproduct
-
     for kvec in iproduct(range(qorder + 1), repeat=n):
         d = sum(kvec)
         if d > qorder:
             continue
-        t, dpoly = pt_vertex_integrand(shape.parts, kvec, s, conv, desc_specs, basis, basis_poly)
-        buckets = None if dpoly is None else _u_buckets(dpoly)
+        t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs)
         val = residue_sum_series(t, buckets, n, region, vs, orders_all)
         out[d] = out[d] + val * norm
     return out
@@ -680,7 +729,7 @@ def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, cs):
 
 def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
     """Residue of the degree-0 integrand at one k-vector, with the
-    descendent factor g of `_dt0_descendent_zpoly` for `DescendentSpec`s.
+    descendent factor g of `_dt0_descendent_buckets` for `DescendentSpec`s.
 
     variant 'derived': stable-pairs integrand times the derived measure-ratio
     blocks (off-diagonal pairs; the diagonal blocks are degenerate constants
@@ -688,15 +737,13 @@ def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
     [z+1+A]_k/[z]_k, printed interaction blocks F^{-1}_{k_i-k_j}(z_i-z_j),
     quadruple-ratio product over i != j.
     """
-    from .localcurve import interp_poly
-
     nv = mu.size
     cs = _over_common_denominator(s.a1, s.a2)
     p1, p2, D = cs
     A = p1 + p2
     vs = tuple(sp.variable for sp in desc_specs)
     orders_all = tuple(sp.order for sp in desc_specs)
-    jp = interp_poly(mu, s).as_zpoly(nv)
+    jp = interp_poly(mu, s)
     if variant == "derived":
         factors = _pt_factors(nv, kvec, cs)
         for i, k in enumerate(kvec):
@@ -738,8 +785,7 @@ def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
         raise ValueError(f"unknown variant {variant!r}")
     buckets, scalar = None, 1
     if desc_specs:
-        gz, scalar = _dt0_descendent_zpoly(kvec, desc_specs, s)
-        buckets = _u_buckets(gz)
+        buckets, scalar = _dt0_descendent_buckets(kvec, desc_specs, s)
     try:
         val = residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all)
     except ZeroDivisionError:
@@ -823,8 +869,9 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
             pp = LeggedPlanePartition(Partition(), heights)
         except ValueError:
             continue
-        gz, scalar = _dt0_descendent_zpoly(kv, (gspec,), s)
-        gval = _zp_at(gz, contents, DescSeries(vs, (worder + 1,))) * scalar
+        buckets, scalar = _dt0_descendent_buckets(kv, (gspec,), s)
+        gval = DescSeries(vs, (worder + 1,), None, {ue: _zp_at(b, contents) * scalar
+                                                   for ue, b in buckets.items()})
         g_count += 1
         if not gval * (s.t1 * s.t2 * s.t3) == descendent_char(pp, gspec, s, conv):
             g_ok = False

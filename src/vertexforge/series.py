@@ -100,25 +100,6 @@ class QSeries:
         }
 
 
-def align_up_to_shift(a: QSeries, b: QSeries) -> Tuple[bool, int | None]:
-    """Is a = q^s * b for a single integer s?  Returns (ok, s)."""
-    pa = a.normalized_pairs()
-    pb = b.normalized_pairs()
-    if not pa and not pb:
-        return True, 0
-    if not pa or not pb:
-        return False, None
-    s = pa[0][0] - pb[0][0]
-    # compare only on the overlap both series actually cover
-    lo_a, hi_a = a.shift, a.shift + a.order
-    lo_b, hi_b = b.shift + s, b.shift + b.order + s
-    lo, hi = max(lo_a, lo_b), min(hi_a, hi_b)
-    for n in range(lo, hi + 1):
-        if a.coeff_at(n) != b.coeff_at(n - s):
-            return False, None
-    return True, s
-
-
 class DescSeries:
     """Truncated multivariate power series in the descendent variables.
 

@@ -194,35 +194,20 @@ class PolyFitReport(Record):
         self.verdict = verdict
 
 
-def _fit_polynomial(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
-    """Exact polynomial interpolation (Newton form to coefficient list)."""
-    m = len(xs)
-    # divided differences
+def _divided_differences(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
+    """Exact interpolation: the coefficients of the polynomial through the
+    points (xs, ys) in the Newton basis prod_(i<k) (x - xs[i])."""
     dd = list(ys)
-    for level in range(1, m):
-        for i in range(m - 1, level - 1, -1):
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
             dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    # expand Newton form
-    coeffs = [Fraction(0)] * m
-    acc = [Fraction(1)]  # product so far
-    for level in range(m):
-        for idx, c in enumerate(acc):
-            coeffs[idx] += dd[level] * c
-        # acc *= (x - xs[level])
-        nxt = [Fraction(0)] * (len(acc) + 1)
-        for idx, c in enumerate(acc):
-            nxt[idx] -= c * xs[level]
-            nxt[idx + 1] += c
-        acc = nxt
-    while len(coeffs) > 1 and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
+    return dd
 
 
-def _poly_eval(coeffs: List[Fraction], x: int) -> Fraction:
+def _newton_eval(dd: List[Fraction], xs: List[int], x: int) -> Fraction:
     out = Fraction(0)
-    for c in reversed(coeffs):
-        out = out * x + c
+    for k in range(len(dd) - 1, -1, -1):
+        out = out * (x - xs[k]) + dd[k]
     return out
 
 
@@ -288,6 +273,7 @@ def specialization_poly_check(
     fit_ys = values[: len(fit_xs)]
     hold_xs = [k for k in grid if k > fit_upto]
     hold_ys = values[len(fit_xs):]
-    fit = _fit_polynomial(fit_xs, fit_ys)
-    ok = all(_poly_eval(fit, x) == y for x, y in zip(hold_xs, hold_ys))
-    return PolyFitReport(len(fit) - 1, ok, "polynomial" if ok else "non-polynomial")
+    dd = _divided_differences(fit_xs, fit_ys)
+    ok = all(_newton_eval(dd, fit_xs, x) == y for x, y in zip(hold_xs, hold_ys))
+    degree = max((k for k, c in enumerate(dd) if c), default=0)
+    return PolyFitReport(degree, ok, "polynomial" if ok else "non-polynomial")

@@ -203,6 +203,41 @@ class TestCLI:
         assert rc == 2
         assert "config check.egl" in capsys.readouterr().err
 
+    def test_convention_environment_variable_is_ignored(self, tmp_path):
+        # only --convention picks a convention; a process started with a
+        # convention variable naming a non-JSON file runs the default
+        bad = tmp_path / "bad.json"
+        bad.write_text("{not json")
+        src = str(Path(vertexforge.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src, VERTEXFORGE_CONVENTION=str(bad))
+        proc = subprocess.run([sys.executable, "-m", "vertexforge.cli", "check", "slices", "--params",
+                               '{"qorder": 2, "count_upto": 3}'], env=env, timeout=120,
+                              capture_output=True, text=True, cwd=tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["convention"] == DEFAULT_CONVENTION.to_json()
+
+    def test_simple_fails_on_a_shifted_factorization(self, monkeypatch):
+        # the factorization is compared at shift 0: a degree-0 factor off by
+        # one power of q is a violation
+        import vertexforge.localcurve as localcurve
+
+        dt0 = localcurve.dt0_localcurve
+
+        def shifted(degrees, s, qorder, conv):
+            return [0] + dt0(degrees, s, qorder, conv)[:-1]
+
+        monkeypatch.setattr(localcurve, "dt0_localcurve", shifted)
+        rep = run_check("simple", {"samples": 1})
+        assert rep.verdict == "fail"
+        assert rep.cases[0]["factorization"] is False and rep.cases[0]["q_shift"] == 0
+
+    @pytest.mark.parametrize("c_values", [[-1], [0]])
+    def test_spec_poly_c_below_one_exit_2(self, c_values, capsys):
+        # the closed two-column form is stated for c >= 1 only
+        rc = main(["check", "spec-poly", "--params", json.dumps({"c_values": c_values})])
+        assert rc == 2
+        assert "invalid check spec" in capsys.readouterr().err
+
     def test_vacuous_mainpt_fails(self, capsys):
         # lambda = (1), q <= 1, u <= 1: both bases compare only zeros
         rc = main(["check", "mainpt", "--params",
@@ -328,9 +363,8 @@ def _bad_check(draw):
             bad = bad.filter(lambda x: x is not None)
     elif key in harness._INT_LIST_PARAMS:
         least = harness._INT_LIST_PARAMS[key]
-        element = st.one_of(st.booleans(), st.none(), st.text(max_size=2))
-        if least is not None:
-            element = st.one_of(element, st.integers(max_value=least - 1))
+        element = st.one_of(st.booleans(), st.none(), st.text(max_size=2),
+                            st.integers(max_value=least - 1))
         bad = st.one_of(_NOT_INT.filter(lambda x: not isinstance(x, list) or not x),
                         st.lists(element, min_size=1, max_size=3))
     elif key == "shapes":

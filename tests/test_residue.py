@@ -15,7 +15,7 @@ from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partiti
 from vertexforge.residue import (
     Term,
     _PoleEngine,
-    _dt0_descendent_zpoly,
+    _dt0_descendent_buckets,
     _form,
     _kernel_factors,
     _over_common_denominator,
@@ -205,6 +205,20 @@ class TestMainPT:
         assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
         assert any(not c.is_zero() for c in res)
 
+    @pytest.mark.parametrize("basis,parts", [("interp", [1]), ("interp", [2]), ("interp", [1, 1]),
+                                             ("chern", [1, 1]), ("chern", [2, 1])])
+    def test_two_descendent_variables(self, basis, parts):
+        # two descendent variables multiply their u-buckets: u and v to
+        # order 3 against localization, with nonzero coefficients compared
+        s = sample_random(5, 24)
+        lam = Partition(parts)
+        desc = (DescendentSpec("ch", 0, "u", 3), DescendentSpec("ch", 0, "v", 3))
+        boundary = "fixedpoint" if basis == "interp" else "chern"
+        loc = bare_pt((boundary, lam), 2, desc, s)
+        res = pt_residue_vertex(lam, 2, desc, s, basis=basis)
+        assert all(a == b for a, b in zip(loc.coeffs, res, strict=True))
+        assert sum(len(c.coeffs) for c in res) > 10
+
     def test_k_zero_weight_is_one(self):
         # Pi(0, z) = 1: the q^0 term is the tautological integral
         lam = Partition([1])
@@ -279,9 +293,14 @@ def _contents(mu, s):
     return [i * s.a1 + j * s.a2 for (i, j) in mu.cells()]
 
 
+def _at(buckets, z, vs, orders):
+    """The series sum_ue u^ue buckets[ue] at the point z."""
+    return DescSeries(vs, orders, None, {ue: _zp_at(b, z) for ue, b in buckets.items()})
+
+
 class TestDescendentZpoly:
-    """The residue route's descendent z-polynomial at z_i = the content of
-    the i-th cell is the localization route's descendent character of the
+    """The residue route's descendent u-buckets at z_i = the content of the
+    i-th cell are the localization route's descendent character of the
     fixed point with k_i on that cell."""
 
     @pytest.mark.parametrize("sign", [-1, 1])
@@ -290,28 +309,27 @@ class TestDescendentZpoly:
         lam = Partition(parts)
         conv = Convention(pt_column_sign=sign)
         spec = DescendentSpec("ch", 0, "u", 3)
-        zero = DescSeries(("u",), (3,))
         configs = enum_rpp(lam, 3)
         assert len(configs) > 1
         for cfg in configs:
             kvec = [cfg.entry(c) for c in lam.cells()]
-            _, dpoly = pt_vertex_integrand(lam.parts, kvec, S, conv, (spec,))
-            assert _zp_at(dpoly, _contents(lam, S), zero) == descendent_char(cfg, spec, S, conv), kvec
+            _, buckets = pt_vertex_integrand(zp_const(lam.size, F(1)), kvec, S, conv, (spec,))
+            got = _at(buckets, _contents(lam, S), ("u",), (3,))
+            assert got == descendent_char(cfg, spec, S, conv), kvec
 
     @pytest.mark.parametrize("parts", [[1], [2], [1, 1]])
     def test_dt0_g_at_contents(self, parts):
         mu = Partition(parts)
         spec = DescendentSpec("ch", 0, "w1", 4)
-        zero = DescSeries(("w1",), (4,))
         count = 0
         for kv in product(range(4), repeat=mu.size):
             try:
                 pp = LeggedPlanePartition(Partition(), dict(zip(mu.cells(), kv)))
             except ValueError:
                 continue
-            gz, scalar = _dt0_descendent_zpoly(kv, (spec,), S)
+            buckets, scalar = _dt0_descendent_buckets(kv, (spec,), S)
             direct = descendent_char(pp, spec, S) * (1 / (S.t1 * S.t2 * S.t3))
-            assert _zp_at(gz, _contents(mu, S), zero) * scalar == direct, kv
+            assert _at(buckets, _contents(mu, S), ("w1",), (4,)) * scalar == direct, kv
             count += 1
         assert count > 1
 

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from vertexforge.series import DescSeries, QSeries, align_up_to_shift, exp_single
+from vertexforge.series import DescSeries, QSeries, exp_single
 
 
 class TestQSeries:
@@ -17,18 +17,6 @@ class TestQSeries:
         b = QSeries(2, [1, 0, 0], shift=0)
         c = a * b
         assert c.shift == 1 and c.coeff_at(2) == 2
-
-    def test_align_up_to_shift(self):
-        a = QSeries(3, [0, 1, 2, 3])
-        b = QSeries(2, [1, 2, 3], shift=0)
-        ok, s = align_up_to_shift(a, b)
-        assert ok and s == 1
-
-    def test_align_rejects(self):
-        a = QSeries(2, [1, 2, 3])
-        b = QSeries(2, [1, 2, 4])
-        ok, _ = align_up_to_shift(a, b)
-        assert not ok
 
     @given(
         xs=st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3),

@@ -24,10 +24,14 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `descendent_char` in every mode, under both column signs, in each of two
   joint variables, at every fixed point up to q = 4 on the legs (), (1),
   (2,1) and the shapes (1), (2), (1,1), (2,1).
+* `pt_residue_vertex` with two descendent variables, under both column
+  signs, in the fixed-point basis on (1), (2), (1,1) and the Chern basis on
+  (1,1), (2,1), and `dt0_residue_value` with two variables in both
+  variants at every k-vector with entries in -1..1.
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
-listings show which outputs differ.  It takes 12-20 s on a 2-vCPU Xeon
+listings show which outputs differ.  It takes 18-25 s on a 2-vCPU Xeon
 host with CPython 3.11.
 """
 
@@ -155,6 +159,22 @@ def entries():
                     spec = DescendentSpec(mode, 0, var, order)
                     yield (f"descendent_char {name} {conv.pt_column_sign} {mode} {var}",
                            [descendent_char(c, spec, s, conv, vs, orders) for c in configs])
+
+    # two descendent variables on the residue route: their u-buckets multiply
+    s2 = sample_random(5, 24)
+    desc_uv = (DescendentSpec("ch", 0, "u", 3), DescendentSpec("ch", 0, "v", 3))
+    for conv in (Convention(-1), Convention(1)):
+        for basis, parts in (("interp", [1]), ("interp", [2]), ("interp", [1, 1]), ("chern", [1, 1]),
+                             ("chern", [2, 1])):
+            yield (f"pt_residue_vertex {parts} {basis} u v {conv.pt_column_sign}",
+                   pt_residue_vertex(Partition(parts), 2, desc_uv, s2, conv, basis))
+    desc_w = (DescendentSpec("ch", 0, "w1", 4), DescendentSpec("ch", 0, "w2", 3))
+    for parts in ([1], [2], [1, 1]):
+        mu = Partition(parts)
+        for kv in product(range(-1, 2), repeat=mu.size):
+            for variant in ("derived", "printed"):
+                yield (f"dt0_residue_value {parts} {kv} {variant} w1 w2",
+                       dt0_residue_value(mu, kv, s, CONV, desc_w, variant))
 
 
 def main(argv=None) -> None:
