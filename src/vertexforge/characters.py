@@ -416,9 +416,10 @@ def descendent_char(
     over the terms (b, c) of a box numerator N = sum c t^b (box character
     N/(1-t3)).  `ch` and `ch_hat` take the fixed point's own N
     (`pt_box_terms`, `dt_box_terms`); `ch_prime` takes the finite quotient
-    boxes: the same N for ideal sheaves, and for stable pairs the kernel
-    boxes t^(i,j,sigma m), 1 <= m <= k, of each column of depth k, whose
-    numerator is t^(i,j,lo) - t^(i,j,hi+1), (lo, hi) = sorted(sigma, sigma k).
+    boxes: the same N for ideal sheaves, and for stable pairs the boxes
+    t^(i,j,m), lo <= m < hi, between the tops 0 and sigma k of each column of
+    depth k, (lo, hi) = sorted(0, sigma k), whose numerator is
+    t^(i,j,lo) - t^(i,j,hi).
     `ch` and `ch_prime` give body, `ch_hat` gives 1 - body.
     """
     if spec.mode not in ("ch", "ch_prime", "ch_hat"):
@@ -430,8 +431,8 @@ def descendent_char(
             for i, row in enumerate(config.k):
                 for j, k in enumerate(row):
                     if k > 0:
-                        lo, hi = sorted((sigma, sigma * k))
-                        terms += (((i, j, lo), 1), ((i, j, hi + 1), -1))
+                        lo, hi = sorted((0, sigma * k))
+                        terms += (((i, j, lo), 1), ((i, j, hi), -1))
         else:
             terms = pt_box_terms(config.k, conv)
     elif isinstance(config, LeggedPlanePartition):

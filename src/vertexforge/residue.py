@@ -99,8 +99,17 @@ class _PoleEngine:
     its dependence on z_(v+1)..z_n and a pole lies inside the z_v contour
     exactly when its form is c_p z_v + constant (in the `inner` region, with
     no integer-scale part).  A form L_i at the root of L_p is
-    (c_p L_i - c_i L_p) / c_p.  Residues of monomials are memoized, one
-    `Fraction` each.
+    (c_p L_i - c_i L_p) / c_p.
+
+    The factors z_u^m_u with u < v are passive in z_v, so the terms left
+    after the residues in z_v..z_(n-1) depend only on the inner exponents
+    (m_v, ..., m_(n-1)); they are memoized by that tuple, and a monomial
+    continues from its longest memoized one.  At the outermost variable
+    every other factor is a number at the root, and a pole of order M gives
+    their product times [h^(M-1)] prod (1 + x_i h)^e_i, x_i = c_i / L_i(root),
+    from power sums (`_newton_coefficient`); the inner levels, whose
+    factors are still forms, sum over the ways to place the M - 1
+    derivatives.  Residues of monomials are memoized, one `Fraction` each.
     """
 
     def __init__(self, factors: Iterable[Tuple[Tuple[int, ...], int]], nvars: int, region: str,
@@ -116,14 +125,14 @@ class _PoleEngine:
         self.subs: Dict[Tuple[int, int], Tuple[int | None, int, int]] = {}
         self.memo: Dict[tuple, Fraction] = {}
         self.var = [self._intern(tuple(int(v == w) for w in range(nvars + 2))) for v in range(nvars)]
-        self.base: Dict[int, int] = {}
+        base: Dict[int, int] = {}
         num = den = 1
         shift = -nvars
         for f, e in factors:
             shift -= e
             if any(f[:nvars]):
                 i, g = self._primitive(f)
-                self.base[i] = self.base.get(i, 0) + e
+                base[i] = base.get(i, 0) + e
             else:
                 # a constant folds into the coefficient; zero kills a numerator
                 g = f[nvars] + f[nvars + 1]
@@ -135,6 +144,12 @@ class _PoleEngine:
                 den *= g ** -e
         self.shift = shift
         self.coef = Fraction(num, den) if num else Fraction(0)
+        self.base = {i: e for i, e in base.items() if e}
+        # states[(m_v, ..., m_(n-1))]: {term key: [num, den]} after the
+        # residues in z_v..z_(n-1) of z_v^m_v ... z_(n-1)^m_(n-1) times the forms
+        key = tuple(sorted(self.base.items()))
+        self.states: Dict[tuple, Dict[tuple, List[int]]] = {
+            (): {key: [self.coef.numerator, self.coef.denominator]} if num else {}}
 
     def _intern(self, key: Tuple[int, ...]) -> int:
         i = self.ids.get(key)
@@ -172,8 +187,23 @@ class _PoleEngine:
             self.subs[key] = out
         return out
 
+    def _times(self, work: Dict[tuple, List[int]], v: int, m: int) -> Dict[tuple, List[int]]:
+        """The terms of `work` times z_v^m."""
+        if not m:
+            return work
+        i = self.var[v]
+        out = {}
+        for key, nd in work.items():
+            exps = dict(key)
+            x = exps.pop(i, 0) + m
+            if x:
+                exps[i] = x
+            out[tuple(sorted(exps.items()))] = nd
+        return out
+
     def _residues(self, key: tuple, num: int, den: int, v: int, out: Dict[tuple, List[int]]) -> None:
-        """Add to `out` the residues of one term in z_v at its enclosed poles."""
+        """Add to `out` the residues of one term in an inner variable z_v at
+        its enclosed poles."""
         forms = self.forms
         active = [(i, e) for i, e in key if forms[i][v]]
         passive = [(i, e) for i, e in key if not forms[i][v]]
@@ -216,33 +246,69 @@ class _PoleEngine:
                     acc = out.get(k2)
                     if acc is None:
                         out[k2] = [n, d]
-                    elif acc[1] == d:
-                        acc[0] += n
                     else:
-                        acc[0] = acc[0] * d + n * acc[1]
-                        acc[1] *= d
+                        _accumulate(acc, n, d)
+
+    def _last_residues(self, key: tuple, num: int, den: int, acc: List[int]) -> None:
+        """Add to `acc` the residues of one term in z_0, where every form is
+        c z_0 + constant: at a pole L_p^-M with root r, the other factors'
+        values L_i(r)^e_i over c_p^M, times [h^(M-1)] prod (1 + x_i h)^e_i
+        with x_i = c_i / L_i(r); a numerator form vanishing at r is
+        (c_i h)^e_i and lowers that index by e_i."""
+        forms, big = self.forms, self.nvars
+        for p, m in key:
+            if m >= 0 or (self.inner and forms[p][big]):
+                continue
+            n, d = num, den * forms[p][0] ** -m
+            order = -m - 1
+            xs = []
+            for i, e in key:
+                if i == p:
+                    continue
+                _, sn, sd = self._substitute(i, p)
+                c = forms[i][0]
+                if not sn:
+                    if e < 0:
+                        raise ZeroDivisionError("pole at non-generic input: factor vanished on substitution")
+                    n *= c ** e
+                    order -= e
+                    continue
+                if e > 0:
+                    n *= sn ** e
+                    d *= sd ** e
+                else:
+                    n *= sd ** -e
+                    d *= sn ** -e
+                xs.append((e, c * sd, sn))
+            if order < 0:
+                continue
+            if order:
+                g, b = _newton_coefficient(xs, order)
+                n *= g
+                d *= b
+            _accumulate(acc, n, d)
 
     def monomial(self, mono: Tuple[int, ...]) -> Fraction:
         """Iterated residue of z^mono times the linear part."""
         val = self.memo.get(mono)
         if val is not None:
             return val
-        exps = dict(self.base)
-        for v, m in enumerate(mono):
-            if m:
-                exps[self.var[v]] = exps.get(self.var[v], 0) + m
-        coef = self.coef
-        work = {tuple(sorted((i, x) for i, x in exps.items() if x)): [coef.numerator, coef.denominator]}
-        for v in range(self.nvars - 1, -1, -1):
-            if not work:
-                break
+        v = 1
+        while mono[v:] not in self.states:
+            v += 1
+        work = self.states[mono[v:]]
+        for u in range(v - 1, 0, -1):
             nxt: Dict[tuple, List[int]] = {}
-            for key, (n, d) in work.items():
+            for key, (n, d) in self._times(work, u, mono[u]).items():
                 if n:
-                    self._residues(key, n, d, v, nxt)
-            work = nxt
-        # every form is constant once all variables are substituted
-        n, d = work.get((), (0, 1))
+                    self._residues(key, n, d, u, nxt)
+            work = self.states[mono[u:]] = nxt
+        # the outermost variable, where every form is c z_0 + constant
+        acc = [0, 1]
+        for key, (n, d) in self._times(work, 0, mono[0]).items():
+            if n:
+                self._last_residues(key, n, d, acc)
+        n, d = acc
         if not n:
             val = ZERO
         else:
@@ -250,6 +316,35 @@ class _PoleEngine:
             val = Fraction(n * self.scale ** k, d) if k >= 0 else Fraction(n, d * self.scale ** -k)
         self.memo[mono] = val
         return val
+
+
+def _accumulate(acc: List[int], n: int, d: int) -> None:
+    """acc = [num, den] plus n/d, unreduced."""
+    if acc[1] == d:
+        acc[0] += n
+    else:
+        acc[0] = acc[0] * d + n * acc[1]
+        acc[1] *= d
+
+
+def _newton_coefficient(xs: Sequence[Tuple[int, int, int]], order: int) -> Tuple[int, int]:
+    """[h^order] prod (1 + (a/b) h)^e over xs = [(e, a, b)], as (num, den).
+
+    With B the lcm of the b and y = a B / b, B^order times it is the integer
+    g_order of prod (1 + y h)^e, from the power sums p_k = sum e y^k by
+    Newton's identity k g_k = sum_(j=1..k) (-1)^(j-1) p_j g_(k-j)."""
+    B = lcm(*(b for _, _, b in xs))
+    p = [0] * (order + 1)
+    for e, a, b in xs:
+        y = a * (B // b)
+        t = e
+        for k in range(1, order + 1):
+            t *= y
+            p[k] += t
+    g = [1]
+    for k in range(1, order + 1):
+        g.append(sum(p[j] * g[k - j] if j % 2 else -p[j] * g[k - j] for j in range(1, k + 1)) // k)
+    return g[order], B ** order
 
 
 def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fraction:
@@ -284,15 +379,21 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
         # residue of term.poly * z^ze
         w = weights.get(ze)
         if w is None:
-            w = weights[ze] = sum(
-                (c * engine.monomial(tuple(x + y for x, y in zip(e, ze))) for e, c in term.poly.items()),
-                ZERO,
-            )
+            w = ZERO
+            for e, c in term.poly.items():
+                r = engine.monomial(tuple(x + y for x, y in zip(e, ze)))
+                if r:
+                    w += c * r
+            weights[ze] = w
         return w
 
     out = DescSeries(vs, orders, total)
     for ue, zp in buckets.items():
-        val = sum((x * weight(ze) for ze, x in zp.items()), ZERO)
+        val = ZERO
+        for ze, x in zp.items():
+            w = weight(ze)
+            if w:
+                val += x * w
         if val:
             out.coeffs[ue] = val
     return out

@@ -326,8 +326,8 @@ def descendent_char_per_box(config, spec, s, conv, variables, orders):
     resummed) and a finite box (i, j, m) (1-e^{t1 z})(1-e^{t2 z})(1-e^{t3 z})
     e^{(i t1 + j t2 + m t3) z}; a PT cell of depth k gives
     (1-e^{t1 z})(1-e^{t2 z}) e^{(i t1 + j t2 + sigma k t3) z} and, for
-    `ch_prime`, its kernel boxes (i, j, sigma m), 1 <= m <= k, the finite
-    prefactor.  `ch_hat` is 1 minus the `ch` sum; this is the oracle."""
+    `ch_prime`, the boxes (i, j, m) between its tops 0 and sigma k,
+    min(0, sigma k) <= m < max(0, sigma k), the finite prefactor.  `ch_hat` is 1 minus the `ch` sum; this is the oracle."""
     var = spec.variable
     one = DescSeries.const(variables, orders, 1)
     d1, d2, d3 = (one - exp_single(variables, orders, var, t) for t in (s.t1, s.t2, s.t3))
@@ -342,8 +342,8 @@ def descendent_char_per_box(config, spec, s, conv, variables, orders):
         sigma = conv.pt_column_sign
         cells = [(i, j, config.entry((i, j))) for (i, j) in config.shape.cells()]
         if spec.mode == "ch_prime":
-            return d1 * d2 * d3 * boxes((i, j, sigma * m) for i, j, k in cells
-                                        for m in range(1, k + 1))
+            return d1 * d2 * d3 * boxes((i, j, m) for i, j, k in cells
+                                        for m in range(min(0, sigma * k), max(0, sigma * k)))
         body = d1 * d2 * boxes((i, j, sigma * k) for i, j, k in cells)
     else:
         legpart = boxes((i, j, 0) for (i, j) in config.leg.cells())
@@ -376,6 +376,21 @@ class TestDescendentCharOracle:
     @pytest.mark.parametrize("shape", [(1,), (2,), (1, 1), (2, 1)])
     def test_pt(self, shape):
         self._check(enum_rpp(Partition(shape), self.Q))
+
+    @pytest.mark.parametrize("sigma", [-1, 1])
+    def test_ch_prime_is_the_column_quotient(self, sigma):
+        # the quotient of a column of depth k is the boxes between its tops 0
+        # and sigma k, so ch_prime(k) = -sigma (ch(k) - ch(0)) under either
+        # sign; the two differ from z^4 on if the boxes are taken as sigma {1..k}
+        conv = Convention(sigma)
+        shape = Partition([1])
+        ch, ch_prime = (DescendentSpec(mode, 0, "z", 5) for mode in ("ch", "ch_prime"))
+        at_zero = descendent_char(RppConfig(shape, [[0]]), ch, S, conv)
+        for k in (1, 2, 3):
+            config = RppConfig(shape, [[k]])
+            diff = descendent_char(config, ch, S, conv) - at_zero
+            assert descendent_char(config, ch_prime, S, conv) == diff * -sigma, k
+            assert diff.coeff((4,)) and diff.coeff((5,)), k
 
 
 class TestMeasureDifference:

@@ -21,10 +21,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -32,15 +34,36 @@ PAIRS = 10
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line (last line of standard output) of one run."""
+    """The result line (last line of standard output) of one run.
+
+    Standard output goes to a temporary file, and only the result line is
+    read back: a launcher that held each run's report in memory would raise
+    the peak resident size that every later child inherits."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
-    out = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
-                         timeout=20 * seconds + 600)
-    lines = out.stdout.strip().splitlines()
-    if out.returncode not in (0, 1) or not lines:
-        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {out.returncode}: {out.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    with tempfile.TemporaryFile() as out:
+        proc = subprocess.run(cmd, cwd=checkout, stdout=out, stderr=subprocess.PIPE, text=True,
+                              timeout=20 * seconds + 600)
+        last = _last_line(out)
+    if proc.returncode not in (0, 1) or not last:
+        raise RuntimeError(f"{checkout}: {' '.join(cmd)} exited {proc.returncode}: {proc.stderr[-2000:]}")
+    return json.loads(last)
+
+
+def _last_line(f, block: int = 1 << 16) -> bytes:
+    """The last non-blank line of the binary file f, read in blocks from
+    its end."""
+    end = f.seek(0, os.SEEK_END)
+    tail = b""
+    while end > 0:
+        start = max(0, end - block)
+        f.seek(start)
+        tail = f.read(end - start) + tail
+        end = start
+        lines = tail.rstrip().splitlines()
+        if len(lines) > 1 or (lines and end == 0):
+            return lines[-1]
+    return b""
 
 
 def quartiles(xs: list[float]) -> dict:
