@@ -7,17 +7,22 @@ exponents.  The forms are integer vectors: the sample's denominators are
 cleared once (w = D z, D the common denominator of a_1, a_2 or t_1, t_2),
 and every form is kept primitive with a positive leading coefficient, so
 equal numerator and denominator forms cancel; a monomial z_i^m is the
-form z_i to the power m.  The residue in z_v at an enclosed pole of order
-m is a sum over the ways to put m - 1 derivatives on the other forms
-(d/dz_v L^e = e c_v L^(e-1)), after which the root of the pole form L_p
-is substituted into each form by cross-multiplying, c_p L_i - c_i L_p;
-terms stay factored throughout, each with an integer numerator and
-denominator.  Pole locations carry a split constant (an integer-scale
-part and an infinitesimal-scale part built from a_1, a_2); in the `inner`
+form z_i to the power m.  The residue in an inner variable z_v at an
+enclosed pole of order m is a sum over the ways to put m - 1 derivatives
+on the other forms (d/dz_v L^e = e c_v L^(e-1)), after which the root of
+the pole form L_p is substituted into each form by cross-multiplying,
+c_p L_i - c_i L_p; terms stay factored throughout, each with an integer
+numerator and denominator.  At the outermost variable every other form is
+a number at the root, and the pole's residue is their product times one
+coefficient of prod (1 + x_i h)^e_i, taken from power sums by Newton's
+identity.  Pole locations carry a split constant (an integer-scale part
+and an infinitesimal-scale part built from a_1, a_2); in the `inner`
 region only poles with vanishing integer-scale part are enclosed, in the
 `full` region every finite pole is enclosed.  The dense parts enter by
 linearity: residues are taken per z-monomial and memoized, one `Fraction`
-each.  "Integration" is coefficient extraction, never quadrature.
+each, and monomials with the same inner exponents share the terms left
+after the inner levels.  "Integration" is coefficient extraction, never
+quadrature.
 """
 
 from __future__ import annotations
