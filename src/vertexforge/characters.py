@@ -11,10 +11,9 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
 from itertools import chain
 from math import lcm
-from typing import Callable, Dict, Literal, NamedTuple, Tuple
+from typing import Dict, List, Literal, NamedTuple, Tuple
 
 from .laurent import EquivariantCharacter, LaurentPoly
 from .partitions import LeggedPlanePartition, Partition, RppConfig
@@ -307,82 +306,144 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
     return step
 
 
-def _running_weights(memo: dict, parent, numerator, step, direct):
-    """Weight lookup by box data, as a running product: `memo` holds the
-    box-free fixed point's weight, `parent(key)` gives the box data with one
-    box removed (still a fixed point) and that box's exponent, `numerator`
-    the terms (b, c) of the box numerator N = sum c t^b of box data, and
-    w(key) = w(parent) step(numerator(parent), box) (`_weight_step`).
-
-    At a non-generic sample an ancestor's own weight can be undefined while
-    the key's is not; a step into that ancestor then raises, and the lookup
-    returns `direct(key)`, the key's weight computed on its own (which
-    raises when the key's weight is undefined too)."""
-
-    def weight(key) -> Fraction:
-        # walk up to a weighed ancestor, then multiply back down; a loop, not
-        # a self-referencing closure, so the tables die with the lookup
-        # instead of waiting for the cycle collector
-        chain = []
-        want = key
-        w = memo.get(key)
-        while w is None:
-            up, m = parent(key)
-            chain.append((key, up, m))
-            key = up
-            w = memo.get(key)
-        try:
-            for key, up, m in reversed(chain):
-                w = memo[key] = w * step(numerator(up), m)
-        except ValueError:
-            w = memo[want] = direct(want)
-        return w
-
-    return weight
+def _times_step(w, step, terms, m):
+    """w times step(terms, m), or None when w is None (undefined) or the
+    step raises at a non-generic sample."""
+    if w is None:
+        return None
+    try:
+        return w * step(terms, m)
+    except ValueError:
+        return None
 
 
-def _dt_parent(h):
-    # the top box of the last nonzero column in row-major order
-    (i, j), top = h[-1]
-    return h[:-1] + ((((i, j), top - 1),) if top > 1 else ()), (i, j, top - 1)
+def _weight_or_none(weight, config, s, conv):
+    try:
+        return weight(config, s, conv)
+    except ValueError:
+        return None
 
 
-def dt_running_weights(
-    leg: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
-) -> Callable[[LeggedPlanePartition], Fraction]:
-    """`dt_weight` of the legged plane partitions on `leg`, each from the one
-    with a box less; a single `dt_weight` call seeds the product."""
-    memo = {(): dt_weight(LeggedPlanePartition(leg), s, conv)}
-    weight = _running_weights(memo, _dt_parent, partial(dt_box_terms, leg),
-                              _weight_step(s, 1, _dt_dual(conv)),
-                              lambda h: dt_weight(LeggedPlanePartition(leg, h), s, conv))
-    return lambda pp: weight(pp.heights)
+def dt_weight_walk(
+    leg: Partition, qorder: int, s: ParamSample, conv: Convention = DEFAULT_CONVENTION,
+    support: Partition | None = None,
+) -> List[Tuple[int, Fraction | None, tuple]]:
+    """(renormalized volume, `dt_weight`, heights) of every legged plane
+    partition on `leg` of volume <= qorder, the heights as
+    `LeggedPlanePartition.heights` stores them; with `support`, only those
+    whose boxes all sit over cells of that partition.
+
+    Depth first over the tree in which a fixed point's parent has the top
+    box of its last nonzero column (row-major) removed: a child adds one box
+    on that column or opens a later one, so each fixed point is visited
+    once.  One `dt_weight` call seeds the root; a child's weight is its
+    parent's times one `_weight_step`, over the parent's box-numerator terms
+    extended in place.  At a non-generic sample a step can raise where the
+    child's own weight is defined; the child then takes `dt_weight` directly,
+    and the weight reads None where that raises too."""
+    nleg = len(leg.parts)
+    step = _weight_step(s, 1, _dt_dual(conv))
+    out: list = []
+    hm: Dict[Tuple[int, int], int] = {}
+    terms = dt_box_terms(leg, ())
+
+    def start(i):
+        return leg.parts[i] if i < nleg else 0
+
+    def fits(i, j, h):
+        # height h over (i, j) needs its neighbours up and left at least as
+        # high; a neighbour in the leg or off the quadrant is infinite
+        return ((i == 0 or j < start(i - 1) or hm.get((i - 1, j), 0) >= h)
+                and (j <= start(i) or hm.get((i, j - 1), 0) >= h))
+
+    def visit(heights, w, volume):
+        out.append((volume, w, heights))
+        if volume == qorder:
+            return
+        row = -1
+        if heights:
+            (row, j), h = heights[-1]
+            if fits(row, j, h + 1):
+                cw = _times_step(w, step, terms, (row, j, h))
+                hm[(row, j)] = h + 1
+                terms[-1] = ((row, j, h + 1), -1)
+                child = heights[:-1] + (((row, j), h + 1),)
+                if cw is None:
+                    cw = _weight_or_none(dt_weight, LeggedPlanePartition(leg, child), s, conv)
+                visit(child, cw, volume + 1)
+                hm[(row, j)] = h
+                terms[-1] = ((row, j, h), -1)
+            fresh = [(row, j + 1)]
+        else:
+            fresh = []
+        fresh += [(i, start(i)) for i in range(row + 1, max(row + 1, nleg) + 1)]
+        for i, j in fresh:
+            if not fits(i, j, 1) or (support is not None and (i, j) not in support):
+                continue
+            cw = _times_step(w, step, terms, (i, j, 0))
+            hm[(i, j)] = 1
+            terms.extend((((i, j, 0), 1), ((i, j, 1), -1)))
+            child = heights + (((i, j), 1),)
+            if cw is None:
+                cw = _weight_or_none(dt_weight, LeggedPlanePartition(leg, child), s, conv)
+            visit(child, cw, volume + 1)
+            del hm[(i, j)], terms[-2:]
+
+    visit((), _weight_or_none(dt_weight, LeggedPlanePartition(leg), s, conv), 0)
+    # `visit` refers to itself through its closure: dropping it frees the
+    # walk's tables now rather than at the next cycle collection
+    del visit
+    return out
 
 
-def pt_running_weights(
-    shape: Partition, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
-) -> Callable[[RppConfig], Fraction]:
-    """`pt_weight` of the reverse plane partitions on `shape`, each from the
-    one with the first maximal entry (row-major) decremented; a single
-    `pt_weight` call seeds the product."""
+def pt_weight_walk(
+    shape: Partition, qorder: int, s: ParamSample, conv: Convention = DEFAULT_CONVENTION
+) -> List[Tuple[int, Fraction | None, tuple]]:
+    """(size, `pt_weight`, depths) of every reverse plane partition on
+    `shape` of size <= qorder, the depths row by row as `RppConfig.k`
+    stores them.
+
+    Depth first over the tree in which a fixed point's parent has its first
+    maximal entry (row-major) decremented: a child raises an entry equal to
+    the maximum, or one below it that comes before the first maximal entry,
+    so each fixed point is visited once.  The weights follow
+    `dt_weight_walk`'s rule: one `pt_weight` call seeds the root, a child
+    multiplies its parent's weight by one `_weight_step`, and a step that
+    raises gives the child `pt_weight` directly (None where that raises)."""
     sigma = conv.pt_column_sign
+    step = _weight_step(s, -sigma, (-1, -1, -1))
+    cells = shape.cells()
+    index = {c: n for n, c in enumerate(cells)}
+    # the neighbours right and below, which bound an entry from above
+    after = [[index[c] for c in ((i, j + 1), (i + 1, j)) if c in index] for i, j in cells]
+    ends = [sum(shape.parts[:i + 1]) for i in range(len(shape.parts))]
+    spans = list(zip([0] + ends, ends))
+    vals = [0] * len(cells)
+    terms = pt_box_terms([[0] * p for p in shape.parts], conv)
+    out: list = []
 
-    def parent(k):
-        top = max(map(max, k))
-        i = next(r for r, row in enumerate(k) if top in row)
-        j = k[i].index(top)
-        rows = list(k)
-        rows[i] = k[i][:j] + (top - 1,) + k[i][j + 1:]
-        # the column t^(i,j,sigma k)/(1-t3) changes by the box between its
-        # tops at k = top - 1 and k = top
-        return tuple(rows), (i, j, min(sigma * top, sigma * (top - 1)))
+    def visit(w, size, top, first):
+        out.append((size, w, tuple(tuple(vals[a:b]) for a, b in spans)))
+        if size == qorder:
+            return
+        for c, (i, j) in enumerate(cells):
+            v = vals[c]
+            if not (v == top or (v == top - 1 and c < first)) or any(vals[x] <= v for x in after[c]):
+                continue
+            # the column t^(i,j,sigma v)/(1-t3) gains the box between its
+            # tops at depths v and v + 1
+            cw = _times_step(w, step, terms, (i, j, min(sigma * v, sigma * (v + 1))))
+            vals[c] = v + 1
+            terms[c] = ((i, j, sigma * (v + 1)), 1)
+            if cw is None:
+                cw = _weight_or_none(pt_weight, RppConfig(shape, dict(zip(cells, vals))), s, conv)
+            visit(cw, size + 1, max(top, v + 1), c)
+            vals[c] = v
+            terms[c] = ((i, j, sigma * v), 1)
 
-    zero = RppConfig(shape, {})
-    memo = {zero.k: pt_weight(zero, s, conv)}
-    weight = _running_weights(memo, parent, partial(pt_box_terms, conv=conv),
-                              _weight_step(s, -sigma, (-1, -1, -1)),
-                              lambda k: pt_weight(RppConfig(shape, k), s, conv))
-    return lambda cfg: weight(cfg.k)
+    visit(_weight_or_none(pt_weight, RppConfig(shape, {}), s, conv), 0, 0, 0)
+    del visit
+    return out
 
 
 def edge_char(shape: Partition, d: Tuple[int, int]) -> EquivariantCharacter:

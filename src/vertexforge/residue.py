@@ -87,6 +87,56 @@ def _binom(e: int, k: int) -> int:
     return prod(range(e, e - k, -1)) // factorial(k)
 
 
+class _FormTable:
+    """The primitive integer linear forms in n variables that pole engines
+    meet, each interned once with the index of its leading coefficient, and
+    the substitutions of one form at the root of another, computed once.
+    Every engine of one residue vertex shares one table."""
+
+    def __init__(self, nvars: int):
+        self.nvars = nvars
+        self.forms: List[Tuple[int, ...]] = []
+        self.ids: Dict[Tuple[int, ...], int] = {}
+        self.lead: List[int] = []
+        self.subs: Dict[Tuple[int, int], Tuple[int | None, int, int]] = {}
+
+    def intern(self, key: Tuple[int, ...]) -> int:
+        i = self.ids.get(key)
+        if i is None:
+            i = self.ids[key] = len(self.forms)
+            self.forms.append(key)
+            self.lead.append(next(v for v, x in enumerate(key) if x))
+        return i
+
+    def primitive(self, vec: Sequence[int]) -> Tuple[int, int]:
+        """(form id, g) with vec = g * form, the form primitive with a
+        positive leading z-coefficient."""
+        g = gcd(*vec)
+        if next(x for x in vec if x) < 0:
+            g = -g
+        if g != 1:
+            vec = [x // g for x in vec]
+        return self.intern(tuple(vec)), g
+
+    def substitute(self, i: int, p: int) -> Tuple[int | None, int, int]:
+        """Form i at the root of pole form p: (form id, num, den) for
+        num/den times that form, or (None, num, den) for the value num/den."""
+        key = (i, p)
+        out = self.subs.get(key)
+        if out is None:
+            f, pf = self.forms[i], self.forms[p]
+            v = self.lead[p]
+            ci, cp = f[v], pf[v]
+            vec = [cp * x - ci * y for x, y in zip(f, pf)]
+            if any(vec[:self.nvars]):
+                j, g = self.primitive(vec)
+                out = (j, g, cp)
+            else:
+                out = (None, vec[self.nvars] + vec[self.nvars + 1], cp)
+            self.subs[key] = out
+        return out
+
+
 class _PoleEngine:
     """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
 
@@ -94,10 +144,11 @@ class _PoleEngine:
     (c_1..c_n, big, small) in the variables w = scale * z, each standing for
     scale times its form in z, where `scale` clears the sample's
     denominators, so the z-integrand is scale^-(n + sum e + |m|) times the
-    w-integrand.  Every form is interned as a primitive integer vector whose
-    first nonzero coefficient is positive; its rational multiple and the
-    constant factors go into the coefficient, an integer
-    numerator/denominator pair, so proportional forms cancel.
+    w-integrand.  Every form is interned in a `_FormTable` (the engine's
+    own, or one shared with other engines in the same variables) as a
+    primitive integer vector whose first nonzero coefficient is positive;
+    its rational multiple and the constant factors go into the coefficient,
+    an integer numerator/denominator pair, so proportional forms cancel.
     A term is that pair and a sorted tuple of (form id, signed exponent).
 
     The variables are taken innermost first, so at z_v every form has lost
@@ -118,18 +169,17 @@ class _PoleEngine:
     """
 
     def __init__(self, factors: Iterable[Tuple[Tuple[int, ...], int]], nvars: int, region: str,
-                 scale: int):
+                 scale: int, table: _FormTable | None = None):
         if region not in ("inner", "full"):
             raise ValueError(f"unknown region {region!r}")
+        table = table or _FormTable(nvars)
         self.nvars = nvars
         self.inner = region == "inner"
         self.scale = scale
-        self.forms: List[Tuple[int, ...]] = []
-        self.ids: Dict[Tuple[int, ...], int] = {}
-        self.lead: List[int] = []
-        self.subs: Dict[Tuple[int, int], Tuple[int | None, int, int]] = {}
+        self.forms, self.lead = table.forms, table.lead
+        self._primitive, self._substitute = table.primitive, table.substitute
         self.memo: Dict[tuple, Fraction] = {}
-        self.var = [self._intern(tuple(int(v == w) for w in range(nvars + 2))) for v in range(nvars)]
+        self.var = [table.intern(tuple(int(v == w) for w in range(nvars + 2))) for v in range(nvars)]
         base: Dict[int, int] = {}
         num = den = 1
         shift = -nvars
@@ -155,42 +205,6 @@ class _PoleEngine:
         key = tuple(sorted(self.base.items()))
         self.states: Dict[tuple, Dict[tuple, List[int]]] = {
             (): {key: [self.coef.numerator, self.coef.denominator]} if num else {}}
-
-    def _intern(self, key: Tuple[int, ...]) -> int:
-        i = self.ids.get(key)
-        if i is None:
-            i = self.ids[key] = len(self.forms)
-            self.forms.append(key)
-            self.lead.append(next(v for v, x in enumerate(key) if x))
-        return i
-
-    def _primitive(self, vec: Sequence[int]) -> Tuple[int, int]:
-        """(form id, g) with vec = g * form, the form primitive with a
-        positive leading z-coefficient."""
-        g = gcd(*vec)
-        if next(x for x in vec if x) < 0:
-            g = -g
-        if g != 1:
-            vec = [x // g for x in vec]
-        return self._intern(tuple(vec)), g
-
-    def _substitute(self, i: int, p: int) -> Tuple[int | None, int, int]:
-        """Form i at the root of pole form p: (form id, num, den) for
-        num/den times that form, or (None, num, den) for the value num/den."""
-        key = (i, p)
-        out = self.subs.get(key)
-        if out is None:
-            f, pf = self.forms[i], self.forms[p]
-            v = self.lead[p]
-            ci, cp = f[v], pf[v]
-            vec = [cp * x - ci * y for x, y in zip(f, pf)]
-            if any(vec[:self.nvars]):
-                j, g = self._primitive(vec)
-                out = (j, g, cp)
-            else:
-                out = (None, vec[self.nvars] + vec[self.nvars + 1], cp)
-            self.subs[key] = out
-        return out
 
     def _times(self, work: Dict[tuple, List[int]], v: int, m: int) -> Dict[tuple, List[int]]:
         """The terms of `work` times z_v^m."""
@@ -367,17 +381,18 @@ def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fra
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
-                       vs, orders, total=None):
+                       vs, orders, total=None, table: _FormTable | None = None):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
     series in the descendent variables u (buckets None: the scalar integrand).
 
     The residue is linear in the integrand, so each z-monomial of the dense
-    parts is taken once against the shared linear forms."""
+    parts is taken once against the shared linear forms; `table` is a form
+    table in `nvars` variables shared with other integrands."""
     from .series import DescSeries
 
     if buckets is None:
         buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
-    engine = _PoleEngine(term.factors, nvars, region, term.scale)
+    engine = _PoleEngine(term.factors, nvars, region, term.scale, table)
     weights: Dict[tuple, Fraction] = {}
 
     def weight(ze):
@@ -716,12 +731,14 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
     zero = DescSeries(vs, orders_all)
     out = [zero for _ in range(qorder + 1)]
+    # the k-vectors' integrands share most of their forms and substitutions
+    table = _FormTable(n)
     for kvec in iproduct(range(qorder + 1), repeat=n):
         d = sum(kvec)
         if d > qorder:
             continue
         t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs)
-        val = residue_sum_series(t, buckets, n, region, vs, orders_all)
+        val = residue_sum_series(t, buckets, n, region, vs, orders_all, table=table)
         out[d] = out[d] + val * norm
     return out
 
@@ -730,54 +747,49 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
 # closed Pochhammer form of the measure ratio
 
 
-def _interval(terms: Dict, base, lo: int, hi: int, sign: int) -> None:
-    # terms += sign * sum_{l=lo}^{hi} t^base t3^l  (base has no t3 part)
-    a, b = base
-    for l in range(lo, hi + 1):
-        e = (a, b, l)
-        terms[e] = terms.get(e, 0) + sign
-
-
-def _a_char(terms: Dict, base, k: int, sign: int) -> None:
-    # terms += sign * (t3^{-k} - 1)/(1 - t3) at base, any integer k
-    if k >= 0:
-        _interval(terms, base, -k, -1, sign)
-    else:
-        _interval(terms, base, 0, -k - 1, -sign)
-
-
-def _h_char(terms: Dict, base, b: int, sign: int) -> None:
-    # terms += sign * (t3^b - t3^{-b})/(1 - t3) at base
-    if b < 0:
-        b, sign = -b, -sign
-    _interval(terms, base, 0, b - 1, -sign)
-    _interval(terms, base, -b, -1, -sign)
-
-
 def measure_ratio_extended(mu, kvec: Dict, s):
     """(value, zero_order) form of the closed measure ratio; zero_order > 0
     means the ideal-sheaf weight vanishes to that order against the
     stable-pairs weight (non-monotone column data), < 0 the reverse.
 
-    The character is a signed sum of t3-intervals, accumulated in one dict."""
+    The character is a signed sum of t3-intervals at bases t^(a,b), each
+    (t3^lo - t3^(hi+1))/(1 - t3).  Their numerators make one difference
+    array per base, and one running sum over its t3-powers divides it by
+    (1 - t3)."""
     from .laurent import LaurentPoly
 
-    cells = mu.cells()
-    terms: Dict = {}
-    for (i, j) in cells:
-        k = kvec.get((i, j), 0)
+    cells = [(c, kvec.get(c, 0)) for c in mu.cells()]
+    # per ordered pair (c, d) at the offset t^(c - d):
+    # t3^(kd-kc) - t3^(kc-kd) + t3^-kd - 1 + t3^kc - 1
+    pairs: Dict = {}
+    for (ic, jc), kc in cells:
+        for (id_, jd), kd in cells:
+            a, b = ic - id_, jc - jd
+            for l, c in ((kd - kc, 1), (kc - kd, -1), (-kd, 1), (kc, 1), (0, -2)):
+                pairs[(a, b, l)] = pairs.get((a, b, l), 0) + c
+    # times -(t1^-1 - 1)(t2^-1 - 1), and per cell at t^c and t^(-c-(1,1)):
+    # t3^-k - 1 + t3^k - 1; numerators by base t^(a,b), then by t3-power
+    num: Dict = {}
+    for (a, b, l), c in pairs.items():
+        if c:
+            for base, g in (((a - 1, b - 1), -c), ((a - 1, b), c), ((a, b - 1), c), ((a, b), -c)):
+                d = num.setdefault(base, {})
+                d[l] = d.get(l, 0) + g
+    for (i, j), k in cells:
         for base in ((i, j), (-i - 1, -j - 1)):
-            _a_char(terms, base, k, 1)
-            _a_char(terms, base, -k, 1)
-    for (ic, jc) in cells:
-        kc = kvec.get((ic, jc), 0)
-        for (id_, jd) in cells:
-            kd = kvec.get((id_, jd), 0)
-            for (sh0, sh1), sg in (((-1, -1), 1), ((-1, 0), -1), ((0, -1), -1), ((0, 0), 1)):
-                base = (ic - id_ + sh0, jc - jd + sh1)
-                _h_char(terms, base, kd - kc, -sg)
-                _a_char(terms, base, kd, -sg)
-                _a_char(terms, base, -kc, -sg)
+            d = num.setdefault(base, {})
+            for l, c in ((-k, 1), (k, 1), (0, -2)):
+                d[l] = d.get(l, 0) + c
+    # divided by (1 - t3): at each base the running sum over the powers
+    terms: Dict = {}
+    for (a, b), d in num.items():
+        run = 0
+        powers = sorted(d)
+        for lo, hi in zip(powers, powers[1:]):
+            run += d[lo]
+            if run:
+                for l in range(lo, hi):
+                    terms[(a, b, l)] = run
     return s.exp_extended(LaurentPoly(terms))
 
 
@@ -939,9 +951,9 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     """
     from itertools import product as iproduct
 
-    from .characters import (DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_running_weights,
+    from .characters import (DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_weight_walk,
                              vertex_char_pt_raw)
-    from .partitions import LeggedPlanePartition, Partition
+    from .partitions import LeggedPlanePartition, Partition, RppConfig
     from .series import DescSeries
     from .vertex import dt0_slice
 
@@ -1019,18 +1031,16 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     # --- residue-side scan (informative)
     scan = []
     pt_target = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
-    from .partitions import enum_rpp
-
-    weight = pt_running_weights(mu, s, conv)
-    for cfg in enum_rpp(mu, qorder):
-        heights = {c: cfg.entry(c) for c in cells}
+    for size, w, k in pt_weight_walk(mu, qorder, s, conv):
+        heights = {(i, j): k[i][j] for (i, j) in cells}
         ratio, zr = measure_ratio_extended(mu, heights, s)
         if zr > 0:
             continue
-        w = weight(cfg) * ratio
-        chp = descendent_char(cfg, DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
+        if w is None:
+            raise ValueError(f"localization weight undefined at the sample: {k}")
+        chp = descendent_char(RppConfig(mu, k), DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
                               variables=vs, orders=orders_all)
-        pt_target[cfg.size] = pt_target[cfg.size] + chp * w
+        pt_target[size] = pt_target[size] + chp * (w * ratio)
     for variant in ("derived", "printed"):
         for bound in (-1, 0, 1):
             by_degree: Dict[int, DescSeries] = {}

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd
 from typing import NamedTuple
 
 from .laurent import LaurentPoly, exp_pleth
@@ -70,18 +71,35 @@ def _is_generic(t1: Fraction, t2: Fraction, t3: Fraction, L: int, line: int | No
         return False  # (0, 0, 1) vanishes
     # for each (i, j) at most one k solves i*x1 + j*x2 + k*x3 = 0; the
     # solutions within the bound must be exactly the allowed ones: (0, 0, 0),
-    # and on the line t1 + t2 = c*t3 the multiples m*(1, 1, -c)
+    # and on the line t1 + t2 = c*t3 the multiples m*(1, 1, -c).  x3 divides
+    # i*x1 + j*x2 only for j in one residue class modulo x3/gcd(x2, x3) (none
+    # unless the gcd divides i*x1), so only those j are tried; every solution
+    # found must be allowed, and there must be as many as allowed ones
+    if line is None:
+        allowed_count = 1
+    else:
+        allowed_count = 2 * (L // abs(line)) + 1 if line else 2 * L + 1
+    g = gcd(x2, x3)
+    mod = abs(x3) // g
+    inverse = pow(x2 // g, -1, mod) if mod > 1 else 0
+    found = 0
     for i in range(-L, L + 1):
-        for j in range(-L, L + 1):
+        if (i * x1) % g:
+            continue
+        j = (-(i * x1) // g * inverse) % mod if mod > 1 else 0
+        for j in range(j - (j + L) // mod * mod, L + 1, mod):
             r = i * x1 + j * x2
-            k = -r // x3 if r % x3 == 0 and abs(r) <= L * abs(x3) else None
+            if abs(r) > L * abs(x3):
+                continue
+            k = -r // x3
             if line is None:
                 allowed = 0 if i == j == 0 else None
             else:
                 allowed = -line * j if i == j and abs(line * j) <= L else None
             if k != allowed:
                 return False
-    return True
+            found += 1
+    return found == allowed_count
 
 
 def sample_random(seed: int, L: int, line: int | None = None) -> ParamSample:

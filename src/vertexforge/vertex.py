@@ -1,5 +1,6 @@
 """Bare one-leg vertex series by localization: sums of virtual weights times
-descendent weights over the enumerated fixed points, graded by q.
+descendent weights over the fixed points, graded by q, each sum one walk of
+`characters.dt_weight_walk` or `pt_weight_walk`.
 
 PT vertices are graded by the reverse-plane-partition size, DT vertices by
 the renormalized box count; both carry an explicit shift field so series in
@@ -9,6 +10,7 @@ different chi-normalizations stay comparable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 from typing import List, Sequence, Tuple
 
@@ -17,18 +19,12 @@ from .characters import (
     DEFAULT_CONVENTION,
     DescendentSpec,
     descendent_char,
-    dt_running_weights,
+    dt_weight_walk,
     euler_hilb,
-    pt_running_weights,
+    pt_weight_walk,
 )
 from .records import Record
-from .partitions import (
-    Partition,
-    enum_legged_pp,
-    enum_partitions,
-    enum_rpp,
-    first_slice,
-)
+from .partitions import LeggedPlanePartition, Partition, RppConfig, enum_partitions
 from .sampling import ParamSample
 from .series import DescSeries, QSeries
 
@@ -95,22 +91,24 @@ def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> Desc
     return out
 
 
-def _graded_sum(qorder: int, terms, desc_specs: Sequence[DescendentSpec], s, conv) -> List[DescSeries]:
-    """Series coefficients by q-degree of a sum over (degree, weight, fixed
-    point) terms of the weight times the fixed point's descendent weights.
-    With no descendents each degree adds exact numbers and builds one
-    constant series."""
+def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec], s,
+                conv) -> List[DescSeries]:
+    """Series coefficients by q-degree of the sum over the (degree, weight,
+    key) nodes of a weight walk of the weight times the descendent weights of
+    the fixed point `config(key)`; a weight None (undefined at the sample)
+    raises ValueError.  With no descendents each degree adds exact numbers
+    and builds one constant series, and no fixed point is built."""
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
+    sums = [Fraction(0)] * (qorder + 1) if not desc_specs else [
+        DescSeries(vs, orders) for _ in range(qorder + 1)]
+    for d, w, key in walk:
+        if w is None:
+            raise ValueError(f"localization weight undefined at the sample: {key}")
+        sums[d] = sums[d] + (_desc_product(config(key), desc_specs, s, conv) * w if desc_specs else w)
     if not desc_specs:
-        sums = [Fraction(0)] * (qorder + 1)
-        for d, w, _ in terms:
-            sums[d] += w
         return [DescSeries(vs, orders, None, {(): c}) for c in sums]
-    out = [DescSeries(vs, orders) for _ in range(qorder + 1)]
-    for d, w, config in terms:
-        out[d] = out[d] + _desc_product(config, desc_specs, s, conv) * w
-    return out
+    return sums
 
 
 def bare_pt(
@@ -129,24 +127,21 @@ def bare_pt(
     kind, shape = boundary
     n = shape.size
     if kind == "fixedpoint":
-        weights = {shape.parts: Fraction(1) / euler_hilb(shape, s, conv)}
+        weights = [(shape, Fraction(1) / euler_hilb(shape, s, conv))]
     elif kind == "chern":
-        weights = {}
+        weights = []
         for mu in enum_partitions(n):
             c = chern_monomial_value(shape, mu, s)
             if c != 0:
-                weights[mu.parts] = c / euler_hilb(mu, s, conv)
+                weights.append((mu, c / euler_hilb(mu, s, conv)))
     else:
         raise ValueError(f"unknown boundary kind {kind!r}")
-
-    def terms():
-        for parts, w in weights.items():
-            mu = Partition(parts)
-            weight = pt_running_weights(mu, s, conv)
-            for cfg in enum_rpp(mu, qorder):
-                yield cfg.size, w * weight(cfg), cfg
-
-    out = _graded_sum(qorder, terms(), desc_specs, s, conv)
+    out = [DescSeries(tuple(sp.variable for sp in desc_specs), tuple(sp.order for sp in desc_specs))
+           for _ in range(qorder + 1)]
+    for mu, c in weights:
+        inner = _graded_sum(qorder, pt_weight_walk(mu, qorder, s, conv), partial(RppConfig, mu),
+                            desc_specs, s, conv)
+        out = [a + b * c for a, b in zip(out, inner)]
     return VertexResult("PT", boundary, out, 0, conv, s)
 
 
@@ -159,9 +154,8 @@ def bare_dt(
 ) -> VertexResult:
     """Bare DT vertex: sum over legged plane partitions of
     q^{renormalized volume} Exp(-V^DT) times descendent weights."""
-    weight = dt_running_weights(leg, s, conv)
-    terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(leg, qorder))
-    out = _graded_sum(qorder, terms, desc_specs, s, conv)
+    out = _graded_sum(qorder, dt_weight_walk(leg, qorder, s, conv),
+                      partial(LeggedPlanePartition, leg), desc_specs, s, conv)
     return VertexResult("DT", ("leg", leg), out, 0, conv, s)
 
 
@@ -173,11 +167,11 @@ def dt0_slice(
     conv: Convention = DEFAULT_CONVENTION,
 ) -> VertexResult:
     """Restriction of the leg-free DT vertex to plane partitions whose first
-    slice is exactly mu."""
-    weight = dt_running_weights(Partition(), s, conv)
-    terms = ((pp.renorm_volume, weight(pp), pp) for pp in enum_legged_pp(Partition(), qorder)
-             if first_slice(pp) == mu)
-    out = _graded_sum(qorder, terms, desc_specs, s, conv)
+    slice is exactly mu: the walk over supports inside mu, keeping the
+    fixed points with a box over every cell of mu."""
+    walk = [node for node in dt_weight_walk(Partition(), qorder, s, conv, mu)
+            if len(node[2]) == mu.size]
+    out = _graded_sum(qorder, walk, partial(LeggedPlanePartition, Partition()), desc_specs, s, conv)
     return VertexResult("DT", ("slice", mu), out, 0, conv, s)
 
 

@@ -12,8 +12,8 @@ from vertexforge.characters import (
     descendent_char,
     _weight_step,
     dt_box_terms,
-    dt_running_weights,
     dt_weight,
+    dt_weight_walk,
     edge_char,
     edge_factor,
     euler_hilb,
@@ -21,8 +21,8 @@ from vertexforge.characters import (
     fe_char,
     measure_difference_char,
     pt_box_terms,
-    pt_running_weights,
     pt_weight,
+    pt_weight_walk,
     vertex_char_dt,
     vertex_char_dt_raw,
     vertex_char_pt,
@@ -39,6 +39,7 @@ from vertexforge.partitions import (
 )
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries, exp_single
+from vertexforge.vertex import bare_dt
 
 S = sample_random(2, 16)
 
@@ -561,30 +562,87 @@ class TestWeightStep:
         pp = LeggedPlanePartition(Partition(), {(0, 0): 1, (0, 1): 1})
         with pytest.raises(ValueError):
             dt_weight(pp, s)
+        assert _walked(dt_weight_walk(Partition(), 4, s))[pp.heights] == "ValueError"
         with pytest.raises(ValueError):
-            dt_running_weights(Partition(), s)(pp)
+            bare_dt(Partition(), 4, (), s)
 
-    def test_running_weights_past_undefined_ancestor(self):
+    def test_walk_past_undefined_ancestor(self):
         # at t1 = t2 the L-shaped plane partition has a weight while its
-        # parent (0,0),(0,1) has none; the running product then agrees with
-        # the direct weight, value or ValueError, at every fixed point
+        # parent (0,0),(0,1) has none; the walk then agrees with the direct
+        # weight, value or ValueError, at every fixed point
         s = ParamSample(F(3, 7), F(3, 7), F(-5, 11), 16)
         ell = LeggedPlanePartition(Partition(), {(0, 0): 1, (0, 1): 1, (1, 0): 1})
-        assert dt_running_weights(Partition(), s)(ell) == F(-8, 40389195) == dt_weight(ell, s)
+        assert _walked(dt_weight_walk(Partition(), 4, s))[ell.heights] == F(-8, 40389195) == dt_weight(ell, s)
         count = raised = 0
         for leg in self.LEGS:
-            weight = dt_running_weights(leg, s)
+            weights = _walked(dt_weight_walk(leg, 4, s))
             for pp in enum_legged_pp(leg, 4):
                 want = _outcome(lambda: dt_weight(pp, s))
-                assert _outcome(lambda: weight(pp)) == want, pp
+                assert weights[pp.heights] == want, pp
                 count += 1
                 raised += want == "ValueError"
         for lam in self.LEGS[1:]:
-            weight = pt_running_weights(lam, s)
+            weights = _walked(pt_weight_walk(lam, 4, s))
             for cfg in enum_rpp(lam, 4):
-                assert _outcome(lambda: weight(cfg)) == _outcome(lambda: pt_weight(cfg, s)), cfg
+                assert weights[cfg.k] == _outcome(lambda: pt_weight(cfg, s)), cfg
                 count += 1
         assert 0 < raised < count
+
+
+def _walked(walk):
+    """{key: weight or "ValueError"} of a weight walk, asserting each key
+    comes once."""
+    out = {key: "ValueError" if w is None else w for _, w, key in walk}
+    assert len(out) == len(walk)
+    return out
+
+
+class TestWeightWalk:
+    """Each walk visits exactly the fixed points of `enum_legged_pp` /
+    `enum_rpp`, once each and at their degree, with the weight of
+    `dt_weight` / `pt_weight` (value or ValueError); DT under both dual
+    terms, PT under both column signs."""
+
+    SHAPES = [Partition(p) for p in ((), (1,), (2,), (1, 1), (2, 1), (3, 1))]
+    Q = 6
+
+    def test_dt(self):
+        for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2")):
+            for leg in self.SHAPES:
+                for q in range(self.Q + 1):
+                    walk = dt_weight_walk(leg, q, S, conv)
+                    pps = enum_legged_pp(leg, q)
+                    assert sorted((d, h) for d, _, h in walk) == sorted(
+                        (pp.renorm_volume, pp.heights) for pp in pps), (conv, leg, q)
+                weights = _walked(walk)
+                for pp in pps:
+                    assert weights[pp.heights] == dt_weight(pp, S, conv), (conv, pp)
+
+    def test_pt(self):
+        for conv in (Convention(-1), Convention(1)):
+            for shape in self.SHAPES:
+                for q in range(self.Q + 1):
+                    walk = pt_weight_walk(shape, q, S, conv)
+                    cfgs = enum_rpp(shape, q)
+                    assert sorted((d, k) for d, _, k in walk) == sorted(
+                        (cfg.size, cfg.k) for cfg in cfgs), (conv, shape, q)
+                weights = _walked(walk)
+                for cfg in cfgs:
+                    assert weights[cfg.k] == _outcome(lambda: pt_weight(cfg, S, conv)), (conv, cfg)
+                # with sign +1 every weight with a box is undefined
+                raised = sum(w == "ValueError" for w in weights.values())
+                assert raised == (len(cfgs) - 1 if conv.pt_column_sign == 1 else 0)
+
+    def test_dt_support(self):
+        # pruned to a support, the walk keeps the fixed points with every
+        # box over a cell of that partition
+        for mu in self.SHAPES:
+            walk = dt_weight_walk(Partition(), self.Q, S, DEFAULT_CONVENTION, mu)
+            inside = [pp for pp in enum_legged_pp(Partition(), self.Q)
+                      if all(c in mu for c, _ in pp.heights)]
+            assert sorted(h for _, _, h in walk) == sorted(pp.heights for pp in inside), mu
+            weights = _walked(walk)
+            assert all(weights[pp.heights] == dt_weight(pp, S) for pp in inside)
 
 
 class TestMeasureDifferenceOneDivision:

@@ -14,6 +14,7 @@ from vertexforge.laurent import pochhammer
 from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions, enum_rpp
 from vertexforge.residue import (
     Term,
+    _FormTable,
     _PoleEngine,
     _dt0_descendent_buckets,
     _form,
@@ -195,6 +196,31 @@ class TestPoleEngine:
             want = [_PoleEngine(t.factors, len(kvec), "inner", t.scale).monomial(m) for m in monos]
             assert got == want
             assert sum(map(bool, got)) > 2
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_shared_form_table_equals_fresh_engines(self, n):
+        # the engines of one residue vertex share one form table; each
+        # k-vector's engine on it equals a fresh engine with its own table
+        import random
+
+        rng = random.Random(n)
+        monos = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(12)]
+        for s in (S, sample_random(7, 16)):
+            for region in ("inner", "full"):
+                table = _FormTable(n)
+                own = 0
+                nonzero = 0
+                for kvec in product(range(3), repeat=n):
+                    t, _ = pt_vertex_integrand(zp_const(n, F(1)), kvec, s, DEFAULT_CONVENTION)
+                    shared = _PoleEngine(t.factors, n, region, t.scale, table)
+                    fresh = _PoleEngine(t.factors, n, region, t.scale)
+                    got = [shared.monomial(m) for m in monos]
+                    assert got == [fresh.monomial(m) for m in monos], (kvec, region)
+                    own += len(fresh.forms)
+                    nonzero += sum(map(bool, got))
+                assert nonzero > 10
+                # the table keeps one of each form the engines meet
+                assert len(table.forms) < own / 3
 
     def test_non_generic_raises_at_every_monomial(self):
         # 1/(z2 (z2 - 1 + x) z1) at x = 1 (scale 3): the form z2 - 1 + x has

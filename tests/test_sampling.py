@@ -1,4 +1,5 @@
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -87,6 +88,24 @@ def test_is_generic_matches_triple_loop():
                 assert _is_generic(t1, u2, t3, L, line) == expect, (t1, u2, t3, L, line)
                 seen.add((line is None, expect))
     assert len(seen) == 4  # generic and non-generic, off and on a line
+    # random draws at bounds up to 20: small values, often non-generic, and
+    # sample-sized ones, off the line and on the lines c = 0, +-1, 2
+    rng = random.Random(20)
+    seen = set()
+    for _ in range(200):
+        L = rng.randint(1, 20)
+        line = rng.choice((None, 0, 1, -1, 2))
+        t1, t2, t3 = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.5
+                      else Fraction(rng.randint(-5000, 5000), rng.randint(1000, 5000)) for _ in range(3))
+        if line is not None:
+            t2 = line * t3 - t1
+        # the brute force runs on the integer multiples over the common
+        # denominator, which vanish on the same forms (and run faster)
+        d = t1.denominator * t2.denominator * t3.denominator
+        expect = _generic_brute(int(t1 * d), int(t2 * d), int(t3 * d), L, line)
+        assert _is_generic(t1, t2, t3, L, line) == expect, (t1, t2, t3, L, line)
+        seen.add((line, expect))
+    assert len(seen) == 10
 
 
 def test_no_numpy_import():

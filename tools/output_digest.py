@@ -27,7 +27,14 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `pt_residue_vertex` with two descendent variables, under both column
   signs, in the fixed-point basis on (1), (2), (1,1) and the Chern basis on
   (1,1), (2,1), and `dt0_residue_value` with two variables in both
-  variants at every k-vector with entries in -1..1.
+  variants at every k-vector with entries in -1..1;
+* scalar `bare_dt`, `bare_pt` (both boundaries) and `dt0_slice` at the
+  non-generic sample t1 = t2 = 3/7, t3 = -5/11, at q-orders 1, 2 and 4, a
+  raising case recorded as "ValueError";
+* `sample_random` over a grid of seeds, genericity bounds and lines, an
+  exhausted retry budget recorded as "RuntimeError";
+* `measure_ratio_extended` at every depth vector in {-1..3}^cells for
+  |mu| <= 3.
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
@@ -50,8 +57,9 @@ from vertexforge.harness import CHECKS, calibrate, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
 from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
-from vertexforge.residue import dt0_residue_value, dtpt0_report, egl_residue, pt_residue_vertex
-from vertexforge.sampling import sample_random
+from vertexforge.residue import (dt0_residue_value, dtpt0_report, egl_residue,
+                                 measure_ratio_extended, pt_residue_vertex)
+from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import bare_dt, bare_pt, dt0_slice
 
@@ -175,6 +183,36 @@ def entries():
             for variant in ("derived", "printed"):
                 yield (f"dt0_residue_value {parts} {kv} {variant} w1 w2",
                        dt0_residue_value(mu, kv, s, CONV, desc_w, variant))
+
+
+    # the localization sums at a non-generic sample (t1 = t2), where some
+    # weights are undefined and the sums raise
+    bad = ParamSample(Fraction(3, 7), Fraction(3, 7), Fraction(-5, 11), 16)
+    for q in (1, 2, 4):
+        for leg in ([], [1], [2, 1]):
+            yield f"bare_dt {leg} t1=t2 {q}", coeffs_or_error(lambda: bare_dt(Partition(leg), q, (), bad, CONV))
+        for kind, parts in (("chern", [2, 1]), ("fixedpoint", [2, 1]), ("fixedpoint", [1])):
+            yield (f"bare_pt {kind} {parts} t1=t2 {q}",
+                   coeffs_or_error(lambda: bare_pt((kind, Partition(parts)), q, (), bad, CONV)))
+        for parts in ([1], [2], [1, 1]):
+            yield (f"dt0_slice {parts} t1=t2 {q}",
+                   coeffs_or_error(lambda: dt0_slice(Partition(parts), (), bad, q, CONV)))
+
+    for seed in range(8):
+        for L in (1, 3, 8, 16, 40):
+            for line in (None, 0, 1, -1, 2):
+                try:
+                    value = tuple(sample_random(seed, L, line))
+                except RuntimeError:
+                    value = "RuntimeError"
+                yield f"sample_random {seed} {L} {line}", value
+
+    for n in (1, 2, 3):
+        for mu in enum_partitions(n):
+            cells = mu.cells()
+            for kv in product(range(-1, 4), repeat=len(cells)):
+                yield (f"measure_ratio_extended {list(mu.parts)} {kv}",
+                       measure_ratio_extended(mu, dict(zip(cells, kv)), s))
 
 
 def main(argv=None) -> None:
