@@ -11,7 +11,7 @@ identities and the calibrated Convention ships as DEFAULT_CONVENTION.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain
+from itertools import accumulate, chain
 from math import lcm
 from typing import Dict, List, Literal, NamedTuple, Tuple
 
@@ -360,7 +360,7 @@ def dt_weight_walk(
         out.append((volume, w, heights))
         if volume == qorder:
             return
-        row = -1
+        row, fresh = -1, []
         if heights:
             (row, j), h = heights[-1]
             if fits(row, j, h + 1):
@@ -373,9 +373,9 @@ def dt_weight_walk(
                 visit(child, cw, volume + 1)
                 hm[(row, j)] = h
                 terms[-1] = ((row, j, h), -1)
-            fresh = [(row, j + 1)]
-        else:
-            fresh = []
+            fresh.append((row, j + 1))
+        # a later row's first column can open only under a nonzero cell or
+        # under the leg: the next row, or a row the leg reaches over
         fresh += [(i, start(i)) for i in range(row + 1, max(row + 1, nleg) + 1)]
         for i, j in fresh:
             if not fits(i, j, 1) or (support is not None and (i, j) not in support):
@@ -416,8 +416,8 @@ def pt_weight_walk(
     index = {c: n for n, c in enumerate(cells)}
     # the neighbours right and below, which bound an entry from above
     after = [[index[c] for c in ((i, j + 1), (i + 1, j)) if c in index] for i, j in cells]
-    ends = [sum(shape.parts[:i + 1]) for i in range(len(shape.parts))]
-    spans = list(zip([0] + ends, ends))
+    ends = list(accumulate(shape.parts))
+    spans = list(zip([0, *ends], ends))
     vals = [0] * len(cells)
     terms = pt_box_terms([[0] * p for p in shape.parts], conv)
     out: list = []

@@ -89,7 +89,8 @@ def test_is_generic_matches_triple_loop():
                 seen.add((line is None, expect))
     assert len(seen) == 4  # generic and non-generic, off and on a line
     # random draws at bounds up to 20: small values, often non-generic, and
-    # sample-sized ones, off the line and on the lines c = 0, +-1, 2
+    # sample-sized ones, off the line and on the lines c = 0, +-1, 2 (a fifth
+    # of those drawn off their line, where the line's relations fail)
     rng = random.Random(20)
     seen = set()
     for _ in range(200):
@@ -97,7 +98,7 @@ def test_is_generic_matches_triple_loop():
         line = rng.choice((None, 0, 1, -1, 2))
         t1, t2, t3 = (Fraction(rng.randint(-5, 5), rng.randint(1, 3)) if rng.random() < 0.5
                       else Fraction(rng.randint(-5000, 5000), rng.randint(1000, 5000)) for _ in range(3))
-        if line is not None:
+        if line is not None and rng.random() < 0.8:
             t2 = line * t3 - t1
         # the brute force runs on the integer multiples over the common
         # denominator, which vanish on the same forms (and run faster)
