@@ -12,10 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate, chain
-from math import lcm
 from typing import Dict, List, Literal, NamedTuple, Tuple
 
-from .laurent import EquivariantCharacter, LaurentPoly
+from .laurent import EquivariantCharacter, LaurentPoly, over_common_denominator
 from .partitions import LeggedPlanePartition, Partition, RppConfig
 from .sampling import ParamSample
 from .series import DescSeries, exp_single
@@ -248,8 +247,7 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
     exponent and order; as in `exp_pleth` of the whole change, the step
     raises ValueError unless each such exponent's orders net to 0 (at a
     generic sample only exponent 0 has one)."""
-    d = lcm(s.t1.denominator, s.t2.denominator, s.t3.denominator)
-    x1, x2, x3 = (t.numerator * (d // t.denominator) for t in (s.t1, s.t2, s.t3))
+    x1, x2, x3, _ = over_common_denominator(s.t1, s.t2, s.t3)
 
     def forms(signed):
         """(num, den, vanishing (e, a)) of the product of the forms e^a, a = +-1."""

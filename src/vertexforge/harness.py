@@ -201,16 +201,15 @@ def check_slices(params: dict, conv: Convention) -> CheckReport:
     allok = True
     oracle = macmahon_coeffs(max(nmax, 6))
     by_heights = [0] * (nmax + 1)
+    by_slices = [0] * (nmax + 1)
+    roundtrip_ok = True
     for pp in enum_legged_pp(Partition(), nmax):
         by_heights[pp.renorm_volume] += 1
-    heights_ok = by_heights == oracle[: nmax + 1]
-    roundtrip_ok = True
-    by_slices = [0] * (nmax + 1)
-    for pp in enum_legged_pp(Partition(), nmax):
         seq = slices_of(pp)
         by_slices[seq.total] += 1
         if pp_from_slices(seq) != pp:
             roundtrip_ok = False
+    heights_ok = by_heights == oracle[: nmax + 1]
     slices_ok = by_slices == oracle[: nmax + 1]
     cases.append(
         {"counts": by_heights, "oracle": oracle[: nmax + 1],
@@ -256,9 +255,7 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
     zdt = [c.coeff(()) for c in glue(GlueRequest("DT", degrees, 1, (), (), qorder, s, conv))]
     zdt0 = dt0_localcurve(degrees, s, qorder, conv)
     zpt = pt_all[0]
-    prod = [
-        sum(zpt[i] * zdt0[m - i] for i in range(m + 1)) for m in range(qorder + 1)
-    ]
+    prod = (QSeries(qorder, zpt) * QSeries(qorder, zdt0)).coeffs
     ok = zdt == prod
     residual = None
     if not ok:
@@ -711,9 +708,10 @@ def _validate_request(request) -> None:
         if not _is_partition(bnd.get("shape", [1])):
             raise InvalidCheckSpec("boundary shape must be a partition "
                                    "(a non-increasing list of positive integers)")
-        kinds = ("fixedpoint", "chern") if request.get("theory", "PT") == "PT" else (
-            "leg", "fixedpoint")
-        if bnd.get("kind", "fixedpoint") not in kinds:
+        # `_execute_request` computes PT at the given kind (fixedpoint when
+        # omitted) and DT always with a leg
+        kinds = ("fixedpoint", "chern") if request.get("theory", "PT") == "PT" else ("leg",)
+        if bnd.get("kind", kinds[0]) not in kinds:
             raise InvalidCheckSpec(f"boundary kind must be one of {list(kinds)}")
     if "degrees" in request and not _is_int_pair(request["degrees"]):
         raise InvalidCheckSpec("degrees must be an integer pair")
@@ -734,7 +732,11 @@ def _validate_request(request) -> None:
                 raise InvalidCheckSpec("descendent order must be an integer >= 0")
             if d.get("mode", "ch") not in ("ch", "ch_prime", "ch_hat"):
                 raise InvalidCheckSpec("descendent mode must be 'ch', 'ch_prime' or 'ch_hat'")
+            # the list, not the insertion, places a descendent on a vertex:
+            # only the glued infinity vertex's may say 'inf'
             insertion = d.get("insertion", 0)
+            if insertion == "inf" and key != "descendents_inf":
+                raise InvalidCheckSpec("descendent insertion 'inf' is allowed only in descendents_inf")
             if insertion != "inf" and not (_is_int(insertion) and insertion == 0):
                 raise InvalidCheckSpec("descendent insertion must be 0 or 'inf'")
             variables.append(d["variable"])

@@ -30,6 +30,13 @@ def _neg_exp(e: Exponent) -> Exponent:
     return (-e[0], -e[1], -e[2])
 
 
+def over_common_denominator(*xs: Coeff) -> Tuple[int, ...]:
+    """(n_1, ..., n_k, D) with x_i = n_i / D, D the least common denominator
+    of the ints or Fractions x_i."""
+    D = lcm(*(x.denominator for x in xs))
+    return (*(x.numerator * (D // x.denominator) for x in xs), D)
+
+
 def _coeff(c) -> Coeff:
     """An exact coefficient: `int` when integral, else `Fraction`."""
     if type(c) is int:
@@ -350,11 +357,7 @@ def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fract
     """
     if p.coeff((0, 0, 0)) != 0:
         raise ValueError("zero-weight monomial: constant term in plethystic exponent")
-    t1, t2, t3 = Fraction(t1), Fraction(t2), Fraction(t3)
-    d = lcm(t1.denominator, t2.denominator, t3.denominator)
-    x1 = t1.numerator * (d // t1.denominator)
-    x2 = t2.numerator * (d // t2.denominator)
-    x3 = t3.numerator * (d // t3.denominator)
+    x1, x2, x3, d = over_common_denominator(t1, t2, t3)
     num = den = 1
     degree = 0
     for (i, j, k), a in p.terms.items():

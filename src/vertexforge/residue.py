@@ -33,6 +33,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
+from .laurent import over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -381,7 +382,7 @@ def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fra
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
-                       vs, orders, total=None, table: _FormTable | None = None):
+                       vs, orders, table: _FormTable | None = None):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
     series in the descendent variables u (buckets None: the scalar integrand).
 
@@ -407,7 +408,7 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
             weights[ze] = w
         return w
 
-    out = DescSeries(vs, orders, total)
+    out = DescSeries(vs, orders)
     for ue, zp in buckets.items():
         val = ZERO
         for ze, x in zp.items():
@@ -421,12 +422,6 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
 
 # ---------------------------------------------------------------------------
 # integrand builders (a-scale variables: z ~ content / t3, a_i = t_i / t3)
-
-
-def _over_common_denominator(*xs: Fraction) -> Tuple[int, ...]:
-    """(n_1, ..., n_k, D) with x_i = n_i / D, D the least common denominator."""
-    D = lcm(*(x.denominator for x in xs))
-    return (*(x.numerator * (D // x.denominator) for x in xs), D)
 
 
 def _form(nv: int, coeffs: Dict[int, int], big: int = 0, small: int = 0) -> Tuple[int, ...]:
@@ -587,24 +582,29 @@ def _solve_underdetermined(rows: List[List[Fraction]], rhs: List[Fraction]):
 
 
 def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int | None = None):
-    """Method A: sum over partitions of n of prod_l prod_cells (1 - u_l c(cell)) / e_mu."""
+    """Method A: sum over partitions of n of prod_l prod_cells (1 - u_l c(cell)) / e_mu,
+    truncated at the per-variable `u_orders` and, unless `total` is None, at
+    total degree `total`.  The total cap commutes with products, so `term`
+    is capped after each factor."""
     from .characters import DEFAULT_CONVENTION, euler_hilb
     from .partitions import enum_partitions
     from .series import DescSeries
 
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
-    out = DescSeries(vs, tuple(u_orders), total)
+    out = DescSeries(vs, tuple(u_orders))
     for mu in enum_partitions(n):
         e_mu = euler_hilb(mu, s, conv)
-        term = DescSeries.const(vs, u_orders, Fraction(1), total)
+        term = DescSeries.const(vs, u_orders, Fraction(1))
         for (i, j) in mu.cells():
             c = i * s.t1 + j * s.t2
             for l, v in enumerate(vs):
-                lin = DescSeries.const(vs, u_orders, Fraction(1), total)
+                lin = DescSeries.const(vs, u_orders, Fraction(1))
                 e = tuple(1 if w == l else 0 for w in range(len(vs)))
                 lin.coeffs[e] = -c
                 term = term * lin
+                if total is not None:
+                    term.coeffs = {ue: x for ue, x in term.coeffs.items() if sum(ue) <= total}
         out = out + term * (Fraction(1) / e_mu)
     return out
 
@@ -629,9 +629,9 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
         if p:
             buckets[a] = p
     norm = Fraction(t1 * t2) ** (conv.hilb_norm * n) / factorial(n)
-    p1, p2, D = _over_common_denominator(t1, t2)
+    p1, p2, D = over_common_denominator(t1, t2)
     term = Term(zp_const(n, Fraction(1)), tuple(_kernel_factors(n, p1, p2)), D)
-    return residue_sum_series(term, buckets, n, "inner", vs, u_orders, total) * norm
+    return residue_sum_series(term, buckets, n, "inner", vs, u_orders) * norm
 
 
 # ---------------------------------------------------------------------------
@@ -650,7 +650,7 @@ def _descendent_buckets(shifts, desc_specs, s):
     add as integers and each coefficient is one `Fraction`.  The factors
     multiply by concatenating their u-exponents and multiplying their
     z-polynomials."""
-    n1, n2, n3, d = _over_common_denominator(s.t1, s.t2, s.t3)
+    n1, n2, n3, d = over_common_denominator(s.t1, s.t2, s.t3)
     nv = len(shifts)
     out = {(): zp_const(nv, Fraction(1))}
     for sp in desc_specs:
@@ -701,7 +701,7 @@ def pt_vertex_integrand(poly, kvec, s, conv, desc_specs=()) -> Tuple[Term, Dict 
     if desc_specs:
         sigma = conv.pt_column_sign
         buckets = _descendent_buckets([((sigma * k, 1),) for k in kvec], desc_specs, s)
-    cs = _over_common_denominator(s.a1, s.a2)
+    cs = over_common_denominator(s.a1, s.a2)
     return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), buckets
 
 
@@ -856,7 +856,7 @@ def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
     quadruple-ratio product over i != j.
     """
     nv = mu.size
-    cs = _over_common_denominator(s.a1, s.a2)
+    cs = over_common_denominator(s.a1, s.a2)
     p1, p2, D = cs
     A = p1 + p2
     vs = tuple(sp.variable for sp in desc_specs)
@@ -919,18 +919,18 @@ def dt0_vanishing(mu, s, conv) -> dict:
     from itertools import product as iproduct
 
     from .characters import vertex_char_pt_raw
+    from .partitions import LeggedPlanePartition, Partition
 
     cells = mu.cells()
     rows = []
     ok = True
     for kv in iproduct(range(1, 4), repeat=len(cells)):
         heights = dict(zip(cells, kv))
-        valid = all(
-            heights.get((i - 1, j), 10**9) >= h and heights.get((i, j - 1), 10**9) >= h
-            for (i, j), h in heights.items()
-        )
-        if valid:
+        try:
+            LeggedPlanePartition(Partition(), heights)
             continue
+        except ValueError:
+            pass
         _, zr = measure_ratio_extended(mu, heights, s)
         _, zpt = s.exp_extended(-vertex_char_pt_raw(mu, heights, conv))
         vanishes = zr + zpt > 0
@@ -988,8 +988,8 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         except ValueError:
             continue
         buckets, scalar = _dt0_descendent_buckets(kv, (gspec,), s)
-        gval = DescSeries(vs, (worder + 1,), None, {ue: _zp_at(b, contents) * scalar
-                                                   for ue, b in buckets.items()})
+        gval = DescSeries(vs, (worder + 1,), {ue: _zp_at(b, contents) * scalar
+                                             for ue, b in buckets.items()})
         g_count += 1
         if not gval * (s.t1 * s.t2 * s.t3) == descendent_char(pp, gspec, s, conv):
             g_ok = False

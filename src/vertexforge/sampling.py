@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, exp_pleth
+from .laurent import LaurentPoly, exp_pleth, over_common_denominator
 
 _RETRY_BUDGET = 200
 
@@ -62,11 +62,8 @@ class ParamSample(NamedTuple):
 
 
 def _is_generic(t1: Fraction, t2: Fraction, t3: Fraction, L: int, line: int | None) -> bool:
-    # clear denominators: integer triple (x1, x2, x3) with same vanishing locus
-    den = t1.denominator * t2.denominator * t3.denominator
-    x1 = int(t1 * den)
-    x2 = int(t2 * den)
-    x3 = int(t3 * den)
+    # integer triple (x1, x2, x3) with the same vanishing locus
+    x1, x2, x3, _ = over_common_denominator(t1, t2, t3)
     if x3 == 0:
         return False  # (0, 0, 1) vanishes
     # for each (i, j) at most one k solves i*x1 + j*x2 + k*x3 = 0; the

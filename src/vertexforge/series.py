@@ -27,12 +27,6 @@ class QSeries:
                 if n <= order:
                     self.coeffs[n] = Fraction(c)
 
-    @staticmethod
-    def one(order: int) -> "QSeries":
-        s = QSeries(order)
-        s.coeffs[0] = Fraction(1)
-        return s
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
@@ -54,12 +48,6 @@ class QSeries:
             if lo <= other.shift + n <= hi:
                 out.coeffs[other.shift + n - lo] += c
         return out
-
-    def __neg__(self) -> "QSeries":
-        return QSeries(self.order, [-c for c in self.coeffs], self.shift)
-
-    def __sub__(self, other: "QSeries") -> "QSeries":
-        return self + (-other)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
@@ -92,33 +80,22 @@ class QSeries:
         bits = [f"({c})*q^{self.shift + n}" for n, c in enumerate(self.coeffs)]
         return " + ".join(bits) if bits else "0"
 
-    def to_json(self) -> dict:
-        return {
-            "shift": self.shift,
-            "order": self.order,
-            "coeffs": [f"{c.numerator}/{c.denominator}" for c in self.coeffs],
-        }
-
 
 class DescSeries:
-    """Truncated multivariate power series in the descendent variables.
-
-    `orders[v]` is the per-variable truncation order; optional `total`
-    truncates at total degree as well.
+    """Truncated multivariate power series in the descendent variables,
+    truncated at the per-variable orders `orders[v]`.
     """
 
-    __slots__ = ("variables", "orders", "total", "coeffs")
+    __slots__ = ("variables", "orders", "coeffs")
 
     def __init__(
         self,
         variables: Sequence[str],
         orders: Sequence[int],
-        total: int | None = None,
         coeffs: Dict[Tuple[int, ...], Fraction] | None = None,
     ):
         self.variables = tuple(variables)
         self.orders = tuple(orders)
-        self.total = total
         self.coeffs: Dict[Tuple[int, ...], Fraction] = {}
         if coeffs:
             for e, c in coeffs.items():
@@ -126,15 +103,11 @@ class DescSeries:
                     self.coeffs[tuple(e)] = Fraction(c)
 
     def _inside(self, e: Tuple[int, ...]) -> bool:
-        if any(x > o for x, o in zip(e, self.orders)):
-            return False
-        if self.total is not None and sum(e) > self.total:
-            return False
-        return True
+        return all(x <= o for x, o in zip(e, self.orders))
 
     @classmethod
-    def const(cls, variables, orders, c, total=None) -> "DescSeries":
-        out = cls(variables, orders, total)
+    def const(cls, variables, orders, c) -> "DescSeries":
+        out = cls(variables, orders)
         if c != 0:
             out.coeffs[(0,) * len(out.variables)] = Fraction(c)
         return out
@@ -144,15 +117,15 @@ class DescSeries:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = DescSeries.const(self.variables, self.orders, other, self.total)
+            other = DescSeries.const(self.variables, self.orders, other)
         if not isinstance(other, DescSeries):
             return NotImplemented
         return self.variables == other.variables and self.coeffs == other.coeffs
 
     def __add__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
-            other = DescSeries.const(self.variables, self.orders, other, self.total)
-        out = DescSeries(self.variables, self.orders, self.total, self.coeffs)
+            other = DescSeries.const(self.variables, self.orders, other)
+        out = DescSeries(self.variables, self.orders, self.coeffs)
         for e, c in other.coeffs.items():
             if not out._inside(e):
                 continue
@@ -166,23 +139,17 @@ class DescSeries:
     __radd__ = __add__
 
     def __neg__(self) -> "DescSeries":
-        return DescSeries(
-            self.variables, self.orders, self.total,
-            {e: -c for e, c in self.coeffs.items()},
-        )
+        return DescSeries(self.variables, self.orders, {e: -c for e, c in self.coeffs.items()})
 
     def __sub__(self, other) -> "DescSeries":
         return self + (-other if isinstance(other, DescSeries) else -Fraction(other))
 
     def __mul__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
-            return DescSeries(
-                self.variables, self.orders, self.total,
-                {e: c * other for e, c in self.coeffs.items()},
-            )
+            return DescSeries(self.variables, self.orders, {e: c * other for e, c in self.coeffs.items()})
         if not isinstance(other, DescSeries):
             return NotImplemented
-        out = DescSeries(self.variables, self.orders, self.total)
+        out = DescSeries(self.variables, self.orders)
         for e1, c1 in self.coeffs.items():
             for e2, c2 in other.coeffs.items():
                 e = tuple(a + b for a, b in zip(e1, e2))
@@ -224,11 +191,9 @@ def exp_single(variables, orders, var: str, rate: Fraction) -> DescSeries:
     """e^{rate * var} truncated: sum_m rate^m var^m / m!."""
     out = DescSeries(variables, orders)
     idx = out.variables.index(var)
-    for m in range(orders[idx] + 1):
+    for m in range(orders[idx] + 1 if rate else 1):
         e = tuple(m if i == idx else 0 for i in range(len(out.variables)))
         out.coeffs[e] = Fraction(rate) ** m / factorial(m)
-    if rate == 0:
-        out.coeffs = {(0,) * len(out.variables): Fraction(1)}
     return out
 
 

@@ -10,8 +10,9 @@ different chi-normalizations stay comparable.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import partial
+from functools import partial, reduce
 from itertools import combinations
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .characters import (
@@ -85,10 +86,8 @@ def chern_monomial_value(nu: Partition, mu: Partition, s: ParamSample) -> Fracti
 def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> DescSeries:
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
-    out = DescSeries.const(vs, orders, Fraction(1))
-    for sp in desc_specs:
-        out = out * descendent_char(config, sp, s, conv, variables=vs, orders=orders)
-    return out
+    return reduce(mul, (descendent_char(config, sp, s, conv, variables=vs, orders=orders)
+                        for sp in desc_specs))
 
 
 def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec], s,
@@ -107,7 +106,7 @@ def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec],
             raise ValueError(f"localization weight undefined at the sample: {key}")
         sums[d] = sums[d] + (_desc_product(config(key), desc_specs, s, conv) * w if desc_specs else w)
     if not desc_specs:
-        return [DescSeries(vs, orders, None, {(): c}) for c in sums]
+        return [DescSeries(vs, orders, {(): c}) for c in sums]
     return sums
 
 

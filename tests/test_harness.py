@@ -258,6 +258,14 @@ class TestCLI:
         '{"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": [1]}, '
         '"qorder": 2, "descendents": [{"variable": "u", "order": 1}, '
         '{"variable": "u", "order": 1}]}',
+        # fields the computation would ignore: DT is computed with a leg,
+        # and only the infinity vertex's descendents may sit at 'inf'
+        '{"type": "vertex", "theory": "DT", "boundary": {"kind": "fixedpoint", "shape": [1]}, '
+        '"qorder": 1}',
+        '{"type": "vertex", "theory": "PT", "qorder": 1, '
+        '"descendents": [{"variable": "u", "order": 1, "insertion": "inf"}]}',
+        '{"type": "glue", "qorder": 1, '
+        '"descendents_zero": [{"variable": "u", "order": 1, "insertion": "inf"}]}',
     ])
     def test_invalid_request_exit_2(self, request_json, tmp_path, capsys):
         cache = tmp_path / "cache"

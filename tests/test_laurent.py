@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +12,7 @@ from vertexforge.laurent import (
     divide_one_minus,
     exp_pleth,
     exp_pleth_extended,
+    over_common_denominator,
     pochhammer,
     reduce_char,
 )
@@ -87,6 +89,16 @@ class TestReduce:
         a = EquivariantCharacter(LaurentPoly.one() - mono((0, 0, 2)), [T3])
         b = EquivariantCharacter(LaurentPoly.one() + mono(T3), ())
         assert a == b
+
+
+@given(xs=st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)),
+                  min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_over_common_denominator(xs):
+    *ns, D = over_common_denominator(*xs)
+    assert all(type(n) is int and F(n, D) == x for n, x in zip(ns, xs, strict=True))
+    # no smaller D writes every x_i as an integer over it: D is their lcm
+    assert D > 0 and gcd(D, *ns) == 1
 
 
 class TestExpPleth:

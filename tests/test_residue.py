@@ -10,7 +10,7 @@ from vertexforge.characters import (
     descendent_char,
     measure_difference_char,
 )
-from vertexforge.laurent import pochhammer
+from vertexforge.laurent import over_common_denominator, pochhammer
 from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions, enum_rpp
 from vertexforge.residue import (
     Term,
@@ -19,7 +19,6 @@ from vertexforge.residue import (
     _dt0_descendent_buckets,
     _form,
     _kernel_factors,
-    _over_common_denominator,
     _scan_match,
     _zp_at,
     dt0_residue_value,
@@ -247,7 +246,7 @@ class TestPoleEngine:
         # the measure prod dz_i/z_i times prod_{i<j} omega(z_i - z_j), with
         # omega(z) = (1 - (a1+a2)/z)/((1 - a1/z)(1 - a2/z)) -> 1 at infinity:
         # the full region sums every finite pole, the constant term 1
-        p1, p2, D = _over_common_denominator(S.a1, S.a2)
+        p1, p2, D = over_common_denominator(S.a1, S.a2)
         for n in (1, 2, 3):
             t = Term(zp_const(n, F(1)), tuple(_kernel_factors(n, p1, p2)), D)
             assert residue_sum([t], n, "full") == 1
@@ -259,6 +258,19 @@ class TestEGL:
             a = egl_localization(n, [2, 2], S, total=3)
             b = egl_residue(n, [2, 2], S, total=3)
             assert a == b
+
+    def test_total_cap_restricts(self):
+        # a total-degree cap is the uncapped series restricted to total
+        # degree <= T, on both routes; some cap drops terms
+        dropped = 0
+        for n in (1, 2, 3):
+            for egl in (egl_localization, egl_residue):
+                full = egl(n, [4, 4], S)
+                for cap in (0, 2, 4):
+                    kept = {e: c for e, c in full.coeffs.items() if sum(e) <= cap}
+                    assert egl(n, [4, 4], S, total=cap).coeffs == kept
+                    dropped += len(full.coeffs) - len(kept)
+        assert dropped
 
     def test_n1_value(self):
         a = egl_localization(1, [1], S)
@@ -390,7 +402,7 @@ def _contents(mu, s):
 
 def _at(buckets, z, vs, orders):
     """The series sum_ue u^ue buckets[ue] at the point z."""
-    return DescSeries(vs, orders, None, {ue: _zp_at(b, z) for ue, b in buckets.items()})
+    return DescSeries(vs, orders, {ue: _zp_at(b, z) for ue, b in buckets.items()})
 
 
 class TestDescendentZpoly:

@@ -35,13 +35,6 @@ class TestDescSeries:
         assert e.coeff((2,)) == F(2)
         assert e.coeff((3,)) == F(4, 3)
 
-    def test_total_cap(self):
-        a = DescSeries(("u", "v"), (4, 4), 2, exp_single(("u", "v"), (4, 4), "u", F(1)).coeffs)
-        b = DescSeries(("u", "v"), (4, 4), 2, exp_single(("u", "v"), (4, 4), "v", F(1)).coeffs)
-        p = a * b
-        assert p.coeff((2, 1)) == 0  # beyond the total cap
-        assert p.coeff((1, 1)) == 1
-
     def test_ring(self):
         one = DescSeries.const(("u",), (2,), 1)
         x = DescSeries(("u",), (2,), coeffs={(1,): F(1)})

@@ -8,7 +8,8 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 
 * `pt_residue_vertex` for the `mainpt` shapes in the Chern and fixed-point
   bases and in the `full` region, and for (3,1), (2,2), (2,1,1);
-* `egl_residue` for n = 1..4;
+* `egl_residue` for n = 1..4, and `egl_localization` for n = 1..4 at the
+  orders [4, 4] and [2, 2] with no total-degree cap and with caps 2 and 4;
 * `dt0_residue_value` in both variants, every k-vector with entries in
   -1..2 (a pole reads null);
 * `dtpt0_report` at `worder` 2, 3 and 4;
@@ -57,7 +58,7 @@ from vertexforge.harness import CHECKS, calibrate, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
 from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
-from vertexforge.residue import (dt0_residue_value, dtpt0_report, egl_residue,
+from vertexforge.residue import (dt0_residue_value, dtpt0_report, egl_localization, egl_residue,
                                  measure_ratio_extended, pt_residue_vertex)
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
@@ -94,6 +95,11 @@ def entries():
 
     for n in (1, 2, 3, 4):
         yield f"egl_residue {n}", egl_residue(n, [4, 4], s, CONV, 4)
+    for n in (1, 2, 3, 4):
+        for orders in ([4, 4], [2, 2]):
+            for total in (None, 2, 4):
+                yield (f"egl_localization {n} {orders} {total}",
+                       egl_localization(n, orders, s, CONV, total))
 
     wspec = DescendentSpec("ch", 0, "w1", 3)
     for parts in ([1], [2], [1, 1]):
