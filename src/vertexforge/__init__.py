@@ -9,7 +9,6 @@ from .laurent import (
     NonPolynomialCharacter,
     exp_pleth,
     pochhammer,
-    reduce_char,
 )
 from .partitions import (
     LeggedPlanePartition,
@@ -35,7 +34,6 @@ __all__ = [
     "NonPolynomialCharacter",
     "exp_pleth",
     "pochhammer",
-    "reduce_char",
     "LeggedPlanePartition",
     "Partition",
     "RppConfig",

@@ -16,9 +16,9 @@ import sys
 
 from . import __version__
 from .harness import (
-    EXIT_INFORMATIVE,
     EXIT_INVALID,
     CHECKS,
+    VERDICT_EXIT,
     InvalidCheckSpec,
     calibrate,
     compute,
@@ -166,7 +166,7 @@ def _run(args) -> int:
         except InvalidCheckSpec as exc:
             raise _InvalidInput(f"invalid check spec: {exc}") from None
         doc = report.to_json()
-        if getattr(report, "full_report", None):
+        if report.full_report:
             doc["full_report"] = report.full_report
         if args.out:
             with open(args.out, "w") as fh:
@@ -213,13 +213,13 @@ def _run(args) -> int:
     doc = _read_json(args.path, "report")
     if not isinstance(doc, dict):
         raise _InvalidInput(f"invalid report: {args.path} is not a JSON object")
+    # a document without a verdict, such as a compute result, claims nothing
+    verdict = doc.get("verdict", "pass")
+    if not isinstance(verdict, str) or verdict not in VERDICT_EXIT:
+        raise _InvalidInput(f"invalid report: {args.path} has verdict {verdict!r}; "
+                            f"expected one of {', '.join(VERDICT_EXIT)}")
     _emit(doc, fmt)
-    verdict = doc.get("verdict")
-    if verdict == "pass":
-        return 0
-    if verdict == "informative":
-        return EXIT_INFORMATIVE
-    return 1 if verdict == "fail" else 0
+    return VERDICT_EXIT[verdict]
 
 
 if __name__ == "__main__":

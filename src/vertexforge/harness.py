@@ -1,12 +1,14 @@
 """Named identity suites, convention calibration, and the result cache.
 
-Every check returns a CheckReport whose verdict maps to the process exit
-code contract: 0 all equalities hold, 1 at least one violation, 2 invalid
-input, 3 informative-only.
+`run_check` runs a named check, times it and makes its CheckReport, whose
+verdict maps through VERDICT_EXIT to the process exit code contract: 0 all
+equalities hold, 1 at least one violation, 2 invalid input, 3
+informative-only.  Calibration runs the named checks through it too.
 """
 
 from __future__ import annotations
 
+import copy
 import functools
 import json
 import os
@@ -47,29 +49,30 @@ EXIT_FAIL = 1
 EXIT_INVALID = 2
 EXIT_INFORMATIVE = 3
 
+# the exit code of each verdict, for a report made here or read back from JSON
+VERDICT_EXIT = {"pass": EXIT_PASS, "fail": EXIT_FAIL, "informative": EXIT_INFORMATIVE}
+
 
 class CheckReport(Record):
     _fields = ("name", "verdict", "cases", "convention", "elapsed", "notes")
-    # full_report: the raw report of an exploratory check, kept out of
-    # equality and repr
-    __slots__ = _fields + ("full_report",)
+    # params: the filled-in parameters; full_report: the raw report of an
+    # exploratory check; both kept out of equality and repr
+    __slots__ = _fields + ("params", "full_report")
 
-    def __init__(self, name: str, verdict: str, cases: List[dict] | None = None,
-                 convention: Convention = DEFAULT_CONVENTION, elapsed: float = 0.0,
-                 notes: List[str] | None = None):
+    def __init__(self, name: str, verdict: str, cases: List[dict], convention: Convention,
+                 elapsed: float, notes: List[str], params: dict, full_report: dict | None):
         self.name = name
-        self.verdict = verdict  # "pass" | "fail" | "informative"
-        self.cases = [] if cases is None else cases
+        self.verdict = verdict  # a key of VERDICT_EXIT
+        self.cases = cases
         self.convention = convention
         self.elapsed = elapsed
-        self.notes = [] if notes is None else notes
-        self.full_report = None
+        self.notes = notes
+        self.params = params
+        self.full_report = full_report
 
     @property
     def exit_code(self) -> int:
-        return {"pass": EXIT_PASS, "fail": EXIT_FAIL, "informative": EXIT_INFORMATIVE}[
-            self.verdict
-        ]
+        return VERDICT_EXIT[self.verdict]
 
     def to_json(self) -> dict:
         return {
@@ -79,6 +82,7 @@ class CheckReport(Record):
             "convention": self.convention.to_json(),
             "elapsed_seconds": round(self.elapsed, 3),
             "notes": self.notes,
+            "params": self.params,
             "version": __version__,
         }
 
@@ -96,15 +100,16 @@ def _compare_series(xs, ys) -> tuple[bool, int]:
 
 
 # ---------------------------------------------------------------------------
-# the named checks
+# the named checks: each returns (cases, ok), or (cases, ok, notes), or
+# (cases, ok, notes, raw report); ok is whether every equality held, None
+# for an informative check whose exact parts held
 
 
-def check_egl(params: dict, conv: Convention) -> CheckReport:
+def check_egl(params: dict, conv: Convention):
     """Tautological-integral identity: localization sum equals the
     normalized iterated residue, exactly."""
     from .residue import egl_localization, egl_residue
 
-    t0 = time.time()
     ns, uorders, total = params["n_values"], params["u_orders"], params["u_total"]
     seed, nsamples = params["seed"], params["samples"]
     cases = []
@@ -117,15 +122,14 @@ def check_egl(params: dict, conv: Convention) -> CheckReport:
             ok = a == b
             allok = allok and ok
             cases.append({"n": n, "sample": i, "sample_values": s.to_json(), "equal": ok})
-    return CheckReport("egl", "pass" if allok else "fail", cases, conv, time.time() - t0)
+    return cases, allok
 
 
-def check_mainpt(params: dict, conv: Convention) -> CheckReport:
+def check_mainpt(params: dict, conv: Convention):
     """Residue vertex equals the localization vertex, coefficientwise, in
     both the Chern-monomial and the fixed-point basis."""
     from .residue import pt_residue_vertex
 
-    t0 = time.time()
     shapes = [Partition(p) for p in params["shapes"]]
     qorder, uorder = params["qorder"], params["uorder"]
     seed, nsamples = params["seed"], params["samples"]
@@ -153,19 +157,16 @@ def check_mainpt(params: dict, conv: Convention) -> CheckReport:
                  "fixedpoint_basis": ok_f, "chern_nonzero": nz_c,
                  "fixedpoint_nonzero": nz_f, "q_shift": 0}
             )
-    rep = CheckReport("mainpt", "pass" if allok else "fail", cases, conv, time.time() - t0)
-    rep.notes.append("recorded global q-shift: 0; orientation matches localization")
-    return rep
+    return cases, allok, ["recorded global q-shift: 0; orientation matches localization"]
 
 
-def check_measure_ratio(params: dict, conv: Convention) -> CheckReport:
+def check_measure_ratio(params: dict, conv: Convention):
     """Closed Pochhammer product equals Exp(V^PT - V^DT) on the common
     column parametrization, including the vanishing directions."""
     from itertools import product as iproduct
 
     from .residue import measure_ratio_extended
 
-    t0 = time.time()
     size, kmax = params["max_size"], params["kmax"]
     samples = seeded_samples(params["seed"], 2 * (size + kmax) + 6, params["samples"])
     cases = []
@@ -186,20 +187,16 @@ def check_measure_ratio(params: dict, conv: Convention) -> CheckReport:
             ok = bad == 0
             allok = allok and ok
             cases.append({"mu": mu.to_json(), "checked": checked, "mismatches": bad})
-    return CheckReport(
-        "measure-ratio", "pass" if allok else "fail", cases, conv, time.time() - t0
-    )
+    return cases, allok
 
 
-def check_slices(params: dict, conv: Convention) -> CheckReport:
+def check_slices(params: dict, conv: Convention):
     """Enumeration oracles: plane-partition counts against the product
     formula through both representations, and the slice decomposition of the
     leg-free vertex."""
-    t0 = time.time()
     seed, qorder, nmax = params["seed"], params["qorder"], params["count_upto"]
     cases = []
-    allok = True
-    oracle = macmahon_coeffs(max(nmax, 6))
+    oracle = macmahon_coeffs(nmax)
     by_heights = [0] * (nmax + 1)
     by_slices = [0] * (nmax + 1)
     roundtrip_ok = True
@@ -209,10 +206,10 @@ def check_slices(params: dict, conv: Convention) -> CheckReport:
         by_slices[seq.total] += 1
         if pp_from_slices(seq) != pp:
             roundtrip_ok = False
-    heights_ok = by_heights == oracle[: nmax + 1]
-    slices_ok = by_slices == oracle[: nmax + 1]
+    heights_ok = by_heights == oracle
+    slices_ok = by_slices == oracle
     cases.append(
-        {"counts": by_heights, "oracle": oracle[: nmax + 1],
+        {"counts": by_heights, "oracle": oracle,
          "heights_match": heights_ok, "slices_match": slices_ok,
          "roundtrip": roundtrip_ok}
     )
@@ -226,22 +223,16 @@ def check_slices(params: dict, conv: Convention) -> CheckReport:
     acc = acc.truncate(qorder)
     slice_sum_ok = acc == total
     cases.append({"slice_sum_equals_vertex": slice_sum_ok,
-                  "series": _q_str(total)})
-    allok = allok and slice_sum_ok
-    return CheckReport("slices", "pass" if allok else "fail", cases, conv, time.time() - t0)
+                  "series": [str(c) for c in total.coeffs]})
+    return cases, allok and slice_sum_ok
 
 
-def _q_str(qs: QSeries) -> List[str]:
-    return [str(c) for c in qs.coeffs]
-
-
-def check_simple(params: dict, conv: Convention) -> CheckReport:
+def check_simple(params: dict, conv: Convention):
     """Local-curve factorization of ideal-sheaf counts into the stable-pairs
     series and the degree-0 factor, plus parameter independence of the
     stable-pairs series."""
     from .localcurve import GlueRequest, dt0_localcurve, glue
 
-    t0 = time.time()
     qorder = params["qorder"]
     degrees = tuple(params["degrees"])
     samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
@@ -272,16 +263,14 @@ def check_simple(params: dict, conv: Convention) -> CheckReport:
             "residual": residual,
         }
     )
-    allok = ok and pt_indep
-    return CheckReport("simple", "pass" if allok else "fail", cases, conv, time.time() - t0)
+    return cases, ok and pt_indep
 
 
-def check_ptint(params: dict, conv: Convention) -> CheckReport:
+def check_ptint(params: dict, conv: Convention):
     """Residue assembly of the glued local-curve series equals the
     fixed-point gluing, exactly."""
     from .localcurve import GlueRequest, glue, ptint_residue
 
-    t0 = time.time()
     seed, qorder, uorder = params["seed"], params["qorder"], params["uorder"]
     cases = []
     allok = True
@@ -294,14 +283,13 @@ def check_ptint(params: dict, conv: Convention) -> CheckReport:
             allok = allok and ok and nonzero > 0
             cases.append({"degrees": list(degrees), "sample": i, "sample_values": s.to_json(),
                           "equal": ok, "nonzero": nonzero})
-    return CheckReport("ptint", "pass" if allok else "fail", cases, conv, time.time() - t0)
+    return cases, allok
 
 
-def check_spec_poly(params: dict, conv: Convention) -> CheckReport:
+def check_spec_poly(params: dict, conv: Convention):
     """Per-k polynomiality at the specialized parameters with held-out
     verification, the closed two-column specialization identity, and the
     non-polynomial control off the line."""
-    t0 = time.time()
     seed, cvals, grid = params["seed"], params["c_values"], params["grid"]
     fit_upto, uorder = params["fit_upto"], params["uorder"]
     cases = []
@@ -328,17 +316,15 @@ def check_spec_poly(params: dict, conv: Convention) -> CheckReport:
         basis="interp"
     )
     control_ok = control.verdict == "non-polynomial"
-    allok = allok and control_ok
     cases.append({"control_off_line": control.verdict, "control_ok": control_ok})
-    return CheckReport("spec-poly", "pass" if allok else "fail", cases, conv, time.time() - t0)
+    return cases, allok and control_ok
 
 
-def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
+def check_dtpt0(params: dict, conv: Convention):
     """Exploratory degree-0 report; exact subchecks must pass, the
     side-by-side bound/orientation verdicts are informative."""
     from .residue import dt0_vanishing, dtpt0_report
 
-    t0 = time.time()
     worder, qorder = params["worder"], params["qorder"]
     s = sample_random(params["seed"], qorder + worder + 10)
     rep = dtpt0_report(Partition([1]), worder, qorder, s, conv)
@@ -361,21 +347,17 @@ def check_dtpt0(params: dict, conv: Convention) -> CheckReport:
         {"mu": [1, 1], "vanishing": rep2["pass"], "rows": rep2["rows"]},
         {"mu": [2], "vanishing": rep3["pass"], "rows": rep3["rows"]},
     ]
-    verdict = "fail" if not exact_ok else "informative"
-    out = CheckReport("dtpt0", verdict, cases, conv, time.time() - t0)
-    out.notes.append(
+    notes = [
         "side-by-side identity verdicts are informative; exact subchecks "
         "(descendent generating function, vanishing, measure-ratio rebalancing) "
-        + ("pass" if exact_ok else "FAIL")
-    )
-    out.notes.append(
+        + ("pass" if exact_ok else "FAIL"),
         f"(bound, orientation) choices matching the slice sum on nonzero coefficients: "
-        f"{dt_matches} of {len(rep['scan'])}; {vacuous} compare only zeros and count as none")
-    out.full_report = rep
-    return out
+        f"{dt_matches} of {len(rep['scan'])}; {vacuous} compare only zeros and count as none",
+    ]
+    return cases, None if exact_ok else False, notes, rep
 
 
-CHECKS: Dict[str, Callable[[dict, Convention], CheckReport]] = {
+CHECKS: Dict[str, Callable[[dict, Convention], tuple]] = {
     "egl": check_egl,
     "mainpt": check_mainpt,
     "measure-ratio": check_measure_ratio,
@@ -473,11 +455,18 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
     full = {**CHECK_DEFAULTS[name], **params}
     _validate_params(name, full)
-    report = CHECKS[name](full, conv or load_default_convention())
-    if not report.cases:
+    conv = conv or load_default_convention()
+    t0 = time.time()
+    outcome = CHECKS[name](full, conv)
+    elapsed = time.time() - t0
+    # pad (cases, ok[, notes[, raw report]]) with the notes and raw report it omits
+    cases, ok, notes, raw = outcome + ([], None)[len(outcome) - 2:]
+    if not cases:
         # a check that compared nothing certifies nothing
         raise InvalidCheckSpec(f"check {name} has no case at parameters {params}")
-    return report
+    verdict = "informative" if ok is None else "pass" if ok else "fail"
+    # the report's copy of the parameters shares no list with CHECK_DEFAULTS
+    return CheckReport(name, verdict, cases, conv, elapsed, notes, copy.deepcopy(full), raw)
 
 
 # ---------------------------------------------------------------------------
@@ -486,8 +475,6 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
 
 def _calib_battery(conv: Convention, seed: int = 43) -> Dict[str, bool]:
     """Cheap discriminating checks for a convention candidate."""
-    from .residue import egl_localization, egl_residue, measure_ratio_extended
-
     out: Dict[str, bool] = {}
     s = sample_random(seed, 14)
     # stable-pairs weight must be finite and nonzero on a one-box column
@@ -505,30 +492,21 @@ def _calib_battery(conv: Convention, seed: int = 43) -> Dict[str, bool]:
         )
     except (ValueError, ZeroDivisionError):
         out["euler_hook"] = False
+
+    def passes(name: str, params: dict) -> bool:
+        # a named check at small parameters; a candidate it raises on fails
+        try:
+            return run_check(name, {**params, "seed": seed}, conv).verdict == "pass"
+        except (ValueError, ArithmeticError):
+            return False
+
     # EGL at n = 1, 2
-    try:
-        out["egl"] = all(
-            egl_localization(n, [2], s, conv) == egl_residue(n, [2], s, conv)
-            for n in (1, 2)
-        )
-    except (ValueError, ZeroDivisionError, ArithmeticError):
-        out["egl"] = False
-    # measure ratio on the single column, depths 1..2
-    try:
-        ok = True
-        for k in (1, 2):
-            lhs = s.exp_extended(measure_difference_char(Partition([1]), {(0, 0): k}, conv))
-            rhs = measure_ratio_extended(Partition([1]), {(0, 0): k}, s)
-            ok = ok and lhs == rhs
-        out["measure_ratio"] = ok
-    except (ValueError, ZeroDivisionError, NonPolynomialCharacter):
-        out["measure_ratio"] = False
+    out["egl"] = passes("egl", {"n_values": [1, 2], "u_orders": [2], "u_total": None,
+                                "samples": 1})
+    # measure ratio on the single column, depths 0..2
+    out["measure_ratio"] = passes("measure-ratio", {"max_size": 1, "kmax": 2, "samples": 1})
     # small local-curve factorization
-    try:
-        rep = run_check("simple", {"seed": seed, "qorder": 2, "samples": 1}, conv)
-        out["simple"] = rep.verdict == "pass"
-    except (ValueError, ZeroDivisionError, NonPolynomialCharacter, ArithmeticError):
-        out["simple"] = False
+    out["simple"] = passes("simple", {"qorder": 2, "samples": 1})
     return out
 
 

@@ -310,11 +310,6 @@ class EquivariantCharacter:
         return f"({self.num!r}) / prod(1 - t^d for d in {list(self.den)})"
 
 
-def reduce_char(c: EquivariantCharacter) -> LaurentPoly:
-    """Module-level alias for EquivariantCharacter.reduce."""
-    return c.reduce()
-
-
 def pochhammer(x, n: int):
     """[x]_n = Gamma(x+n)/Gamma(x) for integer n.
 

@@ -374,11 +374,7 @@ def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fra
     Region 'inner': only poles at infinitesimal locations are enclosed;
     'full': all finite poles (expansion at infinity).
     """
-    total = ZERO
-    for t in terms:
-        engine = _PoleEngine(t.factors, nvars, region, t.scale)
-        total += sum((c * engine.monomial(e) for e, c in t.poly.items()), ZERO)
-    return total
+    return sum((residue_sum_series(t, None, nvars, region, (), ()).coeff(()) for t in terms), ZERO)
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
@@ -791,24 +787,6 @@ def measure_ratio_extended(mu, kvec: Dict, s):
                 for l in range(lo, hi):
                     terms[(a, b, l)] = run
     return s.exp_extended(LaurentPoly(terms))
-
-
-def measure_ratio_closed(mu, kvec: Dict, s) -> Fraction:
-    """Closed Pochhammer-product value of Exp(V^PT - V^DT) on the common
-    column parametrization: the product over cells c and ordered cell pairs
-    (c, d) of rising-factorial blocks with arguments shifted by
-    {0, -a1, -a2, -a1-a2} at base points z_c and z_c - z_d, all indices
-    built from the column depths.  Assembled in the character ring so the
-    structurally-cancelling zero factors cancel exactly, then evaluated by
-    the plethystic exponential.  Vanishing weights give 0; a ratio with the
-    vanishing on the stable-pairs side raises.
-    """
-    value, zorder = measure_ratio_extended(mu, kvec, s)
-    if zorder > 0:
-        return Fraction(0)
-    if zorder < 0:
-        raise ZeroDivisionError("pole at non-generic input: stable-pairs weight vanishes")
-    return value
 
 
 # ---------------------------------------------------------------------------

@@ -303,10 +303,12 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "report not json", "report array", "compute missing file", "convention missing",
         "convention not json", "convention no fields", "config format xml", "config missing",
+        "report unknown verdict", "report verdict capitalized",
     ])
     def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
         files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
-                 "xml.cfg": "format = xml\n"}
+                 "xml.cfg": "format = xml\n", "bogus.json": '{"verdict": "bogus"}',
+                 "capital.json": '{"verdict": "Pass"}'}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         cache = ["--cache-dir", str(tmp_path / "cache")]
@@ -320,6 +322,8 @@ class TestCLI:
             "convention no fields": ["--convention", "empty.json"] + check,
             "config format xml": ["--config", "xml.cfg", "report", "empty.json"],
             "config missing": ["--config", "missing.cfg", "report", "empty.json"],
+            "report unknown verdict": ["report", "bogus.json"],
+            "report verdict capitalized": ["report", "capital.json"],
         }[case]
         monkeypatch.chdir(tmp_path)
         rc = main(argv)

@@ -26,7 +26,6 @@ from vertexforge.residue import (
     dtpt0_report,
     egl_localization,
     egl_residue,
-    measure_ratio_closed,
     measure_ratio_extended,
     pt_residue_vertex,
     pt_vertex_integrand,
@@ -336,7 +335,7 @@ class TestMainPT:
 class TestMeasureRatioClosed:
     def test_k_zero(self):
         for mu in enum_partitions(2):
-            assert measure_ratio_closed(mu, {}, S) == 1
+            assert measure_ratio_extended(mu, {}, S) == (1, 0)
 
     def test_hand_instance(self):
         # single column, depth k: [a1+1]_k [a2+1]_k / ([a1-k+1]_k [a2-k+1]_k)
@@ -347,7 +346,7 @@ class TestMeasureRatioClosed:
                 * pochhammer(a2 + 1, k)
                 / (pochhammer(a1 - k + 1, k) * pochhammer(a2 - k + 1, k))
             )
-            assert measure_ratio_closed(Partition([1]), {(0, 0): k}, S) == expect
+            assert measure_ratio_extended(Partition([1]), {(0, 0): k}, S) == (expect, 0)
 
     def test_transpose_symmetry(self):
         from vertexforge.sampling import ParamSample
@@ -356,7 +355,7 @@ class TestMeasureRatioClosed:
         kv = {(0, 0): 1, (0, 1): 2}
         swapped = ParamSample(S.t2, S.t1, S.t3, S.genericity_bound)
         kvt = {(0, 0): 1, (1, 0): 2}
-        assert measure_ratio_closed(mu, kv, S) == measure_ratio_closed(
+        assert measure_ratio_extended(mu, kv, S) == measure_ratio_extended(
             mu.transpose(), kvt, swapped
         )
 

@@ -15,7 +15,7 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `dtpt0_report` at `worder` 2, 3 and 4;
 * `bare_dt`, `bare_pt` and `glue` series;
 * the JSON of every named check at its default parameters, without its
-  elapsed time, and of `calibrate`;
+  elapsed time and parameters, and of `calibrate`;
 * scalar `bare_dt`, `bare_pt` (both boundaries) and `dt0_slice` under all
   24 conventions, a raising case recorded as "ValueError";
 * `measure_difference_char` at every depth vector in {0..3}^cells for
@@ -35,7 +35,11 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `sample_random` over a grid of seeds, genericity bounds and lines, an
   exhausted retry budget recorded as "RuntimeError";
 * `measure_ratio_extended` at every depth vector in {-1..3}^cells for
-  |mu| <= 3.
+  |mu| <= 3;
+* the JSON of every named check at one other parameter set, `mainpt` and
+  `simple` among them with a `fail` verdict, and of the `egl`,
+  `measure-ratio` and `simple` runs of the calibration battery under all 24
+  conventions, a raising case recorded by its exception's name.
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
@@ -76,6 +80,40 @@ def canon(x):
     if isinstance(x, (list, tuple)):
         return [canon(v) for v in x]
     return x
+
+
+def check_doc(name, params, conv):
+    """The JSON of a named check's report without its elapsed time and its
+    parameters (which the caller knows), or the name of what it raised."""
+    try:
+        doc = run_check(name, params, conv).to_json()
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc).__name__
+    doc.pop("elapsed_seconds", None)
+    doc.pop("params", None)
+    return doc
+
+
+# one parameter set per named check other than its defaults; `mainpt`
+# compares only zeros and `simple` meets a curve whose stable-pairs series
+# depends on the sample, so both fail
+CHECK_PARAMS = {
+    "dtpt0": {"seed": 5, "worder": 3, "qorder": 1},
+    "egl": {"n_values": [1, 3], "u_orders": [2, 3], "u_total": 3, "seed": 3, "samples": 2},
+    "mainpt": {"shapes": [[1]], "qorder": 1, "uorder": 1, "samples": 1},
+    "measure-ratio": {"max_size": 2, "kmax": 2, "seed": 5, "samples": 2},
+    "ptint": {"seed": 3, "qorder": 2, "uorder": 2, "samples": 1, "degrees": [[1, -3]]},
+    "simple": {"degrees": [0, -2], "qorder": 2, "samples": 2},
+    "slices": {"seed": 3, "qorder": 3, "count_upto": 4},
+    "spec-poly": {"seed": 5, "c_values": [2], "grid": list(range(8)), "fit_upto": 4, "uorder": 2},
+}
+
+# the named checks of the calibration battery at seed 43
+BATTERY_PARAMS = {
+    "egl": {"n_values": [1, 2], "u_orders": [2], "u_total": None, "samples": 1, "seed": 43},
+    "measure-ratio": {"max_size": 1, "kmax": 2, "samples": 1, "seed": 43},
+    "simple": {"qorder": 2, "samples": 1, "seed": 43},
+}
 
 
 def entries():
@@ -123,9 +161,7 @@ def entries():
                 yield f"glue {theory} {degrees} {n}", glue(req)
 
     for name in sorted(CHECKS):
-        doc = run_check(name, {}, CONV).to_json()
-        del doc["elapsed_seconds"]
-        yield f"check {name}", doc
+        yield f"check {name}", check_doc(name, {}, CONV)
     yield "calibrate", calibrate()
 
     def coeffs_or_error(f):
@@ -220,13 +256,23 @@ def entries():
                 yield (f"measure_ratio_extended {list(mu.parts)} {kv}",
                        measure_ratio_extended(mu, dict(zip(cells, kv)), s))
 
+    for name, params in CHECK_PARAMS.items():
+        yield f"check {name} {canonical(params)}", check_doc(name, params, CONV)
+    for conv in all_conventions():
+        for name, params in BATTERY_PARAMS.items():
+            yield f"check {name} {canonical(params)} {tuple(conv)}", check_doc(name, params, conv)
+
+
+def canonical(x) -> str:
+    return json.dumps(canon(x), sort_keys=True, separators=(",", ":"))
+
 
 def main(argv=None) -> None:
     show = "--entries" in (sys.argv[1:] if argv is None else argv)
     digest = hashlib.sha256()
     count = 0
     for name, value in entries():
-        line = json.dumps([name, canon(value)], sort_keys=True, separators=(",", ":")).encode()
+        line = canonical([name, value]).encode()
         digest.update(line)
         digest.update(b"\n")
         count += 1
