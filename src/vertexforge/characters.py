@@ -14,7 +14,7 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Dict, List, Literal, NamedTuple, Tuple
 
-from .laurent import EquivariantCharacter, LaurentPoly, over_common_denominator
+from .laurent import EquivariantCharacter, LaurentPoly, divide_t3_lines, over_common_denominator
 from .partitions import LeggedPlanePartition, Partition, RppConfig
 from .sampling import ParamSample
 from .series import DescSeries, exp_single
@@ -518,10 +518,34 @@ def measure_difference_char(
 ) -> LaurentPoly:
     """V^PT(pi(k)) - V^DT(pi(k)) on the common column parametrization
     (PT columns of depth k on mu; DT heights k on the same cells).  Defined
-    for arbitrary k >= 0, monotone or not.  Both characters sit over the one
-    denominator (1-t3), so their numerators are subtracted and reduced once."""
-    num: dict = {}
-    _add_vertex_num(num, pt_box_terms(_depth_rows(mu, kvec), conv), (-1, -1, -1), mu)
-    _add_vertex_num(num, dt_box_terms(Partition(), ((c, kvec.get(c, 0)) for c in mu.cells())),
-                    _dt_dual(conv), Partition(), -1)
-    return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()
+    for arbitrary integer k, monotone or not.
+
+    Both characters sit over the one denominator (1-t3), so the difference
+    of their numerators (`_add_vertex_num`) is built in one pass: the PT and
+    DT N bar(N) tables and F_e(mu)'s cell pairs Q_e bar(Q_e) form one table,
+    multiplied by (1-t1)(1-t2)/(t1t2) once, and with the linear terms it is
+    divided by (1-t3) along each t3-line."""
+    cells = mu.cells()
+    pt = pt_box_terms(_depth_rows(mu, kvec), conv)
+    dt = dt_box_terms(Partition(), ((c, kvec.get(c, 0)) for c in cells))
+    pairs: dict = {}
+    get = pairs.get
+    for side, sign in ((pt, -1), (dt, 1), ([((i, j, 0), 1) for i, j in cells], 1)):
+        for (i, j, k), c in side:
+            c *= sign
+            for (p, q, r), c2 in side:
+                e = (i - p, j - q, k - r)
+                pairs[e] = get(e, 0) + c * c2
+    # (t3-line (a, b), power, coefficient): N + t3 t^dual bar(N) of PT minus
+    # that of DT, each side's own dual, and -Q_e - bar(Q_e)/(t1t2) of F_e
+    d1, d2, d3 = _dt_dual(conv)
+    terms = [((i, j), k, c) for (i, j, k), c in pt]
+    terms += [((-1 - i, -1 - j), -k, c) for (i, j, k), c in pt]
+    terms += [((i, j), k, -c) for (i, j, k), c in dt]
+    terms += [((d1 - i, d2 - j), d3 + 1 - k, -c) for (i, j, k), c in dt]
+    terms += [((i, j), 0, -1) for i, j in cells]
+    terms += [((-1 - i, -1 - j), 0, -1) for i, j in cells]
+    for (a, b, l), c in pairs.items():
+        if c:
+            terms += (((a - 1, b - 1), l, c), ((a, b - 1), l, -c), ((a - 1, b), l, -c), ((a, b), l, c))
+    return divide_t3_lines(terms)

@@ -165,7 +165,7 @@ def check_measure_ratio(params: dict, conv: Convention):
     column parametrization, including the vanishing directions."""
     from itertools import product as iproduct
 
-    from .residue import measure_ratio_extended
+    from .residue import measure_ratio_char
 
     size, kmax = params["max_size"], params["kmax"]
     samples = seeded_samples(params["seed"], 2 * (size + kmax) + 6, params["samples"])
@@ -178,11 +178,11 @@ def check_measure_ratio(params: dict, conv: Convention):
             checked = 0
             for kv in iproduct(range(kmax + 1), repeat=len(cells)):
                 kmap = dict(zip(cells, kv))
+                lhs = measure_difference_char(mu, kmap, conv)
+                rhs = measure_ratio_char(mu, kmap)
                 for s in samples:
-                    lhs = s.exp_extended(measure_difference_char(mu, kmap, conv))
-                    rhs = measure_ratio_extended(mu, kmap, s)
                     checked += 1
-                    if lhs != rhs:
+                    if s.exp_extended(lhs) != s.exp_extended(rhs):
                         bad += 1
             ok = bad == 0
             allok = allok and ok
@@ -440,6 +440,10 @@ def _validate_params(name: str, params: dict) -> None:
         # at q-order 0 the factorization compares 1 with 1
         raise InvalidCheckSpec("simple needs qorder >= 1")
     if name == "spec-poly":
+        if params["uorder"] < 2:
+            # below u-order 2 the off-line control's descendent series is
+            # polynomial too, so the control certifies nothing
+            raise InvalidCheckSpec("spec-poly needs uorder >= 2")
         grid, fit_upto = params["grid"], params["fit_upto"]
         if not (any(k <= fit_upto for k in grid) and any(k > fit_upto for k in grid)):
             # the fit needs a point and the verification a held-out one

@@ -231,6 +231,40 @@ def divide_one_minus(num: LaurentPoly, d: Exponent) -> LaurentPoly:
     return out
 
 
+def divide_t3_lines(terms: Iterable[Tuple[Tuple[int, int], int, Coeff]]) -> LaurentPoly:
+    """Exact quotient num / (1 - t3) of num = sum of c t^(a,b,l) over the
+    terms ((a, b), l, c), a repeated exponent adding up.
+
+    The terms are collected by t3-line (a, b).  As in `divide_one_minus`,
+    the quotient on each line is the running sum of num along it, and it is
+    a Laurent polynomial exactly when every line's sum is zero.  Raises
+    NonPolynomialCharacter otherwise.
+    """
+    lines: Dict[Tuple[int, int], Dict[int, Coeff]] = {}
+    for base, l, c in terms:
+        line = lines.get(base)
+        if line is None:
+            lines[base] = {l: c}
+        else:
+            line[l] = line.get(l, 0) + c
+    quot: Dict[Exponent, Coeff] = {}
+    for (a, b), line in lines.items():
+        powers = sorted(line)
+        acc = 0
+        for lo, hi in zip(powers, powers[1:]):
+            acc += line[lo]
+            if acc:
+                for l in range(lo, hi):
+                    quot[(a, b, l)] = acc
+        if acc + line[powers[-1]]:
+            raise NonPolynomialCharacter(
+                "non-polynomial character: remainder survives division by (1 - t^(0, 0, 1))"
+            )
+    out = LaurentPoly()
+    out.terms = quot
+    return out
+
+
 class EquivariantCharacter:
     """num / prod_{d in den} (1 - t^d), den a multiset of exponent triples."""
 
@@ -334,27 +368,17 @@ def exp_pleth_extended(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction)
     """Plethystic exponential allowing a zero-weight monomial: returns
     (value, zero_order) where zero_order is the constant-monomial
     coefficient; the product is value * 0^zero_order (0 when positive,
-    a pole when negative)."""
-    zorder = p.coeff((0, 0, 0))
-    if zorder.denominator != 1:
-        raise ValueError("plethystic exponent requires integer coefficients")
-    stripped = p + LaurentPoly.monomial((0, 0, 0), -zorder)
-    return exp_pleth(stripped, t1, t2, t3), int(zorder)
-
-
-def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fraction:
-    """Plethystic exponential: Exp(sum a_e t^e) = prod (e.t)^{a_e}.
+    a pole when negative).
 
     The linear form of exponent (i,j,k) is i*t1 + j*t2 + k*t3; requires
-    integer coefficients and no constant monomial.  Evaluated in integers:
-    with t_i = x_i / D the product is prod (i*x1 + j*x2 + k*x3)^{a_e} times
-    D^{-sum a_e}, and only the final quotient is a Fraction.
+    integer coefficients, and no other form may vanish.  Evaluated in
+    integers: with t_i = x_i / D the product of the other monomials is
+    prod (i*x1 + j*x2 + k*x3)^{a_e} times D^{-sum a_e}, and only the final
+    quotient is a Fraction.
     """
-    if p.coeff((0, 0, 0)) != 0:
-        raise ValueError("zero-weight monomial: constant term in plethystic exponent")
     x1, x2, x3, d = over_common_denominator(t1, t2, t3)
     num = den = 1
-    degree = 0
+    degree = zorder = 0
     for (i, j, k), a in p.terms.items():
         if type(a) is not int:
             if a.denominator != 1:
@@ -362,6 +386,10 @@ def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fract
             a = a.numerator
         w = i * x1 + j * x2 + k * x3
         if w == 0:
+            if i == j == k == 0:
+                # the constant monomial is set aside as the zero order
+                zorder = a
+                continue
             raise ValueError(
                 f"sample genericity insufficient: weight {i}*t1+{j}*t2+{k}*t3 vanishes"
             )
@@ -374,4 +402,12 @@ def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fract
         den *= d**degree
     else:
         num *= d ** (-degree)
-    return Fraction(num, den)
+    return Fraction(num, den), zorder
+
+
+def exp_pleth(p: LaurentPoly, t1: Fraction, t2: Fraction, t3: Fraction) -> Fraction:
+    """Plethystic exponential: Exp(sum a_e t^e) = prod (e.t)^{a_e}, the
+    `exp_pleth_extended` value of a character with no constant monomial."""
+    if p.coeff((0, 0, 0)) != 0:
+        raise ValueError("zero-weight monomial: constant term in plethystic exponent")
+    return exp_pleth_extended(p, t1, t2, t3)[0]

@@ -33,7 +33,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .laurent import over_common_denominator
+from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator
 from .records import Record
 
 ZERO = Fraction(0)
@@ -743,50 +743,40 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
 # closed Pochhammer form of the measure ratio
 
 
-def measure_ratio_extended(mu, kvec: Dict, s):
-    """(value, zero_order) form of the closed measure ratio; zero_order > 0
-    means the ideal-sheaf weight vanishes to that order against the
-    stable-pairs weight (non-monotone column data), < 0 the reverse.
+def measure_ratio_char(mu, kvec: Dict) -> LaurentPoly:
+    """The character whose plethystic exponential is the closed measure
+    ratio, for any integer depths kvec on the cells of mu (missing: 0).
 
-    The character is a signed sum of t3-intervals at bases t^(a,b), each
-    (t3^lo - t3^(hi+1))/(1 - t3).  Their numerators make one difference
-    array per base, and one running sum over its t3-powers divides it by
-    (1 - t3)."""
-    from .laurent import LaurentPoly
-
+    It is a signed sum of t3-intervals at bases t^(a,b), each
+    (t3^lo - t3^(hi+1))/(1 - t3): their numerators are summed and divided
+    by (1 - t3) once, along each base's t3-line."""
     cells = [(c, kvec.get(c, 0)) for c in mu.cells()]
     # per ordered pair (c, d) at the offset t^(c - d):
     # t3^(kd-kc) - t3^(kc-kd) + t3^-kd - 1 + t3^kc - 1
     pairs: Dict = {}
+    get = pairs.get
     for (ic, jc), kc in cells:
         for (id_, jd), kd in cells:
             a, b = ic - id_, jc - jd
-            for l, c in ((kd - kc, 1), (kc - kd, -1), (-kd, 1), (kc, 1), (0, -2)):
-                pairs[(a, b, l)] = pairs.get((a, b, l), 0) + c
-    # times -(t1^-1 - 1)(t2^-1 - 1), and per cell at t^c and t^(-c-(1,1)):
-    # t3^-k - 1 + t3^k - 1; numerators by base t^(a,b), then by t3-power
-    num: Dict = {}
+            for e, c in (((a, b, kd - kc), 1), ((a, b, kc - kd), -1), ((a, b, -kd), 1),
+                         ((a, b, kc), 1), ((a, b, 0), -2)):
+                pairs[e] = get(e, 0) + c
+    # per cell at t^c and t^(-c-(1,1)): t3^-k - 1 + t3^k - 1, as
+    # ((a, b), t3-power, coefficient); and the pairs times -(t1^-1 - 1)(t2^-1 - 1)
+    terms = [(base, l, c) for (i, j), k in cells for base in ((i, j), (-i - 1, -j - 1))
+             for l, c in ((-k, 1), (k, 1), (0, -2))]
     for (a, b, l), c in pairs.items():
         if c:
-            for base, g in (((a - 1, b - 1), -c), ((a - 1, b), c), ((a, b - 1), c), ((a, b), -c)):
-                d = num.setdefault(base, {})
-                d[l] = d.get(l, 0) + g
-    for (i, j), k in cells:
-        for base in ((i, j), (-i - 1, -j - 1)):
-            d = num.setdefault(base, {})
-            for l, c in ((-k, 1), (k, 1), (0, -2)):
-                d[l] = d.get(l, 0) + c
-    # divided by (1 - t3): at each base the running sum over the powers
-    terms: Dict = {}
-    for (a, b), d in num.items():
-        run = 0
-        powers = sorted(d)
-        for lo, hi in zip(powers, powers[1:]):
-            run += d[lo]
-            if run:
-                for l in range(lo, hi):
-                    terms[(a, b, l)] = run
-    return s.exp_extended(LaurentPoly(terms))
+            terms += (((a - 1, b - 1), l, -c), ((a - 1, b), l, c), ((a, b - 1), l, c), ((a, b), l, -c))
+    return divide_t3_lines(terms)
+
+
+def measure_ratio_extended(mu, kvec: Dict, s):
+    """(value, zero_order) form of the closed measure ratio, the plethystic
+    exponential of `measure_ratio_char` at the sample; zero_order > 0
+    means the ideal-sheaf weight vanishes to that order against the
+    stable-pairs weight (non-monotone column data), < 0 the reverse."""
+    return s.exp_extended(measure_ratio_char(mu, kvec))
 
 
 # ---------------------------------------------------------------------------

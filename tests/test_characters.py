@@ -647,15 +647,15 @@ class TestWeightWalk:
 
 class TestMeasureDifferenceOneDivision:
     def test_equals_difference_of_vertex_characters(self):
-        # the one-division difference against the two reduced characters, at
-        # every depth vector in {0..3}^cells for |mu| <= 3, under both column
+        # the one-pass difference against the two reduced characters, at
+        # every depth vector in {-1..3}^cells for |mu| <= 3, under both column
         # signs and both dual terms (the only convention flags it reads)
         for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"),
                      Convention(1, "t1t2t3"), Convention(1, "t1t2")):
             for n in (1, 2, 3):
                 for mu in enum_partitions(n):
                     cells = mu.cells()
-                    for kv in product(range(4), repeat=len(cells)):
+                    for kv in product(range(-1, 4), repeat=len(cells)):
                         kmap = dict(zip(cells, kv))
                         want = vertex_char_pt_raw(mu, kmap, conv) - vertex_char_dt_raw(kmap, conv)
                         assert measure_difference_char(mu, kmap, conv) == want, (conv, mu, kv)

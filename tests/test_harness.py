@@ -303,7 +303,8 @@ class TestCLI:
     @pytest.mark.parametrize("case", [
         "report not json", "report array", "compute missing file", "convention missing",
         "convention not json", "convention no fields", "config format xml", "config missing",
-        "report unknown verdict", "report verdict capitalized",
+        "report unknown verdict", "report verdict capitalized", "spec-poly uorder 0",
+        "spec-poly uorder 1",
     ])
     def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
         files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
@@ -324,6 +325,8 @@ class TestCLI:
             "config missing": ["--config", "missing.cfg", "report", "empty.json"],
             "report unknown verdict": ["report", "bogus.json"],
             "report verdict capitalized": ["report", "capital.json"],
+            "spec-poly uorder 0": ["check", "spec-poly", "--params", '{"uorder": 0}'],
+            "spec-poly uorder 1": ["check", "spec-poly", "--params", '{"uorder": 1}'],
         }[case]
         monkeypatch.chdir(tmp_path)
         rc = main(argv)

@@ -7,6 +7,7 @@ from vertexforge.characters import (
     DEFAULT_CONVENTION,
     Convention,
     DescendentSpec,
+    all_conventions,
     descendent_char,
     measure_difference_char,
 )
@@ -26,6 +27,7 @@ from vertexforge.residue import (
     dtpt0_report,
     egl_localization,
     egl_residue,
+    measure_ratio_char,
     measure_ratio_extended,
     pt_residue_vertex,
     pt_vertex_integrand,
@@ -375,6 +377,26 @@ class TestMeasureRatioClosed:
                     kmap = dict(zip(cells, kv))
                     assert measure_ratio_extended(mu, kmap, s) == s.exp_extended(
                         measure_difference_char(mu, kmap)), (mu, kv)
+
+    def test_character_equals_measure_difference(self):
+        # the closed character is V^PT - V^DT itself, at every depth vector
+        # in {-1..3}^cells for |mu| <= 3, under the conventions with column
+        # sign -1 and dual t1t2t3; under the others the two differ as
+        # characters at most depth vectors
+        convs = [c for c in all_conventions()
+                 if c.pt_column_sign == -1 and c.dt_dual_denominator == "t1t2t3"]
+        assert len(convs) == 6
+        checked = 0
+        for n in (1, 2, 3):
+            for mu in enum_partitions(n):
+                cells = mu.cells()
+                for kv in product(range(-1, 4), repeat=len(cells)):
+                    kmap = dict(zip(cells, kv))
+                    closed = measure_ratio_char(mu, kmap)
+                    for conv in convs:
+                        assert closed == measure_difference_char(mu, kmap, conv), (conv, mu, kv)
+                    checked += 1
+        assert checked == 430
 
 
 class TestDt0Vanishing:

@@ -18,7 +18,7 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
   elapsed time and parameters, and of `calibrate`;
 * scalar `bare_dt`, `bare_pt` (both boundaries) and `dt0_slice` under all
   24 conventions, a raising case recorded as "ValueError";
-* `measure_difference_char` at every depth vector in {0..3}^cells for
+* `measure_difference_char` at every depth vector in {-1..3}^cells for
   |mu| <= 3, under both column signs and both dual terms;
 * `bare_dt` and `bare_pt` with `ch_hat` and `ch_prime` insertions at 0 and
   `inf` in two variables;
@@ -34,8 +34,8 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
   raising case recorded as "ValueError";
 * `sample_random` over a grid of seeds, genericity bounds and lines, an
   exhausted retry budget recorded as "RuntimeError";
-* `measure_ratio_extended` at every depth vector in {-1..3}^cells for
-  |mu| <= 3;
+* `measure_ratio_extended` and `measure_ratio_char` at every depth vector
+  in {-1..3}^cells for |mu| <= 3;
 * the JSON of every named check at one other parameter set, `mainpt` and
   `simple` among them with a `fail` verdict, and of the `egl`,
   `measure-ratio` and `simple` runs of the calibration battery under all 24
@@ -63,7 +63,7 @@ from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
 from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
 from vertexforge.residue import (dt0_residue_value, dtpt0_report, egl_localization, egl_residue,
-                                 measure_ratio_extended, pt_residue_vertex)
+                                 measure_ratio_char, measure_ratio_extended, pt_residue_vertex)
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import bare_dt, bare_pt, dt0_slice
@@ -186,7 +186,7 @@ def entries():
         for n in (1, 2, 3):
             for mu in enum_partitions(n):
                 cells = mu.cells()
-                for kv in product(range(4), repeat=len(cells)):
+                for kv in product(range(-1, 4), repeat=len(cells)):
                     yield (f"measure_difference_char {list(mu.parts)} {kv} {tuple(conv)}",
                            measure_difference_char(mu, dict(zip(cells, kv)), conv))
 
@@ -253,8 +253,9 @@ def entries():
         for mu in enum_partitions(n):
             cells = mu.cells()
             for kv in product(range(-1, 4), repeat=len(cells)):
-                yield (f"measure_ratio_extended {list(mu.parts)} {kv}",
-                       measure_ratio_extended(mu, dict(zip(cells, kv)), s))
+                kmap = dict(zip(cells, kv))
+                yield f"measure_ratio_extended {list(mu.parts)} {kv}", measure_ratio_extended(mu, kmap, s)
+                yield f"measure_ratio_char {list(mu.parts)} {kv}", measure_ratio_char(mu, kmap)
 
     for name, params in CHECK_PARAMS.items():
         yield f"check {name} {canonical(params)}", check_doc(name, params, CONV)
