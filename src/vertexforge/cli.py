@@ -64,6 +64,16 @@ def _read_json(path: str, what: str):
         raise _InvalidInput(f"invalid {what}: {path} is not JSON: {exc}") from None
 
 
+def _write_out(path: str, data: str | bytes) -> None:
+    """Write an `--out` file; a path that cannot be written is invalid
+    input, never a violation of what was computed."""
+    try:
+        with open(path, "wb" if isinstance(data, bytes) else "w") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise _InvalidInput(f"invalid --out: cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _emit(doc: dict, fmt: str) -> None:
     if fmt == "json":
         json.dump(doc, sys.stdout, indent=2, sort_keys=True)
@@ -169,8 +179,7 @@ def _run(args) -> int:
         if report.full_report:
             doc["full_report"] = report.full_report
         if args.out:
-            with open(args.out, "w") as fh:
-                json.dump(doc, fh, indent=2, sort_keys=True)
+            _write_out(args.out, json.dumps(doc, indent=2, sort_keys=True))
         _emit(doc, fmt)
         return report.exit_code
 
@@ -186,9 +195,11 @@ def _run(args) -> int:
             blob, hit = compute(request, conv, cache_dir)
         except (InvalidCheckSpec, KeyError, ValueError) as exc:
             raise _InvalidInput(f"invalid request: {exc}") from None
+        except OSError as exc:
+            # a cache directory naming a regular file, or one not writable
+            raise _InvalidInput(f"invalid cache directory {cache_dir}: {exc.strerror or exc}") from None
         if args.out:
-            with open(args.out, "wb") as fh:
-                fh.write(blob)
+            _write_out(args.out, blob)
         sys.stdout.write(blob.decode())
         sys.stdout.write("\n")
         sys.stderr.write("cache hit\n" if hit else "computed\n")
@@ -196,8 +207,7 @@ def _run(args) -> int:
 
     if args.verb == "calibrate":
         doc = calibrate(args.seed)
-        with open(args.out, "w") as fh:
-            json.dump(doc, fh, indent=2, sort_keys=True)
+        _write_out(args.out, json.dumps(doc, indent=2, sort_keys=True))
         _emit(doc, fmt)
         if doc["winner_count"] == 1:
             print(f"calibrated convention written to {args.out}", file=sys.stderr)

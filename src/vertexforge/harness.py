@@ -559,8 +559,8 @@ def default_cache_dir() -> str:
     return os.environ.get("VERTEXFORGE_CACHE", os.path.join(".", ".vertexforge-cache"))
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# `json.dumps` with these arguments would build this encoder on every call
+canonical_json = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 @functools.cache
@@ -577,9 +577,23 @@ def engine_fingerprint() -> str:
     return f"{__version__}+{crc:08x}{adler:08x}"
 
 
+@functools.lru_cache(maxsize=64)
+def _convention_json(conv: Convention, field_types: tuple) -> str:
+    # keyed by the fields' types too: Convention(True, ...) equals
+    # Convention(1, ...) but is spelled differently in JSON
+    return canonical_json(conv.to_json())
+
+
+@functools.lru_cache(maxsize=4)
+def _fingerprint_json(fingerprint: str) -> str:
+    return canonical_json(fingerprint)
+
+
 def _request_parts(request: dict, conv: Convention) -> tuple[str, str, str]:
-    """Canonical JSON of the request, the convention and the engine fingerprint."""
-    return canonical_json(request), canonical_json(conv.to_json()), canonical_json(engine_fingerprint())
+    """Canonical JSON of the request, the convention and the engine
+    fingerprint; only the request's is built on every call."""
+    return (canonical_json(request), _convention_json(conv, tuple(map(type, conv))),
+            _fingerprint_json(engine_fingerprint()))
 
 
 def _digest(req_json: str, conv_json: str, version_json: str) -> str:
@@ -595,6 +609,19 @@ def request_key(request: dict, conv: Convention) -> str:
     a hit against the request stored in the file, so a collision costs a
     recompute, never a wrong result."""
     return _digest(*_request_parts(request, conv))
+
+
+def _read_bytes(path: str) -> bytes:
+    """The whole file at `path`, through one file descriptor and no
+    buffered file object."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, 1 << 16):
+            chunks.append(chunk)
+    finally:
+        os.close(fd)
+    return b"".join(chunks)
 
 
 def _is_entry_of(blob: bytes, key: str, req_json: str, conv_json: str, version_json: str) -> bool:
@@ -625,9 +652,11 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
     key = _digest(*parts)
     path = os.path.join(cache_dir, key + ".json")
     warn = False
-    if os.path.exists(path):
-        with open(path, "rb") as fh:
-            blob = fh.read()
+    try:
+        blob = _read_bytes(path)
+    except FileNotFoundError:
+        pass  # a miss, also when the file went between two calls
+    else:
         if _is_entry_of(blob, key, *parts):
             return blob, True
         # another request with the same digest leaves a well-formed document

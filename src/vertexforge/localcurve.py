@@ -70,7 +70,10 @@ def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> List[DescSe
     """Sum over cross-section fixed points lambda, |lambda| = n, of
     W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted), q-degree
     by q-degree, `vertex(lambda, desc, sample)` giving the coefficients of
-    W(lambda) by q-power."""
+    W(lambda) by q-power.  The list places a descendent on its vertex, so an
+    'inf' insertion in `desc_zero` is a mistake: it raises ValueError."""
+    if any(sp.insertion == "inf" for sp in desc_zero):
+        raise ValueError("a descendent at insertion 'inf' belongs in desc_inf, not desc_zero")
     ssub = s.substituted(*degrees)
     vs = tuple(sp.variable for sp in tuple(desc_zero) + tuple(desc_inf))
     orders = tuple(sp.order for sp in tuple(desc_zero) + tuple(desc_inf))

@@ -23,7 +23,7 @@ from vertexforge.harness import (
     request_key,
     run_check,
 )
-from vertexforge.characters import DEFAULT_CONVENTION
+from vertexforge.characters import DEFAULT_CONVENTION, Convention, all_conventions
 
 
 class TestRunCheck:
@@ -65,11 +65,39 @@ class TestCache:
 
     def test_key_depends_on_convention(self):
         req = {"type": "vertex", "qorder": 1}
-        from vertexforge.characters import Convention
-
         k1 = request_key(req, DEFAULT_CONVENTION)
         k2 = request_key(req, Convention(1, "t1t2", 1, 0))
         assert k1 != k2
+
+    def test_key_spelled_out_under_every_convention(self):
+        # the convention's and the fingerprint's JSON are built once each,
+        # and the key still follows the convention it is asked for
+        req = {"type": "glue", "theory": "DT", "degrees": [1, -3], "qorder": 2, "seed": 5}
+
+        def spelled_out(conv):
+            payload = json.dumps({"convention": conv.to_json(), "request": req,
+                                  "version": harness.engine_fingerprint()},
+                                 sort_keys=True, separators=(",", ":")).encode()
+            return f"{zlib.crc32(payload):08x}{zlib.adler32(payload):08x}"
+
+        keys = [request_key(req, conv) for conv in all_conventions()]
+        assert keys == [spelled_out(conv) for conv in all_conventions()]
+        assert len(set(keys)) == 24
+        # Convention(True, ...) equals Convention(1, ...) but is spelled
+        # `true` in JSON: its key is its own, asked for before or after
+        one, true = Convention(1, "t1t2"), Convention(True, "t1t2")
+        assert request_key(req, true) == spelled_out(true) != request_key(req, one)
+
+    def test_entry_removed_between_calls_is_rewritten(self, tmp_path):
+        req = {"type": "vertex", "theory": "PT", "boundary": {"kind": "chern", "shape": [1]},
+               "qorder": 1, "seed": 6}
+        blob, hit = compute(req, DEFAULT_CONVENTION, str(tmp_path))
+        path = tmp_path / f"{request_key(req, DEFAULT_CONVENTION)}.json"
+        assert not hit and path.read_bytes() == blob
+        path.unlink()
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (blob, False)
+        assert path.read_bytes() == blob
+        assert compute(req, DEFAULT_CONVENTION, str(tmp_path)) == (blob, True)
 
     def test_forced_collision_is_a_miss(self, tmp_path, monkeypatch):
         monkeypatch.setattr(harness, "_digest", lambda *parts: "0" * 16)
@@ -304,16 +332,20 @@ class TestCLI:
         "report not json", "report array", "compute missing file", "convention missing",
         "convention not json", "convention no fields", "config format xml", "config missing",
         "report unknown verdict", "report verdict capitalized", "spec-poly uorder 0",
-        "spec-poly uorder 1",
+        "spec-poly uorder 1", "check out in missing dir", "compute out in missing dir",
+        "calibrate out in missing dir", "cache dir a file", "cache variable a file",
     ])
     def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
+        # an output or cache path that cannot be written is invalid input,
+        # never a violation: a passing check is not reported as failing
         files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
                  "xml.cfg": "format = xml\n", "bogus.json": '{"verdict": "bogus"}',
-                 "capital.json": '{"verdict": "Pass"}'}
+                 "capital.json": '{"verdict": "Pass"}', "file": ""}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         cache = ["--cache-dir", str(tmp_path / "cache")]
         check = ["check", "slices", "--params", '{"qorder": 2, "count_upto": 3}']
+        compute = ["compute", '{"type": "vertex", "qorder": 1}']
         argv = {
             "report not json": ["report", "bad.json"],
             "report array": ["report", "array.json"],
@@ -327,7 +359,14 @@ class TestCLI:
             "report verdict capitalized": ["report", "capital.json"],
             "spec-poly uorder 0": ["check", "spec-poly", "--params", '{"uorder": 0}'],
             "spec-poly uorder 1": ["check", "spec-poly", "--params", '{"uorder": 1}'],
+            "check out in missing dir": check + ["--out", "missing/r.json"],
+            "compute out in missing dir": cache + compute + ["--out", "missing/r.json"],
+            "calibrate out in missing dir": ["calibrate", "--out", "missing/c.json"],
+            "cache dir a file": ["--cache-dir", "file"] + compute,
+            "cache variable a file": compute,
         }[case]
+        if case == "cache variable a file":
+            monkeypatch.setenv("VERTEXFORGE_CACHE", "file")
         monkeypatch.chdir(tmp_path)
         rc = main(argv)
         err = capsys.readouterr().err

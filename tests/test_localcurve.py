@@ -71,6 +71,18 @@ class TestGlue:
         # the known stable-pairs conifold answer (1 + q)^2
         assert series[0] == [1, 2, 1, 0, 0]
 
+    def test_inf_insertion_only_at_the_infinity_vertex(self):
+        inf = (DescendentSpec("ch", "inf", "u", 2),)
+        with pytest.raises(ValueError, match="desc_inf"):
+            glue(GlueRequest("PT", (0, 0), 1, inf, (), 1, S))
+        with pytest.raises(ValueError, match="desc_inf"):
+            ptint_residue((0, 0), 1, inf, (), S, 1)
+        # insertion 0 stays allowed in desc_inf: a compute request's
+        # descendent defaults to it
+        at0 = (DescendentSpec("ch", 0, "u", 2),)
+        assert glue(GlueRequest("PT", (0, 0), 1, (), at0, 1, S)) == glue(
+            GlueRequest("PT", (0, 0), 1, (), inf, 1, S))
+
     def test_dt0_localcurve(self):
         vals = dt0_localcurve((-1, -1), S, 1)
         box = LeggedPlanePartition(Partition(), {(0, 0): 1})

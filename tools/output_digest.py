@@ -39,7 +39,11 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * the JSON of every named check at one other parameter set, `mainpt` and
   `simple` among them with a `fail` verdict, and of the `egl`,
   `measure-ratio` and `simple` runs of the calibration battery under all 24
-  conventions, a raising case recorded by its exception's name.
+  conventions, a raising case recorded by its exception's name;
+* `compute` on a few vertex and glue requests under two conventions, in a
+  fresh cache: the miss's stored request and result (not its key or
+  version, which follow the engine fingerprint), and whether the second
+  call is a hit with the same bytes.
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
@@ -52,13 +56,14 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
+import tempfile
 from fractions import Fraction
 from itertools import product
 
 from vertexforge.characters import DEFAULT_CONVENTION as CONV
 from vertexforge.characters import (Convention, DescendentSpec, all_conventions, descendent_char,
                                     measure_difference_char)
-from vertexforge.harness import CHECKS, calibrate, run_check
+from vertexforge.harness import CHECKS, calibrate, compute, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
 from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
@@ -114,6 +119,22 @@ BATTERY_PARAMS = {
     "measure-ratio": {"max_size": 1, "kmax": 2, "samples": 1, "seed": 43},
     "simple": {"qorder": 2, "samples": 1, "seed": 43},
 }
+
+
+# `compute` requests: both theories and boundaries, descendents in each mode
+# and at each vertex, and two glued curves
+COMPUTE_REQUESTS = (
+    {"type": "vertex", "theory": "PT", "boundary": {"kind": "fixedpoint", "shape": [2, 1]},
+     "qorder": 2, "seed": 3, "descendents": [{"variable": "u", "order": 2}]},
+    {"type": "vertex", "theory": "PT", "boundary": {"kind": "chern", "shape": [1]}, "qorder": 2,
+     "seed": 4},
+    {"type": "vertex", "theory": "DT", "boundary": {"kind": "leg", "shape": [1]}, "qorder": 2,
+     "seed": 5, "descendents": [{"mode": "ch_hat", "variable": "u", "order": 2}]},
+    {"type": "glue", "theory": "PT", "degrees": [-1, -1], "n": 1, "qorder": 2, "seed": 6,
+     "descendents_zero": [{"variable": "u", "order": 1}],
+     "descendents_inf": [{"insertion": "inf", "variable": "v", "order": 1}]},
+    {"type": "glue", "theory": "DT", "degrees": [1, -3], "n": 2, "qorder": 2, "seed": 7},
+)
 
 
 def entries():
@@ -262,6 +283,15 @@ def entries():
     for conv in all_conventions():
         for name, params in BATTERY_PARAMS.items():
             yield f"check {name} {canonical(params)} {tuple(conv)}", check_doc(name, params, conv)
+
+    with tempfile.TemporaryDirectory() as cache:
+        for conv in (CONV, Convention(-1, "t1t2")):
+            for req in COMPUTE_REQUESTS:
+                blob, hit = compute(req, conv, cache)
+                doc = json.loads(blob)
+                yield (f"compute {canonical(req)} {tuple(conv)}",
+                       {"request": doc["request"], "result": doc["result"], "miss": not hit,
+                        "second_call_hit_same_bytes": compute(req, conv, cache) == (blob, True)})
 
 
 def canonical(x) -> str:
