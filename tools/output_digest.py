@@ -121,8 +121,9 @@ BATTERY_PARAMS = {
 }
 
 
-# `compute` requests: both theories and boundaries, descendents in each mode
-# and at each vertex, and two glued curves
+# `compute` requests: both theories, both stable-pairs boundaries, `ch` and
+# `ch_hat` descendents, and two glued curves, one with a descendent at each
+# vertex
 COMPUTE_REQUESTS = (
     {"type": "vertex", "theory": "PT", "boundary": {"kind": "fixedpoint", "shape": [2, 1]},
      "qorder": 2, "seed": 3, "descendents": [{"variable": "u", "order": 2}]},
