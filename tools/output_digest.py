@@ -43,7 +43,14 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `compute` on a few vertex and glue requests under two conventions, in a
   fresh cache: the miss's stored request and result (not its key or
   version, which follow the engine fingerprint), and whether the second
-  call is a hit with the same bytes.
+  call is a hit with the same bytes;
+* `vertex_char_pt` and `vertex_char_dt` at every fixed point up to q = 4 on
+  the legs (), (1), (2,1) and the shapes (1), (2), (1,1), (2,1), and
+  `vertex_char_pt_raw` and `vertex_char_dt_raw` at every depth vector in
+  {-1..3}^cells for |mu| <= 3, each under both column signs and both dual
+  terms;
+* `fe_char` for |lambda| <= 4, and `edge_factor` at every d in {-2..2}^2
+  for |lambda| <= 3, a raising case recorded as "ValueError".
 
 Run it in two checkouts: equal digests mean a change kept every one of
 these outputs; with `--entries` it also prints one sha256 per entry, so two
@@ -62,7 +69,8 @@ from itertools import product
 
 from vertexforge.characters import DEFAULT_CONVENTION as CONV
 from vertexforge.characters import (Convention, DescendentSpec, all_conventions, descendent_char,
-                                    measure_difference_char)
+                                    edge_factor, fe_char, measure_difference_char, vertex_char_dt,
+                                    vertex_char_dt_raw, vertex_char_pt, vertex_char_pt_raw)
 from vertexforge.harness import CHECKS, calibrate, compute, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
@@ -293,6 +301,37 @@ def entries():
                 yield (f"compute {canonical(req)} {tuple(conv)}",
                        {"request": doc["request"], "result": doc["result"], "miss": not hit,
                         "second_call_hit_same_bytes": compute(req, conv, cache) == (blob, True)})
+
+    # the vertex characters read the column sign and the dual term only
+    flag_pairs = (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"), Convention(1, "t1t2t3"),
+                  Convention(1, "t1t2"))
+    for conv in flag_pairs:
+        c = tuple(conv)
+        for leg in ([], [1], [2, 1]):
+            yield (f"vertex_char_dt {leg} {c}",
+                   [vertex_char_dt(pp, conv) for pp in enum_legged_pp(Partition(leg), 4)])
+        for parts in ([1], [2], [1, 1], [2, 1]):
+            yield (f"vertex_char_pt {parts} {c}",
+                   [vertex_char_pt(cfg, conv) for cfg in enum_rpp(Partition(parts), 4)])
+        for n in (1, 2, 3):
+            for mu in enum_partitions(n):
+                kmaps = [dict(zip(mu.cells(), kv)) for kv in product(range(-1, 4), repeat=n)]
+                yield (f"vertex_char_pt_raw {list(mu.parts)} {c}",
+                       [vertex_char_pt_raw(mu, kmap, conv) for kmap in kmaps])
+                yield (f"vertex_char_dt_raw {list(mu.parts)} {c}",
+                       [vertex_char_dt_raw(kmap, conv) for kmap in kmaps])
+
+    for n in range(5):
+        for lam in enum_partitions(n):
+            yield f"fe_char {list(lam.parts)}", fe_char(lam)
+    for n in range(4):
+        for lam in enum_partitions(n):
+            for d in product(range(-2, 3), repeat=2):
+                try:
+                    value = edge_factor(lam, d, s)
+                except ValueError:
+                    value = "ValueError"
+                yield f"edge_factor {list(lam.parts)} {d}", value
 
 
 def canonical(x) -> str:
