@@ -4,7 +4,6 @@ harness that certifies their agreement as exact rational identities.
 """
 
 from .laurent import (
-    EquivariantCharacter,
     LaurentPoly,
     NonPolynomialCharacter,
     exp_pleth,
@@ -29,7 +28,6 @@ from .series import DescSeries, QSeries
 __version__ = "0.1.0"
 
 __all__ = [
-    "EquivariantCharacter",
     "LaurentPoly",
     "NonPolynomialCharacter",
     "exp_pleth",

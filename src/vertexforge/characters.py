@@ -14,13 +14,10 @@ from fractions import Fraction
 from itertools import accumulate, chain
 from typing import Dict, List, Literal, NamedTuple, Tuple
 
-from .laurent import EquivariantCharacter, LaurentPoly, divide_t3_lines, over_common_denominator
+from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator
 from .partitions import LeggedPlanePartition, Partition, RppConfig
 from .sampling import ParamSample
 from .series import DescSeries, exp_single
-
-E3 = (0, 0, 1)
-KAPPA = (1, 1, 1)  # exponent triple of t1*t2*t3
 
 
 class Convention(NamedTuple):
@@ -75,37 +72,20 @@ class DescendentSpec(NamedTuple):
         }
 
 
-def _add_pair_term(out: dict, items, sign: int) -> None:
-    """out += sign N bar(N) (1-t1)(1-t2)/(t1t2) for N = sum of c t^b over
-    the items (b, c); (1-t1)(1-t2)/(t1t2) = t^(-1,-1,0) - t^(0,-1,0)
-    - t^(-1,0,0) + 1."""
-    nnb: Dict[Tuple[int, int, int], int] = {}
-    for (i, j, k), c in items:
-        for (p, q, r), c2 in items:
-            e = (i - p, j - q, k - r)
-            nnb[e] = nnb.get(e, 0) + c * c2
-    get = out.get
-    for (i, j, k), c in nnb.items():
-        c *= sign
-        for e, g in (((i - 1, j - 1, k), c), ((i, j - 1, k), -c), ((i - 1, j, k), -c), ((i, j, k), c)):
-            out[e] = get(e, 0) + g
-
-
-def _add_fe(out: dict, shape: Partition, sign: int = 1) -> None:
-    """out += sign F_e, F_e = -Q_e - bar(Q_e)/(t1 t2) + Q_e bar(Q_e) (1-t1)(1-t2)/(t1 t2)."""
-    cells = shape.cells()
-    get = out.get
-    for (i, j) in cells:
-        out[(i, j, 0)] = get((i, j, 0), 0) - sign
-        e = (-i - 1, -j - 1, 0)
-        out[e] = get(e, 0) - sign
-    _add_pair_term(out, [((i, j, 0), 1) for (i, j) in cells], sign)
-
-
 def fe_char(shape: Partition) -> LaurentPoly:
-    """F_e = -Q_e - bar(Q_e)/(t1 t2) + Q_e bar(Q_e) (1-t1)(1-t2)/(t1 t2)."""
+    """F_e = -Q_e - bar(Q_e)/(t1 t2) + Q_e bar(Q_e) (1-t1)(1-t2)/(t1 t2),
+    Q_e = sum of t^(i,j,0) over the cells; (1-t1)(1-t2)/(t1t2) =
+    t^(-1,-1,0) - t^(0,-1,0) - t^(-1,0,0) + 1."""
+    cells = shape.cells()
     out: dict = {}
-    _add_fe(out, shape)
+    get = out.get
+    for i, j in cells:
+        for e in ((i, j, 0), (-i - 1, -j - 1, 0)):
+            out[e] = get(e, 0) - 1
+        for p, q in cells:
+            a, b = i - p, j - q
+            for e, c in (((a - 1, b - 1, 0), 1), ((a, b - 1, 0), -1), ((a - 1, b, 0), -1), ((a, b, 0), 1)):
+                out[e] = get(e, 0) + c
     return LaurentPoly(out)
 
 
@@ -156,31 +136,39 @@ def _depth_rows(shape: Partition, kmap: Dict[Tuple[int, int], int]):
     return [[kmap.get((i, j), 0) for j in range(p)] for i, p in enumerate(shape.parts)]
 
 
-def _add_vertex_num(out: dict, terms: list, dual: Tuple[int, int, int], leg: Partition,
-                    sign: int = 1) -> None:
-    """out += sign times the numerator over (1-t3) of the vertex character
-    V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3) + F_e/(1-t3)
-    of a box character Q = N/(1-t3), N given by its terms (b, c): since
-    bar(Q) = -t3 bar(N)/(1-t3),
+def _vertex_char(sides, leg: Partition) -> LaurentPoly:
+    """The sum over the sides (terms, dual, sign) of sign times the vertex
+    character V = Q - bar(Q) t^dual + Q bar(Q)(1-t1)(1-t2)(1-t3)/(t1t2t3)
+    of the box character Q = N/(1-t3), N = sum of c t^b over the terms
+    (b, c), plus F_e(leg)/(1-t3) once.  Since bar(Q) = -t3 bar(N)/(1-t3),
 
-        V = [N + t3 t^dual bar(N) - N bar(N)(1-t1)(1-t2)/(t1t2) + F_e] / (1-t3).
-    """
-    get = out.get
-    d1, d2, d3 = dual[0], dual[1], dual[2] + 1
-    for (i, j, k), c in terms:
-        c *= sign
-        out[(i, j, k)] = get((i, j, k), 0) + c
-        e = (d1 - i, d2 - j, d3 - k)
-        out[e] = get(e, 0) + c
-    _add_pair_term(out, terms, -sign)
-    _add_fe(out, leg, sign)
+        V = [N + t3 t^dual bar(N) - N bar(N) G + F_e] / (1-t3),
+        G = (1-t1)(1-t2)/(t1t2) = t^(-1,-1,0) - t^(0,-1,0) - t^(-1,0,0) + 1,
 
-
-def _vertex_char(terms: list, dual: Tuple[int, int, int], leg: Partition) -> LaurentPoly:
-    """V of `_add_vertex_num`, reduced with one division."""
-    num: dict = {}
-    _add_vertex_num(num, terms, dual, leg)
-    return EquivariantCharacter(LaurentPoly(num), [E3]).reduce()
+    so every side's N bar(N) table and F_e's cell pairs Q_e bar(Q_e) form
+    one table, multiplied by G once, and with the linear terms it is divided
+    by (1-t3) along each t3-line."""
+    cells = leg.cells()
+    # (t3-line (a, b), power, coefficient): each side's N + t3 t^dual bar(N),
+    # and -Q_e - bar(Q_e)/(t1t2) of F_e
+    terms = [((i, j), 0, -1) for i, j in cells]
+    terms += [((-1 - i, -1 - j), 0, -1) for i, j in cells]
+    for box, (d1, d2, d3), sign in sides:
+        terms += [((i, j), k, sign * c) for (i, j, k), c in box]
+        terms += [((d1 - i, d2 - j), d3 + 1 - k, sign * c) for (i, j, k), c in box]
+    pairs: dict = {}
+    get = pairs.get
+    tables = [(box, -sign) for box, _, sign in sides] + [([((i, j, 0), 1) for i, j in cells], 1)]
+    for box, sign in tables:
+        for (i, j, k), c in box:
+            c *= sign
+            for (p, q, r), c2 in box:
+                e = (i - p, j - q, k - r)
+                pairs[e] = get(e, 0) + c * c2
+    for (a, b, l), c in pairs.items():
+        if c:
+            terms += (((a - 1, b - 1), l, c), ((a, b - 1), l, -c), ((a - 1, b), l, -c), ((a, b), l, c))
+    return divide_t3_lines(terms)
 
 
 def vertex_char_pt_raw(
@@ -189,12 +177,13 @@ def vertex_char_pt_raw(
     """V^PT = F_v - bar(F_v)/(t1t2t3) + F_v bar(F_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
     + F_e/(1-t3), F_v the box character of the columns of depth kmap on
     `shape` (any integer depths), reduced to a finite Laurent polynomial."""
-    return _vertex_char(pt_box_terms(_depth_rows(shape, kmap), conv), (-1, -1, -1), shape)
+    side = (pt_box_terms(_depth_rows(shape, kmap), conv), (-1, -1, -1), 1)
+    return _vertex_char((side,), shape)
 
 
 def vertex_char_pt(cfg: RppConfig, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
     """V^PT of an actual reverse-plane-partition fixed point."""
-    return _vertex_char(pt_box_terms(cfg.k, conv), (-1, -1, -1), cfg.shape)
+    return _vertex_char(((pt_box_terms(cfg.k, conv), (-1, -1, -1), 1),), cfg.shape)
 
 
 def _dt_dual(conv: Convention) -> Tuple[int, int, int]:
@@ -205,7 +194,7 @@ def _dt_dual(conv: Convention) -> Tuple[int, int, int]:
 def vertex_char_dt(pp: LeggedPlanePartition, conv: Convention = DEFAULT_CONVENTION) -> LaurentPoly:
     """V^DT = Q_v - bar(Q_v)/D + Q_v bar(Q_v)(1-t1)(1-t2)(1-t3)/(t1t2t3)
     + F_e/(1-t3), D per convention, reduced."""
-    return _vertex_char(dt_box_terms(pp.leg, pp.heights), _dt_dual(conv), pp.leg)
+    return _vertex_char(((dt_box_terms(pp.leg, pp.heights), _dt_dual(conv), 1),), pp.leg)
 
 
 def vertex_char_dt_raw(
@@ -213,7 +202,8 @@ def vertex_char_dt_raw(
 ) -> LaurentPoly:
     """V^DT for leg-free box data given by an arbitrary height map (no
     plane-partition validity requirement; measure continuation)."""
-    return _vertex_char(dt_box_terms(Partition(), heights.items()), _dt_dual(conv), Partition())
+    side = (dt_box_terms(Partition(), heights.items()), _dt_dual(conv), 1)
+    return _vertex_char((side,), Partition())
 
 
 def pt_weight(cfg: RppConfig, s: ParamSample, conv: Convention = DEFAULT_CONVENTION) -> Fraction:
@@ -444,19 +434,20 @@ def pt_weight_walk(
     return out
 
 
-def edge_char(shape: Partition, d: Tuple[int, int]) -> EquivariantCharacter:
-    """E^d = t3^{-1} F_e(t1,t2)/(1-t3^{-1}) - F_e(t1 t3^{-d1}, t2 t3^{-d2})/(1-t3^{-1})."""
+def edge_char(shape: Partition, d: Tuple[int, int]) -> LaurentPoly:
+    """E^d = [t3^{-1} F_e(t1,t2) - F_e(t1 t3^{-d1}, t2 t3^{-d2})]/(1-t3^{-1}),
+    reduced; with 1 - t3^{-1} = -t3^{-1}(1-t3) it is
+    [t3 F_e(t1 t3^{-d1}, t2 t3^{-d2}) - F_e(t1,t2)]/(1-t3)."""
     d1, d2 = d
-    fe = fe_char(shape)
-    fe_sub = fe.substitute_monomials([(1, 0, -d1), (0, 1, -d2), (0, 0, 1)])
-    den = [(0, 0, -1)]
-    return EquivariantCharacter(fe.shift((0, 0, -1)) - fe_sub, den)
+    fe = fe_char(shape).terms
+    terms = [((i, j), k + 1 - i * d1 - j * d2, c) for (i, j, k), c in fe.items()]
+    terms += [((i, j), k, -c) for (i, j, k), c in fe.items()]
+    return divide_t3_lines(terms)
 
 
 def edge_factor(shape: Partition, d: Tuple[int, int], s: ParamSample) -> Fraction:
     """Exp(-E^d(lambda)) at the sample."""
-    e = edge_char(shape, d)
-    return s.exp(-e.reduce())
+    return s.exp(-edge_char(shape, d))
 
 
 def descendent_char(
@@ -520,32 +511,9 @@ def measure_difference_char(
     (PT columns of depth k on mu; DT heights k on the same cells).  Defined
     for arbitrary integer k, monotone or not.
 
-    Both characters sit over the one denominator (1-t3), so the difference
-    of their numerators (`_add_vertex_num`) is built in one pass: the PT and
-    DT N bar(N) tables and F_e(mu)'s cell pairs Q_e bar(Q_e) form one table,
-    multiplied by (1-t1)(1-t2)/(t1t2) once, and with the linear terms it is
-    divided by (1-t3) along each t3-line."""
-    cells = mu.cells()
+    Both characters sit over the one denominator (1-t3), and only V^PT has
+    a leg term F_e(mu), so `_vertex_char` builds the difference in one pass
+    with the PT side signed +1 and the DT side -1."""
     pt = pt_box_terms(_depth_rows(mu, kvec), conv)
-    dt = dt_box_terms(Partition(), ((c, kvec.get(c, 0)) for c in cells))
-    pairs: dict = {}
-    get = pairs.get
-    for side, sign in ((pt, -1), (dt, 1), ([((i, j, 0), 1) for i, j in cells], 1)):
-        for (i, j, k), c in side:
-            c *= sign
-            for (p, q, r), c2 in side:
-                e = (i - p, j - q, k - r)
-                pairs[e] = get(e, 0) + c * c2
-    # (t3-line (a, b), power, coefficient): N + t3 t^dual bar(N) of PT minus
-    # that of DT, each side's own dual, and -Q_e - bar(Q_e)/(t1t2) of F_e
-    d1, d2, d3 = _dt_dual(conv)
-    terms = [((i, j), k, c) for (i, j, k), c in pt]
-    terms += [((-1 - i, -1 - j), -k, c) for (i, j, k), c in pt]
-    terms += [((i, j), k, -c) for (i, j, k), c in dt]
-    terms += [((d1 - i, d2 - j), d3 + 1 - k, -c) for (i, j, k), c in dt]
-    terms += [((i, j), 0, -1) for i, j in cells]
-    terms += [((-1 - i, -1 - j), 0, -1) for i, j in cells]
-    for (a, b, l), c in pairs.items():
-        if c:
-            terms += (((a - 1, b - 1), l, c), ((a, b - 1), l, -c), ((a - 1, b), l, -c), ((a, b), l, c))
-    return divide_t3_lines(terms)
+    dt = dt_box_terms(Partition(), ((c, kvec.get(c, 0)) for c in mu.cells()))
+    return _vertex_char(((pt, (-1, -1, -1), 1), (dt, _dt_dual(conv), -1)), mu)

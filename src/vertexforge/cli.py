@@ -25,7 +25,7 @@ from .harness import (
     default_cache_dir,
     run_check,
 )
-from .characters import Convention, all_conventions
+from .characters import DEFAULT_CONVENTION, Convention, all_conventions
 
 FORMATS = ("json", "csv")
 
@@ -103,7 +103,11 @@ def _convention_from_args(args) -> Convention | None:
         conv = Convention.from_json(doc)
     except (KeyError, TypeError):
         conv = None
-    if conv not in all_conventions():
+    # Convention(-1.0, ...) and Convention(True, ...) equal members of
+    # all_conventions(), so each field must also have its default's type
+    if conv not in all_conventions() or any(
+        type(v) is not type(d) for v, d in zip(conv, DEFAULT_CONVENTION)
+    ):
         raise _InvalidInput(f"invalid convention document: {args.convention} names no convention")
     return conv
 

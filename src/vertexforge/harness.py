@@ -439,11 +439,12 @@ def _validate_params(name: str, params: dict) -> None:
     if name == "simple" and params["qorder"] < 1:
         # at q-order 0 the factorization compares 1 with 1
         raise InvalidCheckSpec("simple needs qorder >= 1")
+    if name in ("mainpt", "ptint", "spec-poly") and params["uorder"] < 2:
+        # the ch weight (1-e^{t1 z})(1-e^{t2 z}) sum ... starts at u^2: below
+        # u-order 2 mainpt and ptint compare only zeros, and spec-poly's
+        # off-line control is polynomial too, so none certifies anything
+        raise InvalidCheckSpec(f"{name} needs uorder >= 2")
     if name == "spec-poly":
-        if params["uorder"] < 2:
-            # below u-order 2 the off-line control's descendent series is
-            # polynomial too, so the control certifies nothing
-            raise InvalidCheckSpec("spec-poly needs uorder >= 2")
         grid, fit_upto = params["grid"], params["fit_upto"]
         if not (any(k <= fit_upto for k in grid) and any(k > fit_upto for k in grid)):
             # the fit needs a point and the verification a held-out one

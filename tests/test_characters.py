@@ -5,7 +5,6 @@ import pytest
 
 from vertexforge.characters import (
     DEFAULT_CONVENTION,
-    E3,
     Convention,
     DescendentSpec,
     all_conventions,
@@ -42,6 +41,7 @@ from vertexforge.series import DescSeries, exp_single
 from vertexforge.vertex import bare_dt
 
 S = sample_random(2, 16)
+E3 = (0, 0, 1)
 
 
 def mono(e, c=1):
@@ -196,6 +196,15 @@ def _dt_num(leg: Partition, heights) -> LaurentPoly:
     return legs + boxes * (LaurentPoly.one() - mono(E3))
 
 
+def _raw_dt_num(kmap) -> LaurentPoly:
+    """The numerator t^(i,j,0) - t^(i,j,h) over (1-t3) of each stack of any
+    integer height h, negative ones included."""
+    fin = LaurentPoly()
+    for (i, j), h in kmap.items():
+        fin = fin + mono((i, j, 0)) - mono((i, j, h))
+    return fin
+
+
 class TestOneDivisionOracle:
     """The one-division vertex characters against the two-denominator sum."""
 
@@ -238,10 +247,7 @@ class TestOneDivisionOracle:
                     q = EquivariantCharacter(_pt_num(kmap, conv.pt_column_sign), [E3])
                     assert vertex_char_pt_raw(mu, kmap, conv) == _two_denominator_vertex(
                         q, (-1, -1, -1), mu)
-                    fin = LaurentPoly()
-                    for (i, j), h in kmap.items():
-                        fin = fin + mono((i, j, 0)) - mono((i, j, h))
-                    q = EquivariantCharacter(fin, [E3])
+                    q = EquivariantCharacter(_raw_dt_num(kmap), [E3])
                     assert vertex_char_dt_raw(kmap, conv) == _two_denominator_vertex(
                         q, _dual(conv), Partition())
 
@@ -253,11 +259,21 @@ class TestOneDivisionOracle:
 class TestEdge:
     def test_d_zero_is_minus_fe(self):
         for lam in enum_partitions(3):
-            e = edge_char(lam, (0, 0))
-            assert e.reduce() == -fe_char(lam)
+            assert edge_char(lam, (0, 0)) == -fe_char(lam)
 
     def test_empty(self):
-        assert edge_char(Partition(), (2, -3)).reduce() == LaurentPoly.zero()
+        assert edge_char(Partition(), (2, -3)) == LaurentPoly.zero()
+
+    def test_two_denominator_form(self):
+        # E^d = [t3^-1 F_e(t1, t2) - F_e(t1 t3^-d1, t2 t3^-d2)] / (1 - t3^-1),
+        # divided along t3^-1 in the character ring
+        for n in range(4):
+            for lam in enum_partitions(n):
+                fe = fe_char(lam)
+                for d1, d2 in product(range(-2, 3), repeat=2):
+                    sub = fe.substitute_monomials([(1, 0, -d1), (0, 1, -d2), (0, 0, 1)])
+                    want = EquivariantCharacter(fe.shift((0, 0, -1)) - sub, [(0, 0, -1)]).reduce()
+                    assert edge_char(lam, (d1, d2)) == want, (lam, d1, d2)
 
     def test_single_cell_value(self):
         assert edge_factor(Partition([1]), (0, 0), S) == 1 / (S.t1 * S.t2)
@@ -658,4 +674,21 @@ class TestMeasureDifferenceOneDivision:
                     for kv in product(range(-1, 4), repeat=len(cells)):
                         kmap = dict(zip(cells, kv))
                         want = vertex_char_pt_raw(mu, kmap, conv) - vertex_char_dt_raw(kmap, conv)
+                        assert measure_difference_char(mu, kmap, conv) == want, (conv, mu, kv)
+
+    def test_two_denominator_oracle(self):
+        # the builder shares nothing with `_two_denominator_vertex`: PT minus
+        # DT summed in the character ring, at every depth vector in
+        # {-1..2}^cells for |mu| <= 3, under both column signs and both duals
+        for conv in (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"),
+                     Convention(1, "t1t2t3"), Convention(1, "t1t2")):
+            for n in (1, 2, 3):
+                for mu in enum_partitions(n):
+                    cells = mu.cells()
+                    for kv in product(range(-1, 3), repeat=len(cells)):
+                        kmap = dict(zip(cells, kv))
+                        pt = EquivariantCharacter(_pt_num(kmap, conv.pt_column_sign), [E3])
+                        dt = EquivariantCharacter(_raw_dt_num(kmap), [E3])
+                        want = (_two_denominator_vertex(pt, (-1, -1, -1), mu)
+                                - _two_denominator_vertex(dt, _dual(conv), Partition()))
                         assert measure_difference_char(mu, kmap, conv) == want, (conv, mu, kv)

@@ -266,12 +266,12 @@ class TestCLI:
         assert rc == 2
         assert "invalid check spec" in capsys.readouterr().err
 
-    def test_vacuous_mainpt_fails(self, capsys):
-        # lambda = (1), q <= 1, u <= 1: both bases compare only zeros
+    def test_vacuous_mainpt_is_invalid(self, capsys):
+        # lambda = (1), q <= 1, u <= 1: both bases would compare only zeros
         rc = main(["check", "mainpt", "--params",
                    '{"shapes": [[1]], "qorder": 1, "uorder": 1, "samples": 1}'])
-        assert rc == 1
-        capsys.readouterr()
+        assert rc == 2
+        assert "uorder >= 2" in capsys.readouterr().err
 
     def test_malformed_json(self, capsys):
         rc = main(["compute", "{not json"])
@@ -332,15 +332,22 @@ class TestCLI:
         "report not json", "report array", "compute missing file", "convention missing",
         "convention not json", "convention no fields", "config format xml", "config missing",
         "report unknown verdict", "report verdict capitalized", "spec-poly uorder 0",
-        "spec-poly uorder 1", "check out in missing dir", "compute out in missing dir",
+        "spec-poly uorder 1", "mainpt uorder 0", "mainpt uorder 1", "ptint uorder 0",
+        "ptint uorder 1", "check out in missing dir", "compute out in missing dir",
         "calibrate out in missing dir", "cache dir a file", "cache variable a file",
+        "convention float sign compute", "convention float sign check",
+        "convention bool sign check",
     ])
     def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
         # an output or cache path that cannot be written is invalid input,
         # never a violation: a passing check is not reported as failing
         files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
                  "xml.cfg": "format = xml\n", "bogus.json": '{"verdict": "bogus"}',
-                 "capital.json": '{"verdict": "Pass"}', "file": ""}
+                 "capital.json": '{"verdict": "Pass"}', "file": "",
+                 "float.json": '{"pt_column_sign": -1.0, "dt_dual_denominator": "t1t2t3", '
+                               '"euler_sign": -1, "hilb_norm": -1}',
+                 "bool.json": '{"pt_column_sign": -1, "dt_dual_denominator": "t1t2t3", '
+                              '"euler_sign": -1, "hilb_norm": true}'}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         cache = ["--cache-dir", str(tmp_path / "cache")]
@@ -359,11 +366,18 @@ class TestCLI:
             "report verdict capitalized": ["report", "capital.json"],
             "spec-poly uorder 0": ["check", "spec-poly", "--params", '{"uorder": 0}'],
             "spec-poly uorder 1": ["check", "spec-poly", "--params", '{"uorder": 1}'],
+            "mainpt uorder 0": ["check", "mainpt", "--params", '{"uorder": 0}'],
+            "mainpt uorder 1": ["check", "mainpt", "--params", '{"uorder": 1}'],
+            "ptint uorder 0": ["check", "ptint", "--params", '{"uorder": 0}'],
+            "ptint uorder 1": ["check", "ptint", "--params", '{"uorder": 1}'],
             "check out in missing dir": check + ["--out", "missing/r.json"],
             "compute out in missing dir": cache + compute + ["--out", "missing/r.json"],
             "calibrate out in missing dir": ["calibrate", "--out", "missing/c.json"],
             "cache dir a file": ["--cache-dir", "file"] + compute,
             "cache variable a file": compute,
+            "convention float sign compute": cache + ["--convention", "float.json"] + compute,
+            "convention float sign check": ["--convention", "float.json"] + check,
+            "convention bool sign check": ["--convention", "bool.json"] + check,
         }[case]
         if case == "cache variable a file":
             monkeypatch.setenv("VERTEXFORGE_CACHE", "file")

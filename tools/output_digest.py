@@ -36,10 +36,11 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
   exhausted retry budget recorded as "RuntimeError";
 * `measure_ratio_extended` and `measure_ratio_char` at every depth vector
   in {-1..3}^cells for |mu| <= 3;
-* the JSON of every named check at one other parameter set, `mainpt` and
-  `simple` among them with a `fail` verdict, and of the `egl`,
-  `measure-ratio` and `simple` runs of the calibration battery under all 24
-  conventions, a raising case recorded by its exception's name;
+* the JSON of every named check at one other parameter set, `mainpt`
+  raising InvalidCheckSpec and `simple` with a `fail` verdict among them,
+  and of the `egl`, `measure-ratio` and `simple` runs of the calibration
+  battery under all 24 conventions, a raising case recorded by its
+  exception's name;
 * `compute` on a few vertex and glue requests under two conventions, in a
   fresh cache: the miss's stored request and result (not its key or
   version, which follow the engine fingerprint), and whether the second
@@ -107,9 +108,10 @@ def check_doc(name, params, conv):
     return doc
 
 
-# one parameter set per named check other than its defaults; `mainpt`
-# compares only zeros and `simple` meets a curve whose stable-pairs series
-# depends on the sample, so both fail
+# one parameter set per named check other than its defaults; `mainpt` at
+# u-order 1 would compare only zeros, so it records InvalidCheckSpec, and
+# `simple` meets a curve whose stable-pairs series depends on the sample, so
+# it fails
 CHECK_PARAMS = {
     "dtpt0": {"seed": 5, "worder": 3, "qorder": 1},
     "egl": {"n_values": [1, 3], "u_orders": [2, 3], "u_total": 3, "seed": 3, "samples": 2},
