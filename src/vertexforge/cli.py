@@ -21,11 +21,12 @@ from .harness import (
     VERDICT_EXIT,
     InvalidCheckSpec,
     calibrate,
+    checked_convention,
     compute,
     default_cache_dir,
     run_check,
 )
-from .characters import DEFAULT_CONVENTION, Convention, all_conventions
+from .characters import Convention
 
 FORMATS = ("json", "csv")
 
@@ -100,16 +101,9 @@ def _convention_from_args(args) -> Convention | None:
     if isinstance(doc, dict):
         doc = doc.get("winner") or doc
     try:
-        conv = Convention.from_json(doc)
-    except (KeyError, TypeError):
-        conv = None
-    # Convention(-1.0, ...) and Convention(True, ...) equal members of
-    # all_conventions(), so each field must also have its default's type
-    if conv not in all_conventions() or any(
-        type(v) is not type(d) for v, d in zip(conv, DEFAULT_CONVENTION)
-    ):
-        raise _InvalidInput(f"invalid convention document: {args.convention} names no convention")
-    return conv
+        return checked_convention(Convention.from_json(doc))[0]
+    except (KeyError, TypeError, InvalidCheckSpec):
+        raise _InvalidInput(f"invalid convention document: {args.convention} names no convention") from None
 
 
 def main(argv=None) -> int:

@@ -460,7 +460,7 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
     full = {**CHECK_DEFAULTS[name], **params}
     _validate_params(name, full)
-    conv = conv or load_default_convention()
+    conv, _ = checked_convention(conv)
     t0 = time.time()
     outcome = CHECKS[name](full, conv)
     elapsed = time.time() - t0
@@ -552,6 +552,30 @@ def load_default_convention() -> Convention:
     return DEFAULT_CONVENTION
 
 
+def checked_convention(conv: Convention | None) -> tuple[Convention, str]:
+    """`conv`, or the default for None, with its canonical JSON, if it is one
+    of `all_conventions()` and each field has `DEFAULT_CONVENTION`'s type;
+    else InvalidCheckSpec.  Convention(-1.0, ...) and Convention(True, ...)
+    equal members, but the first reaches `Fraction` as a float and the
+    second is spelled `true`."""
+    if conv is None:
+        conv = load_default_convention()
+    try:
+        return _checked_convention(conv, tuple(map(type, conv)))
+    except TypeError:  # not a tuple, or a field that cannot be hashed
+        raise InvalidCheckSpec(f"{conv!r} names no convention") from None
+
+
+@functools.lru_cache(maxsize=64, typed=True)
+def _checked_convention(conv: Convention, field_types: tuple) -> tuple[Convention, str]:
+    # keyed by the fields' types as _convention_json is, and typed so that a
+    # plain tuple equal to a member is not served that member
+    if (type(conv) is not Convention or conv not in all_conventions()
+            or field_types != tuple(map(type, DEFAULT_CONVENTION))):
+        raise InvalidCheckSpec(f"{conv!r} names no convention")
+    return conv, _convention_json(conv, field_types)
+
+
 # ---------------------------------------------------------------------------
 # compute requests and the file cache
 
@@ -590,11 +614,10 @@ def _fingerprint_json(fingerprint: str) -> str:
     return canonical_json(fingerprint)
 
 
-def _request_parts(request: dict, conv: Convention) -> tuple[str, str, str]:
-    """Canonical JSON of the request, the convention and the engine
+def _request_parts(request: dict, conv_json: str) -> tuple[str, str, str]:
+    """Canonical JSON of the request, the convention (given) and the engine
     fingerprint; only the request's is built on every call."""
-    return (canonical_json(request), _convention_json(conv, tuple(map(type, conv))),
-            _fingerprint_json(engine_fingerprint()))
+    return canonical_json(request), conv_json, _fingerprint_json(engine_fingerprint())
 
 
 def _digest(req_json: str, conv_json: str, version_json: str) -> str:
@@ -609,7 +632,7 @@ def request_key(request: dict, conv: Convention) -> str:
     name of its cache file.  It is not collision-resistant: `compute` confirms
     a hit against the request stored in the file, so a collision costs a
     recompute, never a wrong result."""
-    return _digest(*_request_parts(request, conv))
+    return _digest(*_request_parts(request, _convention_json(conv, tuple(map(type, conv)))))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -647,9 +670,9 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
     InvalidCheckSpec and are never cached.
     """
     _validate_request(request)
-    conv = conv or load_default_convention()
+    conv, conv_json = checked_convention(conv)
     cache_dir = cache_dir or default_cache_dir()
-    parts = _request_parts(request, conv)
+    parts = _request_parts(request, conv_json)
     key = _digest(*parts)
     path = os.path.join(cache_dir, key + ".json")
     warn = False

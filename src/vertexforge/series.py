@@ -125,9 +125,13 @@ class DescSeries:
     def __add__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
             other = DescSeries.const(self.variables, self.orders, other)
-        out = DescSeries(self.variables, self.orders, self.coeffs)
+        # self holds only nonzero Fractions inside its orders, so its dict is
+        # copied as it stands; other's terms are tested only at other orders
+        out = DescSeries(self.variables, self.orders)
+        out.coeffs = dict(self.coeffs)
+        check = other.orders != self.orders
         for e, c in other.coeffs.items():
-            if not out._inside(e):
+            if check and not out._inside(e):
                 continue
             s = out.coeffs.get(e, Fraction(0)) + c
             if s:

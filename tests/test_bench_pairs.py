@@ -1,0 +1,60 @@
+"""`tools/bench_pairs.py`'s informational RSS-per-op fit, on synthetic runs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parent.parent / "tools" / "bench_pairs.py"
+
+
+def _tool():
+    spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def _run(attempted, rss):
+    return {"attempted": attempted, "metrics": {"peak_rss_mb": {"value": rss}}}
+
+
+def test_rss_per_op_pools_both_sides():
+    # 20 MB of library plus 1.5 KB per op; the change is 0.25 MB heavier at
+    # any op count and attempts about 1000 more ops
+    runs = []
+    for i in range(10):
+        b, c = 8000 + 37 * i, 9000 + 41 * (9 - i)
+        runs.append({"base": _run(b, 20 + 1.5 * b / 1024),
+                     "change": _run(c, 20.25 + 1.5 * c / 1024)})
+    fit = _tool().rss_per_op(runs)
+    # one least-squares line through all 20 runs, by the normal equations
+    xs = [r[side]["attempted"] for r in runs for side in ("base", "change")]
+    ys = [r[side]["metrics"]["peak_rss_mb"]["value"] for r in runs for side in ("base", "change")]
+    mx, my = sum(xs) / 20, sum(ys) / 20
+    slope = sum((x - mx) * (y - my) for x, y in zip(xs, ys)) / sum((x - mx) ** 2 for x in xs)
+    assert fit["kb_per_op"] == pytest.approx(slope * 1024)
+    # the pooled fit also absorbs the change's offset, so it reads steeper
+    assert fit["kb_per_op"] > 1.5
+    at = 8000 + 37 * 4.5
+    moved = fit["peak_rss_mb_at_base_ops"]
+    assert fit["at_attempted"] == at
+    assert moved["base"] == pytest.approx(20 + 1.5 * at / 1024)
+    assert moved["change"] == pytest.approx(20.25 + 1.5 * (9000 + 41 * 4.5) / 1024
+                                            - slope * (9000 + 41 * 4.5 - at))
+
+
+def test_rss_per_op_exact_on_a_line():
+    runs = [{"base": _run(n, 10 + n / 1024), "change": _run(n + 500, 10 + (n + 500) / 1024)}
+            for n in (100, 300, 200)]
+    fit = _tool().rss_per_op(runs)
+    assert fit["kb_per_op"] == pytest.approx(1.0)
+    assert fit["peak_rss_mb_at_base_ops"] == {"base": pytest.approx(10 + 200 / 1024),
+                                              "change": pytest.approx(10 + 200 / 1024)}
+
+
+def test_rss_per_op_without_spread_in_ops():
+    runs = [{"base": _run(100, 10.0), "change": _run(100, 11.0)}] * 3
+    fit = _tool().rss_per_op(runs)
+    assert fit["kb_per_op"] is None
+    assert fit["peak_rss_mb_at_base_ops"] == {"base": None, "change": None}

@@ -48,6 +48,15 @@ class TestRunCheck:
         assert [c["sample"] for c in rep.cases] == [0, 1, 2, 3, 4]
         assert rep.verdict == "pass"
 
+    def test_bool_convention_field_is_invalid(self):
+        # Convention(-1, ..., True) equals the default but would be reported
+        # as "hilb_norm": true
+        with pytest.raises(InvalidCheckSpec):
+            run_check("slices", {"qorder": 2, "count_upto": 3},
+                      Convention(-1, "t1t2t3", -1, True))
+        rep = run_check("slices", {"qorder": 2, "count_upto": 3}, Convention(-1, "t1t2t3", -1, -1))
+        assert rep.verdict == "pass" and rep.to_json()["convention"]["hilb_norm"] == -1
+
 
 class TestCache:
     def test_roundtrip_and_hit(self, tmp_path):
@@ -68,6 +77,18 @@ class TestCache:
         k1 = request_key(req, DEFAULT_CONVENTION)
         k2 = request_key(req, Convention(1, "t1t2", 1, 0))
         assert k1 != k2
+
+    @pytest.mark.parametrize("conv", [
+        Convention(-1.0, "t1t2t3", -1, -1), Convention(-1, "t1t2t3", -1, True),
+        Convention(2), Convention(-1, "t3"), (-1, "t1t2t3", -1, -1), "t1t2t3",
+        Convention([-1], "t1t2t3"),
+    ])
+    def test_convention_outside_the_candidates_is_invalid(self, conv, tmp_path):
+        # a float field used to reach Fraction and raise TypeError; nothing
+        # is computed or written for any of these
+        with pytest.raises(InvalidCheckSpec):
+            compute({"type": "vertex", "qorder": 1}, conv, str(tmp_path))
+        assert not list(tmp_path.iterdir())
 
     def test_key_spelled_out_under_every_convention(self):
         # the convention's and the fingerprint's JSON are built once each,

@@ -1,9 +1,16 @@
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from vertexforge.characters import Convention, DescendentSpec, descendent_char
+from vertexforge.localcurve import GlueRequest, glue
+from vertexforge.partitions import Partition, enum_legged_pp, enum_rpp
+from vertexforge.residue import egl_localization, pt_residue_vertex
+from vertexforge.sampling import sample_random
 from vertexforge.series import DescSeries, QSeries, exp_single
+from vertexforge.vertex import bare_dt, bare_pt
 
 
 class TestQSeries:
@@ -45,3 +52,85 @@ class TestDescSeries:
         y = x * x
         assert y.coeff((2,)) == 1 and (2,) in y.coeffs
         assert all(sum(e) <= 2 for e in y.coeffs)
+
+
+def _series_under_test():
+    """(name, DescSeries) for every library function that returns them:
+    the descendent exponentials and characters, both localization vertices,
+    the glued curve, the residue vertex and the EGL localization sum."""
+    s = sample_random(3, 16)
+    vs, orders = ("u", "v"), (3, 2)
+    for rate in (F(-2, 3), F(0)):
+        yield f"exp_single {rate}", exp_single(vs, orders, "v", rate)
+    fixed_points = [("pt", c) for c in enum_rpp(Partition([2, 1]), 3)]
+    fixed_points += [("dt", c) for c in enum_legged_pp(Partition([1]), 3)]
+    for conv in (Convention(-1), Convention(1)):
+        for mode in ("ch", "ch_prime", "ch_hat"):
+            for var, order in zip(vs, orders):
+                spec = DescendentSpec(mode, 0, var, order)
+                for kind, c in fixed_points:
+                    yield (f"descendent_char {kind} {mode} {var} {conv.pt_column_sign}",
+                           descendent_char(c, spec, s, conv, vs, orders))
+    for desc in ((DescendentSpec("ch", 0, "u", 2), DescendentSpec("ch", 0, "v", 1)),
+                 (DescendentSpec("ch_hat", 0, "u", 2), DescendentSpec("ch_prime", "inf", "v", 2))):
+        modes = "/".join(sp.mode for sp in desc)
+        for q, x in enumerate(bare_pt(("chern", Partition([2, 1])), 2, desc, s).coeffs):
+            yield f"bare_pt {modes} q^{q}", x
+        for q, x in enumerate(bare_dt(Partition([1]), 2, desc, s).coeffs):
+            yield f"bare_dt {modes} q^{q}", x
+    for theory in ("PT", "DT"):
+        req = GlueRequest(theory, (-1, -1), 1, (DescendentSpec("ch", 0, "u", 2),),
+                          (DescendentSpec("ch_hat", "inf", "v", 1),), 2, s)
+        for q, x in enumerate(glue(req)):
+            yield f"glue {theory} q^{q}", x
+    desc_uv = (DescendentSpec("ch", 0, "u", 2), DescendentSpec("ch", 0, "v", 2))
+    for basis in ("chern", "interp"):
+        for q, x in enumerate(pt_residue_vertex(Partition([1, 1]), 1, desc_uv, sample_random(5, 24),
+                                                None, basis)):
+            yield f"pt_residue_vertex {basis} q^{q}", x
+    for total in (None, 2):
+        yield f"egl_localization {total}", egl_localization(2, [3, 2], s, None, total)
+
+
+class TestDescSeriesInvariant:
+    """`DescSeries.__add__` copies its left operand's dict as it stands, so
+    every series the library returns must hold only nonzero Fractions at
+    exponents inside its orders, and no operation may share a dict."""
+
+    def test_library_series_hold_nonzero_fractions_inside_their_orders(self):
+        seen = 0
+        for name, x in _series_under_test():
+            assert isinstance(x, DescSeries), name
+            for e, c in x.coeffs.items():
+                assert type(c) is F and c != 0, (name, e, c)
+                assert len(e) == len(x.orders), (name, e)
+                assert all(0 <= k <= o for k, o in zip(e, x.orders)), (name, e, x.orders)
+            seen += bool(x.coeffs)
+        assert seen > 100  # the sample reached series with terms
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_operations_leave_their_operands_alone(self, op):
+        a = DescSeries(("u", "v"), (2, 2), {(0, 0): F(1), (1, 0): F(2), (0, 2): F(-1)})
+        b = DescSeries(("u", "v"), (2, 2), {(1, 0): F(-2), (1, 1): F(3, 2)})
+        before_a, before_b = dict(a.coeffs), dict(b.coeffs)
+        out = {"+": lambda: a + b, "-": lambda: a - b, "*": lambda: a * b}[op]()
+        assert a.coeffs == before_a and b.coeffs == before_b
+        assert out.coeffs is not a.coeffs and out.coeffs is not b.coeffs
+
+    @pytest.mark.parametrize("other", [0, F(3), "series"], ids=["int", "fraction", "series"])
+    def test_sum_owns_its_dict(self, other):
+        a = DescSeries(("u",), (2,), {(0,): F(1), (1,): F(2)})
+        before = dict(a.coeffs)
+        b = DescSeries(("u",), (2,), {(2,): F(5)}) if other == "series" else other
+        out = a + b
+        out.coeffs[(2,)] = F(7)
+        out.coeffs.pop((1,))
+        assert a.coeffs == before
+
+    def test_sum_drops_terms_outside_the_left_orders(self):
+        a = DescSeries(("u", "v"), (2, 1), {(0, 0): F(1), (2, 1): F(4)})
+        b = DescSeries(("u", "v"), (3, 3), {(0, 0): F(-1), (1, 1): F(2), (3, 0): F(5),
+                                            (0, 2): F(6), (2, 1): F(1)})
+        out = a + b
+        assert out.orders == (2, 1)
+        assert out.coeffs == {(1, 1): F(2), (2, 1): F(5)}

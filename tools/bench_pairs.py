@@ -14,7 +14,11 @@ ratio change/base, the number of pairs the change wins and
 than the metric's bound, the benchmark's rejection rule), plus each side's
 median number of operations (`attempted`, against which a `peak_rss_mb`
 that grows with throughput reads), to `BENCH_<label>.json` in the working
-directory. Progress goes to standard error.
+directory. `rss_per_op` is informational: the least-squares slope of
+`peak_rss_mb` on `attempted` over all runs of a workload, in KB per op, and
+each side's median `peak_rss_mb` moved along it to the base's median
+`attempted`, which separates the memory the library uses from the memory
+the runner's per-op records take. Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -92,6 +96,30 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
+def rss_per_op(runs: list[dict]) -> dict:
+    """`peak_rss_mb` against `attempted`: the least-squares slope over both
+    sides' runs in KB per op (None when every run attempted as many ops),
+    and each side's median `peak_rss_mb` moved along it to the base's median
+    `attempted`."""
+    sides = ("base", "change")
+    ops = {side: [r[side]["attempted"] for r in runs] for side in sides}
+    rss = {side: [r[side]["metrics"]["peak_rss_mb"]["value"] for r in runs] for side in sides}
+    try:
+        slope = statistics.linear_regression(ops["base"] + ops["change"],
+                                             rss["base"] + rss["change"]).slope
+    except statistics.StatisticsError:
+        slope = None
+    at = statistics.median(ops["base"])
+    return {
+        "kb_per_op": None if slope is None else slope * 1024,
+        "at_attempted": at,
+        "peak_rss_mb_at_base_ops": {
+            side: None if slope is None
+            else statistics.median(rss[side]) + slope * (at - statistics.median(ops[side]))
+            for side in sides},
+    }
+
+
 def git_commit(checkout: Path) -> str | None:
     out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True, text=True)
     return out.stdout.strip() or None
@@ -136,6 +164,7 @@ def main(argv=None) -> int:
             "attempted": {side: statistics.median(r[side]["attempted"] for r in runs)
                           for side in ("base", "change")},
             "summary": summarize(runs, metrics),
+            "rss_per_op": rss_per_op(runs),
             "runs": runs,
         }
     out = Path(f"BENCH_{args.label}.json")

@@ -340,18 +340,23 @@ def canonical(x) -> str:
     return json.dumps(canon(x), sort_keys=True, separators=(",", ":"))
 
 
-def main(argv=None) -> None:
-    show = "--entries" in (sys.argv[1:] if argv is None else argv)
-    digest = hashlib.sha256()
+def digest(show: bool = False) -> str:
+    """The line `<count> entries sha256 <hex>` over every entry; with
+    `show`, each entry's own sha256 and name are printed first."""
+    total = hashlib.sha256()
     count = 0
     for name, value in entries():
         line = canonical([name, value]).encode()
-        digest.update(line)
-        digest.update(b"\n")
+        total.update(line)
+        total.update(b"\n")
         count += 1
         if show:
             print(hashlib.sha256(line).hexdigest(), name)
-    print(f"{count} entries sha256 {digest.hexdigest()}")
+    return f"{count} entries sha256 {total.hexdigest()}"
+
+
+def main(argv=None) -> None:
+    print(digest("--entries" in (sys.argv[1:] if argv is None else argv)))
 
 
 if __name__ == "__main__":
