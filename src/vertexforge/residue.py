@@ -21,8 +21,20 @@ region only poles with vanishing integer-scale part are enclosed, in the
 `full` region every finite pole is enclosed.  The dense parts enter by
 linearity: residues are taken per z-monomial and memoized, one `Fraction`
 each, and monomials with the same inner exponents share the terms left
-after the inner levels.  "Integration" is coefficient extraction, never
-quadrature.
+after the inner levels; their weighted sums are integer
+numerator/denominator pairs, one `Fraction` per series coefficient.
+"Integration" is coefficient extraction, never quadrature.
+
+`pt_vertex_integrand` / `pt_residue_vertex` — the residue vertex.  Each
+k-vector's linear part is a product of blocks: the kernel, a column block
+per (i, k_i) and a pair block per (i, j, k_j - k_i).  One `_FormTable` per
+vertex folds each block once (`_FormTable.fold`: primitive forms and
+exponents, integer constant, degree shift) and merges a k-vector's
+blocks; a raw factor list (`egl_residue`, `residue_sum`) is one block
+through the same fold.  The descendent u-buckets are assembled from
+per-(z-variable, t3-shift, order) pieces built once per vertex, and each
+q-degree is scaled by the vertex normalization once.  The degree-0
+integrand (`dt0_residue_value`) is merged from blocks the same way.
 """
 
 from __future__ import annotations
@@ -73,11 +85,12 @@ def _zp_at(p: Dict, z: Sequence) -> Fraction:
 class Term(Record):
     """poly * prod L^e: a dense z-polynomial times linear forms with signed
     exponents (e > 0 numerator, e < 0 denominator), the forms integer
-    vectors in w = scale * z (see `_PoleEngine`)."""
+    vectors in w = scale * z (see `_PoleEngine`).  `factors` is a list of
+    (form, exponent) pairs or a `_Block` already folded into a form table."""
 
     __slots__ = ("poly", "factors", "scale")
 
-    def __init__(self, poly: Dict, factors: Tuple[Tuple[Tuple[int, ...], int], ...], scale: int):
+    def __init__(self, poly: Dict, factors, scale: int):
         self.poly = poly
         self.factors = factors
         self.scale = scale
@@ -88,11 +101,30 @@ def _binom(e: int, k: int) -> int:
     return prod(range(e, e - k, -1)) // factorial(k)
 
 
+class _Block(Record):
+    """A product of linear forms folded into a `_FormTable`: the exponent of
+    each primitive form {form id: e}, the integer constant num/den that the
+    constant factors and the forms' multiples leave, and the degree shift
+    -sum e.  `table` stays out of equality and repr."""
+
+    __slots__ = ("table", "exps", "num", "den", "shift")
+    _fields = ("exps", "num", "den", "shift")
+
+    def __init__(self, table: "_FormTable", exps: Dict[int, int], num: int, den: int, shift: int):
+        self.table = table
+        self.exps = exps
+        self.num = num
+        self.den = den
+        self.shift = shift
+
+
 class _FormTable:
     """The primitive integer linear forms in n variables that pole engines
     meet, each interned once with the index of its leading coefficient, and
     the substitutions of one form at the root of another, computed once.
-    Every engine of one residue vertex shares one table."""
+    Every engine of one residue vertex shares one table, which also keeps
+    each integrand block folded once (`merge`) and each descendent bucket
+    piece built once (`pieces`, see `_descendent_buckets`) for that call."""
 
     def __init__(self, nvars: int):
         self.nvars = nvars
@@ -100,6 +132,8 @@ class _FormTable:
         self.ids: Dict[Tuple[int, ...], int] = {}
         self.lead: List[int] = []
         self.subs: Dict[Tuple[int, int], Tuple[int | None, int, int]] = {}
+        self.blocks: Dict[tuple, _Block] = {}
+        self.pieces: Dict[tuple, tuple] = {}
 
     def intern(self, key: Tuple[int, ...]) -> int:
         i = self.ids.get(key)
@@ -137,6 +171,46 @@ class _FormTable:
             self.subs[key] = out
         return out
 
+    def fold(self, factors: Iterable[Tuple[Tuple[int, ...], int]]) -> _Block:
+        """The block of (form, signed exponent) factors: each form with a
+        z-part becomes a primitive form and its multiple, a constant form
+        is a number; zero kills a numerator and raises in a denominator."""
+        nvars = self.nvars
+        exps: Dict[int, int] = {}
+        num = den = 1
+        shift = 0
+        for f, e in factors:
+            shift -= e
+            if any(f[:nvars]):
+                i, g = self.primitive(f)
+                exps[i] = exps.get(i, 0) + e
+            else:
+                g = f[nvars] + f[nvars + 1]
+                if g == 0 and e < 0:
+                    raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
+            if e > 0:
+                num *= g ** e
+            elif e < 0:
+                den *= g ** -e
+        return _Block(self, {i: e for i, e in exps.items() if e}, num, den, shift)
+
+    def merge(self, parts) -> _Block:
+        """The product of the blocks build(nvars, *args) over
+        parts = [(build, args)], each folded once per table."""
+        exps: Dict[int, int] = {}
+        num = den = 1
+        shift = 0
+        for key in parts:
+            b = self.blocks.get(key)
+            if b is None:
+                b = self.blocks[key] = self.fold(key[0](self.nvars, *key[1]))
+            for i, e in b.exps.items():
+                exps[i] = exps.get(i, 0) + e
+            num *= b.num
+            den *= b.den
+            shift += b.shift
+        return _Block(self, {i: e for i, e in exps.items() if e}, num, den, shift)
+
 
 class _PoleEngine:
     """Iterated residues of z^m * prod L^e for one fixed list of linear forms.
@@ -145,12 +219,14 @@ class _PoleEngine:
     (c_1..c_n, big, small) in the variables w = scale * z, each standing for
     scale times its form in z, where `scale` clears the sample's
     denominators, so the z-integrand is scale^-(n + sum e + |m|) times the
-    w-integrand.  Every form is interned in a `_FormTable` (the engine's
-    own, or one shared with other engines in the same variables) as a
-    primitive integer vector whose first nonzero coefficient is positive;
-    its rational multiple and the constant factors go into the coefficient,
-    an integer numerator/denominator pair, so proportional forms cancel.
-    A term is that pair and a sorted tuple of (form id, signed exponent).
+    w-integrand.  The engine starts from one `_Block`: a factor list is
+    folded into a table of its own, and a residue vertex's integrands are
+    merged from blocks folded once into its shared `_FormTable`.  Every
+    form is interned there as a primitive integer vector whose first
+    nonzero coefficient is positive; its rational multiple and the constant
+    factors go into the coefficient, an integer numerator/denominator pair,
+    so proportional forms cancel.  A term is that pair and a sorted tuple
+    of (form id, signed exponent).
 
     The variables are taken innermost first, so at z_v every form has lost
     its dependence on z_(v+1)..z_n and a pole lies inside the z_v contour
@@ -169,43 +245,27 @@ class _PoleEngine:
     derivatives.  Residues of monomials are memoized, one `Fraction` each.
     """
 
-    def __init__(self, factors: Iterable[Tuple[Tuple[int, ...], int]], nvars: int, region: str,
-                 scale: int, table: _FormTable | None = None):
+    def __init__(self, factors, nvars: int, region: str, scale: int):
         if region not in ("inner", "full"):
             raise ValueError(f"unknown region {region!r}")
-        table = table or _FormTable(nvars)
+        # a raw factor list is one block, folded into a table of its own
+        block = factors if isinstance(factors, _Block) else _FormTable(nvars).fold(factors)
+        table = block.table
         self.nvars = nvars
         self.inner = region == "inner"
         self.scale = scale
         self.forms, self.lead = table.forms, table.lead
-        self._primitive, self._substitute = table.primitive, table.substitute
+        self._substitute = table.substitute
         self.memo: Dict[tuple, Fraction] = {}
         self.var = [table.intern(tuple(int(v == w) for w in range(nvars + 2))) for v in range(nvars)]
-        base: Dict[int, int] = {}
-        num = den = 1
-        shift = -nvars
-        for f, e in factors:
-            shift -= e
-            if any(f[:nvars]):
-                i, g = self._primitive(f)
-                base[i] = base.get(i, 0) + e
-            else:
-                # a constant folds into the coefficient; zero kills a numerator
-                g = f[nvars] + f[nvars + 1]
-                if g == 0 and e < 0:
-                    raise ZeroDivisionError("pole at non-generic input: constant factor vanishes")
-            if e > 0:
-                num *= g ** e
-            elif e < 0:
-                den *= g ** -e
-        self.shift = shift
-        self.coef = Fraction(num, den) if num else Fraction(0)
-        self.base = {i: e for i, e in base.items() if e}
+        self.shift = block.shift - nvars
+        self.coef = Fraction(block.num, block.den)
+        self.base = block.exps
         # states[(m_v, ..., m_(n-1))]: {term key: [num, den]} after the
         # residues in z_v..z_(n-1) of z_v^m_v ... z_(n-1)^m_(n-1) times the forms
         key = tuple(sorted(self.base.items()))
         self.states: Dict[tuple, Dict[tuple, List[int]]] = {
-            (): {key: [self.coef.numerator, self.coef.denominator]} if num else {}}
+            (): {key: [self.coef.numerator, self.coef.denominator]} if self.coef else {}}
 
     def _times(self, work: Dict[tuple, List[int]], v: int, m: int) -> Dict[tuple, List[int]]:
         """The terms of `work` times z_v^m."""
@@ -378,41 +438,44 @@ def residue_sum(terms: Iterable[Term], nvars: int, region: str = "inner") -> Fra
 
 
 def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int, region: str,
-                       vs, orders, table: _FormTable | None = None):
+                       vs, orders):
     """Iterated residue of term.poly * sum_ue u^ue buckets[ue] * prod L^e as a
     series in the descendent variables u (buckets None: the scalar integrand).
 
     The residue is linear in the integrand, so each z-monomial of the dense
-    parts is taken once against the shared linear forms; `table` is a form
-    table in `nvars` variables shared with other integrands."""
+    parts is taken once against the shared linear forms.  The weight of a
+    z-exponent (the residue of term.poly times it) and each bucket's sum
+    are accumulated as integer numerator/denominator pairs, one `Fraction`
+    per coefficient of the result."""
     from .series import DescSeries
 
     if buckets is None:
         buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
-    engine = _PoleEngine(term.factors, nvars, region, term.scale, table)
-    weights: Dict[tuple, Fraction] = {}
+    engine = _PoleEngine(term.factors, nvars, region, term.scale)
+    poly = [(e, c.numerator, c.denominator) for e, c in term.poly.items()]
+    weights: Dict[tuple, List[int]] = {}
 
     def weight(ze):
-        # residue of term.poly * z^ze
+        # residue of term.poly * z^ze, as [num, den]
         w = weights.get(ze)
         if w is None:
-            w = ZERO
-            for e, c in term.poly.items():
+            w = [0, 1]
+            for e, cn, cd in poly:
                 r = engine.monomial(tuple(x + y for x, y in zip(e, ze)))
                 if r:
-                    w += c * r
+                    _accumulate(w, cn * r.numerator, cd * r.denominator)
             weights[ze] = w
         return w
 
     out = DescSeries(vs, orders)
     for ue, zp in buckets.items():
-        val = ZERO
+        acc = [0, 1]
         for ze, x in zp.items():
-            w = weight(ze)
-            if w:
-                val += x * w
-        if val:
-            out.coeffs[ue] = val
+            n, d = weight(ze)
+            if n:
+                _accumulate(acc, x.numerator * n, x.denominator * d)
+        if acc[0]:
+            out.coeffs[ue] = Fraction(*acc)
     return out
 
 
@@ -476,15 +539,12 @@ def _pair_block(nv: int, i: int, j: int, b: int, cs):
     return out
 
 
-def _pt_factors(nv: int, kvec, cs):
-    """Linear part of the stable-pairs integrand at one k-vector: the
-    kernel, the single-column blocks and the two-column interactions."""
-    out = _kernel_factors(nv, cs[0], cs[1])
-    for i, k in enumerate(kvec):
-        out += _column_block(nv, i, k, cs)
-    for i, j in combinations(range(nv), 2):
-        out += _pair_block(nv, i, j, kvec[j] - kvec[i], cs)
-    return out
+def _pt_blocks(nv: int, kvec, cs) -> list:
+    """The blocks of the stable-pairs integrand's linear part at one
+    k-vector, as (builder, args) for `_FormTable.merge`: the kernel, the
+    single-column blocks and the two-column interactions."""
+    return ([(_kernel_factors, (cs[0], cs[1]))] + [(_column_block, (i, k, cs)) for i, k in enumerate(kvec)]
+            + [(_pair_block, (i, j, kvec[j] - kvec[i], cs)) for i, j in combinations(range(nv), 2)])
 
 
 def elementary_symmetric_poly(nv: int, degree: int) -> Dict:
@@ -594,11 +654,12 @@ def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int |
         term = DescSeries.const(vs, u_orders, Fraction(1))
         for (i, j) in mu.cells():
             c = i * s.t1 + j * s.t2
-            for l, v in enumerate(vs):
-                lin = DescSeries.const(vs, u_orders, Fraction(1))
+            for l, order in enumerate(u_orders):
+                # a cell of content 0, as (0, 0), and a variable of order 0 give the factor 1
+                if not c or not order:
+                    continue
                 e = tuple(1 if w == l else 0 for w in range(len(vs)))
-                lin.coeffs[e] = -c
-                term = term * lin
+                term = term * DescSeries(vs, u_orders, {(0,) * len(vs): 1, e: -c})
                 if total is not None:
                     term.coeffs = {ue: x for ue, x in term.coeffs.items() if sum(ue) <= total}
         out = out + term * (Fraction(1) / e_mu)
@@ -634,7 +695,7 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
 # the one-leg stable-pairs residue vertex
 
 
-def _descendent_buckets(shifts, desc_specs, s):
+def _descendent_buckets(shifts, desc_specs, s, pieces: Dict | None = None):
     """prod_r (1-e^{u_r t1})(1-e^{u_r t2}) sum_i e^{t3 u_r z_i} sum_(m, e) e e^{m t3 u_r}
     as u-buckets {ue: z-polynomial}, `shifts[i]` the signed t3-shifts
     (m, e) of z_i.
@@ -642,63 +703,82 @@ def _descendent_buckets(shifts, desc_specs, s):
     The r-th factor is sum_i sum_m base_i(u_r) (t3 u_r z_i)^m / m! with
     base_i(u) = sum_(m, e) e sum_x +-e^{(m t3 + x) u} over x = 0, t1, t2,
     t1 + t2.  Over the common denominator d of t1, t2, t3 the coefficient of
-    u_r^(a+m) z_i^m has denominator d^(a+m) a! m! for every i, so numerators
-    add as integers and each coefficient is one `Fraction`.  The factors
-    multiply by concatenating their u-exponents and multiplying their
-    z-polynomials."""
+    u_r^(a+m) z_i^m has denominator d^(a+m) a! m!.  The z-free terms of all
+    i add as integers into one `Fraction` per power of u_r; the others are
+    z_i's alone.  A z-variable's piece, (its z-free numerators, its other
+    terms), depends only on (i, shifts[i], order), and `pieces` keeps each
+    one built once across calls at one sample.  The factors multiply by
+    concatenating their u-exponents and multiplying their z-polynomials."""
     n1, n2, n3, d = over_common_denominator(s.t1, s.t2, s.t3)
     nv = len(shifts)
+    zero = (0,) * nv
+    pieces = {} if pieces is None else pieces
     out = {(): zp_const(nv, Fraction(1))}
     for sp in desc_specs:
         top = sp.order
-        bases: Dict[tuple, List[int]] = {}
-        nums: Dict[int, Dict[tuple, int]] = {}
+        const = [0] * (top + 1)
+        factor: Dict[int, Dict] = {}
         for i, sh in enumerate(shifts):
-            base = bases.get(sh)
-            if base is None:
-                base = bases[sh] = [0] * (top + 1)
-                for m, e in sh:
-                    c = m * n3
-                    for a in range(top + 1):
-                        base[a] += e * (c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a)
-            for m in range(top + 1):
-                ze = tuple(m if v == i else 0 for v in range(nv))
-                for a in range(top + 1 - m):
-                    if base[a]:
-                        zp = nums.setdefault(a + m, {})
-                        zp[ze] = zp.get(ze, 0) + base[a] * n3 ** m
-        factor = {}
-        for u, zp in nums.items():
-            zp = {ze: Fraction(x, d ** u * factorial(u - max(ze)) * factorial(max(ze)))
-                  for ze, x in zp.items() if x}
-            if zp:
-                factor[u] = zp
-        out = {ue + (u,): zp_mul(p, zp) for ue, p in out.items() for u, zp in factor.items()}
+            key = (i, sh, top)
+            piece = pieces.get(key)
+            if piece is None:
+                piece = pieces[key] = _descendent_piece(i, sh, top, nv, n1, n2, n3, d)
+            for u, x in enumerate(piece[0]):
+                const[u] += x
+            for u, zp in piece[1].items():
+                factor.setdefault(u, {}).update(zp)
+        for u, x in enumerate(const):
+            if x:
+                factor.setdefault(u, {})[zero] = Fraction(x, d ** u * factorial(u))
+        # the first factor's z-polynomials are its buckets' own
+        out = {ue + (u,): zp_mul(p, zp) if ue else zp for ue, p in out.items() for u, zp in factor.items()}
     return out
 
 
-def _dt0_descendent_buckets(kvec, desc_specs, s):
+def _descendent_piece(i: int, sh, top: int, nv: int, n1: int, n2: int, n3: int, d: int):
+    """z_i's part of one factor of `_descendent_buckets` up to u^top:
+    base_i's numerators (the z-free terms, over d^u u!) and
+    {u: {z_i^m: coefficient}} for m >= 1."""
+    base = [0] * (top + 1)
+    for m, e in sh:
+        c = m * n3
+        for a in range(top + 1):
+            base[a] += e * (c ** a - (c + n1) ** a - (c + n2) ** a + (c + n1 + n2) ** a)
+    rest: Dict[int, Dict] = {}
+    for m in range(1, top + 1):
+        ze = tuple(m if v == i else 0 for v in range(nv))
+        for a in range(top + 1 - m):
+            if base[a]:
+                rest.setdefault(a + m, {})[ze] = Fraction(base[a] * n3 ** m,
+                                                          d ** (a + m) * factorial(a) * factorial(m))
+    return base, rest
+
+
+def _dt0_descendent_buckets(kvec, desc_specs, s, pieces: Dict | None = None):
     """The degree-0 descendent factor g as (u-buckets, scalar): per
     variable, prod(1 - e^{w t_i})/(t1 t2 t3) sum_i e^{t3 z_i w} times
     sum_{m in [0, k_i)} e^{m w t3}, signed for k_i < 0.  Since
     (1 - e^{w t3}) sum_{m in [0, k)} e^{m w t3} = 1 - e^{k w t3} for either
     sign of k, z_i has the t3-shifts 0 and k_i with signs +1, -1; the
     1/(t1 t2 t3) factors are the scalar."""
-    buckets = _descendent_buckets([((0, 1), (k, -1)) for k in kvec], desc_specs, s)
+    buckets = _descendent_buckets([((0, 1), (k, -1)) for k in kvec], desc_specs, s, pieces)
     return buckets, (s.t1 * s.t2 * s.t3) ** -len(desc_specs)
 
 
-def pt_vertex_integrand(poly, kvec, s, conv, desc_specs=()) -> Tuple[Term, Dict | None]:
+def pt_vertex_integrand(poly, kvec, s, conv, desc_specs=(), table: _FormTable | None = None
+                        ) -> Tuple[Term, Dict | None]:
     """Integrand for one k-vector of the residue vertex, a-scale variables:
-    the basis z-polynomial `poly` times the linear part, and the descendent
-    u-buckets (None without descendents)."""
+    the basis z-polynomial `poly` times the linear part, merged from the
+    blocks of `table` (one residue vertex's, or a new one), and the
+    descendent u-buckets (None without descendents)."""
     nv = len(kvec)
+    table = table or _FormTable(nv)
     buckets = None
     if desc_specs:
         sigma = conv.pt_column_sign
-        buckets = _descendent_buckets([((sigma * k, 1),) for k in kvec], desc_specs, s)
+        buckets = _descendent_buckets([((sigma * k, 1),) for k in kvec], desc_specs, s, table.pieces)
     cs = over_common_denominator(s.a1, s.a2)
-    return Term(poly, tuple(_pt_factors(nv, kvec, cs)), cs[2]), buckets
+    return Term(poly, table.merge(_pt_blocks(nv, kvec, cs)), cs[2]), buckets
 
 
 def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern",
@@ -725,18 +805,16 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     else:
         raise ValueError(f"unknown basis {basis!r}")
     norm = (s.a1 * s.a2) ** (conv.hilb_norm * n) / factorial(n) * scale
-    zero = DescSeries(vs, orders_all)
-    out = [zero for _ in range(qorder + 1)]
-    # the k-vectors' integrands share most of their forms and substitutions
+    sums = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
+    # the k-vectors' integrands share their blocks, forms and substitutions
     table = _FormTable(n)
     for kvec in iproduct(range(qorder + 1), repeat=n):
         d = sum(kvec)
         if d > qorder:
             continue
-        t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs)
-        val = residue_sum_series(t, buckets, n, region, vs, orders_all, table=table)
-        out[d] = out[d] + val * norm
-    return out
+        t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs, table)
+        sums[d] = sums[d] + residue_sum_series(t, buckets, n, region, vs, orders_all)
+    return [c * norm for c in sums]
 
 
 # ---------------------------------------------------------------------------
@@ -813,9 +891,38 @@ def _ratio_pair_blocks_symbolic(nv: int, i: int, j: int, kc: int, kd: int, cs):
     return out
 
 
-def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
+def _printed_cell_block(nv: int, i: int, k: int, cs):
+    """The printed per-cell factor [z_i + 1 + A]_k / [z_i]_k, A = a1 + a2."""
+    p1, p2, D = cs
+    return _poch_lin(nv, {i: 1}, 1, p1 + p2, k, D) + _poch_lin(nv, {i: 1}, 0, 0, k, D, -1)
+
+
+def _printed_pair_block(nv: int, i: int, j: int, b: int, cs):
+    """The printed interaction F^{-1}_b(z_i - z_j), b = k_i - k_j."""
+    p1, p2, D = cs
+    A = p1 + p2
+    out = []
+    for small, sign in ((p1, 1), (p2, 1), (-A, 1), (-p1, -1), (-p2, -1), (A, -1)):
+        out += _poch_lin(nv, {i: 1, j: -1}, 0, small, b, D, sign)
+    return out
+
+
+def _quadruple_block(nv: int, i: int, j: int, k: int, cs):
+    """The printed quadruple ratio for the ordered pair i != j at index k = k_i."""
+    p1, p2, D = cs
+    A = p1 + p2
+    out = []
+    for big, small, sign in ((1, 0, 1), (1, A, 1), (0, -p1, 1), (0, -p2, 1),
+                             (0, 0, -1), (0, -A, -1), (1, p1, -1), (1, p2, -1)):
+        out += _poch_lin(nv, {i: 1, j: -1}, big, small, k, D, sign)
+    return out
+
+
+def dt0_residue_value(mu, kvec, s, desc_specs=(), variant="derived", table: _FormTable | None = None):
     """Residue of the degree-0 integrand at one k-vector, with the
-    descendent factor g of `_dt0_descendent_buckets` for `DescendentSpec`s.
+    descendent factor g of `_dt0_descendent_buckets` for `DescendentSpec`s;
+    None at a pole of the non-generic kind.  `table` (a new one if None)
+    is shared by the calls of one report at one sample.
 
     variant 'derived': stable-pairs integrand times the derived measure-ratio
     blocks (off-diagonal pairs; the diagonal blocks are degenerate constants
@@ -825,55 +932,27 @@ def dt0_residue_value(mu, kvec, s, conv, desc_specs=(), variant="derived"):
     """
     nv = mu.size
     cs = over_common_denominator(s.a1, s.a2)
-    p1, p2, D = cs
-    A = p1 + p2
+    table = table or _FormTable(nv)
     vs = tuple(sp.variable for sp in desc_specs)
     orders_all = tuple(sp.order for sp in desc_specs)
-    jp = interp_poly(mu, s)
+    pairs = [(i, j) for i in range(nv) for j in range(nv) if i != j]
     if variant == "derived":
-        factors = _pt_factors(nv, kvec, cs)
-        for i, k in enumerate(kvec):
-            factors += _ratio_cell_blocks_symbolic(nv, i, k, cs)
-        for ci in range(nv):
-            for cj in range(nv):
-                if ci != cj:
-                    factors += _ratio_pair_blocks_symbolic(nv, ci, cj, kvec[ci], kvec[cj], cs)
+        parts = (_pt_blocks(nv, kvec, cs)
+                 + [(_ratio_cell_blocks_symbolic, (i, k, cs)) for i, k in enumerate(kvec)]
+                 + [(_ratio_pair_blocks_symbolic, (i, j, kvec[i], kvec[j], cs)) for i, j in pairs])
     elif variant == "printed":
-        factors = []
-        # first factors [z_i + 1 + A]_{k_i} / [z_i]_{k_i}
-        for i, k in enumerate(kvec):
-            factors += _poch_lin(nv, {i: 1}, 1, A, k, D)
-            factors += _poch_lin(nv, {i: 1}, 0, 0, k, D, -1)
-        # F^{-1}_{k_i - k_j}(z_i - z_j) for i < j, as printed
-        for i, j in combinations(range(nv), 2):
-            b = kvec[i] - kvec[j]
-            w = {i: 1, j: -1}
-            for small, sign in ((p1, 1), (p2, 1), (-A, 1), (-p1, -1), (-p2, -1), (A, -1)):
-                factors += _poch_lin(nv, w, 0, small, b, D, sign)
-        # quadruple product over ordered pairs i != j with index k_i
-        for i in range(nv):
-            for j in range(nv):
-                if i == j:
-                    continue
-                w = {i: 1, j: -1}
-                for big, small, sign in (
-                    (1, 0, 1),
-                    (1, A, 1),
-                    (0, -p1, 1),
-                    (0, -p2, 1),
-                    (0, 0, -1),
-                    (0, -A, -1),
-                    (1, p1, -1),
-                    (1, p2, -1),
-                ):
-                    factors += _poch_lin(nv, w, big, small, kvec[i], D, sign)
+        parts = ([(_printed_cell_block, (i, k, cs)) for i, k in enumerate(kvec)]
+                 + [(_printed_pair_block, (i, j, kvec[i] - kvec[j], cs))
+                    for i, j in combinations(range(nv), 2)]
+                 + [(_quadruple_block, (i, j, kvec[i], cs)) for i, j in pairs])
     else:
         raise ValueError(f"unknown variant {variant!r}")
+    jp = interp_poly(mu, s)
     buckets, scalar = None, 1
     if desc_specs:
-        buckets, scalar = _dt0_descendent_buckets(kvec, desc_specs, s)
+        buckets, scalar = _dt0_descendent_buckets(kvec, desc_specs, s, table.pieces)
     try:
-        val = residue_sum_series(Term(jp, tuple(factors), D), buckets, nv, "inner", vs, orders_all)
+        val = residue_sum_series(Term(jp, table.merge(parts), cs[2]), buckets, nv, "inner", vs, orders_all)
     except ZeroDivisionError:
         return None
     return val * scalar
@@ -1009,6 +1088,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         chp = descendent_char(RppConfig(mu, k), DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
                               variables=vs, orders=orders_all)
         pt_target[size] = pt_target[size] + chp * (w * ratio)
+    table = _FormTable(n)
     for variant in ("derived", "printed"):
         for bound in (-1, 0, 1):
             by_degree: Dict[int, DescSeries] = {}
@@ -1017,7 +1097,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
                 d = sum(kv)
                 if d > qorder:
                     continue
-                val = dt0_residue_value(mu, kv, s, conv, (wspec,), variant)
+                val = dt0_residue_value(mu, kv, s, (wspec,), variant, table)
                 if val is None:
                     feasible = False
                     continue

@@ -17,9 +17,11 @@ from vertexforge.residue import (
     Term,
     _FormTable,
     _PoleEngine,
+    _descendent_buckets,
     _dt0_descendent_buckets,
     _form,
     _kernel_factors,
+    _pt_blocks,
     _scan_match,
     _zp_at,
     dt0_residue_value,
@@ -35,10 +37,16 @@ from vertexforge.residue import (
     zp_const,
 )
 from vertexforge.sampling import sample_random
+from vertexforge import residue
 from vertexforge.series import DescSeries
 from vertexforge.vertex import bare_pt
 
 S = sample_random(3, 16)
+
+
+def _raw_factors(parts, n):
+    """The concatenated factor lists of (builder, args) blocks in n variables."""
+    return [f for build, args in parts for f in build(n, *args)]
 
 
 class TestPoleEngine:
@@ -200,20 +208,22 @@ class TestPoleEngine:
     @pytest.mark.parametrize("n", [2, 3])
     def test_shared_form_table_equals_fresh_engines(self, n):
         # the engines of one residue vertex share one form table; each
-        # k-vector's engine on it equals a fresh engine with its own table
+        # k-vector's engine on it equals a fresh engine of the raw factor
+        # list with its own table
         import random
 
         rng = random.Random(n)
         monos = [tuple(rng.randrange(4) for _ in range(n)) for _ in range(12)]
         for s in (S, sample_random(7, 16)):
+            cs = over_common_denominator(s.a1, s.a2)
             for region in ("inner", "full"):
                 table = _FormTable(n)
                 own = 0
                 nonzero = 0
                 for kvec in product(range(3), repeat=n):
-                    t, _ = pt_vertex_integrand(zp_const(n, F(1)), kvec, s, DEFAULT_CONVENTION)
-                    shared = _PoleEngine(t.factors, n, region, t.scale, table)
-                    fresh = _PoleEngine(t.factors, n, region, t.scale)
+                    t, _ = pt_vertex_integrand(zp_const(n, F(1)), kvec, s, DEFAULT_CONVENTION, (), table)
+                    shared = _PoleEngine(t.factors, n, region, t.scale)
+                    fresh = _PoleEngine(_raw_factors(_pt_blocks(n, kvec, cs), n), n, region, t.scale)
                     got = [shared.monomial(m) for m in monos]
                     assert got == [fresh.monomial(m) for m in monos], (kvec, region)
                     own += len(fresh.forms)
@@ -242,6 +252,49 @@ class TestPoleEngine:
             with pytest.raises(ZeroDivisionError):
                 engine.monomial((0,))
         assert engine.monomial((1,)) == 0
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_merged_blocks_equal_one_fold(self, n):
+        # each k-vector's integrand is merged from blocks folded once per
+        # vertex; it equals the fold of the whole factor list, and the
+        # u-buckets from the shared pieces equal freshly built ones
+        desc = (DescendentSpec("ch", 0, "u", 3), DescendentSpec("ch", 0, "v", 2))
+        cs = over_common_denominator(S.a1, S.a2)
+        for sign in (-1, 1):
+            conv = Convention(pt_column_sign=sign)
+            table = _FormTable(n)
+            count = 0
+            for kvec in product(range(4), repeat=n):
+                if sum(kvec) > 3:
+                    continue
+                t, buckets = pt_vertex_integrand(zp_const(n, F(1)), kvec, S, conv, desc, table)
+                whole = table.fold(_raw_factors(_pt_blocks(n, kvec, cs), n))
+                got = t.factors
+                assert got.table is table and got.exps == whole.exps, kvec
+                assert F(got.num, got.den) == F(whole.num, whole.den) and got.shift == whole.shift
+                assert buckets == _descendent_buckets([((sign * k, 1),) for k in kvec], desc, S)
+                count += 1
+            assert count == len([k for k in product(range(4), repeat=n) if sum(k) <= 3])
+            assert table.pieces
+
+    def test_vertex_builds_one_integrand_per_kvector(self, monkeypatch):
+        # perfbench's residue.integrand_s and residue.kvectors trace
+        # pt_vertex_integrand: one call per k-vector with |k| <= q
+        seen = []
+        build = residue.pt_vertex_integrand
+
+        def counted(poly, kvec, *args):
+            seen.append(tuple(kvec))
+            return build(poly, kvec, *args)
+
+        monkeypatch.setattr(residue, "pt_vertex_integrand", counted)
+        desc = (DescendentSpec("ch", 0, "u", 2),)
+        for parts, q in (([1], 3), ([2, 1], 2)):
+            seen.clear()
+            lam = Partition(parts)
+            pt_residue_vertex(lam, q, desc, S)
+            want = [k for k in product(range(q + 1), repeat=lam.size) if sum(k) <= q]
+            assert sorted(seen) == want
 
     def test_omega_constant_term(self):
         # the measure prod dz_i/z_i times prod_{i<j} omega(z_i - z_j), with
@@ -272,6 +325,27 @@ class TestEGL:
                     assert egl(n, [4, 4], S, total=cap).coeffs == kept
                     dropped += len(full.coeffs) - len(kept)
         assert dropped
+
+    def test_unit_factors_skipped(self, monkeypatch):
+        # the cell (0, 0) has content 0, so its factors 1 - 0 u_l are not
+        # multiplied; every factor holds nonzero coefficients inside its orders
+        products, scalars = [], []
+        mul = DescSeries.__mul__
+
+        def counted(a, b):
+            (products if isinstance(b, DescSeries) else scalars).append(b)
+            return mul(a, b)
+
+        monkeypatch.setattr(DescSeries, "__mul__", counted)
+        egl_localization(3, [2, 2], sample_random(3, 16))
+        assert (len(products), len(scalars)) == (12, 3)
+        for b in products:
+            assert all(c and b._inside(e) for e, c in b.coeffs.items())
+        products.clear()
+        # a variable of order 0 gives no factor either
+        a = egl_localization(3, [2, 0], S)
+        assert len(products) == 6
+        assert a == egl_residue(3, [2, 0], S)
 
     def test_n1_value(self):
         a = egl_localization(1, [1], S)
@@ -474,8 +548,8 @@ class TestDt0ResidueValue:
         for parts in ([1], [2], [1, 1]):
             mu = Partition(parts)
             for kv in product(range(3), repeat=mu.size):
-                bare = dt0_residue_value(mu, kv, S, DEFAULT_CONVENTION, (), variant)
-                val = dt0_residue_value(mu, kv, S, DEFAULT_CONVENTION, (spec,), variant)
+                bare = dt0_residue_value(mu, kv, S, (), variant)
+                val = dt0_residue_value(mu, kv, S, (spec,), variant)
                 assert (bare is None) == (val is None)
                 if bare is None:
                     continue
@@ -483,6 +557,20 @@ class TestDt0ResidueValue:
                 assert val.coeff((3,)) == -sum(kv) * bare.coeff(())
                 compared += bool(val.coeff((3,)))
         assert compared > 0
+
+
+    def test_shared_table_equals_fresh(self):
+        # dtpt0_report shares one table across its k-vector loop
+        spec = DescendentSpec("ch", 0, "w1", 3)
+        mu = Partition([1, 1])
+        table = _FormTable(mu.size)
+        values = 0
+        for variant in ("derived", "printed"):
+            for kv in product(range(-1, 3), repeat=2):
+                shared = dt0_residue_value(mu, kv, S, (spec,), variant, table)
+                assert shared == dt0_residue_value(mu, kv, S, (spec,), variant), (variant, kv)
+                values += shared is not None and not shared.is_zero()
+        assert values > 4
 
 
 class TestScanMatch:

@@ -177,7 +177,7 @@ def entries():
         for kv in product(range(-1, 3), repeat=mu.size):
             for variant in ("derived", "printed"):
                 yield (f"dt0_residue_value {parts} {kv} {variant}",
-                       dt0_residue_value(mu, kv, s, CONV, (wspec,), variant))
+                       dt0_residue_value(mu, kv, s, (wspec,), variant))
 
     for worder in (2, 3, 4):
         yield f"dtpt0_report {worder}", dtpt0_report(Partition([1]), worder, 2, sample_random(31, 14), CONV)
@@ -256,7 +256,7 @@ def entries():
         for kv in product(range(-1, 2), repeat=mu.size):
             for variant in ("derived", "printed"):
                 yield (f"dt0_residue_value {parts} {kv} {variant} w1 w2",
-                       dt0_residue_value(mu, kv, s, CONV, desc_w, variant))
+                       dt0_residue_value(mu, kv, s, desc_w, variant))
 
 
     # the localization sums at a non-generic sample (t1 = t2), where some
