@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
-from math import factorial
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -192,12 +191,18 @@ class DescSeries:
 
 
 def exp_single(variables, orders, var: str, rate: Fraction) -> DescSeries:
-    """e^{rate * var} truncated: sum_m rate^m var^m / m!."""
+    """e^{rate * var} truncated: sum_m rate^m var^m / m!, as a running
+    product, each coefficient the previous one times rate / m."""
     out = DescSeries(variables, orders)
     idx = out.variables.index(var)
-    for m in range(orders[idx] + 1 if rate else 1):
-        e = tuple(m if i == idx else 0 for i in range(len(out.variables)))
-        out.coeffs[e] = Fraction(rate) ** m / factorial(m)
+    rate = Fraction(rate)
+    e = [0] * len(out.variables)
+    c = Fraction(1)
+    out.coeffs[tuple(e)] = c
+    for m in range(1, orders[idx] + 1 if rate else 1):
+        c = c * rate / m
+        e[idx] = m
+        out.coeffs[tuple(e)] = c
     return out
 
 
