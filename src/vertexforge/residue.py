@@ -918,11 +918,13 @@ def _quadruple_block(nv: int, i: int, j: int, k: int, cs):
     return out
 
 
-def dt0_residue_value(mu, kvec, s, desc_specs=(), variant="derived", table: _FormTable | None = None):
+def dt0_residue_value(mu, kvec, s, desc_specs=(), variant="derived", table: _FormTable | None = None,
+                      jp: Dict | None = None):
     """Residue of the degree-0 integrand at one k-vector, with the
     descendent factor g of `_dt0_descendent_buckets` for `DescendentSpec`s;
     None at a pole of the non-generic kind.  `table` (a new one if None)
-    is shared by the calls of one report at one sample.
+    and `jp`, the interpolation polynomial `interp_poly(mu, s)` (solved here
+    if None), are shared by the calls of one report at one sample.
 
     variant 'derived': stable-pairs integrand times the derived measure-ratio
     blocks (off-diagonal pairs; the diagonal blocks are degenerate constants
@@ -947,7 +949,7 @@ def dt0_residue_value(mu, kvec, s, desc_specs=(), variant="derived", table: _For
                  + [(_quadruple_block, (i, j, kvec[i], cs)) for i, j in pairs])
     else:
         raise ValueError(f"unknown variant {variant!r}")
-    jp = interp_poly(mu, s)
+    jp = interp_poly(mu, s) if jp is None else jp
     buckets, scalar = None, 1
     if desc_specs:
         buckets, scalar = _dt0_descendent_buckets(kvec, desc_specs, s, table.pieces)
@@ -1088,7 +1090,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         chp = descendent_char(RppConfig(mu, k), DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
                               variables=vs, orders=orders_all)
         pt_target[size] = pt_target[size] + chp * (w * ratio)
-    table = _FormTable(n)
+    table, jp = _FormTable(n), interp_poly(mu, s)
     for variant in ("derived", "printed"):
         for bound in (-1, 0, 1):
             by_degree: Dict[int, DescSeries] = {}
@@ -1097,7 +1099,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
                 d = sum(kv)
                 if d > qorder:
                     continue
-                val = dt0_residue_value(mu, kv, s, (wspec,), variant, table)
+                val = dt0_residue_value(mu, kv, s, (wspec,), variant, table, jp)
                 if val is None:
                     feasible = False
                     continue

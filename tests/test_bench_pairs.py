@@ -1,4 +1,5 @@
-"""`tools/bench_pairs.py`'s informational RSS-per-op fit, on synthetic runs."""
+"""`tools/bench_pairs.py`'s informational RSS-per-op fit and its share of each
+bound used, on synthetic runs."""
 
 import importlib.util
 from pathlib import Path
@@ -58,3 +59,41 @@ def test_rss_per_op_without_spread_in_ops():
     fit = _tool().rss_per_op(runs)
     assert fit["kb_per_op"] is None
     assert fit["peak_rss_mb_at_base_ops"] == {"base": None, "change": None}
+
+
+def _pairs(name, base, change):
+    return [{"base": {"metrics": {name: {"value": b}}}, "change": {"metrics": {name: {"value": c}}}}
+            for b, c in zip(base, change)]
+
+
+@pytest.mark.parametrize("better, base, change, used", [
+    # 7.6% more memory against a 10% bound: 0.76 of it
+    ("lower", [40.0] * 3, [43.04] * 3, 0.76),
+    # 10% fewer ops against a 25% bound: 0.4 of it
+    ("higher", [200.0] * 3, [180.0] * 3, 0.4),
+    # an improvement uses none, in either direction
+    ("higher", [200.0] * 3, [224.0] * 3, 0.0),
+    ("lower", [40.0] * 3, [39.0] * 3, 0.0),
+    # at the bound exactly: all of it, and not beyond it
+    ("lower", [40.0] * 3, [44.0] * 3, 1.0),
+])
+def test_bound_used(better, base, change, used):
+    bound = 0.1 if better == "lower" else 0.25
+    row = _tool().summarize(_pairs("m", base, change), [{"name": "m", "better": better, "bound": bound}])["m"]
+    assert row["bound_used"] == pytest.approx(used)
+    assert row["worse_beyond_bound"] is False
+
+
+def test_bound_used_reads_the_medians():
+    # one wild pair moves no median: the change's median is 43 against 40
+    row = _tool().summarize(_pairs("m", [40.0, 40.0, 40.0, 10.0], [43.0, 43.0, 43.0, 90.0]),
+                            [{"name": "m", "better": "lower", "bound": 0.1}])["m"]
+    assert row["bound_used"] == pytest.approx(0.75)
+    beyond = _tool().summarize(_pairs("m", [40.0] * 3, [46.0] * 3),
+                               [{"name": "m", "better": "lower", "bound": 0.1}])["m"]
+    assert beyond["bound_used"] == pytest.approx(1.5) and beyond["worse_beyond_bound"] is True
+
+
+def test_bound_used_without_a_base():
+    row = _tool().summarize(_pairs("m", [0.0] * 3, [1.0] * 3), [{"name": "m", "better": "lower", "bound": 0.1}])["m"]
+    assert row["bound_used"] is None

@@ -560,17 +560,29 @@ class TestDt0ResidueValue:
 
 
     def test_shared_table_equals_fresh(self):
-        # dtpt0_report shares one table across its k-vector loop
+        # dtpt0_report shares one table and one J_mu across its k-vector loop
         spec = DescendentSpec("ch", 0, "w1", 3)
         mu = Partition([1, 1])
-        table = _FormTable(mu.size)
+        table, jp = _FormTable(mu.size), residue.interp_poly(mu, S)
         values = 0
         for variant in ("derived", "printed"):
             for kv in product(range(-1, 3), repeat=2):
-                shared = dt0_residue_value(mu, kv, S, (spec,), variant, table)
+                shared = dt0_residue_value(mu, kv, S, (spec,), variant, table, jp)
                 assert shared == dt0_residue_value(mu, kv, S, (spec,), variant), (variant, kv)
                 values += shared is not None and not shared.is_zero()
         assert values > 4
+
+    def test_report_solves_one_interpolation(self, monkeypatch):
+        # the report's 40 residue values at (1, 1) share one J_mu
+        calls = {"interp_poly": 0, "dt0_residue_value": 0}
+        for name in calls:
+            def counted(*args, _name=name, _real=getattr(residue, name)):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(residue, name, counted)
+        dtpt0_report(Partition([1, 1]), 3, 2, sample_random(31, 14))
+        assert calls == {"interp_poly": 1, "dt0_residue_value": 40}
 
 
 class TestScanMatch:

@@ -1,4 +1,5 @@
 from fractions import Fraction as F
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -41,6 +42,21 @@ class TestDescSeries:
         e = exp_single(("u",), (3,), "u", F(2))
         assert e.coeff((2,)) == F(2)
         assert e.coeff((3,)) == F(4, 3)
+
+    @pytest.mark.parametrize("rate", [0, 1, -1, 7, F(-2, 3), F(5, 2), F(-123457, 1000003),
+                                      F(10**12 + 39, 999983)], ids=str)
+    def test_exp_single_matches_the_power_formula(self, rate):
+        # the oracle is the closed form rate^m / m!, each power taken afresh
+        vs = ("u", "v", "w")
+        for idx, var in enumerate(vs):
+            for order in range(7):
+                orders = tuple(order if i == idx else 2 for i in range(3))
+                e = exp_single(vs, orders, var, rate)
+                oracle = {tuple(m if i == idx else 0 for i in range(3)): F(rate) ** m / factorial(m)
+                          for m in range(order + 1)}
+                assert e.coeffs == {x: c for x, c in oracle.items() if c}, (var, order)
+                assert e.variables == vs and e.orders == orders
+                assert all(type(c) is F for c in e.coeffs.values()), (var, order)
 
     def test_ring(self):
         one = DescSeries.const(("u",), (2,), 1)

@@ -78,6 +78,29 @@ class TestBareDT:
         res = bare_dt(Partition([2, 1]), 1, (), S)
         assert res.coeffs[0].coeff(()) == 1
 
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_degree_zero_closed_form(self, seed):
+        # MNOP's degree-0 formula (arXiv:math/0312059): the leg-free vertex is
+        # M(-q)^r with r = -(t1+t2)(t1+t3)(t2+t3)/(t1 t2 t3)
+        s = sample_random(seed, 20)
+        r = -(s.t1 + s.t2) * (s.t1 + s.t3) * (s.t2 + s.t3) / (s.t1 * s.t2 * s.t3)
+        got = [c.coeff(()) for c in bare_dt(Partition(), 5, (), s).coeffs]
+        assert got == _macmahon_power(r, 5)
+        assert all(got)
+
+
+def _macmahon_power(r, order):
+    """Coefficients of q^0..q^order of M(-q)^r = prod_k (1 - (-q)^k)^(-k r),
+    each factor the binomial series sum_n binom(-k r, n) (-(-q)^k)^n."""
+    out = [F(1)] + [F(0)] * order
+    for k in range(1, order + 1):
+        a, factor, binom = -k * r, [F(0)] * (order + 1), F(1)
+        for n in range(order // k + 1):
+            factor[k * n] = binom * (-(-1) ** k) ** n
+            binom = binom * (a - n) / (n + 1)
+        out = [sum(out[i] * factor[m - i] for i in range(m + 1)) for m in range(order + 1)]
+    return out
+
 
 class TestDt0Slice:
     def test_empty_slice(self):

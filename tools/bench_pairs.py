@@ -11,10 +11,12 @@ side. Writes every run's result line, and per end-to-end metric (from the
 same `BENCHMARK.json`) the median and quartiles of each side, the median
 ratio change/base, the number of pairs the change wins and
 `worse_beyond_bound` (the change's median is worse than the base's by more
-than the metric's bound, the benchmark's rejection rule), plus each side's
-median number of operations (`attempted`, against which a `peak_rss_mb`
-that grows with throughput reads), to `BENCH_<label>.json` in the working
-directory. `rss_per_op` is informational: the least-squares slope of
+than the metric's bound, the benchmark's rejection rule) with `bound_used`
+(how far the change's median moved in the worse direction, as a share of
+the bound: 0 when the metric did not get worse, 1 at the bound), plus each
+side's median number of operations (`attempted`, against which a
+`peak_rss_mb` that grows with throughput reads), to `BENCH_<label>.json` in
+the working directory. `rss_per_op` is informational: the least-squares slope of
 `peak_rss_mb` on `attempted` over all runs of a workload, in KB per op, and
 each side's median `peak_rss_mb` moved along it to the base's median
 `attempted`, which separates the memory the library uses from the memory
@@ -84,14 +86,15 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
         wins = sum((c > b) if higher else (c < b) for b, c in zip(base, change))
         qb, qc = quartiles(base), quartiles(change)
         worse = (qb["median"] - qc["median"]) if higher else (qc["median"] - qb["median"])
+        allowed = m["bound"] * abs(qb["median"])
         out[name] = {
             "better": m["better"], "bound": m["bound"],
             "base": qb, "change": qc,
             "ratio": qc["median"] / qb["median"] if qb["median"] else None,
             "wins": wins, "pairs": len(runs),
-            "median_gain_exceeds_base_iqr":
-                ((qc["median"] - qb["median"]) if higher else (qb["median"] - qc["median"])) > qb["iqr"],
-            "worse_beyond_bound": worse > m["bound"] * abs(qb["median"]),
+            "median_gain_exceeds_base_iqr": -worse > qb["iqr"],
+            "worse_beyond_bound": worse > allowed,
+            "bound_used": max(worse, 0) / allowed if allowed else None,
         }
     return out
 
