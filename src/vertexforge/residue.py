@@ -47,6 +47,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator
 from .records import Record
+from .series import DescSeries, enumerate_exponents
 
 ZERO = Fraction(0)
 
@@ -447,8 +448,6 @@ def residue_sum_series(term: Term, buckets: Dict[tuple, Dict] | None, nvars: int
     z-exponent (the residue of term.poly times it) and each bucket's sum
     are accumulated as integer numerator/denominator pairs, one `Fraction`
     per coefficient of the result."""
-    from .series import DescSeries
-
     if buckets is None:
         buckets = {(0,) * len(vs): zp_const(nvars, Fraction(1))}
     engine = _PoleEngine(term.factors, nvars, region, term.scale)
@@ -644,7 +643,6 @@ def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int |
     is capped after each factor."""
     from .characters import DEFAULT_CONVENTION, euler_hilb
     from .partitions import enum_partitions
-    from .series import DescSeries
 
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
@@ -670,7 +668,6 @@ def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None
     """Method B: (1/n!) (t1 t2)^{gamma n} x iterated residue of
     prod_{i<j} omega(z_i - z_j) prod_k prod_l (1 - u_l z_k), t-scale roots."""
     from .characters import DEFAULT_CONVENTION
-    from .series import enumerate_exponents
 
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
@@ -792,7 +789,6 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     from itertools import product as iproduct
 
     from .characters import DEFAULT_CONVENTION, euler_hilb
-    from .series import DescSeries
 
     conv = conv or DEFAULT_CONVENTION
     n = shape.size
@@ -1003,7 +999,6 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     from .characters import (DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_weight_walk,
                              vertex_char_pt_raw)
     from .partitions import LeggedPlanePartition, Partition, RppConfig
-    from .series import DescSeries
     from .vertex import dt0_slice
 
     conv = conv or DEFAULT_CONVENTION

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd
 from typing import NamedTuple
 
-from .laurent import LaurentPoly, exp_pleth, over_common_denominator
+from .laurent import LaurentPoly, exp_pleth, exp_pleth_extended, over_common_denominator
 
 _RETRY_BUDGET = 200
 
@@ -38,8 +38,6 @@ class ParamSample(NamedTuple):
 
     def exp_extended(self, p: LaurentPoly):
         """(value, zero_order): the plethystic exponential as value * 0^order."""
-        from .laurent import exp_pleth_extended
-
         return exp_pleth_extended(p, self.t1, self.t2, self.t3)
 
     def substituted(self, d1: int, d2: int) -> "ParamSample":

@@ -141,15 +141,36 @@ class DescSeries:
 
     __radd__ = __add__
 
+    # -x, x - y and x * k build their dicts from operands that already hold
+    # the invariant, without the constructor's per-term checks
     def __neg__(self) -> "DescSeries":
-        return DescSeries(self.variables, self.orders, {e: -c for e, c in self.coeffs.items()})
+        out = DescSeries(self.variables, self.orders)
+        out.coeffs = {e: -c for e, c in self.coeffs.items()}
+        return out
 
     def __sub__(self, other) -> "DescSeries":
-        return self + (-other if isinstance(other, DescSeries) else -Fraction(other))
+        if not isinstance(other, DescSeries):
+            return self + -Fraction(other)
+        out = DescSeries(self.variables, self.orders)
+        out.coeffs = dict(self.coeffs)
+        check = other.orders != self.orders
+        for e, c in other.coeffs.items():
+            if check and not out._inside(e):
+                continue
+            s = out.coeffs.get(e, Fraction(0)) - c
+            if s:
+                out.coeffs[e] = s
+            else:
+                out.coeffs.pop(e, None)
+        return out
 
     def __mul__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
-            return DescSeries(self.variables, self.orders, {e: c * other for e, c in self.coeffs.items()})
+            out = DescSeries(self.variables, self.orders)
+            if other:
+                k = Fraction(other)
+                out.coeffs = {e: c * k for e, c in self.coeffs.items()}
+            return out
         if not isinstance(other, DescSeries):
             return NotImplemented
         out = DescSeries(self.variables, self.orders)

@@ -61,6 +61,23 @@ def test_rss_per_op_without_spread_in_ops():
     assert fit["peak_rss_mb_at_base_ops"] == {"base": None, "change": None}
 
 
+def test_rss_per_op_ops_at_bound():
+    # 40 MB at a median of 10000 ops, 2 KB per op: a 10% bound (4 MB) is
+    # reached 2048 ops later
+    runs = [{"base": _run(n, 40 + 2 * (n - 10000) / 1024),
+             "change": _run(n + 1000, 40 + 2 * (n - 9000) / 1024)} for n in (9900, 10000, 10100)]
+    fit = _tool().rss_per_op(runs, 0.1)
+    assert fit["kb_per_op"] == pytest.approx(2.0)
+    assert fit["ops_at_bound"] == pytest.approx(10000 + 2048)
+    assert _tool().rss_per_op(runs)["ops_at_bound"] is None
+    # memory that falls with the op count sets no ceiling
+    falling = [{"base": _run(n, 40 - n / 1024), "change": _run(n + 1, 40 - (n + 1) / 1024)}
+               for n in (100, 200, 300)]
+    assert _tool().rss_per_op(falling, 0.1)["ops_at_bound"] is None
+    flat = [{"base": _run(100, 10.0), "change": _run(100, 11.0)}] * 3
+    assert _tool().rss_per_op(flat, 0.1)["ops_at_bound"] is None
+
+
 def _pairs(name, base, change):
     return [{"base": {"metrics": {name: {"value": b}}}, "change": {"metrics": {name: {"value": c}}}}
             for b, c in zip(base, change)]

@@ -109,8 +109,9 @@ def _series_under_test():
 
 
 class TestDescSeriesInvariant:
-    """`DescSeries.__add__` copies its left operand's dict as it stands, so
-    every series the library returns must hold only nonzero Fractions at
+    """`DescSeries.__add__`, `__sub__`, `__neg__` and scalar `__mul__` build
+    their dicts from their operands' terms without the constructor's checks,
+    so every series the library returns must hold only nonzero Fractions at
     exponents inside its orders, and no operation may share a dict."""
 
     def test_library_series_hold_nonzero_fractions_inside_their_orders(self):
@@ -150,3 +151,49 @@ class TestDescSeriesInvariant:
         out = a + b
         assert out.orders == (2, 1)
         assert out.coeffs == {(1, 1): F(2), (2, 1): F(5)}
+
+    X = DescSeries(("u", "v"), (2, 2), {(0, 0): F(1), (1, 0): F(2), (0, 2): F(-1, 3)})
+
+    @staticmethod
+    def _check(out, expected, *operands):
+        """out equals the constructor's `expected`, holds only nonzero
+        Fractions inside its orders, owns its dict and left `operands` alone."""
+        before = [dict(x.coeffs) for x in operands]
+        assert (out.variables, out.orders, out.coeffs) == \
+            (expected.variables, expected.orders, expected.coeffs)
+        for e, c in out.coeffs.items():
+            assert type(c) is F and c != 0, (e, c)
+            assert all(0 <= k <= o for k, o in zip(e, out.orders)), e
+        out.coeffs[(1, 1)] = F(9)
+        out.coeffs.pop((0, 0), None)
+        assert [x.coeffs for x in operands] == before
+
+    def test_negation(self):
+        x = self.X
+        self._check(-x, DescSeries(x.variables, x.orders, {e: -c for e, c in x.coeffs.items()}), x)
+
+    @pytest.mark.parametrize("case", ["equal", "wider", "cancel", "int", "fraction"])
+    def test_difference(self, case):
+        x = self.X
+        y = {
+            "equal": DescSeries(x.variables, (2, 2), {(1, 0): F(5), (2, 2): F(-1)}),
+            "wider": DescSeries(x.variables, (3, 3), {(1, 0): F(1, 2), (3, 0): F(4), (0, 3): F(2),
+                                                      (2, 2): F(7)}),
+            "cancel": DescSeries(x.variables, (2, 2), {(1, 0): F(2), (0, 2): F(-1, 3), (1, 1): F(1)}),
+            "int": 1,
+            "fraction": F(-2, 7),
+        }[case]
+        ys = y.coeffs if isinstance(y, DescSeries) else {(0, 0): F(y)}
+        expected = DescSeries(x.variables, x.orders,
+                              {e: x.coeff(e) - ys.get(e, 0) for e in set(x.coeffs) | set(ys)})
+        out = x - y
+        if case == "cancel":
+            assert out.coeffs == {(0, 0): F(1), (1, 1): F(-1)}
+        self._check(out, expected, *(v for v in (x, y) if isinstance(v, DescSeries)))
+
+    @pytest.mark.parametrize("k", [0, 1, -1, 7, F(-3, 5)], ids=str)
+    def test_scalar_product(self, k):
+        x = self.X
+        expected = DescSeries(x.variables, x.orders, {e: c * k for e, c in x.coeffs.items()})
+        self._check(x * k, expected, x)
+        self._check(k * x, expected, x)

@@ -2,7 +2,13 @@ from fractions import Fraction as F
 
 import pytest
 
-from vertexforge.characters import DescendentSpec, all_conventions, descendent_char, euler_hilb
+from vertexforge.characters import (
+    DEFAULT_CONVENTION,
+    DescendentSpec,
+    all_conventions,
+    descendent_char,
+    euler_hilb,
+)
 from vertexforge.partitions import (
     LeggedPlanePartition,
     Partition,
@@ -10,6 +16,7 @@ from vertexforge.partitions import (
     enum_partitions,
     first_slice,
 )
+from vertexforge.residue import pt_residue_vertex
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import (
@@ -89,6 +96,12 @@ class TestBareDT:
         assert all(got)
 
 
+def _times(a, b):
+    """Product of two coefficient lists, truncated at the shorter."""
+    order = min(len(a), len(b)) - 1
+    return [sum(a[i] * b[m - i] for i in range(m + 1)) for m in range(order + 1)]
+
+
 def _macmahon_power(r, order):
     """Coefficients of q^0..q^order of M(-q)^r = prod_k (1 - (-q)^k)^(-k r),
     each factor the binomial series sum_n binom(-k r, n) (-(-q)^k)^n."""
@@ -98,8 +111,50 @@ def _macmahon_power(r, order):
         for n in range(order // k + 1):
             factor[k * n] = binom * (-(-1) ** k) ** n
             binom = binom * (a - n) / (n + 1)
-        out = [sum(out[i] * factor[m - i] for i in range(m + 1)) for m in range(order + 1)]
+        out = _times(out, factor)
     return out
+
+
+def _hook_product(lam, order):
+    """Coefficients of q^0..q^order of prod over boxes of 1/(1 - (-q)^h),
+    h the box's hook length: the one-leg topological vertex."""
+    out = [F(1)] + [F(0)] * order
+    for cell in lam.cells():
+        h = lam.arm(cell) + lam.leg(cell) + 1
+        out = _times(out, [F((-1) ** m) if m % h == 0 else F(0) for m in range(order + 1)])
+    return out
+
+
+class TestCYOneLegClosedForms:
+    """On the Calabi-Yau line t1 + t2 + t3 = 0 the one-leg vertices are the
+    topological vertex (Okounkov-Reshetikhin-Vafa, arXiv:hep-th/0309208;
+    Pandharipande-Thomas, arXiv:0707.2348), by localization and by residues."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("parts", [(1,), (2,), (1, 1), (2, 1), (3, 1)], ids=str)
+    def test_pt_by_localization(self, parts, seed):
+        lam, s = Partition(list(parts)), sample_random(seed, 14, line=-1)
+        res = bare_pt(("fixedpoint", lam), 6, (), s)
+        got = [c.coeff(()) * euler_hilb(lam, s) for c in res.coeffs]
+        assert got == _hook_product(lam, 6)
+        assert any(got[1:])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("parts", [(1,), (2,), (2, 1)], ids=str)
+    def test_pt_by_residues(self, parts, seed):
+        lam, s = Partition(list(parts)), sample_random(seed, 14, line=-1)
+        res = pt_residue_vertex(lam, 5, (), s, DEFAULT_CONVENTION, basis="interp")
+        got = [c.coeff(()) * euler_hilb(lam, s) for c in res]
+        assert got == _hook_product(lam, 5)
+        assert any(got[1:])
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    @pytest.mark.parametrize("parts", [(1,), (2,), (2, 1)], ids=str)
+    def test_dt(self, parts, seed):
+        lam, s = Partition(list(parts)), sample_random(seed, 14, line=-1)
+        got = [c.coeff(()) for c in bare_dt(lam, 6, (), s).coeffs]
+        assert got == _times(_macmahon_power(1, 6), _hook_product(lam, 6))
+        assert any(got[1:])
 
 
 class TestDt0Slice:

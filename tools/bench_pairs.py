@@ -20,7 +20,9 @@ the working directory. `rss_per_op` is informational: the least-squares slope of
 `peak_rss_mb` on `attempted` over all runs of a workload, in KB per op, and
 each side's median `peak_rss_mb` moved along it to the base's median
 `attempted`, which separates the memory the library uses from the memory
-the runner's per-op records take. Progress goes to standard error.
+the runner's per-op records take, and `ops_at_bound`, the op count at which
+that slope would carry the base's median `peak_rss_mb` to its bound.
+Progress goes to standard error.
 """
 
 from __future__ import annotations
@@ -99,11 +101,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def rss_per_op(runs: list[dict]) -> dict:
+def rss_per_op(runs: list[dict], bound: float | None = None) -> dict:
     """`peak_rss_mb` against `attempted`: the least-squares slope over both
     sides' runs in KB per op (None when every run attempted as many ops),
-    and each side's median `peak_rss_mb` moved along it to the base's median
-    `attempted`."""
+    each side's median `peak_rss_mb` moved along it to the base's median
+    `attempted`, and `ops_at_bound`, the `attempted` count at which the slope
+    takes the base's median `peak_rss_mb` to `bound` past it (None without a
+    positive slope or a bound)."""
     sides = ("base", "change")
     ops = {side: [r[side]["attempted"] for r in runs] for side in sides}
     rss = {side: [r[side]["metrics"]["peak_rss_mb"]["value"] for r in runs] for side in sides}
@@ -113,9 +117,11 @@ def rss_per_op(runs: list[dict]) -> dict:
     except statistics.StatisticsError:
         slope = None
     at = statistics.median(ops["base"])
+    headroom = bound is not None and slope is not None and slope > 0
     return {
         "kb_per_op": None if slope is None else slope * 1024,
         "at_attempted": at,
+        "ops_at_bound": at + bound * statistics.median(rss["base"]) / slope if headroom else None,
         "peak_rss_mb_at_base_ops": {
             side: None if slope is None
             else statistics.median(rss[side]) + slope * (at - statistics.median(ops[side]))
@@ -138,6 +144,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     seconds, metrics = bench["run_seconds"], bench["end_to_end"]
+    rss_bound = next(m["bound"] for m in metrics if m["name"] == "peak_rss_mb")
     doc = {
         "label": args.label,
         "command": "perfbench/run.py --workload W --seed S --seconds T --trace 0",
@@ -167,7 +174,7 @@ def main(argv=None) -> int:
             "attempted": {side: statistics.median(r[side]["attempted"] for r in runs)
                           for side in ("base", "change")},
             "summary": summarize(runs, metrics),
-            "rss_per_op": rss_per_op(runs),
+            "rss_per_op": rss_per_op(runs, rss_bound),
             "runs": runs,
         }
     out = Path(f"BENCH_{args.label}.json")
