@@ -28,7 +28,7 @@ def test_rss_per_op_pools_both_sides():
         b, c = 8000 + 37 * i, 9000 + 41 * (9 - i)
         runs.append({"base": _run(b, 20 + 1.5 * b / 1024),
                      "change": _run(c, 20.25 + 1.5 * c / 1024)})
-    fit = _tool().rss_per_op(runs)
+    fit = _tool().rss_per_op(runs, 0.1)
     # one least-squares line through all 20 runs, by the normal equations
     xs = [r[side]["attempted"] for r in runs for side in ("base", "change")]
     ys = [r[side]["metrics"]["peak_rss_mb"]["value"] for r in runs for side in ("base", "change")]
@@ -48,7 +48,7 @@ def test_rss_per_op_pools_both_sides():
 def test_rss_per_op_exact_on_a_line():
     runs = [{"base": _run(n, 10 + n / 1024), "change": _run(n + 500, 10 + (n + 500) / 1024)}
             for n in (100, 300, 200)]
-    fit = _tool().rss_per_op(runs)
+    fit = _tool().rss_per_op(runs, 0.1)
     assert fit["kb_per_op"] == pytest.approx(1.0)
     assert fit["peak_rss_mb_at_base_ops"] == {"base": pytest.approx(10 + 200 / 1024),
                                               "change": pytest.approx(10 + 200 / 1024)}
@@ -56,7 +56,7 @@ def test_rss_per_op_exact_on_a_line():
 
 def test_rss_per_op_without_spread_in_ops():
     runs = [{"base": _run(100, 10.0), "change": _run(100, 11.0)}] * 3
-    fit = _tool().rss_per_op(runs)
+    fit = _tool().rss_per_op(runs, 0.1)
     assert fit["kb_per_op"] is None
     assert fit["peak_rss_mb_at_base_ops"] == {"base": None, "change": None}
 
@@ -69,7 +69,7 @@ def test_rss_per_op_ops_at_bound():
     fit = _tool().rss_per_op(runs, 0.1)
     assert fit["kb_per_op"] == pytest.approx(2.0)
     assert fit["ops_at_bound"] == pytest.approx(10000 + 2048)
-    assert _tool().rss_per_op(runs)["ops_at_bound"] is None
+    assert _tool().rss_per_op(runs, 0.2)["ops_at_bound"] == pytest.approx(10000 + 4096)
     # memory that falls with the op count sets no ceiling
     falling = [{"base": _run(n, 40 - n / 1024), "change": _run(n + 1, 40 - (n + 1) / 1024)}
                for n in (100, 200, 300)]

@@ -101,13 +101,13 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict:
     return out
 
 
-def rss_per_op(runs: list[dict], bound: float | None = None) -> dict:
+def rss_per_op(runs: list[dict], bound: float) -> dict:
     """`peak_rss_mb` against `attempted`: the least-squares slope over both
     sides' runs in KB per op (None when every run attempted as many ops),
     each side's median `peak_rss_mb` moved along it to the base's median
     `attempted`, and `ops_at_bound`, the `attempted` count at which the slope
     takes the base's median `peak_rss_mb` to `bound` past it (None without a
-    positive slope or a bound)."""
+    positive slope)."""
     sides = ("base", "change")
     ops = {side: [r[side]["attempted"] for r in runs] for side in sides}
     rss = {side: [r[side]["metrics"]["peak_rss_mb"]["value"] for r in runs] for side in sides}
@@ -117,11 +117,11 @@ def rss_per_op(runs: list[dict], bound: float | None = None) -> dict:
     except statistics.StatisticsError:
         slope = None
     at = statistics.median(ops["base"])
-    headroom = bound is not None and slope is not None and slope > 0
     return {
         "kb_per_op": None if slope is None else slope * 1024,
         "at_attempted": at,
-        "ops_at_bound": at + bound * statistics.median(rss["base"]) / slope if headroom else None,
+        "ops_at_bound": at + bound * statistics.median(rss["base"]) / slope
+        if slope is not None and slope > 0 else None,
         "peak_rss_mb_at_base_ops": {
             side: None if slope is None
             else statistics.median(rss[side]) + slope * (at - statistics.median(ops[side]))
