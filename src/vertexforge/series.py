@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import product
+from operator import add, le
 from typing import Dict, List, Sequence, Tuple
 
 
@@ -83,6 +84,13 @@ class QSeries:
 class DescSeries:
     """Truncated multivariate power series in the descendent variables,
     truncated at the per-variable orders `orders[v]`.
+
+    Invariant: `coeffs` holds only nonzero `Fraction`s, at exponents inside
+    `orders`. Only the public constructor validates; the operations build
+    their dicts from operands that already hold the invariant. `+`, `-` and
+    `*` of two series take each variable's lower order of the two operands,
+    as `QSeries` does, and raise `ValueError` for operands in different
+    variables (`localcurve._lift` re-indexes a series into new variables).
     """
 
     __slots__ = ("variables", "orders", "coeffs")
@@ -102,7 +110,7 @@ class DescSeries:
                     self.coeffs[tuple(e)] = Fraction(c)
 
     def _inside(self, e: Tuple[int, ...]) -> bool:
-        return all(x <= o for x, o in zip(e, self.orders))
+        return all(map(le, e, self.orders))
 
     @classmethod
     def const(cls, variables, orders, c) -> "DescSeries":
@@ -121,28 +129,45 @@ class DescSeries:
             return NotImplemented
         return self.variables == other.variables and self.coeffs == other.coeffs
 
+    def _orders_with(self, other: "DescSeries") -> Tuple[int, ...]:
+        """The orders of self + other, self - other and self * other."""
+        if other.variables != self.variables:
+            raise ValueError(f"series in variables {self.variables} and {other.variables}")
+        if other.orders == self.orders:
+            return self.orders
+        return tuple(map(min, self.orders, other.orders))
+
+    def _truncated(self, orders: Tuple[int, ...]) -> "DescSeries":
+        """self's terms inside `orders`, in a dict of their own."""
+        out = DescSeries(self.variables, orders)
+        if orders == self.orders:
+            out.coeffs = dict(self.coeffs)
+        else:
+            out.coeffs = {e: c for e, c in self.coeffs.items() if out._inside(e)}
+        return out
+
     def __add__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
             other = DescSeries.const(self.variables, self.orders, other)
-        # self holds only nonzero Fractions inside its orders, so its dict is
-        # copied as it stands; other's terms are tested only at other orders
-        out = DescSeries(self.variables, self.orders)
-        out.coeffs = dict(self.coeffs)
-        check = other.orders != self.orders
+        out = self._truncated(self._orders_with(other))
+        coeffs, get, orders = out.coeffs, out.coeffs.get, out.orders
+        check = orders != other.orders
         for e, c in other.coeffs.items():
-            if check and not out._inside(e):
+            if check and not all(map(le, e, orders)):
                 continue
-            s = out.coeffs.get(e, Fraction(0)) + c
-            if s:
-                out.coeffs[e] = s
+            s = get(e)
+            if s is None:
+                coeffs[e] = c
             else:
-                out.coeffs.pop(e, None)
+                s += c
+                if s:
+                    coeffs[e] = s
+                else:
+                    del coeffs[e]
         return out
 
     __radd__ = __add__
 
-    # -x, x - y and x * k build their dicts from operands that already hold
-    # the invariant, without the constructor's per-term checks
     def __neg__(self) -> "DescSeries":
         out = DescSeries(self.variables, self.orders)
         out.coeffs = {e: -c for e, c in self.coeffs.items()}
@@ -151,18 +176,25 @@ class DescSeries:
     def __sub__(self, other) -> "DescSeries":
         if not isinstance(other, DescSeries):
             return self + -Fraction(other)
-        out = DescSeries(self.variables, self.orders)
-        out.coeffs = dict(self.coeffs)
-        check = other.orders != self.orders
+        out = self._truncated(self._orders_with(other))
+        coeffs, get, orders = out.coeffs, out.coeffs.get, out.orders
+        check = orders != other.orders
         for e, c in other.coeffs.items():
-            if check and not out._inside(e):
+            if check and not all(map(le, e, orders)):
                 continue
-            s = out.coeffs.get(e, Fraction(0)) - c
-            if s:
-                out.coeffs[e] = s
+            s = get(e)
+            if s is None:
+                coeffs[e] = -c
             else:
-                out.coeffs.pop(e, None)
+                s -= c
+                if s:
+                    coeffs[e] = s
+                else:
+                    del coeffs[e]
         return out
+
+    def __rsub__(self, other) -> "DescSeries":
+        return -self + Fraction(other)
 
     def __mul__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):
@@ -173,17 +205,19 @@ class DescSeries:
             return out
         if not isinstance(other, DescSeries):
             return NotImplemented
-        out = DescSeries(self.variables, self.orders)
+        out = DescSeries(self.variables, self._orders_with(other))
+        orders = out.orders
+        coeffs = {}
+        get = coeffs.get
+        terms = other.coeffs.items()
         for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                if not out._inside(e):
-                    continue
-                s = out.coeffs.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out.coeffs[e] = s
-                else:
-                    out.coeffs.pop(e, None)
+            for e2, c2 in terms:
+                e = tuple(map(add, e1, e2))
+                if all(map(le, e, orders)):
+                    s = get(e)
+                    coeffs[e] = c1 * c2 if s is None else s + c1 * c2
+        # a product of nonzero terms is nonzero; only a sum can cancel
+        out.coeffs = {e: c for e, c in coeffs.items() if c}
         return out
 
     __rmul__ = __mul__

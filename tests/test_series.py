@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 from math import factorial
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings
@@ -108,10 +109,43 @@ def _series_under_test():
         yield f"egl_localization {total}", egl_localization(2, [3, 2], s, None, total)
 
 
+def _reference(op, x, y):
+    """x op y for series x and y through the validating constructor: every
+    pair of exponents (for "*") or every exponent of either (for "+", "-"),
+    truncated at each variable's lower order of the two."""
+    terms = {}
+    if op == "*":
+        for e1, c1 in x.coeffs.items():
+            for e2, c2 in y.coeffs.items():
+                e = tuple(a + b for a, b in zip(e1, e2))
+                terms[e] = terms.get(e, 0) + c1 * c2
+    else:
+        sign = 1 if op == "+" else -1
+        for e in set(x.coeffs) | set(y.coeffs):
+            terms[e] = x.coeff(e) + sign * y.coeff(e)
+    return DescSeries(x.variables, tuple(map(min, x.orders, y.orders)), terms)
+
+
+_COEFFS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-3, 4)])
+
+
+@st.composite
+def _series_pair(draw):
+    """Two series in the same 1-3 variables, each with its own orders."""
+    vs = ("u", "v", "w")[:draw(st.integers(1, 3))]
+
+    def series():
+        orders = tuple(draw(st.integers(0, 3)) for _ in vs)
+        exponents = st.tuples(*(st.integers(0, o) for o in orders))
+        return DescSeries(vs, orders, draw(st.dictionaries(exponents, _COEFFS, max_size=6)))
+
+    return series(), series()
+
+
 class TestDescSeriesInvariant:
-    """`DescSeries.__add__`, `__sub__`, `__neg__` and scalar `__mul__` build
-    their dicts from their operands' terms without the constructor's checks,
-    so every series the library returns must hold only nonzero Fractions at
+    """`DescSeries.__add__`, `__sub__`, `__neg__` and `__mul__` build their
+    dicts from their operands' terms without the constructor's checks, so
+    every series the library returns must hold only nonzero Fractions at
     exponents inside its orders, and no operation may share a dict."""
 
     def test_library_series_hold_nonzero_fractions_inside_their_orders(self):
@@ -197,3 +231,71 @@ class TestDescSeriesInvariant:
         expected = DescSeries(x.variables, x.orders, {e: c * k for e, c in x.coeffs.items()})
         self._check(x * k, expected, x)
         self._check(k * x, expected, x)
+
+    @pytest.mark.parametrize("case", ["equal", "cancel", "three", "empty"])
+    def test_product(self, case):
+        x = self.X
+        if case == "equal":
+            y = DescSeries(x.variables, (2, 2), {(0, 0): F(-2), (1, 0): F(5), (1, 2): F(1, 3)})
+        elif case == "cancel":
+            # (u + v)(u - v) truncated at (1, 1): u^2 and v^2 fall outside, uv cancels
+            x = DescSeries(x.variables, (1, 1), {(1, 0): F(1), (0, 1): F(1)})
+            y = DescSeries(x.variables, (1, 1), {(1, 0): F(1), (0, 1): F(-1)})
+        elif case == "three":
+            vs = ("u", "v", "w")
+            x = DescSeries(vs, (2, 1, 2), {(0, 0, 0): F(1), (1, 0, 1): F(2), (0, 1, 0): F(-1, 2),
+                                           (2, 0, 0): F(3)})
+            y = DescSeries(vs, (2, 1, 2), {(0, 0, 0): F(-1), (1, 1, 0): F(4), (0, 0, 2): F(1, 5),
+                                           (1, 0, 1): F(7)})
+        else:
+            y = DescSeries(x.variables, (2, 2))
+        expected = _reference("*", x, y)
+        out = x * y
+        if case in ("cancel", "empty"):
+            assert out.coeffs == {}
+        elif case == "three":
+            assert len(out.coeffs) < len(x.coeffs) * len(y.coeffs)  # some products fell outside
+        self._check(out, expected, x, y)
+
+    A = DescSeries(("u",), (1,), {(0,): F(1), (1,): F(1)})
+    B = DescSeries(("u",), (2,), {(0,): F(1), (1,): F(1), (2,): F(1, 2)})
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_operations_truncate_at_the_lower_orders(self, op):
+        # with the wider operand on the left, its terms past the other's order
+        # are not known coefficients of the result: B * A is e^{2u} only
+        # through u^1
+        a, b = self.A, self.B
+        out = {"+": lambda: b + a, "-": lambda: b - a, "*": lambda: b * a}[op]()
+        expected = {"+": {(0,): F(2), (1,): F(2)}, "-": {}, "*": {(0,): F(1), (1,): F(2)}}[op]
+        assert (out.orders, out.coeffs) == ((1,), expected)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    @pytest.mark.parametrize("vs", [("v", "w"), ("v",)], ids=["v,w", "v"])
+    def test_operands_in_different_variables_raise(self, op, vs):
+        x = DescSeries(("u",), (2,), {(0,): F(1), (1,): F(1)})
+        y = DescSeries(vs, (2,) * len(vs), {(1,) * len(vs): F(1)})
+        with pytest.raises(ValueError):
+            {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y}[op]()
+
+    @pytest.mark.parametrize("k", [0, 1, F(-2, 7)], ids=str)
+    def test_scalar_minus_series(self, k):
+        x = self.X
+        self._check(k - x, _reference("-", DescSeries.const(x.variables, x.orders, k), x), x)
+
+    @given(pair=_series_pair(),
+           op=st.sampled_from(["x+y", "x-y", "x*y", "x+k", "k+x", "x-k", "k-x", "x*k", "k*x"]),
+           k=st.sampled_from([0, 1, -2, F(1, 2), F(-3, 4)]))
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_reference(self, pair, op, k):
+        x, y = pair
+        left, sym, right = op
+        value = {"x": x, "y": y, "k": k}
+        series = {"x": x, "y": y, "k": DescSeries.const(x.variables, x.orders, k)}
+        expected = _reference(sym, series[left], series[right])
+        before = [dict(x.coeffs), dict(y.coeffs)]
+        out = {"+": add, "-": sub, "*": mul}[sym](value[left], value[right])
+        assert (out.variables, out.orders, out.coeffs) == \
+            (expected.variables, expected.orders, expected.coeffs)
+        assert all(type(c) is F for c in out.coeffs.values())
+        assert [x.coeffs, y.coeffs] == before
