@@ -146,8 +146,11 @@ class DescSeries:
             out.coeffs = {e: c for e, c in self.coeffs.items() if out._inside(e)}
         return out
 
+    # a scalar operand is an int or a Fraction: a float has no exact value
     def __add__(self, other) -> "DescSeries":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, DescSeries):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             other = DescSeries.const(self.variables, self.orders, other)
         out = self._truncated(self._orders_with(other))
         coeffs, get, orders = out.coeffs, out.coeffs.get, out.orders
@@ -175,6 +178,8 @@ class DescSeries:
 
     def __sub__(self, other) -> "DescSeries":
         if not isinstance(other, DescSeries):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             return self + -Fraction(other)
         out = self._truncated(self._orders_with(other))
         coeffs, get, orders = out.coeffs, out.coeffs.get, out.orders
@@ -194,7 +199,9 @@ class DescSeries:
         return out
 
     def __rsub__(self, other) -> "DescSeries":
-        return -self + Fraction(other)
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        return -self + other
 
     def __mul__(self, other) -> "DescSeries":
         if isinstance(other, (int, Fraction)):

@@ -126,6 +126,7 @@ def _reference(op, x, y):
     return DescSeries(x.variables, tuple(map(min, x.orders, y.orders)), terms)
 
 
+_OPS = {"+": add, "-": sub, "*": mul}
 _COEFFS = st.sampled_from([F(0), F(1), F(-1), F(1, 2), F(-1, 2), F(2), F(-3, 4)])
 
 
@@ -266,7 +267,7 @@ class TestDescSeriesInvariant:
         # are not known coefficients of the result: B * A is e^{2u} only
         # through u^1
         a, b = self.A, self.B
-        out = {"+": lambda: b + a, "-": lambda: b - a, "*": lambda: b * a}[op]()
+        out = _OPS[op](b, a)
         expected = {"+": {(0,): F(2), (1,): F(2)}, "-": {}, "*": {(0,): F(1), (1,): F(2)}}[op]
         assert (out.orders, out.coeffs) == ((1,), expected)
 
@@ -276,12 +277,19 @@ class TestDescSeriesInvariant:
         x = DescSeries(("u",), (2,), {(0,): F(1), (1,): F(1)})
         y = DescSeries(vs, (2,) * len(vs), {(1,) * len(vs): F(1)})
         with pytest.raises(ValueError):
-            {"+": lambda: x + y, "-": lambda: x - y, "*": lambda: x * y}[op]()
+            _OPS[op](x, y)
 
     @pytest.mark.parametrize("k", [0, 1, F(-2, 7)], ids=str)
     def test_scalar_minus_series(self, k):
         x = self.X
         self._check(k - x, _reference("-", DescSeries.const(x.variables, x.orders, k), x), x)
+
+    @pytest.mark.parametrize("op", ["+", "-", "*"])
+    def test_float_operands_raise(self, op):
+        with pytest.raises(TypeError):
+            _OPS[op](self.X, 0.5)
+        with pytest.raises(TypeError):
+            _OPS[op](0.5, self.X)
 
     @given(pair=_series_pair(),
            op=st.sampled_from(["x+y", "x-y", "x*y", "x+k", "k+x", "x-k", "k-x", "x*k", "k*x"]),
@@ -294,7 +302,7 @@ class TestDescSeriesInvariant:
         series = {"x": x, "y": y, "k": DescSeries.const(x.variables, x.orders, k)}
         expected = _reference(sym, series[left], series[right])
         before = [dict(x.coeffs), dict(y.coeffs)]
-        out = {"+": add, "-": sub, "*": mul}[sym](value[left], value[right])
+        out = _OPS[sym](value[left], value[right])
         assert (out.variables, out.orders, out.coeffs) == \
             (expected.variables, expected.orders, expected.coeffs)
         assert all(type(c) is F for c in out.coeffs.values())
