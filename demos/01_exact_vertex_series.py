@@ -53,5 +53,5 @@ for n, c in enumerate(res.coeffs):
 
 res_dt = bare_dt(Partition([1]), 2, (), s)
 print("\nbare ideal-sheaf vertex with a one-cell leg (no insertions):")
-print(" ", [str(c.coeff(())) for c in res_dt.coeffs])
+print(" ", [str(c) for c in res_dt.coeffs.scalars()])
 print("  (the q^0 coefficient is 1: the renormalized volume grading)")

@@ -88,9 +88,9 @@ class CheckReport(Record):
 
 
 def _compare_series(xs, ys) -> tuple[bool, int]:
-    """Exact coefficientwise comparison of two coefficient lists of equal
+    """Exact coefficientwise comparison of two series of equal shift and
     length: (equal, number of nonzero coefficients met on either side)."""
-    if len(xs) != len(ys):
+    if len(xs) != len(ys) or xs.shift != ys.shift:
         return False, 0
     equal, nonzero = True, 0
     for a, b in zip(xs, ys, strict=True):
@@ -155,7 +155,7 @@ def check_mainpt(params: dict, conv: Convention):
                 {"shape": lam.to_json(), "sample": i, "sample_values": s.to_json(),
                  "chern_basis": ok_c,
                  "fixedpoint_basis": ok_f, "chern_nonzero": nz_c,
-                 "fixedpoint_nonzero": nz_f, "q_shift": 0}
+                 "fixedpoint_nonzero": nz_f, "q_shift": res.shift}
             )
     return cases, allok, ["recorded global q-shift: 0; orientation matches localization"]
 
@@ -216,11 +216,10 @@ def check_slices(params: dict, conv: Convention):
     allok = heights_ok and slices_ok and roundtrip_ok
     s = sample_random(seed, qorder + 8)
     total = bare_dt(Partition(), qorder, (), s, conv).scalar_series()
-    acc = QSeries(qorder)
+    acc = QSeries([0] * (qorder + 1))
     for n in range(0, qorder + 1):
         for mu in enum_partitions(n):
             acc = acc + dt0_slice(mu, (), s, qorder, conv).scalar_series()
-    acc = acc.truncate(qorder)
     slice_sum_ok = acc == total
     cases.append({"slice_sum_equals_vertex": slice_sum_ok,
                   "series": [str(c) for c in total.coeffs]})
@@ -237,16 +236,13 @@ def check_simple(params: dict, conv: Convention):
     degrees = tuple(params["degrees"])
     samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
     cases = []
-    pt_all = []
-    for s in samples:
-        zpt = [c.coeff(()) for c in glue(GlueRequest("PT", degrees, 1, (), (), qorder, s, conv))]
-        pt_all.append(zpt)
+    pt_all = [glue(GlueRequest("PT", degrees, 1, (), (), qorder, s, conv)).scalars() for s in samples]
     pt_indep = all(p == pt_all[0] for p in pt_all)
     s = samples[0]
-    zdt = [c.coeff(()) for c in glue(GlueRequest("DT", degrees, 1, (), (), qorder, s, conv))]
+    zdt = glue(GlueRequest("DT", degrees, 1, (), (), qorder, s, conv)).scalars()
     zdt0 = dt0_localcurve(degrees, s, qorder, conv)
     zpt = pt_all[0]
-    prod = (QSeries(qorder, zpt) * QSeries(qorder, zdt0)).coeffs
+    prod = (QSeries(zpt) * QSeries(zdt0)).coeffs
     ok = zdt == prod
     residual = None
     if not ok:
@@ -818,5 +814,5 @@ def _execute_request(request: dict, conv: Convention) -> dict:
         raise InvalidCheckSpec("request exceeds the desk-scale bound")
     s = sample_random(seed, L)
     req = GlueRequest(request.get("theory", "PT"), degrees, n, desc0, descinf, qorder, s, conv)
-    coeffs = glue(req)
-    return {"request": req.to_json(), "shift": 0, "coeffs": [c.to_json() for c in coeffs]}
+    series = glue(req)
+    return {"request": req.to_json(), "shift": series.shift, "coeffs": series.to_json()}

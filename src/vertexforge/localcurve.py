@@ -18,7 +18,7 @@ from .characters import (
 from .partitions import Partition, enum_partitions
 from .records import Record
 from .sampling import ParamSample
-from .series import DescSeries
+from .series import DescSeries, QSeries
 from .vertex import bare_dt, bare_pt
 
 
@@ -59,39 +59,30 @@ def _vertex_weight_series(theory, lam, desc, s, qorder, conv):
     """Vertex sum WITHOUT the 1/e_mu fixed-point normalization: the edge
     placement convention keeps all transverse directions in the edge factor."""
     if theory == "PT":
-        res = bare_pt(("fixedpoint", lam), qorder, desc, s, conv)
-        scale = euler_hilb(lam, s, conv)
-        return [c * scale for c in res.coeffs]
-    res = bare_dt(lam, qorder, desc, s, conv)
-    return res.coeffs
+        return bare_pt(("fixedpoint", lam), qorder, desc, s, conv).coeffs * euler_hilb(lam, s, conv)
+    return bare_dt(lam, qorder, desc, s, conv).coeffs
 
 
-def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> List[DescSeries]:
+def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> QSeries:
     """Sum over cross-section fixed points lambda, |lambda| = n, of
-    W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted), q-degree
-    by q-degree, `vertex(lambda, desc, sample)` giving the coefficients of
-    W(lambda) by q-power.  The list places a descendent on its vertex, so an
-    'inf' insertion in `desc_zero` is a mistake: it raises ValueError."""
+    W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted),
+    `vertex(lambda, desc, sample)` giving the series W(lambda).  The list
+    places a descendent on its vertex, so an 'inf' insertion in `desc_zero`
+    is a mistake: it raises ValueError."""
     if any(sp.insertion == "inf" for sp in desc_zero):
         raise ValueError("a descendent at insertion 'inf' belongs in desc_inf, not desc_zero")
     ssub = s.substituted(*degrees)
     vs = tuple(sp.variable for sp in tuple(desc_zero) + tuple(desc_inf))
     orders = tuple(sp.order for sp in tuple(desc_zero) + tuple(desc_inf))
-    out = [DescSeries(vs, orders) for _ in range(qorder + 1)]
+    out = QSeries([DescSeries(vs, orders) for _ in range(qorder + 1)])
     for lam in enum_partitions(n):
-        w0 = vertex(lam, desc_zero, s)
-        winf = vertex(lam, desc_inf, ssub)
-        ed = edge_factor(lam, degrees, s)
-        for n0, c0 in enumerate(w0):
-            for ni, ci in enumerate(winf):
-                if n0 + ni > qorder:
-                    continue
-                prod_ds = _lift(c0, vs, orders) * _lift(ci, vs, orders)
-                out[n0 + ni] = out[n0 + ni] + prod_ds * ed
+        w0 = _lift(vertex(lam, desc_zero, s), vs, orders)
+        winf = _lift(vertex(lam, desc_inf, ssub), vs, orders)
+        out = out + w0 * winf * edge_factor(lam, degrees, s)
     return out
 
 
-def glue(req: GlueRequest) -> List[DescSeries]:
+def glue(req: GlueRequest) -> QSeries:
     """Local-curve series: sum over cross-section fixed points lambda of
     W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted)."""
     return _glue_sum(
@@ -100,16 +91,19 @@ def glue(req: GlueRequest) -> List[DescSeries]:
                                                    req.convention))
 
 
-def _lift(ds: DescSeries, vs, orders) -> DescSeries:
-    """Reindex a DescSeries into the joint variable tuple."""
-    out = DescSeries(vs, orders)
-    idx = [vs.index(v) for v in ds.variables]
-    for e, c in ds.coeffs.items():
-        e2 = [0] * len(vs)
-        for pos, x in zip(idx, e):
-            e2[pos] = x
-        out.coeffs[tuple(e2)] = c
-    return out
+def _lift(series: QSeries, vs, orders) -> QSeries:
+    """Reindex a series' DescSeries coefficients into the joint variable tuple."""
+    out = []
+    for ds in series:
+        lifted = DescSeries(vs, orders)
+        idx = [vs.index(v) for v in ds.variables]
+        for e, c in ds.coeffs.items():
+            e2 = [0] * len(vs)
+            for pos, x in zip(idx, e):
+                e2[pos] = x
+            lifted.coeffs[tuple(e2)] = c
+        out.append(lifted)
+    return QSeries(out, series.shift)
 
 
 def dt0_localcurve(degrees: Tuple[int, int], s: ParamSample, qorder: int,
@@ -118,8 +112,7 @@ def dt0_localcurve(degrees: Tuple[int, int], s: ParamSample, qorder: int,
     vertex series, one at the t parameters and one at the substituted ones."""
     a = bare_dt(Partition(), qorder, (), s, conv).scalar_series()
     b = bare_dt(Partition(), qorder, (), s.substituted(*degrees), conv).scalar_series()
-    c = a * b
-    return [c.coeff_at(n) for n in range(qorder + 1)]
+    return (a * b).scalars()
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +127,7 @@ def ptint_residue(
     s: ParamSample,
     qorder: int,
     conv: Convention = DEFAULT_CONVENTION,
-) -> List[DescSeries]:
+) -> QSeries:
     """Glued local-curve series evaluated through the residue form of both
     vertices: the interpolation-polynomial edge kernel is diagonal in the
     fixed-point classes, each vertex is an iterated residue, and the infinity
@@ -144,7 +137,7 @@ def ptint_residue(
     def vertex(lam, desc, smp):
         # interp-basis residue vertices match bare_pt fixed-point mode, i.e.
         # carry 1/e; restore the vertex-weight normalization for gluing
-        e = euler_hilb(lam, smp, conv)
-        return [c * e for c in pt_residue_vertex(lam, qorder, desc, smp, conv, basis="interp")]
+        series = pt_residue_vertex(lam, qorder, desc, smp, conv, basis="interp")
+        return series * euler_hilb(lam, smp, conv)
 
     return _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex)

@@ -47,7 +47,7 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 
 from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator
 from .records import Record
-from .series import DescSeries, enumerate_exponents
+from .series import DescSeries, QSeries, enumerate_exponents
 
 ZERO = Fraction(0)
 
@@ -782,8 +782,8 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
                       region: str = "inner"):
     """Iterated-residue evaluation of the one-leg stable-pairs vertex.
 
-    Returns a list of series coefficients by q-power (0..qorder), normalized
-    to match the localization vertex: chern basis is divided by t3^n (the
+    Returns the series in q (q^0..q^qorder), normalized to match the
+    localization vertex: chern basis is divided by t3^n (the
     root-scale factor), interp basis by the fixed-point Euler class.
     """
     from itertools import product as iproduct
@@ -810,7 +810,7 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
             continue
         t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs, table)
         sums[d] = sums[d] + residue_sum_series(t, buckets, n, region, vs, orders_all)
-    return [c * norm for c in sums]
+    return QSeries(sums) * norm
 
 
 # ---------------------------------------------------------------------------
@@ -1065,11 +1065,12 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         pp = LeggedPlanePartition(Partition(), heights)
         ch = descendent_char(pp, wspec, s, conv, variables=vs, orders=orders_all)
         rebal[d] = rebal[d] + ch * (ratio * wpt)
-    rebal_ok = all(a == b for a, b in zip(rebal, target.coeffs))
+    rebal = QSeries(rebal)
+    rebal_ok = rebal == target.coeffs
     report["ratio_rebalancing"] = {
         "pass": rebal_ok,
-        "slice_sum": [c.to_json() for c in target.coeffs],
-        "rebalanced": [c.to_json() for c in rebal],
+        "slice_sum": target.coeffs.to_json(),
+        "rebalanced": rebal.to_json(),
     }
 
     # --- residue-side scan (informative)
@@ -1085,6 +1086,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         chp = descendent_char(RppConfig(mu, k), DescendentSpec("ch_prime", 0, "w1", worder), s, conv,
                               variables=vs, orders=orders_all)
         pt_target[size] = pt_target[size] + chp * (w * ratio)
+    pt_target = QSeries(pt_target)
     table, jp = _FormTable(n), interp_poly(mu, s)
     for variant in ("derived", "printed"):
         for bound in (-1, 0, 1):
@@ -1099,11 +1101,10 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
                     feasible = False
                     continue
                 by_degree[d] = by_degree.get(d, DescSeries(vs, orders_all)) + val
+            lo, zero = min(by_degree, default=0), DescSeries(vs, orders_all)
             for orient in (1, -1):
-                series = []
-                for d in range(min(by_degree, default=0), qorder + 1):
-                    c = by_degree.get(d, DescSeries(vs, orders_all))
-                    series.append(c * (Fraction(orient) ** abs(d)))
+                series = QSeries([by_degree.get(d, zero) * Fraction(orient) ** abs(d)
+                                  for d in range(lo, qorder + 1)], lo)
                 dt_match, dt_nonzero = _scan_match(series, target.coeffs)
                 pt_match, pt_nonzero = _scan_match(series, pt_target)
                 scan.append({
@@ -1115,10 +1116,10 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
                     "dt_nonzero": dt_nonzero,
                     "pt_side_match": pt_match,
                     "pt_nonzero": pt_nonzero,
-                    "series": [c.to_json() for c in series],
+                    "series": series.to_json(),
                 })
     report["scan"] = scan
-    report["pt_side_target"] = [c.to_json() for c in pt_target]
+    report["pt_side_target"] = pt_target.to_json()
     # an empty vanishing table is no evidence either way and does not count
     exact_ok = g_ok and vanish_ok is not False and rebal_ok
     report["exact_checks_pass"] = exact_ok
@@ -1126,18 +1127,15 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     return report
 
 
-def _scan_match(series, target) -> Tuple[bool | None, int]:
-    """(match, nonzero) of a scan series against a target list, both ending
-    at the same degree: they are aligned from the end, and a degree only one
-    of them covers is compared with zero.  `nonzero` counts the coefficients
-    compared that are nonzero on either side; a comparison of zeros only is
-    no match either way, and reads None."""
-    m = min(len(series), len(target))
-    uncovered = series[:len(series) - m] + target[:len(target) - m]
-    pairs = list(zip(series[len(series) - m:], target[len(target) - m:]))
-    nonzero = sum(len(c.coeffs) for c in uncovered) + sum(
-        len(a.coeffs.keys() | b.coeffs.keys()) for a, b in pairs)
+def _scan_match(series: QSeries, target: QSeries) -> Tuple[bool | None, int]:
+    """(match, nonzero) of a scan series against a target series, degree by
+    absolute degree: a degree only one of them covers is compared with zero.
+    `nonzero` counts the coefficients compared that are nonzero on either
+    side; a comparison of zeros only is no match either way, and reads None."""
+    lo = min(series.shift, target.shift)
+    hi = max(series.shift + len(series), target.shift + len(target))
+    pairs = [(series.coeff_at(d), target.coeff_at(d)) for d in range(lo, hi)]
+    nonzero = sum(len(a.coeffs.keys() | b.coeffs.keys()) for a, b in pairs)
     if not nonzero:
         return None, 0
-    match = not any(c.coeffs for c in uncovered) and all(a == b for a, b in pairs)
-    return match, nonzero
+    return all(a == b for a, b in pairs), nonzero

@@ -1,8 +1,9 @@
 """Truncated exact power series: one q variable (QSeries) and several
 descendent variables (DescSeries).
 
-QSeries carries an explicit integer leading shift so that series graded by
-q^chi with different chi-normalizations stay comparable.
+A QSeries carries an integer leading shift, so that series graded by q^chi
+with different chi-normalizations stay comparable, and its coefficients may
+be DescSeries: every vertex, residue and glued series is one.
 """
 
 from __future__ import annotations
@@ -14,71 +15,78 @@ from typing import Dict, List, Sequence, Tuple
 
 
 class QSeries:
-    """shift + exact coefficients of q^0..q^order (relative to the shift)."""
+    """The coefficients of q^shift .. q^(shift + len - 1): all exact numbers,
+    or all DescSeries in one set of variables and orders, which the operands
+    of `+` and `*` share.
 
-    __slots__ = ("order", "coeffs", "shift")
+    `+` and series `*` keep the lower top q-power that both operands
+    determine; a scalar operand is an int or a Fraction.  Equal series have
+    equal shifts and equal coefficient lists."""
 
-    def __init__(self, order: int, coeffs: Sequence[Fraction] | None = None, shift: int = 0):
-        self.order = order
+    __slots__ = ("coeffs", "shift")
+
+    def __init__(self, coeffs: Sequence, shift: int = 0):
+        self.coeffs: List = list(coeffs)
         self.shift = shift
-        self.coeffs: List[Fraction] = [Fraction(0)] * (order + 1)
-        if coeffs is not None:
-            for n, c in enumerate(coeffs):
-                if n <= order:
-                    self.coeffs[n] = Fraction(c)
+
+    def __len__(self) -> int:
+        return len(self.coeffs)
+
+    def __iter__(self):
+        return iter(self.coeffs)
+
+    def __getitem__(self, i):
+        return self.coeffs[i]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, QSeries):
             return NotImplemented
-        return self.normalized_pairs() == other.normalized_pairs()
-
-    def normalized_pairs(self) -> Tuple[Tuple[int, Fraction], ...]:
-        return tuple(
-            (self.shift + n, c) for n, c in enumerate(self.coeffs) if c != 0
-        )
+        return self.shift == other.shift and self.coeffs == other.coeffs
 
     def __add__(self, other: "QSeries") -> "QSeries":
-        lo = min(self.shift, other.shift)
-        hi = min(self.shift + self.order, other.shift + other.order)
-        out = QSeries(hi - lo, shift=lo)
-        for n, c in enumerate(self.coeffs):
-            if lo <= self.shift + n <= hi:
-                out.coeffs[self.shift + n - lo] += c
-        for n, c in enumerate(other.coeffs):
-            if lo <= other.shift + n <= hi:
-                out.coeffs[other.shift + n - lo] += c
-        return out
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        a, b = (self, other) if self.shift <= other.shift else (other, self)
+        top = min(a.shift + len(a.coeffs), b.shift + len(b.coeffs))
+        # the lower-shift operand covers every degree below the top
+        out = a.coeffs[:top - a.shift]
+        off = b.shift - a.shift
+        for i, c in enumerate(b.coeffs[:max(top - b.shift, 0)]):
+            out[off + i] = out[off + i] + c
+        return QSeries(out, a.shift)
 
     def __mul__(self, other) -> "QSeries":
         if isinstance(other, (int, Fraction)):
-            return QSeries(self.order, [c * other for c in self.coeffs], self.shift)
+            return QSeries([c * other for c in self.coeffs], self.shift)
         if not isinstance(other, QSeries):
             return NotImplemented
-        order = min(self.order, other.order)
-        out = QSeries(order, shift=self.shift + other.shift)
-        for i in range(min(self.order, order) + 1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
-            for j in range(min(other.order, order - i) + 1):
-                out.coeffs[i + j] += a * other.coeffs[j]
-        return out
+        a, b = self.coeffs, other.coeffs
+        n = min(len(a), len(b))
+        out = [a[0] * c for c in b[:n]]
+        for i in range(1, n):
+            x = a[i]
+            for j in range(n - i):
+                out[i + j] = out[i + j] + x * b[j]
+        return QSeries(out, self.shift + other.shift)
 
     __rmul__ = __mul__
 
-    def truncate(self, order: int) -> "QSeries":
-        return QSeries(min(order, self.order), self.coeffs[: order + 1], self.shift)
-
-    def coeff_at(self, n: int) -> Fraction:
+    def coeff_at(self, n: int):
         """Coefficient of q^n (absolute grading, shift included)."""
         m = n - self.shift
-        if 0 <= m <= self.order:
+        if 0 <= m < len(self.coeffs):
             return self.coeffs[m]
-        return Fraction(0)
+        return self.coeffs[0] * 0 if self.coeffs else Fraction(0)
 
-    def __repr__(self) -> str:
-        bits = [f"({c})*q^{self.shift + n}" for n, c in enumerate(self.coeffs)]
-        return " + ".join(bits) if bits else "0"
+    def scalars(self) -> List[Fraction]:
+        """The constant terms: each DescSeries' coefficient at exponent 0,
+        or the number itself."""
+        return [c.coeff((0,) * len(c.variables)) if isinstance(c, DescSeries) else c
+                for c in self.coeffs]
+
+    def to_json(self) -> list:
+        """The JSON of each DescSeries coefficient."""
+        return [c.to_json() for c in self.coeffs]
 
 
 class DescSeries:
@@ -91,6 +99,7 @@ class DescSeries:
     `*` of two series take each variable's lower order of the two operands,
     as `QSeries` does, and raise `ValueError` for operands in different
     variables (`localcurve._lift` re-indexes a series into new variables).
+    Equal series have equal variables, orders and terms.
     """
 
     __slots__ = ("variables", "orders", "coeffs")
@@ -127,7 +136,8 @@ class DescSeries:
             other = DescSeries.const(self.variables, self.orders, other)
         if not isinstance(other, DescSeries):
             return NotImplemented
-        return self.variables == other.variables and self.coeffs == other.coeffs
+        return (self.variables == other.variables and self.orders == other.orders
+                and self.coeffs == other.coeffs)
 
     def _orders_with(self, other: "DescSeries") -> Tuple[int, ...]:
         """The orders of self + other, self - other and self * other."""

@@ -3,8 +3,8 @@ descendent weights over the fixed points, graded by q, each sum one walk of
 `characters.dt_weight_walk` or `pt_weight_walk`.
 
 PT vertices are graded by the reverse-plane-partition size, DT vertices by
-the renormalized box count; both carry an explicit shift field so series in
-different chi-normalizations stay comparable.
+the renormalized box count; each is a `QSeries`, whose shift keeps series in
+different chi-normalizations comparable.
 """
 
 from __future__ import annotations
@@ -31,25 +31,26 @@ from .series import DescSeries, QSeries
 
 
 class VertexResult(Record):
-    """Series coefficients by q-power (plus shift), with the request echoed."""
+    """The vertex series, its coefficients DescSeries, with the request echoed."""
 
-    __slots__ = ("theory", "boundary", "coeffs", "shift", "convention", "sample")
+    __slots__ = ("theory", "boundary", "coeffs", "convention", "sample")
 
-    def __init__(self, theory: str, boundary: Tuple[str, Partition], coeffs: List[DescSeries],
-                 shift: int, convention: Convention, sample: ParamSample):
+    def __init__(self, theory: str, boundary: Tuple[str, Partition], coeffs: QSeries,
+                 convention: Convention, sample: ParamSample):
         self.theory = theory
         self.boundary = boundary
         self.coeffs = coeffs
-        self.shift = shift
         self.convention = convention
         self.sample = sample
 
+    @property
+    def shift(self) -> int:
+        return self.coeffs.shift
+
     def scalar_series(self) -> QSeries:
-        """QSeries view, valid when there are no descendent variables."""
-        vals = []
-        for c in self.coeffs:
-            vals.append(c.coeff(()) if not c.variables else c.coeff((0,) * len(c.variables)))
-        return QSeries(len(vals) - 1, vals, self.shift)
+        """The series of constant terms, the whole series when there are no
+        descendent variables."""
+        return QSeries(self.coeffs.scalars(), self.coeffs.shift)
 
     def to_json(self) -> dict:
         return {
@@ -58,7 +59,7 @@ class VertexResult(Record):
             "shift": self.shift,
             "convention": self.convention.to_json(),
             "sample": self.sample.to_json(),
-            "coeffs": [c.to_json() for c in self.coeffs],
+            "coeffs": self.coeffs.to_json(),
         }
 
 
@@ -91,8 +92,8 @@ def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> Desc
 
 
 def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec], s,
-                conv) -> List[DescSeries]:
-    """Series coefficients by q-degree of the sum over the (degree, weight,
+                conv) -> QSeries:
+    """The series, q-degree by q-degree, of the sum over the (degree, weight,
     key) nodes of a weight walk of the weight times the descendent weights of
     the fixed point `config(key)`; a weight None (undefined at the sample)
     raises ValueError.  With no descendents each degree adds exact numbers
@@ -106,8 +107,8 @@ def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec],
             raise ValueError(f"localization weight undefined at the sample: {key}")
         sums[d] = sums[d] + (_desc_product(config(key), desc_specs, s, conv) * w if desc_specs else w)
     if not desc_specs:
-        return [DescSeries(vs, orders, {(): c}) for c in sums]
-    return sums
+        sums = [DescSeries(vs, orders, {(): c}) for c in sums]
+    return QSeries(sums)
 
 
 def bare_pt(
@@ -135,13 +136,13 @@ def bare_pt(
                 weights.append((mu, c / euler_hilb(mu, s, conv)))
     else:
         raise ValueError(f"unknown boundary kind {kind!r}")
-    out = [DescSeries(tuple(sp.variable for sp in desc_specs), tuple(sp.order for sp in desc_specs))
-           for _ in range(qorder + 1)]
+    vs, orders = tuple(sp.variable for sp in desc_specs), tuple(sp.order for sp in desc_specs)
+    out = QSeries([DescSeries(vs, orders) for _ in range(qorder + 1)])
     for mu, c in weights:
         inner = _graded_sum(qorder, pt_weight_walk(mu, qorder, s, conv), partial(RppConfig, mu),
                             desc_specs, s, conv)
-        out = [a + b * c for a, b in zip(out, inner)]
-    return VertexResult("PT", boundary, out, 0, conv, s)
+        out = out + inner * c
+    return VertexResult("PT", boundary, out, conv, s)
 
 
 def bare_dt(
@@ -155,7 +156,7 @@ def bare_dt(
     q^{renormalized volume} Exp(-V^DT) times descendent weights."""
     out = _graded_sum(qorder, dt_weight_walk(leg, qorder, s, conv),
                       partial(LeggedPlanePartition, leg), desc_specs, s, conv)
-    return VertexResult("DT", ("leg", leg), out, 0, conv, s)
+    return VertexResult("DT", ("leg", leg), out, conv, s)
 
 
 def dt0_slice(
@@ -171,7 +172,7 @@ def dt0_slice(
     walk = [node for node in dt_weight_walk(Partition(), qorder, s, conv, mu)
             if len(node[2]) == mu.size]
     out = _graded_sum(qorder, walk, partial(LeggedPlanePartition, Partition()), desc_specs, s, conv)
-    return VertexResult("DT", ("slice", mu), out, 0, conv, s)
+    return VertexResult("DT", ("slice", mu), out, conv, s)
 
 
 # ---------------------------------------------------------------------------

@@ -38,7 +38,7 @@ from vertexforge.residue import (
 )
 from vertexforge.sampling import sample_random
 from vertexforge import residue
-from vertexforge.series import DescSeries
+from vertexforge.series import DescSeries, QSeries
 from vertexforge.vertex import bare_pt
 
 S = sample_random(3, 16)
@@ -592,14 +592,18 @@ class TestScanMatch:
 
     def test_aligned_by_degree_from_the_end(self):
         # a series starting at q^1 against a target from q^0 whose q^0 entry is 0
-        assert _scan_match([self.A], [self.ZERO, self.A]) == (True, 1)
-        assert _scan_match([self.A, self.B], [self.ZERO, self.A, self.B]) == (True, 3)
-        assert _scan_match([self.A], [self.A, self.ZERO]) == (False, 2)
+        assert _scan_match(QSeries([self.A], 1), QSeries([self.ZERO, self.A])) == (True, 1)
+        target = QSeries([self.ZERO, self.A, self.B])
+        assert _scan_match(QSeries([self.A, self.B], 1), target) == (True, 3)
+        assert _scan_match(QSeries([self.A], 1), QSeries([self.A, self.ZERO])) == (False, 2)
+        # a scan from q^-1, as at bound -1
+        assert _scan_match(QSeries([self.ZERO, self.A], -1), QSeries([self.A])) == (True, 1)
 
     def test_uncovered_degrees_compare_with_zero(self):
-        assert _scan_match([self.A], [self.B, self.A]) == (False, 3)
-        assert _scan_match([self.ZERO, self.A], [self.A]) == (True, 1)
-        assert _scan_match([self.B, self.A], [self.A]) == (False, 3)
+        assert _scan_match(QSeries([self.A], 1), QSeries([self.B, self.A])) == (False, 3)
+        assert _scan_match(QSeries([self.ZERO, self.A]), QSeries([self.A], 1)) == (True, 1)
+        assert _scan_match(QSeries([self.B, self.A]), QSeries([self.A], 1)) == (False, 3)
+        assert _scan_match(QSeries([self.B, self.A], -1), QSeries([self.A])) == (False, 3)
 
     def test_zeros_only_read_none(self):
-        assert _scan_match([self.ZERO], [self.ZERO, self.ZERO]) == (None, 0)
+        assert _scan_match(QSeries([self.ZERO], 1), QSeries([self.ZERO, self.ZERO])) == (None, 0)

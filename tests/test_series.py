@@ -17,25 +17,118 @@ from vertexforge.vertex import bare_dt, bare_pt
 
 class TestQSeries:
     def test_mul_truncates(self):
-        a = QSeries(3, [1, 1, 1, 1])
-        b = QSeries(3, [1, -1])
+        a = QSeries([1, 1, 1, 1])
+        b = QSeries([1, -1, 0, 0])
         assert (a * b).coeffs == [F(1), F(0), F(0), F(0)]
+        # a product keeps the shorter operand's length, a sum the lower top q-power
+        assert (a * QSeries([1, -1])).coeffs == [1, 0]
+        assert (a + QSeries([1], shift=2)).coeffs == [1, 1, 2]
+        assert (QSeries([1], shift=5) + a) == QSeries([1, 1, 1, 1])
 
     def test_shift_arithmetic(self):
-        a = QSeries(2, [1, 2, 3], shift=1)
-        b = QSeries(2, [1, 0, 0], shift=0)
+        a = QSeries([1, 2, 3], shift=1)
+        b = QSeries([1, 0, 0], shift=0)
         c = a * b
         assert c.shift == 1 and c.coeff_at(2) == 2
+        assert c.coeff_at(0) == 0 and c.coeff_at(4) == 0
+        assert a + b == QSeries([1, 1, 2]) == b + a
+        # negative shifts: q^-1 (1 + q) times q^-1 (2 + 3q) is q^-2 (2 + 5q)
+        d = QSeries([1, 1], shift=-1) * QSeries([2, 3], shift=-1)
+        assert (d.shift, d.coeffs) == (-2, [2, 5]) and d.coeff_at(-1) == 5
+        assert (QSeries([1, 1], shift=-1) + QSeries([4, 4, 4])).coeffs == [1, 5]
+        assert (a * F(1, 2)).coeffs == [F(1, 2), 1, F(3, 2)] and (2 * a).shift == 1
 
     @given(
-        xs=st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3),
-        ys=st.lists(st.fractions(max_denominator=5), min_size=3, max_size=3),
+        xs=st.lists(st.fractions(max_denominator=5), min_size=1, max_size=4),
+        ys=st.lists(st.fractions(max_denominator=5), min_size=1, max_size=4),
+        sx=st.integers(-2, 2),
+        sy=st.integers(-2, 2),
     )
     @settings(max_examples=30, deadline=None)
-    def test_commutative(self, xs, ys):
-        a, b = QSeries(2, xs), QSeries(2, ys)
+    def test_commutative(self, xs, ys, sx, sy):
+        a, b = QSeries(xs, sx), QSeries(ys, sy)
         assert a * b == b * a
         assert a + b == b + a
+
+    def test_equality_compares_shift_length_and_orders(self):
+        assert QSeries([1, 2], shift=1) != QSeries([1, 2])
+        assert QSeries([1, 2]) != QSeries([1, 2, 0])
+        u1 = DescSeries(("u",), (1,), {(0,): 1})
+        u2 = DescSeries(("u",), (2,), {(0,): 1})
+        assert QSeries([u1]) != QSeries([u2]) and QSeries([u1]) == QSeries([u1 * 1])
+
+    def test_scalars_and_json(self):
+        x = DescSeries(("u", "v"), (1, 1), {(0, 0): F(2, 3), (1, 0): F(5)})
+        y = DescSeries(("u", "v"), (1, 1), {(0, 1): F(1)})
+        series = QSeries([x, y], shift=-1)
+        assert series.scalars() == [F(2, 3), 0]
+        assert series.to_json() == [x.to_json(), y.to_json()]
+        assert series.coeff_at(-2) == DescSeries(("u", "v"), (1, 1))
+
+
+def _absolute(series):
+    """{(q-degree, exponent): coefficient} of a series of DescSeries."""
+    return {(series.shift + d, e): c for d, x in enumerate(series) for e, c in x.coeffs.items()}
+
+
+def _qseries_reference(op, a, b, orders):
+    """(shift, length, absolute terms) of a op b, from the operands'
+    absolute-degree terms: a sum over the degrees below both tops, a product
+    over the degrees below its shift plus the shorter length."""
+    if op == "+":
+        lo = min(a.shift, b.shift)
+        top = min(a.shift + len(a), b.shift + len(b))
+        terms = {}
+        for (d, e), c in list(_absolute(a).items()) + list(_absolute(b).items()):
+            if d < top:
+                terms[d, e] = terms.get((d, e), 0) + c
+    else:
+        lo = a.shift + b.shift
+        top = lo + min(len(a), len(b))
+        terms = {}
+        for (d1, e1), c1 in _absolute(a).items():
+            for (d2, e2), c2 in _absolute(b).items():
+                e = tuple(map(add, e1, e2))
+                if d1 + d2 < top and all(x <= o for x, o in zip(e, orders)):
+                    terms[d1 + d2, e] = terms.get((d1 + d2, e), 0) + c1 * c2
+    return lo, top - lo, {k: c for k, c in terms.items() if c}
+
+
+@st.composite
+def _qseries_pair(draw):
+    """Two q-series with shifts in -2..2, their coefficients DescSeries in
+    the same 1-2 variables and orders."""
+    vs = ("u", "v")[:draw(st.integers(1, 2))]
+    orders = tuple(draw(st.integers(0, 2)) for _ in vs)
+    exponents = st.tuples(*(st.integers(0, o) for o in orders))
+
+    def series():
+        coeffs = draw(st.lists(st.dictionaries(exponents, _COEFFS, max_size=3), max_size=4))
+        return QSeries([DescSeries(vs, orders, c) for c in coeffs], draw(st.integers(-2, 2)))
+
+    return series(), series(), orders
+
+
+class TestQSeriesOfDescSeries:
+    @given(pair=_qseries_pair(), op=st.sampled_from(["+", "*"]))
+    @settings(max_examples=200, deadline=None)
+    def test_operations_match_the_absolute_degree_reference(self, pair, op):
+        a, b, orders = pair
+        before = [(x.shift, [dict(c.coeffs) for c in x]) for x in (a, b)]
+        out = _OPS[op](a, b)
+        assert (out.shift, len(out), _absolute(out)) == _qseries_reference(op, a, b, orders)
+        assert all(isinstance(c, DescSeries) and c.orders == orders for c in out)
+        assert [(x.shift, [dict(c.coeffs) for c in x]) for x in (a, b)] == before
+
+    @given(pair=_qseries_pair(), k=st.sampled_from([0, 1, -2, F(1, 2), F(-3, 4)]))
+    @settings(max_examples=50, deadline=None)
+    def test_scalar_product(self, pair, k):
+        a = pair[0]
+        before = [dict(c.coeffs) for c in a]
+        for out in (a * k, k * a):
+            assert out.shift == a.shift and len(out) == len(a)
+            assert _absolute(out) == {t: c * k for t, c in _absolute(a).items() if k}
+        assert [dict(c.coeffs) for c in a] == before
 
 
 class TestDescSeries:
@@ -63,6 +156,11 @@ class TestDescSeries:
         one = DescSeries.const(("u",), (2,), 1)
         x = DescSeries(("u",), (2,), coeffs={(1,): F(1)})
         assert (one + x) * (one - x) == one - x * x
+
+    def test_equality_compares_orders(self):
+        # the same terms truncated at different orders are different series
+        assert DescSeries(("u",), (1,), {(0,): 1}) != DescSeries(("u",), (2,), {(0,): 1})
+        assert DescSeries(("u",), (2,), {(0,): 1}) == DescSeries(("u",), (2,), {(0,): F(1)})
 
     def test_truncation_consistency(self):
         x = DescSeries(("u",), (2,), coeffs={(1,): F(1), (2,): F(5)})

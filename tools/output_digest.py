@@ -79,13 +79,13 @@ from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, e
 from vertexforge.residue import (dt0_residue_value, dtpt0_report, egl_localization, egl_residue,
                                  measure_ratio_char, measure_ratio_extended, pt_residue_vertex)
 from vertexforge.sampling import ParamSample, sample_random
-from vertexforge.series import DescSeries
+from vertexforge.series import DescSeries, QSeries
 from vertexforge.vertex import bare_dt, bare_pt, dt0_slice
 
 
 def canon(x):
     """A JSON-ready value: series and fractions as their exact strings."""
-    if isinstance(x, (DescSeries, LaurentPoly)):
+    if isinstance(x, (DescSeries, LaurentPoly, QSeries)):
         return x.to_json()
     if isinstance(x, Fraction):
         return f"{x.numerator}/{x.denominator}"
