@@ -15,9 +15,10 @@ import os
 import tempfile
 import time
 import zlib
+from itertools import product
 from typing import Callable, Dict, List
 
-from . import __version__
+from . import __version__, localcurve
 from .characters import (
     Convention,
     DEFAULT_CONVENTION,
@@ -41,7 +42,17 @@ from .partitions import (
 from .records import Record
 from .sampling import sample_random, seeded_samples
 from .series import QSeries
-from .vertex import bare_dt, bare_pt, dt0_slice, fk_specialization_identity, specialization_poly_check
+from .residue import (
+    dt0_vanishing,
+    dtpt0_report,
+    egl_localization,
+    egl_residue,
+    fk_specialization_identity,
+    measure_ratio_char,
+    pt_residue_vertex,
+    specialization_poly_check,
+)
+from .vertex import bare_dt, bare_pt, dt0_slice
 
 
 EXIT_PASS = 0
@@ -108,8 +119,6 @@ def _compare_series(xs, ys) -> tuple[bool, int]:
 def check_egl(params: dict, conv: Convention):
     """Tautological-integral identity: localization sum equals the
     normalized iterated residue, exactly."""
-    from .residue import egl_localization, egl_residue
-
     ns, uorders, total = params["n_values"], params["u_orders"], params["u_total"]
     seed, nsamples = params["seed"], params["samples"]
     cases = []
@@ -128,8 +137,6 @@ def check_egl(params: dict, conv: Convention):
 def check_mainpt(params: dict, conv: Convention):
     """Residue vertex equals the localization vertex, coefficientwise, in
     both the Chern-monomial and the fixed-point basis."""
-    from .residue import pt_residue_vertex
-
     shapes = [Partition(p) for p in params["shapes"]]
     qorder, uorder = params["qorder"], params["uorder"]
     seed, nsamples = params["seed"], params["samples"]
@@ -163,10 +170,6 @@ def check_mainpt(params: dict, conv: Convention):
 def check_measure_ratio(params: dict, conv: Convention):
     """Closed Pochhammer product equals Exp(V^PT - V^DT) on the common
     column parametrization, including the vanishing directions."""
-    from itertools import product as iproduct
-
-    from .residue import measure_ratio_char
-
     size, kmax = params["max_size"], params["kmax"]
     samples = seeded_samples(params["seed"], 2 * (size + kmax) + 6, params["samples"])
     cases = []
@@ -176,7 +179,7 @@ def check_measure_ratio(params: dict, conv: Convention):
             cells = mu.cells()
             bad = 0
             checked = 0
-            for kv in iproduct(range(kmax + 1), repeat=len(cells)):
+            for kv in product(range(kmax + 1), repeat=len(cells)):
                 kmap = dict(zip(cells, kv))
                 lhs = measure_difference_char(mu, kmap, conv)
                 rhs = measure_ratio_char(mu, kmap)
@@ -230,17 +233,16 @@ def check_simple(params: dict, conv: Convention):
     """Local-curve factorization of ideal-sheaf counts into the stable-pairs
     series and the degree-0 factor, plus parameter independence of the
     stable-pairs series."""
-    from .localcurve import GlueRequest, dt0_localcurve, glue
-
     qorder = params["qorder"]
     degrees = tuple(params["degrees"])
     samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
     cases = []
-    pt_all = [glue(GlueRequest("PT", degrees, 1, (), (), qorder, s, conv)).scalars() for s in samples]
+    pt_all = [localcurve.glue(localcurve.GlueRequest("PT", degrees, 1, (), (), qorder, s, conv)).scalars()
+              for s in samples]
     pt_indep = all(p == pt_all[0] for p in pt_all)
     s = samples[0]
-    zdt = glue(GlueRequest("DT", degrees, 1, (), (), qorder, s, conv)).scalars()
-    zdt0 = dt0_localcurve(degrees, s, qorder, conv)
+    zdt = localcurve.glue(localcurve.GlueRequest("DT", degrees, 1, (), (), qorder, s, conv)).scalars()
+    zdt0 = localcurve.dt0_localcurve(degrees, s, qorder, conv)
     zpt = pt_all[0]
     prod = (QSeries(zpt) * QSeries(zdt0)).coeffs
     ok = zdt == prod
@@ -265,16 +267,14 @@ def check_simple(params: dict, conv: Convention):
 def check_ptint(params: dict, conv: Convention):
     """Residue assembly of the glued local-curve series equals the
     fixed-point gluing, exactly."""
-    from .localcurve import GlueRequest, glue, ptint_residue
-
     seed, qorder, uorder = params["seed"], params["qorder"], params["uorder"]
     cases = []
     allok = True
     for degrees in [tuple(d) for d in params["degrees"]]:
         for i, s in enumerate(seeded_samples(seed, qorder + uorder + 10, params["samples"])):
             desc = (DescendentSpec("ch", 0, "u", uorder),)
-            gl = glue(GlueRequest("PT", degrees, 1, desc, (), qorder, s, conv))
-            pr = ptint_residue(degrees, 1, desc, (), s, qorder, conv)
+            gl = localcurve.glue(localcurve.GlueRequest("PT", degrees, 1, desc, (), qorder, s, conv))
+            pr = localcurve.ptint_residue(degrees, 1, desc, (), s, qorder, conv)
             ok, nonzero = _compare_series(gl, pr)
             allok = allok and ok and nonzero > 0
             cases.append({"degrees": list(degrees), "sample": i, "sample_values": s.to_json(),
@@ -319,8 +319,6 @@ def check_spec_poly(params: dict, conv: Convention):
 def check_dtpt0(params: dict, conv: Convention):
     """Exploratory degree-0 report; exact subchecks must pass, the
     side-by-side bound/orientation verdicts are informative."""
-    from .residue import dt0_vanishing, dtpt0_report
-
     worder, qorder = params["worder"], params["qorder"]
     s = sample_random(params["seed"], qorder + worder + 10)
     rep = dtpt0_report(Partition([1]), worder, qorder, s, conv)
@@ -803,8 +801,6 @@ def _execute_request(request: dict, conv: Convention) -> dict:
         else:
             res = bare_dt(shape, qorder, desc, s, conv)
         return res.to_json()
-    from .localcurve import GlueRequest, glue
-
     degrees = tuple(request.get("degrees", (0, 0)))
     n = request.get("n", 1)
     desc0 = _parse_desc(request.get("descendents_zero"))
@@ -813,6 +809,6 @@ def _execute_request(request: dict, conv: Convention) -> dict:
     if n + qorder + sum(d.order for d in desc0 + descinf) + 8 > L:
         raise InvalidCheckSpec("request exceeds the desk-scale bound")
     s = sample_random(seed, L)
-    req = GlueRequest(request.get("theory", "PT"), degrees, n, desc0, descinf, qorder, s, conv)
-    series = glue(req)
+    req = localcurve.GlueRequest(request.get("theory", "PT"), degrees, n, desc0, descinf, qorder, s, conv)
+    series = localcurve.glue(req)
     return {"request": req.to_json(), "shift": series.shift, "coeffs": series.to_json()}

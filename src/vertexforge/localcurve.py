@@ -17,6 +17,7 @@ from .characters import (
 )
 from .partitions import Partition, enum_partitions
 from .records import Record
+from .residue import pt_residue_vertex
 from .sampling import ParamSample
 from .series import DescSeries, QSeries
 from .vertex import bare_dt, bare_pt
@@ -132,8 +133,6 @@ def ptint_residue(
     vertices: the interpolation-polynomial edge kernel is diagonal in the
     fixed-point classes, each vertex is an iterated residue, and the infinity
     vertex carries the substituted parameters."""
-    from .residue import pt_residue_vertex
-
     def vertex(lam, desc, smp):
         # interp-basis residue vertices match bare_pt fixed-point mode, i.e.
         # carry 1/e; restore the vertex-weight normalization for gluing

@@ -8,6 +8,7 @@ column j < parts[i]; its content linear form is i*t1 + j*t2.
 
 from __future__ import annotations
 
+from math import comb
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from .records import Frozen
@@ -315,8 +316,6 @@ def first_slice(pp: LeggedPlanePartition) -> Partition:
 def macmahon_coeffs(order: int) -> List[int]:
     """Coefficients of prod_{i>=1} (1 - q^i)^{-i} up to q^order (independent
     oracle for plane-partition counts)."""
-    from math import comb
-
     coeffs = [0] * (order + 1)
     coeffs[0] = 1
     for i in range(1, order + 1):

@@ -35,19 +35,36 @@ through the same fold.  The descendent u-buckets are assembled from
 per-(z-variable, t3-shift, order) pieces built once per vertex, and each
 q-degree is scaled by the vertex normalization once.  The degree-0
 integrand (`dt0_residue_value`) is merged from blocks the same way.
+
+`specialization_poly_check` — per-k polynomiality of the single-cell
+residue vertex on the line t1 + t2 = c t3, fitted exactly by divided
+differences and verified on held-out k; `fk_specialization_identity` is the
+closed two-column form on that line.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 from math import factorial, gcd, lcm, prod
 from typing import Dict, Iterable, List, Sequence, Tuple
 
-from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator
+from .characters import (
+    Convention,
+    DEFAULT_CONVENTION,
+    DescendentSpec,
+    descendent_char,
+    euler_hilb,
+    pt_weight_walk,
+    vertex_char_pt_raw,
+)
+from .laurent import LaurentPoly, divide_t3_lines, over_common_denominator, pochhammer
+from .partitions import LeggedPlanePartition, Partition, RppConfig, enum_partitions
 from .records import Record
+from .sampling import ParamSample
 from .series import DescSeries, QSeries, enumerate_exponents
+from .vertex import contents_at, dt0_slice
 
 ZERO = Fraction(0)
 
@@ -576,10 +593,6 @@ def interp_poly(lam, s) -> Dict:
     delta_{lam,mu} e_mu/t3^(2n), solved over the monomial symmetric basis
     (partitions of size <= n into <= n parts); any solution of the
     underdetermined system is accepted and re-verified."""
-    from .characters import euler_hilb
-    from .partitions import enum_partitions
-    from .vertex import contents_at
-
     n = lam.size
     mus = enum_partitions(n)
     basis = [nu for m in range(n + 1) for nu in enum_partitions(m) if len(nu.parts) <= n]
@@ -641,9 +654,6 @@ def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int |
     truncated at the per-variable `u_orders` and, unless `total` is None, at
     total degree `total`.  The total cap commutes with products, so `term`
     is capped after each factor."""
-    from .characters import DEFAULT_CONVENTION, euler_hilb
-    from .partitions import enum_partitions
-
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
     out = DescSeries(vs, tuple(u_orders))
@@ -667,8 +677,6 @@ def egl_localization(n: int, u_orders: Sequence[int], s, conv=None, total: int |
 def egl_residue(n: int, u_orders: Sequence[int], s, conv=None, total: int | None = None):
     """Method B: (1/n!) (t1 t2)^{gamma n} x iterated residue of
     prod_{i<j} omega(z_i - z_j) prod_k prod_l (1 - u_l z_k), t-scale roots."""
-    from .characters import DEFAULT_CONVENTION
-
     conv = conv or DEFAULT_CONVENTION
     vs = tuple(f"u{l+1}" for l in range(len(u_orders)))
     u_orders = tuple(u_orders)
@@ -786,10 +794,6 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     localization vertex: chern basis is divided by t3^n (the
     root-scale factor), interp basis by the fixed-point Euler class.
     """
-    from itertools import product as iproduct
-
-    from .characters import DEFAULT_CONVENTION, euler_hilb
-
     conv = conv or DEFAULT_CONVENTION
     n = shape.size
     vs = tuple(sp.variable for sp in desc_specs)
@@ -804,13 +808,107 @@ def pt_residue_vertex(shape, qorder: int, desc_specs, s, conv=None, basis="chern
     sums = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
     # the k-vectors' integrands share their blocks, forms and substitutions
     table = _FormTable(n)
-    for kvec in iproduct(range(qorder + 1), repeat=n):
+    for kvec in product(range(qorder + 1), repeat=n):
         d = sum(kvec)
         if d > qorder:
             continue
         t, buckets = pt_vertex_integrand(poly, kvec, s, conv, desc_specs, table)
         sums[d] = sums[d] + residue_sum_series(t, buckets, n, region, vs, orders_all)
     return QSeries(sums) * norm
+
+
+# ---------------------------------------------------------------------------
+# polynomiality of the per-k residue vertex under t1 + t2 = c t3
+
+
+class PolyFitReport(Record):
+    __slots__ = ("fit_degree", "holdout_ok", "verdict")
+
+    def __init__(self, fit_degree: int, holdout_ok: bool, verdict: str):
+        self.fit_degree = fit_degree
+        self.holdout_ok = holdout_ok
+        self.verdict = verdict
+
+
+def _divided_differences(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
+    """Exact interpolation: the coefficients of the polynomial through the
+    points (xs, ys) in the Newton basis prod_(i<k) (x - xs[i])."""
+    dd = list(ys)
+    for level in range(1, len(xs)):
+        for i in range(len(xs) - 1, level - 1, -1):
+            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
+    return dd
+
+
+def _newton_eval(dd: List[Fraction], xs: List[int], x: int) -> Fraction:
+    out = Fraction(0)
+    for k in range(len(dd) - 1, -1, -1):
+        out = out * (x - xs[k]) + dd[k]
+    return out
+
+
+def fk_specialization_identity(c: int, s: ParamSample) -> bool:
+    """On t1 + t2 = c t3 the two-column interaction ratio telescopes into a
+    finite product rational in the column index k; check the closed form
+    exactly for k <= 6 at rational test points (corrected second bracket:
+    the paper's printed denominator is off by c)."""
+    if s.line != c:
+        raise ValueError("sample is not on the line")
+    a1 = s.a1
+    A = Fraction(c)
+    for k in range(7):
+        for z in (Fraction(17, 13), Fraction(-23, 7), Fraction(101, 19)):
+            lhs = (
+                pochhammer(z - a1, k)
+                * pochhammer(z - (c - a1), k)
+                * pochhammer(z + A, k)
+            ) / (
+                pochhammer(z + a1, k)
+                * pochhammer(z + (c - a1), k)
+                * pochhammer(z - A, k)
+            )
+            rhs = Fraction(1)
+            for j in range(c):
+                rhs *= (z - a1 + j) / (z - a1 + k + j)
+                rhs *= (z + a1 - c + j) / (z + a1 - c + k + j)
+            for j in range(2 * c):
+                rhs *= (z + k - c + j) / (z - c + j)
+            if lhs != rhs:
+                return False
+    return True
+
+
+def specialization_poly_check(
+    desc_specs: Sequence[DescendentSpec],
+    grid: Sequence[int],
+    fit_upto: int,
+    s: ParamSample,
+    conv: Convention = DEFAULT_CONVENTION,
+    region: str = "full",
+    basis: str = "chern",
+) -> PolyFitReport:
+    """Fit a polynomial in k to the per-k values of the single-cell residue
+    vertex (its coefficient at the descendent orders) on the low part of the
+    grid and verify the held-out points exactly.
+
+    The per-k value is taken in the source orientation (an extra (-1)^k
+    against the localization-matching weights); in the 'full' region its
+    expansion coefficients are universal polynomials of k.  The negative
+    control evaluates the 'inner'-region values (the actual localization
+    weights), whose k-dependence carries factorial denominators and fails
+    the held-out verification.
+    """
+    coeffs = pt_residue_vertex(Partition([1]), max(grid), desc_specs, s, conv, basis, region)
+    e = tuple(sp.order for sp in desc_specs)
+    values = [coeffs[k].coeff(e) * (-1) ** k for k in grid]
+    fit_xs = [k for k in grid if k <= fit_upto]
+    fit_ys = values[: len(fit_xs)]
+    hold_xs = [k for k in grid if k > fit_upto]
+    hold_ys = values[len(fit_xs):]
+    dd = _divided_differences(fit_xs, fit_ys)
+    ok = all(_newton_eval(dd, fit_xs, x) == y for x, y in zip(hold_xs, hold_ys))
+    degree = max((k for k, c in enumerate(dd) if c), default=0)
+    return PolyFitReport(degree, ok, "polynomial" if ok else "non-polynomial")
 
 
 # ---------------------------------------------------------------------------
@@ -961,15 +1059,10 @@ def dt0_vanishing(mu, s, conv) -> dict:
     every depth vector in {1, 2, 3}^cells that is not a plane partition, and
     whether the measure ratio times Exp(-V^PT) vanishes there.  A table with
     no row (one cell has no such vector) passes nothing: "pass" reads None."""
-    from itertools import product as iproduct
-
-    from .characters import vertex_char_pt_raw
-    from .partitions import LeggedPlanePartition, Partition
-
     cells = mu.cells()
     rows = []
     ok = True
-    for kv in iproduct(range(1, 4), repeat=len(cells)):
+    for kv in product(range(1, 4), repeat=len(cells)):
         heights = dict(zip(cells, kv))
         try:
             LeggedPlanePartition(Partition(), heights)
@@ -994,13 +1087,6 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     bound (-1, 0, 1) and orientation (+-1) are scanned and reported side by
     side; those verdicts are informative.
     """
-    from itertools import product as iproduct
-
-    from .characters import (DEFAULT_CONVENTION, DescendentSpec, descendent_char, pt_weight_walk,
-                             vertex_char_pt_raw)
-    from .partitions import LeggedPlanePartition, Partition, RppConfig
-    from .vertex import dt0_slice
-
     conv = conv or DEFAULT_CONVENTION
     n = mu.size
     cells = mu.cells()
@@ -1025,7 +1111,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     contents = [i * s.a1 + j * s.a2 for (i, j) in cells]
     g_ok = True
     g_count = 0
-    for kv in iproduct(range(0, 3), repeat=n):
+    for kv in product(range(0, 3), repeat=n):
         heights = {c: k for c, k in zip(cells, kv)}
         try:
             pp = LeggedPlanePartition(Partition(), heights)
@@ -1050,7 +1136,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
     #     ratio x Exp(-V^PT) x DT descendent weights equals the slice sum
     target = dt0_slice(mu, (wspec,), s, qorder, conv)
     rebal = [DescSeries(vs, orders_all) for _ in range(qorder + 1)]
-    for kv in iproduct(range(1, qorder + 2), repeat=n):
+    for kv in product(range(1, qorder + 2), repeat=n):
         d = sum(kv)
         if d > qorder:
             continue
@@ -1092,7 +1178,7 @@ def dtpt0_report(mu, worder: int, qorder: int, s, conv=None) -> dict:
         for bound in (-1, 0, 1):
             by_degree: Dict[int, DescSeries] = {}
             feasible = True
-            for kv in iproduct(range(bound, qorder + 1), repeat=n):
+            for kv in product(range(bound, qorder + 1), repeat=n):
                 d = sum(kv)
                 if d > qorder:
                     continue

@@ -174,100 +174,3 @@ def dt0_slice(
     out = _graded_sum(qorder, walk, partial(LeggedPlanePartition, Partition()), desc_specs, s, conv)
     return VertexResult("DT", ("slice", mu), out, conv, s)
 
-
-# ---------------------------------------------------------------------------
-# polynomiality of the per-k residue vertex under t1 + t2 = c t3
-
-
-class PolyFitReport(Record):
-    __slots__ = ("fit_degree", "holdout_ok", "verdict")
-
-    def __init__(self, fit_degree: int, holdout_ok: bool, verdict: str):
-        self.fit_degree = fit_degree
-        self.holdout_ok = holdout_ok
-        self.verdict = verdict
-
-
-def _divided_differences(xs: List[int], ys: List[Fraction]) -> List[Fraction]:
-    """Exact interpolation: the coefficients of the polynomial through the
-    points (xs, ys) in the Newton basis prod_(i<k) (x - xs[i])."""
-    dd = list(ys)
-    for level in range(1, len(xs)):
-        for i in range(len(xs) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (xs[i] - xs[i - level])
-    return dd
-
-
-def _newton_eval(dd: List[Fraction], xs: List[int], x: int) -> Fraction:
-    out = Fraction(0)
-    for k in range(len(dd) - 1, -1, -1):
-        out = out * (x - xs[k]) + dd[k]
-    return out
-
-
-def fk_specialization_identity(c: int, s: ParamSample) -> bool:
-    """On t1 + t2 = c t3 the two-column interaction ratio telescopes into a
-    finite product rational in the column index k; check the closed form
-    exactly for k <= 6 at rational test points (corrected second bracket:
-    the paper's printed denominator is off by c)."""
-    from .laurent import pochhammer
-
-    if s.line != c:
-        raise ValueError("sample is not on the line")
-    a1 = s.a1
-    A = Fraction(c)
-    for k in range(7):
-        for z in (Fraction(17, 13), Fraction(-23, 7), Fraction(101, 19)):
-            lhs = (
-                pochhammer(z - a1, k)
-                * pochhammer(z - (c - a1), k)
-                * pochhammer(z + A, k)
-            ) / (
-                pochhammer(z + a1, k)
-                * pochhammer(z + (c - a1), k)
-                * pochhammer(z - A, k)
-            )
-            rhs = Fraction(1)
-            for j in range(c):
-                rhs *= (z - a1 + j) / (z - a1 + k + j)
-                rhs *= (z + a1 - c + j) / (z + a1 - c + k + j)
-            for j in range(2 * c):
-                rhs *= (z + k - c + j) / (z - c + j)
-            if lhs != rhs:
-                return False
-    return True
-
-
-def specialization_poly_check(
-    desc_specs: Sequence[DescendentSpec],
-    grid: Sequence[int],
-    fit_upto: int,
-    s: ParamSample,
-    conv: Convention = DEFAULT_CONVENTION,
-    region: str = "full",
-    basis: str = "chern",
-) -> PolyFitReport:
-    """Fit a polynomial in k to the per-k values of the single-cell residue
-    vertex (its coefficient at the descendent orders) on the low part of the
-    grid and verify the held-out points exactly.
-
-    The per-k value is taken in the source orientation (an extra (-1)^k
-    against the localization-matching weights); in the 'full' region its
-    expansion coefficients are universal polynomials of k.  The negative
-    control evaluates the 'inner'-region values (the actual localization
-    weights), whose k-dependence carries factorial denominators and fails
-    the held-out verification.
-    """
-    from .residue import pt_residue_vertex
-
-    coeffs = pt_residue_vertex(Partition([1]), max(grid), desc_specs, s, conv, basis, region)
-    e = tuple(sp.order for sp in desc_specs)
-    values = [coeffs[k].coeff(e) * (-1) ** k for k in grid]
-    fit_xs = [k for k in grid if k <= fit_upto]
-    fit_ys = values[: len(fit_xs)]
-    hold_xs = [k for k in grid if k > fit_upto]
-    hold_ys = values[len(fit_xs):]
-    dd = _divided_differences(fit_xs, fit_ys)
-    ok = all(_newton_eval(dd, fit_xs, x) == y for x, y in zip(hold_xs, hold_ys))
-    degree = max((k for k, c in enumerate(dd) if c), default=0)
-    return PolyFitReport(degree, ok, "polynomial" if ok else "non-polynomial")

@@ -87,3 +87,57 @@ def test_no_dead_module_level_names():
     dead = [(path.name, line, name) for path in MODULES
             for line, name in defined_names(ast.parse(path.read_text())) if name not in read]
     assert dead == []
+
+
+def function_local_imports(tree: ast.Module):
+    """(line, module) of each import statement inside a function body."""
+    found = {node for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))}
+    return sorted((node.lineno, getattr(node, "module", None) or node.names[0].name)
+                  for node in found)
+
+
+def test_finds_function_local_imports():
+    tree = ast.parse("import os\n\ndef f():\n    from .a import b\n    def g():\n"
+                     "        import c\n    return b\n")
+    assert function_local_imports(tree) == [(4, "a"), (6, "c")]
+
+
+def test_no_function_local_imports():
+    found = [(path.name, line, mod) for path in MODULES
+             for line, mod in function_local_imports(ast.parse(path.read_text()))]
+    assert found == []
+
+
+def package_imports(path: Path) -> set:
+    """The package modules that a module imports at its top level:
+    `from .x import y` names x, `from . import y` names y when y is a
+    module and the package itself (`__init__`) otherwise."""
+    out = set()
+    for node in ast.parse(path.read_text()).body:
+        if not isinstance(node, ast.ImportFrom) or node.level != 1:
+            continue
+        if node.module:
+            out.add(node.module.split(".")[0])
+        else:
+            out |= {a.name if (PACKAGE / f"{a.name}.py").exists() else "__init__"
+                    for a in node.names}
+    return out
+
+
+def test_package_import_graph_is_acyclic():
+    graph = {p.stem: package_imports(p) for p in sorted(PACKAGE.glob("*.py"))}
+    # the residue route imports localization, never the other way
+    assert "residue" in graph["localcurve"] and "vertex" in graph["residue"]
+    assert "residue" not in graph["vertex"]
+    done = set()
+
+    def visit(mod, path):
+        assert mod not in path, " -> ".join(path + (mod,))
+        if mod not in done:
+            for dep in sorted(graph[mod]):
+                visit(dep, path + (mod,))
+            done.add(mod)
+
+    for mod in graph:
+        visit(mod, ())

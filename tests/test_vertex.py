@@ -16,7 +16,7 @@ from vertexforge.partitions import (
     enum_partitions,
     first_slice,
 )
-from vertexforge.residue import pt_residue_vertex
+from vertexforge.residue import pt_residue_vertex, specialization_poly_check
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import (
@@ -24,7 +24,6 @@ from vertexforge.vertex import (
     bare_pt,
     chern_monomial_value,
     dt0_slice,
-    specialization_poly_check,
 )
 from vertexforge.characters import dt_weight, pt_weight
 from vertexforge.partitions import enum_rpp
