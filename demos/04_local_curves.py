@@ -1,12 +1,12 @@
 """Gluing two vertices over the projective line.
 
 A local curve with normal degrees (d1, d2) glues a vertex at 0 and a vertex
-at infinity (with substituted parameters s1 = t1 + d1 t3, s2 = t2 + d2 t3,
-s3 = -t3) through a diagonal edge factor.  For the resolved conifold the
-current gluing gives the stable-pairs series (1 + q)^2, independent of the
-parameters, and the ideal-sheaf series factors exactly through the degree-0
-series.  The rigid curve's stable-pairs series is q/(1 + q)^2
-(arXiv:0707.2348); ROADMAP item 1 tracks the fix to the gluing.
+at infinity (with MNOP1's weights s_i = t_i - d_i t3, s3 = -t3) through a
+diagonal edge factor, each cross-section fixed point lambda shifted by
+q^f, f = -sum_{(i,j) in lambda} (d1 i + d2 j).  For the resolved conifold,
+degrees (-1, -1), the stable-pairs series is the rigid curve's q/(1 + q)^2
+(arXiv:0707.2348) at every sample, and the ideal-sheaf series factors
+exactly through the degree-0 series.
 """
 
 from vertexforge import sample_random
@@ -20,8 +20,9 @@ series = []
 for seed in (1, 2, 3):
     s = sample_random(seed, 14)
     series.append(glue(GlueRequest("PT", (-1, -1), 1, (), (), qorder, s)).scalars())
-assert series[0] == series[1] == series[2]
-print(f"  stable pairs: {[str(c) for c in series[0]]}  (same at all samples)")
+# q/(1 + q)^2 = q (1 - 2q + 3q^2 - 4q^3 + ...)
+assert series[0] == series[1] == series[2] == [(-1) ** k * (k + 1) for k in range(qorder + 1)]
+print(f"  stable pairs, divided by q: {[str(c) for c in series[0]]}  (q/(1 + q)^2 at all samples)")
 
 s = sample_random(1, 14)
 zdt = glue(GlueRequest("DT", (-1, -1), 1, (), (), qorder, s)).scalars()

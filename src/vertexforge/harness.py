@@ -237,8 +237,9 @@ def check_simple(params: dict, conv: Convention):
     degrees = tuple(params["degrees"])
     samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
     cases = []
-    pt_all = [localcurve.glue(localcurve.GlueRequest("PT", degrees, 1, (), (), qorder, s, conv)).scalars()
-              for s in samples]
+    pt = [localcurve.glue(localcurve.GlueRequest("PT", degrees, 1, (), (), qorder, s, conv))
+          for s in samples]
+    pt_all = [p.scalars() for p in pt]
     pt_indep = all(p == pt_all[0] for p in pt_all)
     s = samples[0]
     zdt = localcurve.glue(localcurve.GlueRequest("DT", degrees, 1, (), (), qorder, s, conv)).scalars()
@@ -253,7 +254,7 @@ def check_simple(params: dict, conv: Convention):
         {
             "degrees": list(degrees),
             "factorization": ok,
-            "q_shift": 0,
+            "q_shift": pt[0].shift,
             "pt_parameter_independent": pt_indep,
             "Z_PT": [str(x) for x in zpt],
             "Z_DT": [str(x) for x in zdt],

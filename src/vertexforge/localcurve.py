@@ -66,8 +66,9 @@ def _vertex_weight_series(theory, lam, desc, s, qorder, conv):
 
 def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> QSeries:
     """Sum over cross-section fixed points lambda, |lambda| = n, of
-    W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted),
-    `vertex(lambda, desc, sample)` giving the series W(lambda).  The list
+    q^f(lambda) W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted),
+    f(lambda) = -sum_{(i,j) in lambda} (d1 i + d2 j), `vertex(lambda, desc,
+    sample)` giving the series W(lambda).  The list
     places a descendent on its vertex, so an 'inf' insertion in `desc_zero`
     is a mistake: it raises ValueError."""
     if any(sp.insertion == "inf" for sp in desc_zero):
@@ -79,13 +80,20 @@ def _glue_sum(degrees, n, desc_zero, desc_inf, s, qorder, vertex) -> QSeries:
     for lam in enum_partitions(n):
         w0 = _lift(vertex(lam, desc_zero, s), vs, orders)
         winf = _lift(vertex(lam, desc_inf, ssub), vs, orders)
-        out = out + w0 * winf * edge_factor(lam, degrees, s)
+        term = w0 * winf * edge_factor(lam, degrees, s)
+        term.shift -= sum(degrees[0] * i + degrees[1] * j for i, j in lam.cells())
+        out = out + term
     return out
 
 
 def glue(req: GlueRequest) -> QSeries:
     """Local-curve series: sum over cross-section fixed points lambda of
-    W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted)."""
+    q^f(lambda) W_0(lambda; t) Exp(-E^d(lambda)) W_inf(lambda; s-substituted),
+    with the infinity weights s_i = t_i - d_i t3 and the lambda-dependent
+    part of chi, f(lambda) = -sum_{(i,j) in lambda} (d1 i + d2 j)
+    (arXiv:math/0312059, section 4).  Each term's series runs from q^f to
+    q^(f + qorder) and a sum keeps the lower top power, so a negative f
+    ends the series at q^(qorder + min f)."""
     return _glue_sum(
         req.degrees, req.n, req.desc_zero, req.desc_inf, req.sample, req.qorder,
         lambda lam, desc, s: _vertex_weight_series(req.theory, lam, desc, s, req.qorder,

@@ -41,10 +41,11 @@ class ParamSample(NamedTuple):
         return exp_pleth_extended(p, self.t1, self.t2, self.t3)
 
     def substituted(self, d1: int, d2: int) -> "ParamSample":
-        """Parameters at the infinity vertex: s1=t1+d1*t3, s2=t2+d2*t3, s3=-t3."""
+        """Parameters at the infinity vertex: s1=t1-d1*t3, s2=t2-d2*t3, s3=-t3
+        (MNOP1's weights at infinity for normal degrees (d1, d2))."""
         return ParamSample(
-            self.t1 + d1 * self.t3,
-            self.t2 + d2 * self.t3,
+            self.t1 - d1 * self.t3,
+            self.t2 - d2 * self.t3,
             -self.t3,
             self.genericity_bound,
         )

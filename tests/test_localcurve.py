@@ -4,9 +4,10 @@ import pytest
 
 from vertexforge.characters import DescendentSpec, dt_weight, edge_factor, euler_hilb
 from vertexforge.localcurve import GlueRequest, dt0_localcurve, glue, ptint_residue
-from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions
+from vertexforge.partitions import LeggedPlanePartition, Partition, enum_partitions, macmahon_coeffs
 from vertexforge.residue import _zp_at, interp_poly
 from vertexforge.sampling import sample_random
+from vertexforge.series import QSeries
 from vertexforge.vertex import bare_pt, contents_at
 
 S = sample_random(8, 18)
@@ -61,10 +62,9 @@ class TestGlue:
             req = GlueRequest("PT", (-1, -1), 1, (), (), 4, s)
             series.append(glue(req).scalars())
         assert series[0] == series[1] == series[2]
-        # (1 + q)^2 is what the current gluing gives; the rigid curve's
-        # stable-pairs series is q/(1 + q)^2 (arXiv:0707.2348), which the
-        # gluing fix of ROADMAP item 1 is to reach
-        assert series[0] == [1, 2, 1, 0, 0]
+        # the rigid curve's stable-pairs series q/(1 + q)^2 (arXiv:0707.2348),
+        # divided by q
+        assert series[0] == [(-1) ** k * (k + 1) for k in range(5)]
 
     def test_inf_insertion_only_at_the_infinity_vertex(self):
         inf = (DescendentSpec("ch", "inf", "u", 2),)
@@ -83,6 +83,65 @@ class TestGlue:
         box = LeggedPlanePartition(Partition(), {(0, 0): 1})
         expect_q1 = dt_weight(box, S) + dt_weight(box, S.substituted(-1, -1))
         assert vals[0] == 1 and vals[1] == expect_q1
+
+
+def conifold_pt(n: int, qtop: int) -> list:
+    """The Q^n coefficient of prod_{k>=1} (1 - (-q)^k Q)^k through q^qtop,
+    from q^0: q^n times the rigid curve's degree-n stable-pairs series."""
+    poly = [[1] + [0] * qtop] + [[0] * (qtop + 1) for _ in range(n)]  # [Q^a][q^b]
+    for k in range(1, qtop + 1):
+        for _ in range(k):
+            for a in range(n, 0, -1):
+                for b in range(qtop, k - 1, -1):
+                    poly[a][b] -= (-1) ** k * poly[a - 1][b - k]
+    return poly[n]
+
+
+class TestRigidCurve:
+    """Gluing at normal degrees (-1, -1) against the resolved conifold, with
+    MNOP1's weights t_i - d_i t3 at infinity and the per-lambda q^f shift."""
+
+    SAMPLES = [sample_random(seed, 14) for seed in (1, 2, 3)]
+
+    def test_closed_form(self):
+        assert conifold_pt(1, 4) == [0, 1, -2, 3, -4]
+        assert conifold_pt(3, 10)[3:] == [0, 0, 1, -6, 14, -32, 63, -112]
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_glue(self, n):
+        for s in self.SAMPLES:
+            got = glue(GlueRequest("PT", (-1, -1), n, (), (), 7, s))
+            assert got.shift == 0 and got.scalars() == conifold_pt(n, 7 + n)[n:]
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_ptint_residue(self, n):
+        got = ptint_residue((-1, -1), n, (), (), self.SAMPLES[0], 5)
+        assert got.shift == 0 and got.scalars() == conifold_pt(n, 5 + n)[n:]
+
+    @pytest.mark.parametrize("degrees", [(1, -3), (0, -2), (-1, -1), (2, -4)])
+    def test_dt_is_pt_times_dt0(self, degrees):
+        s = self.SAMPLES[0]
+        z0 = QSeries(dt0_localcurve(degrees, s, 4))
+        for n in (1, 2):
+            zpt, zdt = (glue(GlueRequest(theory, degrees, n, (), (), 4, s))
+                        for theory in ("PT", "DT"))
+            prod = QSeries(zpt.scalars(), zpt.shift) * z0
+            assert any(prod.coeffs) and zdt.shift == prod.shift
+            assert zdt.scalars()[:len(prod)] == prod.coeffs
+
+    def test_dt0_is_macmahon_squared_on_the_cy_plane(self):
+        # on t1 + t2 + t3 = 0 the degree-0 series is M(-q)^chi, chi = 2 fixed
+        # points; the weights at infinity stay on the plane only as t_i - d_i t3
+        m = [(-1) ** k * c for k, c in enumerate(macmahon_coeffs(5))]
+        m2 = [sum(m[i] * m[k - i] for i in range(k + 1)) for k in range(6)]
+        for seed in (1, 2):
+            assert dt0_localcurve((-1, -1), sample_random(seed, 14, line=-1), 5) == m2
+
+    def test_negative_f_shortens_the_series(self):
+        # at (1, -3) the partition (1, 1) has f = -1: the series starts at
+        # q^-1 and ends at q^(qorder - 1)
+        got = glue(GlueRequest("DT", (1, -3), 2, (), (), 4, self.SAMPLES[0]))
+        assert got.shift == -1 and len(got) == 5
 
 
 class TestPtintResidue:

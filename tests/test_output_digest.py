@@ -9,7 +9,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
-PINNED = "3671 entries sha256 33bfabef84cd21956925fe5c6b58a9aa7be85e52adc5ba32edc20ed49069033c"
+PINNED = "3671 entries sha256 dd9261ea075611d693f6093dc160dd7d79598592f23a05f61abc91306ed138cc"
 
 
 def test_digest_is_pinned_and_repeats_in_one_process():

@@ -62,8 +62,10 @@ def test_bad_bound():
 
 def test_substituted():
     s = sample_random(7, 10)
-    sub = s.substituted(-1, -1)
-    assert sub.t1 == s.t1 - s.t3
+    # MNOP1's weights at infinity: t_i - d_i t3, -t3
+    sub = s.substituted(-1, 2)
+    assert sub.t1 == s.t1 + s.t3
+    assert sub.t2 == s.t2 - 2 * s.t3
     assert sub.t3 == -s.t3
 
 
