@@ -217,7 +217,8 @@ def dt_weight(pp: LeggedPlanePartition, s: ParamSample, conv: Convention = DEFAU
 
 
 def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
-    """step(terms, m) = Exp(-(V(N') - V(N))) at the sample, for the box
+    """step(terms, m) = (num, den), integers (den nonzero, neither reduced)
+    with num/den = Exp(-(V(N') - V(N))) at the sample, for the box
     numerator N = sum c t^b given by its terms (b, c) and
     N' = N + eps t^m (1-t3): the factor a running product multiplies by
     when the box t^m is added (eps = +1 for ideal-sheaf boxes,
@@ -260,7 +261,7 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
 
     ratios: dict = {}
 
-    def step(terms, m) -> Fraction:
+    def step(terms, m) -> Tuple[int, int]:
         a, b, c = m
         num, den, vanishing = forms((((dual[0] - a, dual[1] - b, dual[2] - c), eps), (m, -eps)))
         zeros: dict = {}
@@ -289,20 +290,22 @@ def _weight_step(s: ParamSample, eps: int, dual: Tuple[int, int, int]):
         for (i, j, k), z in zeros.items():
             if z:
                 raise ValueError(f"sample genericity insufficient: weight {i}*t1+{j}*t2+{k}*t3 vanishes")
-        return Fraction(num, den)
+        return num, den
 
     return step
 
 
 def _times_step(w, step, terms, m):
     """w times step(terms, m), or None when w is None (undefined) or the
-    step raises at a non-generic sample."""
+    step raises at a non-generic sample: one Fraction over the products of
+    the numerators and of the denominators, normalized by a single gcd."""
     if w is None:
         return None
     try:
-        return w * step(terms, m)
+        num, den = step(terms, m)
     except ValueError:
         return None
+    return Fraction(w.numerator * num, w.denominator * den)
 
 
 def _weight_or_none(weight, config, s, conv):

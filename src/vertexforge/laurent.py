@@ -249,14 +249,16 @@ def divide_t3_lines(terms: Iterable[Tuple[Tuple[int, int], int, Coeff]]) -> Laur
             line[l] = line.get(l, 0) + c
     quot: Dict[Exponent, Coeff] = {}
     for (a, b), line in lines.items():
-        powers = sorted(line)
-        acc = 0
-        for lo, hi in zip(powers, powers[1:]):
-            acc += line[lo]
+        # one pass up the line: acc is the sum of num up to the previous
+        # power lo, the quotient's coefficient from lo up to this power
+        acc = lo = 0
+        for hi in sorted(line):
             if acc:
                 for l in range(lo, hi):
                     quot[(a, b, l)] = acc
-        if acc + line[powers[-1]]:
+            acc += line[hi]
+            lo = hi
+        if acc:
             raise NonPolynomialCharacter(
                 "non-polynomial character: remainder survives division by (1 - t^(0, 0, 1))"
             )

@@ -91,23 +91,36 @@ def _desc_product(config, desc_specs: Sequence[DescendentSpec], s, conv) -> Desc
                         for sp in desc_specs))
 
 
+def _pairwise_sum(xs: List[Fraction]) -> Fraction:
+    """The sum of xs (0 when empty), added in pairs round by round: every
+    addition's operands are partial sums of about the same size, where a
+    running sum would grow to the lcm of all the denominators at once."""
+    while len(xs) > 1:
+        xs = [a + b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
+    return xs[0] if xs else Fraction(0)
+
+
 def _graded_sum(qorder: int, walk, config, desc_specs: Sequence[DescendentSpec], s,
                 conv) -> QSeries:
     """The series, q-degree by q-degree, of the sum over the (degree, weight,
     key) nodes of a weight walk of the weight times the descendent weights of
     the fixed point `config(key)`; a weight None (undefined at the sample)
-    raises ValueError.  With no descendents each degree adds exact numbers
-    and builds one constant series, and no fixed point is built."""
+    raises ValueError.  With no descendents each degree's weights are added
+    in pairs (`_pairwise_sum`) into one constant series, and no fixed point
+    is built."""
     vs = tuple(sp.variable for sp in desc_specs)
     orders = tuple(sp.order for sp in desc_specs)
-    sums = [Fraction(0)] * (qorder + 1) if not desc_specs else [
+    sums = [[] for _ in range(qorder + 1)] if not desc_specs else [
         DescSeries(vs, orders) for _ in range(qorder + 1)]
     for d, w, key in walk:
         if w is None:
             raise ValueError(f"localization weight undefined at the sample: {key}")
-        sums[d] = sums[d] + (_desc_product(config(key), desc_specs, s, conv) * w if desc_specs else w)
+        if desc_specs:
+            sums[d] = sums[d] + _desc_product(config(key), desc_specs, s, conv) * w
+        else:
+            sums[d].append(w)
     if not desc_specs:
-        sums = [DescSeries(vs, orders, {(): c}) for c in sums]
+        sums = [DescSeries(vs, orders, {(): _pairwise_sum(ws)}) for ws in sums]
     return QSeries(sums)
 
 

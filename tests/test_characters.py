@@ -548,7 +548,7 @@ class TestWeightStep:
         for leg in self.LEGS:
             for _, _, n, m in _dt_steps(leg, 4, conv):
                 want = _outcome(lambda: s.exp(-vertex_char_delta(n, m, 1, dual)))
-                assert _outcome(lambda: step(n.terms.items(), m)) == want, (conv, leg, n, m)
+                assert _outcome(lambda: F(*step(n.terms.items(), m))) == want, (conv, leg, n, m)
                 count += 1
                 raised += want == "ValueError"
         eps = -conv.pt_column_sign
@@ -556,7 +556,7 @@ class TestWeightStep:
         for lam in self.LEGS[1:]:
             for _, _, n, m in _pt_steps(lam, 4, conv):
                 want = _outcome(lambda: s.exp(-vertex_char_delta(n, m, eps, (-1, -1, -1))))
-                assert _outcome(lambda: step(n.terms.items(), m)) == want, (conv, lam, n, m)
+                assert _outcome(lambda: F(*step(n.terms.items(), m))) == want, (conv, lam, n, m)
                 count += 1
                 raised += want == "ValueError"
         return count, raised
