@@ -232,7 +232,7 @@ def check_slices(params: dict, conv: Convention):
 def check_simple(params: dict, conv: Convention):
     """Local-curve factorization of ideal-sheaf counts into the stable-pairs
     series and the degree-0 factor, plus parameter independence of the
-    stable-pairs series."""
+    stable-pairs series across the samples (null with one sample)."""
     qorder = params["qorder"]
     degrees = tuple(params["degrees"])
     samples = seeded_samples(params["seed"], qorder + 10, params["samples"])
@@ -240,7 +240,8 @@ def check_simple(params: dict, conv: Convention):
     pt = [localcurve.glue(localcurve.GlueRequest("PT", degrees, 1, (), (), qorder, s, conv))
           for s in samples]
     pt_all = [p.scalars() for p in pt]
-    pt_indep = all(p == pt_all[0] for p in pt_all)
+    # one sample would compare its series with itself: independence untested
+    pt_indep = all(p == pt_all[0] for p in pt_all) if len(pt_all) > 1 else None
     s = samples[0]
     zdt = localcurve.glue(localcurve.GlueRequest("DT", degrees, 1, (), (), qorder, s, conv)).scalars()
     zdt0 = localcurve.dt0_localcurve(degrees, s, qorder, conv)
@@ -262,7 +263,7 @@ def check_simple(params: dict, conv: Convention):
             "residual": residual,
         }
     )
-    return cases, ok and pt_indep
+    return cases, ok and pt_indep is not False
 
 
 def check_ptint(params: dict, conv: Convention):
@@ -297,6 +298,9 @@ def check_spec_poly(params: dict, conv: Convention):
         notes = [f"two-column specialization closed form: {'exact' if fk_ok else 'FAILED'}"]
         for desc in ((), (DescendentSpec("ch", 0, "u", uorder),)):
             rep = specialization_poly_check(desc, grid, fit_upto, sline, conv)
+            if rep.verdict == "under-determined":
+                raise InvalidCheckSpec(f"spec-poly fit_upto {fit_upto} is too small: its fit "
+                                       "misses the held-out points, and a larger fit meets them")
             allok = allok and rep.holdout_ok and fk_ok
             cases.append(
                 {
@@ -444,6 +448,9 @@ def _validate_params(name: str, params: dict) -> None:
         if not (any(k <= fit_upto for k in grid) and any(k > fit_upto for k in grid)):
             # the fit needs a point and the verification a held-out one
             raise InvalidCheckSpec("spec-poly needs grid points both at most and above fit_upto")
+        if len(set(grid)) < len(grid):
+            # interpolation through a repeated point divides by zero
+            raise InvalidCheckSpec("spec-poly grid points must be distinct")
 
 
 def run_check(name: str, params: dict | None = None, conv: Convention | None = None) -> CheckReport:

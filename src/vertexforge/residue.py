@@ -888,8 +888,8 @@ def specialization_poly_check(
     basis: str = "chern",
 ) -> PolyFitReport:
     """Fit a polynomial in k to the per-k values of the single-cell residue
-    vertex (its coefficient at the descendent orders) on the low part of the
-    grid and verify the held-out points exactly.
+    vertex (its coefficient at the descendent orders) on the grid points
+    k <= fit_upto and verify the held-out points exactly.
 
     The per-k value is taken in the source orientation (an extra (-1)^k
     against the localization-matching weights); in the 'full' region its
@@ -897,18 +897,29 @@ def specialization_poly_check(
     control evaluates the 'inner'-region values (the actual localization
     weights), whose k-dependence carries factorial denominators and fails
     the held-out verification.
+
+    A miss by a fit through n points of degree n - 1 may only show that n
+    points are too few: it reads 'non-polynomial' only when every larger
+    fit, up to every grid point but one, misses too, and 'under-determined'
+    otherwise.  The grid points must be distinct.
     """
     coeffs = pt_residue_vertex(Partition([1]), max(grid), desc_specs, s, conv, basis, region)
     e = tuple(sp.order for sp in desc_specs)
-    values = [coeffs[k].coeff(e) * (-1) ** k for k in grid]
-    fit_xs = [k for k in grid if k <= fit_upto]
-    fit_ys = values[: len(fit_xs)]
-    hold_xs = [k for k in grid if k > fit_upto]
-    hold_ys = values[len(fit_xs):]
-    dd = _divided_differences(fit_xs, fit_ys)
-    ok = all(_newton_eval(dd, fit_xs, x) == y for x, y in zip(hold_xs, hold_ys))
-    degree = max((k for k, c in enumerate(dd) if c), default=0)
-    return PolyFitReport(degree, ok, "polynomial" if ok else "non-polynomial")
+    points = sorted((k, coeffs[k].coeff(e) * (-1) ** k) for k in grid)
+
+    def fit(n):
+        """(degree, held-out points all on it) of the fit through the first n points."""
+        xs = [k for k, _ in points[:n]]
+        dd = _divided_differences(xs, [v for _, v in points[:n]])
+        ok = all(_newton_eval(dd, xs, k) == v for k, v in points[n:])
+        return max((k for k, c in enumerate(dd) if c), default=0), ok
+
+    n = sum(k <= fit_upto for k in grid)
+    degree, ok = fit(n)
+    verdict = "polynomial" if ok else "non-polynomial"
+    if not ok and degree == n - 1 and any(fit(m)[1] for m in range(n + 1, len(points))):
+        verdict = "under-determined"
+    return PolyFitReport(degree, ok, verdict)
 
 
 # ---------------------------------------------------------------------------

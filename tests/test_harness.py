@@ -287,6 +287,33 @@ class TestCLI:
         assert rc == 2
         assert "invalid check spec" in capsys.readouterr().err
 
+    def test_spec_poly_too_small_fit_exit_2(self, capsys):
+        # one fit point gives a constant; the per-k values are linear
+        rc = main(["check", "spec-poly", "--params", '{"fit_upto": 0}'])
+        assert rc == 2
+        assert "fit_upto 0 is too small" in capsys.readouterr().err
+        rc = main(["check", "spec-poly", "--params", '{"fit_upto": 1}'])
+        assert rc == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["cases"][-1] == {"control_off_line": "non-polynomial", "control_ok": True}
+
+    def test_spec_poly_grid_order_and_repeats(self, capsys):
+        shuffled = run_check("spec-poly", {"grid": [8, 0, 7, 1, 6, 2, 5, 3, 4]})
+        assert shuffled.verdict == "pass"
+        assert shuffled.cases == run_check("spec-poly").cases
+        rc = main(["check", "spec-poly", "--params", '{"grid": [0, 0, 1, 2, 3], "fit_upto": 1}'])
+        assert rc == 2
+        assert "must be distinct" in capsys.readouterr().err
+
+    def test_simple_one_sample_leaves_independence_untested(self):
+        # one sample compares its series with itself: the row reads null and
+        # the verdict rests on the factorization
+        rep = run_check("simple", {"samples": 1})
+        assert rep.verdict == "pass"
+        assert rep.cases[0]["pt_parameter_independent"] is None
+        rep = run_check("simple", {"samples": 2})
+        assert rep.cases[0]["pt_parameter_independent"] is True
+
     def test_vacuous_mainpt_is_invalid(self, capsys):
         # lambda = (1), q <= 1, u <= 1: both bases would compare only zeros
         rc = main(["check", "mainpt", "--params",

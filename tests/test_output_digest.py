@@ -9,7 +9,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
-PINNED = "3671 entries sha256 dd9261ea075611d693f6093dc160dd7d79598592f23a05f61abc91306ed138cc"
+PINNED = "3671 entries sha256 041e350cad9692515364d86ca64211a9bc46f77ea7a04f4f65ea66f23bc70050"
 
 
 def test_digest_is_pinned_and_repeats_in_one_process():
