@@ -10,6 +10,7 @@ from vertexforge.laurent import (
     LaurentPoly,
     NonPolynomialCharacter,
     divide_one_minus,
+    divide_t3_lines,
     exp_pleth,
     exp_pleth_extended,
     over_common_denominator,
@@ -88,6 +89,53 @@ class TestReduce:
         a = EquivariantCharacter(LaurentPoly.one() - mono((0, 0, 2)), [T3])
         b = EquivariantCharacter(LaurentPoly.one() + mono(T3), ())
         assert a == b
+
+
+# terms ((a, b), l, c) on three t3-lines with few powers, so exponents repeat
+_LINE_TERMS = st.lists(st.tuples(st.sampled_from([(0, 0), (1, -1), (-2, 3)]), st.integers(-3, 3),
+                                 st.integers(-3, 3)), max_size=12)
+
+
+def _oracle_t3(terms):
+    """EquivariantCharacter(num, [t3]).reduce() of num = the terms' sum, or
+    the NonPolynomialCharacter it raises."""
+    num: dict = {}
+    for (a, b), l, c in terms:
+        num[(a, b, l)] = num.get((a, b, l), 0) + c
+    try:
+        return EquivariantCharacter(LaurentPoly(num), [T3]).reduce()
+    except NonPolynomialCharacter:
+        return NonPolynomialCharacter
+
+
+def _divided_t3(terms):
+    try:
+        return divide_t3_lines(terms)
+    except NonPolynomialCharacter:
+        return NonPolynomialCharacter
+
+
+class TestDivideT3Lines:
+    """The one-pass line division against the factor-by-factor oracle."""
+
+    @given(terms=_LINE_TERMS)
+    @settings(max_examples=150, deadline=None)
+    def test_any_terms(self, terms):
+        # mostly non-polynomial: both sides raise
+        assert _divided_t3(terms) == _oracle_t3(terms)
+
+    @given(quot=_LINE_TERMS, shuffle=st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_multiples_of_one_minus_t3(self, quot, shuffle):
+        # num = Q (1 - t3), its terms in any order: both sides give Q
+        terms = [t for base, l, c in quot for t in ((base, l, c), (base, l + 1, -c))]
+        shuffle.shuffle(terms)
+        got = _divided_t3(terms)
+        assert got == _oracle_t3(terms)
+        want: dict = {}
+        for (a, b), l, c in quot:
+            want[(a, b, l)] = want.get((a, b, l), 0) + c
+        assert got == LaurentPoly(want)
 
 
 @given(xs=st.lists(st.one_of(st.integers(-50, 50), st.fractions(max_denominator=60)),

@@ -20,12 +20,13 @@ from vertexforge.residue import pt_residue_vertex, specialization_poly_check
 from vertexforge.sampling import ParamSample, sample_random
 from vertexforge.series import DescSeries
 from vertexforge.vertex import (
+    _pairwise_sum,
     bare_dt,
     bare_pt,
     chern_monomial_value,
     dt0_slice,
 )
-from vertexforge.characters import dt_weight, pt_weight
+from vertexforge.characters import dt_weight, dt_weight_walk, pt_weight, pt_weight_walk
 from vertexforge.partitions import enum_rpp
 
 S = sample_random(4, 16)
@@ -209,6 +210,58 @@ class TestSpecializationCheck:
             basis="interp",
         )
         assert rep.verdict == "non-polynomial"
+
+    def test_too_small_fit_is_under_determined(self):
+        # a constant through one point misses the linear per-k values, and
+        # the fit through two points meets every held-out one
+        sline = sample_random(5, 14, line=1)
+        desc = (DescendentSpec("ch", 0, "u", 2),)
+        rep = specialization_poly_check(desc, list(range(7)), 0, sline)
+        assert (rep.fit_degree, rep.holdout_ok, rep.verdict) == (0, False, "under-determined")
+        # the grid's order does not matter
+        rep = specialization_poly_check(desc, [6, 0, 5, 1, 4, 2, 3], 1, sline)
+        assert (rep.fit_degree, rep.holdout_ok, rep.verdict) == (1, True, "polynomial")
+
+    def test_control_miss_persists_from_one_point(self):
+        # the off-line values miss at every fit size, so even a one-point
+        # fit reads non-polynomial
+        s = sample_random(6, 14)
+        for fit_upto in (0, 3):
+            rep = specialization_poly_check(
+                (DescendentSpec("ch", 0, "u", 2),), list(range(7)), fit_upto, s, region="inner",
+                basis="interp",
+            )
+            assert (rep.fit_degree, rep.verdict) == (fit_upto, "non-polynomial")
+
+
+class TestPairwiseDegreeSums:
+    """The scalar series add each degree's weights in pairs; they equal the
+    sums in walk order, one Fraction at a time."""
+
+    @staticmethod
+    def _sequential(walk, qorder):
+        out = [F(0)] * (qorder + 1)
+        for d, w, _ in walk:
+            out[d] = out[d] + w
+        return out
+
+    def test_walk_order_sums(self):
+        for seed in (4, 5, 6):
+            s = sample_random(seed, 16)
+            for lam in (Partition(), Partition([1]), Partition([2, 1])):
+                for q in range(7):
+                    dt = [c.coeff(()) for c in bare_dt(lam, q, (), s).coeffs]
+                    assert dt == self._sequential(dt_weight_walk(lam, q, s), q), (seed, lam, q)
+                    e = euler_hilb(lam, s)
+                    pt = [c.coeff(()) * e for c in bare_pt(("fixedpoint", lam), q, (), s).coeffs]
+                    assert pt == self._sequential(pt_weight_walk(lam, q, s), q), (seed, lam, q)
+
+    def test_short_lists(self):
+        assert _pairwise_sum([]) == 0 and type(_pairwise_sum([])) is F
+        x = F(3, 7)
+        assert _pairwise_sum([x]) is x
+        xs = [F(1, k) for k in range(1, 8)]
+        assert _pairwise_sum(xs) == sum(xs)
 
 
 class TestRunningProduct:
