@@ -96,6 +96,7 @@ def _pairwise_sum(xs: List[Fraction]) -> Fraction:
     addition's operands are partial sums of about the same size, where a
     running sum would grow to the lcm of all the denominators at once."""
     while len(xs) > 1:
+        # an odd last term goes up to the next round as it is
         xs = [a + b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) - len(xs) % 2:]
     return xs[0] if xs else Fraction(0)
 

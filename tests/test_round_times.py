@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from vertexforge import harness
+
 ROOT = Path(__file__).resolve().parent.parent
 TOOL = ROOT / "tools" / "round_times.py"
 
@@ -18,8 +20,6 @@ def _tool():
 
 
 def test_one_localize_vertex_round(tmp_path):
-    from vertexforge import harness
-
     tool = _tool()
     best = tool.round_times(ROOT, ROOT, "localize-vertex", 7, 1, str(tmp_path))
     workloads = tool.load_workloads(ROOT)
