@@ -4,7 +4,6 @@ Every identity ships as a named check with a JSON report and a CI-friendly
 exit code (0 pass, 1 violation, 2 invalid input, 3 informative).  The same
 checks run from the command line:
 
-    vertexforge calibrate --out convention.json
     vertexforge check egl --params '{"n_values": [1, 2], "samples": 1}'
     vertexforge check simple
     vertexforge compute '{"type": "vertex", "theory": "DT",
@@ -13,23 +12,19 @@ checks run from the command line:
 
 Computed series are cached under ./.vertexforge-cache (override with
 --cache-dir or VERTEXFORGE_CACHE); a repeated request returns the stored
-bytes unchanged.
+bytes unchanged.  Every check and computation uses the shipped convention,
+which the reports name.
 """
 
 import json
 import tempfile
 
-from vertexforge.harness import calibrate, compute, run_check
-
-# calibration scans the convention flags and isolates the unique choice
-# passing the discriminating identities
-doc = calibrate()
-assert doc["winner_count"] == 1
-print("calibrated convention:", doc["winner"])
+from vertexforge.harness import compute, run_check
 
 # a small check run
 rep = run_check("measure-ratio", {"max_size": 2, "kmax": 2, "samples": 1})
 print(f"measure-ratio: {rep.verdict} in {rep.elapsed:.1f}s, exit {rep.exit_code}")
+print("convention:", rep.to_json()["convention"])
 
 # a cached computation
 request = {

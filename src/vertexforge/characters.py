@@ -4,8 +4,12 @@ classes through the plethystic exponential, and descendent weight generating
 functions.
 
 Convention flags capture the orientation/normalization choices the source
-formulas leave open; `calibrate` (harness) fixes them against the internal
-identities and the calibrated Convention ships as DEFAULT_CONVENTION.
+formulas leave open.  Published closed forms fix each of them: the CY
+one-leg topological vertex (arXiv:hep-th/0309208) the column sign and the
+residue normalization, MNOP's degree-0 series M(-q)^r (arXiv:math/0312059)
+the dual term, and the arm-leg hook product the Euler sign.  That choice
+ships as DEFAULT_CONVENTION; the other flag values stay reachable so that
+tests can use them as mutation controls.
 """
 
 from __future__ import annotations
@@ -33,15 +37,6 @@ class Convention(NamedTuple):
             "euler_sign": self.euler_sign,
             "hilb_norm": self.hilb_norm,
         }
-
-    @staticmethod
-    def from_json(d: dict) -> "Convention":
-        return Convention(
-            pt_column_sign=d["pt_column_sign"],
-            dt_dual_denominator=d["dt_dual_denominator"],
-            euler_sign=d["euler_sign"],
-            hilb_norm=d["hilb_norm"],
-        )
 
 
 DEFAULT_CONVENTION = Convention()
@@ -95,17 +90,6 @@ def euler_hilb(shape: Partition, s: ParamSample, conv: Convention = DEFAULT_CONV
     if conv.euler_sign == -1:
         p = -p
     return s.exp(p)
-
-
-def euler_hook_oracle(shape: Partition, s: ParamSample) -> Fraction:
-    """Independent arm-leg product for the tangent Euler class:
-    prod over cells of (t1(l+1) - t2*a)(t2(a+1) - t1*l)."""
-    out = Fraction(1)
-    for cell in shape.cells():
-        a = shape.arm(cell)
-        l = shape.leg(cell)
-        out *= (s.t1 * (l + 1) - s.t2 * a) * (s.t2 * (a + 1) - s.t1 * l)
-    return out
 
 
 def pt_box_terms(k, conv: Convention = DEFAULT_CONVENTION) -> list:

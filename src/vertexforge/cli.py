@@ -1,4 +1,4 @@
-"""Command-line interface: compute, check, calibrate, report.
+"""Command-line interface: compute, check, report.
 
 Exit codes: 0 all equalities hold, 1 violation, 2 invalid input,
 3 informative-only.  Configuration comes from an optional key=value file
@@ -20,13 +20,10 @@ from .harness import (
     CHECKS,
     VERDICT_EXIT,
     InvalidCheckSpec,
-    calibrate,
-    checked_convention,
     compute,
     default_cache_dir,
     run_check,
 )
-from .characters import Convention
 
 FORMATS = ("json", "csv")
 
@@ -94,18 +91,6 @@ def _emit(doc: dict, fmt: str) -> None:
     sys.stdout.write(buf.getvalue())
 
 
-def _convention_from_args(args) -> Convention | None:
-    if not args.convention:
-        return None
-    doc = _read_json(args.convention, "convention document")
-    if isinstance(doc, dict):
-        doc = doc.get("winner") or doc
-    try:
-        return checked_convention(Convention.from_json(doc))[0]
-    except (KeyError, TypeError, InvalidCheckSpec):
-        raise _InvalidInput(f"invalid convention document: {args.convention} names no convention") from None
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="vertexforge",
@@ -115,7 +100,6 @@ def main(argv=None) -> int:
     parser.add_argument("--config", help="key=value config file (flags override)")
     parser.add_argument("--cache-dir", help="result cache directory")
     parser.add_argument("--format", choices=FORMATS, help="output format (default json)")
-    parser.add_argument("--convention", help="convention document written by `calibrate`")
     sub = parser.add_subparsers(dest="verb", required=True)
 
     p_check = sub.add_parser("check", help="run a named identity suite")
@@ -126,10 +110,6 @@ def main(argv=None) -> int:
     p_compute = sub.add_parser("compute", help="compute a series request (cached)")
     p_compute.add_argument("request", help="JSON request or @file")
     p_compute.add_argument("--out", help="write the result to this path")
-
-    p_cal = sub.add_parser("calibrate", help="run the convention calibration suite")
-    p_cal.add_argument("--seed", type=int, default=43)
-    p_cal.add_argument("--out", default="convention.json")
 
     p_rep = sub.add_parser("report", help="render a stored report")
     p_rep.add_argument("path")
@@ -153,7 +133,6 @@ def _run(args) -> int:
     fmt = args.format or cfg.get("format", "json")
     if fmt not in FORMATS:
         raise _InvalidInput(f"invalid config format {fmt!r}: expected one of {', '.join(FORMATS)}")
-    conv = _convention_from_args(args)
 
     if args.verb == "check":
         params = {}
@@ -170,7 +149,7 @@ def _run(args) -> int:
                 raise _InvalidInput(f"invalid check spec: {source} must be a JSON object")
             params.update(given)
         try:
-            report = run_check(args.name, params, conv)
+            report = run_check(args.name, params)
         except InvalidCheckSpec as exc:
             raise _InvalidInput(f"invalid check spec: {exc}") from None
         doc = report.to_json()
@@ -190,7 +169,7 @@ def _run(args) -> int:
         except json.JSONDecodeError as exc:
             raise _InvalidInput(f"malformed request JSON: {exc}") from None
         try:
-            blob, hit = compute(request, conv, cache_dir)
+            blob, hit = compute(request, None, cache_dir)
         except (InvalidCheckSpec, KeyError, ValueError) as exc:
             raise _InvalidInput(f"invalid request: {exc}") from None
         except OSError as exc:
@@ -202,20 +181,6 @@ def _run(args) -> int:
         sys.stdout.write("\n")
         sys.stderr.write("cache hit\n" if hit else "computed\n")
         return 0
-
-    if args.verb == "calibrate":
-        doc = calibrate(args.seed)
-        _write_out(args.out, json.dumps(doc, indent=2, sort_keys=True))
-        _emit(doc, fmt)
-        if doc["winner_count"] == 1:
-            print(f"calibrated convention written to {args.out}", file=sys.stderr)
-            return 0
-        print(
-            f"calibration did not isolate a unique convention "
-            f"({doc['winner_count']} candidates pass); see the log",
-            file=sys.stderr,
-        )
-        return 1
 
     # report
     doc = _read_json(args.path, "report")

@@ -1,9 +1,11 @@
-"""Named identity suites, convention calibration, and the result cache.
+"""Named identity suites and the result cache.
 
 `run_check` runs a named check, times it and makes its CheckReport, whose
 verdict maps through VERDICT_EXIT to the process exit code contract: 0 all
 equalities hold, 1 at least one violation, 2 invalid input, 3
-informative-only.  Calibration runs the named checks through it too.
+informative-only.  Every check and every cached result is computed in the
+shipped convention, `DEFAULT_CONVENTION`, which published closed forms fix
+(the tier-1 convention scan in tests/test_vertex.py).
 """
 
 from __future__ import annotations
@@ -23,18 +25,12 @@ from .characters import (
     Convention,
     DEFAULT_CONVENTION,
     DescendentSpec,
-    all_conventions,
-    euler_hilb,
-    euler_hook_oracle,
     measure_difference_char,
-    pt_weight,
 )
-from .laurent import NonPolynomialCharacter
 from .partitions import (
     Partition,
     enum_legged_pp,
     enum_partitions,
-    enum_rpp,
     macmahon_coeffs,
     pp_from_slices,
     slices_of,
@@ -453,7 +449,7 @@ def _validate_params(name: str, params: dict) -> None:
             raise InvalidCheckSpec("spec-poly grid points must be distinct")
 
 
-def run_check(name: str, params: dict | None = None, conv: Convention | None = None) -> CheckReport:
+def run_check(name: str, params: dict | None = None) -> CheckReport:
     if name not in CHECKS:
         raise InvalidCheckSpec(f"unknown check {name!r}; choose from {sorted(CHECKS)}")
     params = dict(params or {})
@@ -462,9 +458,8 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
         raise InvalidCheckSpec(f"unknown parameter(s) for {name}: {sorted(bad)}")
     full = {**CHECK_DEFAULTS[name], **params}
     _validate_params(name, full)
-    conv, _ = checked_convention(conv)
     t0 = time.time()
-    outcome = CHECKS[name](full, conv)
+    outcome = CHECKS[name](full, DEFAULT_CONVENTION)
     elapsed = time.time() - t0
     # pad (cases, ok[, notes[, raw report]]) with the notes and raw report it omits
     cases, ok, notes, raw = outcome + ([], None)[len(outcome) - 2:]
@@ -473,109 +468,12 @@ def run_check(name: str, params: dict | None = None, conv: Convention | None = N
         raise InvalidCheckSpec(f"check {name} has no case at parameters {params}")
     verdict = "informative" if ok is None else "pass" if ok else "fail"
     # the report's copy of the parameters shares no list with CHECK_DEFAULTS
-    return CheckReport(name, verdict, cases, conv, elapsed, notes, copy.deepcopy(full), raw)
-
-
-# ---------------------------------------------------------------------------
-# convention calibration
-
-
-def _calib_battery(conv: Convention, seed: int = 43) -> Dict[str, bool]:
-    """Cheap discriminating checks for a convention candidate."""
-    out: Dict[str, bool] = {}
-    s = sample_random(seed, 14)
-    # stable-pairs weight must be finite and nonzero on a one-box column
-    try:
-        cfg = enum_rpp(Partition([1]), 1)[1]
-        w = pt_weight(cfg, s, conv)
-        out["pt_weight_finite"] = w != 0
-    except (ValueError, ZeroDivisionError, NonPolynomialCharacter):
-        out["pt_weight_finite"] = False
-    # Euler class against the arm-leg hook oracle
-    try:
-        out["euler_hook"] = all(
-            euler_hilb(lam, s, conv) == euler_hook_oracle(lam, s)
-            for lam in (Partition([1]), Partition([2]), Partition([2, 1]))
-        )
-    except (ValueError, ZeroDivisionError):
-        out["euler_hook"] = False
-
-    def passes(name: str, params: dict) -> bool:
-        # a named check at small parameters; a candidate it raises on fails
-        try:
-            return run_check(name, {**params, "seed": seed}, conv).verdict == "pass"
-        except (ValueError, ArithmeticError):
-            return False
-
-    # EGL at n = 1, 2
-    out["egl"] = passes("egl", {"n_values": [1, 2], "u_orders": [2], "u_total": None,
-                                "samples": 1})
-    # measure ratio on the single column, depths 0..2
-    out["measure_ratio"] = passes("measure-ratio", {"max_size": 1, "kmax": 2, "samples": 1})
-    # small local-curve factorization
-    out["simple"] = passes("simple", {"qorder": 2, "samples": 1})
-    return out
-
-
-def calibrate(seed: int = 43) -> dict:
-    """Scan the convention candidates, record the discriminating checks, and
-    select the unique candidate passing all of them."""
-    rows = []
-    winners = []
-    for conv in all_conventions():
-        battery = _calib_battery(conv, seed)
-        ok = all(battery.values())
-        rows.append({"convention": conv.to_json(), "checks": battery, "pass": ok})
-        if ok:
-            winners.append(conv)
-    doc = {
-        "version": __version__,
-        "seed": seed,
-        "candidates": rows,
-        "winner": winners[0].to_json() if len(winners) == 1 else None,
-        "winner_count": len(winners),
-        "log": [
-            "pt_weight_finite: one-box stable-pairs weight is a nonzero rational "
-            "(rules out the column orientation with zero-weight monomials)",
-            "euler_hook: Exp(sign*F_e) equals the arm-leg hook product "
-            "(fixes the Euler-class sign)",
-            "egl: localization equals the (t1 t2)^(gamma n)-normalized residue "
-            "(fixes the residue normalization exponent)",
-            "measure_ratio: closed Pochhammer form equals Exp(V^PT - V^DT) "
-            "(fixes the dual-term denominator of the ideal-sheaf weight)",
-            "simple: local-curve factorization with the degree-0 factor",
-        ],
-    }
-    return doc
+    return CheckReport(name, verdict, cases, DEFAULT_CONVENTION, elapsed, notes, copy.deepcopy(full), raw)
 
 
 def load_default_convention() -> Convention:
-    """The calibrated default; the CLI's `--convention` picks another."""
+    """The shipped convention, the only one `run_check` and `compute` serve."""
     return DEFAULT_CONVENTION
-
-
-def checked_convention(conv: Convention | None) -> tuple[Convention, str]:
-    """`conv`, or the default for None, with its canonical JSON, if it is one
-    of `all_conventions()` and each field has `DEFAULT_CONVENTION`'s type;
-    else InvalidCheckSpec.  Convention(-1.0, ...) and Convention(True, ...)
-    equal members, but the first reaches `Fraction` as a float and the
-    second is spelled `true`."""
-    if conv is None:
-        conv = load_default_convention()
-    try:
-        return _checked_convention(conv, tuple(map(type, conv)))
-    except TypeError:  # not a tuple, or a field that cannot be hashed
-        raise InvalidCheckSpec(f"{conv!r} names no convention") from None
-
-
-@functools.lru_cache(maxsize=64, typed=True)
-def _checked_convention(conv: Convention, field_types: tuple) -> tuple[Convention, str]:
-    # keyed by the fields' types as _convention_json is, and typed so that a
-    # plain tuple equal to a member is not served that member
-    if (type(conv) is not Convention or conv not in all_conventions()
-            or field_types != tuple(map(type, DEFAULT_CONVENTION))):
-        raise InvalidCheckSpec(f"{conv!r} names no convention")
-    return conv, _convention_json(conv, field_types)
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +502,21 @@ def engine_fingerprint() -> str:
     return f"{__version__}+{crc:08x}{adler:08x}"
 
 
-@functools.lru_cache(maxsize=64)
-def _convention_json(conv: Convention, field_types: tuple) -> str:
-    # keyed by the fields' types too: Convention(True, ...) equals
-    # Convention(1, ...) but is spelled differently in JSON
-    return canonical_json(conv.to_json())
+# the convention part of every cache key and entry
+_CONVENTION_JSON = canonical_json(DEFAULT_CONVENTION.to_json())
+_CONVENTION_TYPES = tuple(map(type, DEFAULT_CONVENTION))
+
+
+def _check_convention(conv) -> None:
+    """None or the shipped `Convention` with each field of its type, else
+    InvalidCheckSpec.  Convention(-1.0, ...) equals it but would reach
+    `Fraction` as a float and be spelled `-1.0`; a plain tuple equal to it
+    is no Convention."""
+    if conv is None or conv is DEFAULT_CONVENTION:
+        return
+    if (type(conv) is not Convention or conv != DEFAULT_CONVENTION
+            or tuple(map(type, conv)) != _CONVENTION_TYPES):
+        raise InvalidCheckSpec(f"{conv!r} is not the shipped convention {DEFAULT_CONVENTION!r}")
 
 
 @functools.lru_cache(maxsize=4)
@@ -616,10 +524,10 @@ def _fingerprint_json(fingerprint: str) -> str:
     return canonical_json(fingerprint)
 
 
-def _request_parts(request: dict, conv_json: str) -> tuple[str, str, str]:
-    """Canonical JSON of the request, the convention (given) and the engine
+def _request_parts(request: dict) -> tuple[str, str, str]:
+    """Canonical JSON of the request, the convention and the engine
     fingerprint; only the request's is built on every call."""
-    return canonical_json(request), conv_json, _fingerprint_json(engine_fingerprint())
+    return canonical_json(request), _CONVENTION_JSON, _fingerprint_json(engine_fingerprint())
 
 
 def _digest(req_json: str, conv_json: str, version_json: str) -> str:
@@ -633,8 +541,9 @@ def request_key(request: dict, conv: Convention) -> str:
     """64-bit digest (crc32, adler32) of the canonical request payload, the
     name of its cache file.  It is not collision-resistant: `compute` confirms
     a hit against the request stored in the file, so a collision costs a
-    recompute, never a wrong result."""
-    return _digest(*_request_parts(request, _convention_json(conv, tuple(map(type, conv)))))
+    recompute, never a wrong result.  `conv` must be the shipped convention."""
+    _check_convention(conv)
+    return _digest(*_request_parts(request))
 
 
 def _read_bytes(path: str) -> bytes:
@@ -672,9 +581,9 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
     InvalidCheckSpec and are never cached.
     """
     _validate_request(request)
-    conv, conv_json = checked_convention(conv)
+    _check_convention(conv)
     cache_dir = cache_dir or default_cache_dir()
-    parts = _request_parts(request, conv_json)
+    parts = _request_parts(request)
     key = _digest(*parts)
     path = os.path.join(cache_dir, key + ".json")
     warn = False
@@ -690,11 +599,11 @@ def compute(request: dict, conv: Convention | None = None, cache_dir: str | None
             warn = not isinstance(json.loads(blob), dict)
         except ValueError:
             warn = True  # corruption: recompute below
-    result = _execute_request(request, conv)
+    result = _execute_request(request, DEFAULT_CONVENTION)
     doc = {
         "key": key,
         "request": request,
-        "convention": conv.to_json(),
+        "convention": DEFAULT_CONVENTION.to_json(),
         "version": engine_fingerprint(),
         "result": result,
         "recomputed_after_corruption": warn,

@@ -9,8 +9,10 @@ import time
 
 import pytest
 
-from vertexforge.characters import DEFAULT_CONVENTION
-from vertexforge.harness import calibrate, run_check
+from vertexforge.characters import DEFAULT_CONVENTION, all_conventions
+from vertexforge.harness import run_check
+
+from test_vertex import closed_form_scan
 
 
 def _announce(num, name, report):
@@ -113,12 +115,10 @@ def test_criterion_8_dtpt0():
 
 
 def test_criterion_9_calibration():
-    """Exactly one convention passes the calibration battery; the document
-    carries the derivation log."""
+    """Exactly one of the 24 convention candidates passes the closed-form
+    scan, and it is the shipped convention."""
     t0 = time.time()
-    doc = calibrate()
+    passing = [conv for conv in all_conventions() if all(closed_form_scan(conv).values())]
     print(f"[criterion 9] calibration: "
-          f"{'PASS' if doc['winner_count'] == 1 else 'FAIL'} ({time.time() - t0:.1f}s)")
-    assert doc["winner_count"] == 1
-    assert doc["winner"] == DEFAULT_CONVENTION.to_json()
-    assert doc["log"]
+          f"{'PASS' if passing == [DEFAULT_CONVENTION] else 'FAIL'} ({time.time() - t0:.1f}s)")
+    assert passing == [DEFAULT_CONVENTION]

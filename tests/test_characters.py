@@ -16,7 +16,6 @@ from vertexforge.characters import (
     edge_char,
     edge_factor,
     euler_hilb,
-    euler_hook_oracle,
     fe_char,
     measure_difference_char,
     pt_box_terms,
@@ -91,6 +90,16 @@ class TestFeChar:
         for lam in enum_partitions(4):
             swapped = fe_char(lam).substitute_monomials([(0, 1, 0), (1, 0, 0), (0, 0, 1)])
             assert fe_char(lam.transpose()) == swapped
+
+
+def euler_hook_oracle(shape: Partition, s) -> F:
+    """The tangent Euler class by the arm-leg hook product, independent of
+    `fe_char`: prod over cells of (t1(l+1) - t2*a)(t2(a+1) - t1*l)."""
+    out = F(1)
+    for cell in shape.cells():
+        a, l = shape.arm(cell), shape.leg(cell)
+        out *= (s.t1 * (l + 1) - s.t2 * a) * (s.t2 * (a + 1) - s.t1 * l)
+    return out
 
 
 class TestEuler:
@@ -414,7 +423,7 @@ class TestMeasureDifference:
     def test_proof_level_difference_formula(self):
         # V^PT - V^DT = 2(-Q_v + bar(Q_v)/(t1t2t3))
         #               + (Q_e bar(Q_v) - t3 bar(Q_e) Q_v)(1-t1)(1-t2)/(t1t2t3)
-        # does NOT hold as printed for the calibrated conventions; the
+        # does NOT hold as printed for the shipped convention; the
         # derived difference is certified against the closed Pochhammer form
         # in test_residue instead.  Here: the difference is a finite Laurent
         # polynomial for every column vector.
@@ -432,7 +441,8 @@ class TestMeasureDifference:
 
 def test_convention_serialization():
     c = Convention(-1, "t1t2t3", -1, -1)
-    assert Convention.from_json(c.to_json()) == c
+    assert c.to_json() == {"pt_column_sign": -1, "dt_dual_denominator": "t1t2t3",
+                           "euler_sign": -1, "hilb_norm": -1}
     assert DEFAULT_CONVENTION == c
 
 

@@ -17,7 +17,6 @@ from vertexforge import harness
 from vertexforge.cli import main
 from vertexforge.harness import (
     InvalidCheckSpec,
-    calibrate,
     canonical_json,
     compute,
     request_key,
@@ -48,14 +47,9 @@ class TestRunCheck:
         assert [c["sample"] for c in rep.cases] == [0, 1, 2, 3, 4]
         assert rep.verdict == "pass"
 
-    def test_bool_convention_field_is_invalid(self):
-        # Convention(-1, ..., True) equals the default but would be reported
-        # as "hilb_norm": true
-        with pytest.raises(InvalidCheckSpec):
-            run_check("slices", {"qorder": 2, "count_upto": 3},
-                      Convention(-1, "t1t2t3", -1, True))
-        rep = run_check("slices", {"qorder": 2, "count_upto": 3}, Convention(-1, "t1t2t3", -1, -1))
-        assert rep.verdict == "pass" and rep.to_json()["convention"]["hilb_norm"] == -1
+    def test_report_names_the_shipped_convention(self):
+        rep = run_check("slices", {"qorder": 2, "count_upto": 3})
+        assert rep.verdict == "pass" and rep.to_json()["convention"] == DEFAULT_CONVENTION.to_json()
 
 
 class TestCache:
@@ -72,12 +66,6 @@ class TestCache:
         assert not hit1 and hit2
         assert blob1 == blob2  # byte-identical from cache
 
-    def test_key_depends_on_convention(self):
-        req = {"type": "vertex", "qorder": 1}
-        k1 = request_key(req, DEFAULT_CONVENTION)
-        k2 = request_key(req, Convention(1, "t1t2", 1, 0))
-        assert k1 != k2
-
     @pytest.mark.parametrize("conv", [
         Convention(-1.0, "t1t2t3", -1, -1), Convention(-1, "t1t2t3", -1, True),
         Convention(2), Convention(-1, "t3"), (-1, "t1t2t3", -1, -1), "t1t2t3",
@@ -88,26 +76,45 @@ class TestCache:
         # is computed or written for any of these
         with pytest.raises(InvalidCheckSpec):
             compute({"type": "vertex", "qorder": 1}, conv, str(tmp_path))
+        with pytest.raises(InvalidCheckSpec):
+            request_key({"type": "vertex", "qorder": 1}, conv)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("conv", [c for c in all_conventions() if c != DEFAULT_CONVENTION],
+                             ids=lambda c: "".join(map(str, c)))
+    def test_other_candidates_are_invalid(self, conv, tmp_path):
+        # the harness serves the shipped convention only; the library's
+        # functions still take the others
+        with pytest.raises(InvalidCheckSpec):
+            compute({"type": "vertex", "qorder": 1}, conv, str(tmp_path))
+        with pytest.raises(InvalidCheckSpec):
+            request_key({"type": "vertex", "qorder": 1}, conv)
+        assert not list(tmp_path.iterdir())
+
+    def test_bool_convention_field_is_invalid(self, tmp_path):
+        # Convention(-1, ..., True) would be spelled `"hilb_norm": true`
+        req = {"type": "vertex", "qorder": 1}
+        with pytest.raises(InvalidCheckSpec):
+            compute(req, Convention(-1, "t1t2t3", -1, True), str(tmp_path))
+        assert not list(tmp_path.iterdir())
+        blob, _ = compute(req, Convention(-1, "t1t2t3", -1, -1), str(tmp_path))
+        assert json.loads(blob)["convention"]["hilb_norm"] == -1
+
     def test_key_spelled_out_under_every_convention(self):
-        # the convention's and the fingerprint's JSON are built once each,
-        # and the key still follows the convention it is asked for
+        # the key of the shipped convention, given or None, is the checksum
+        # of the spelled-out canonical payload; every other convention of
+        # the 24 has no key
         req = {"type": "glue", "theory": "DT", "degrees": [1, -3], "qorder": 2, "seed": 5}
-
-        def spelled_out(conv):
-            payload = json.dumps({"convention": conv.to_json(), "request": req,
-                                  "version": harness.engine_fingerprint()},
-                                 sort_keys=True, separators=(",", ":")).encode()
-            return f"{zlib.crc32(payload):08x}{zlib.adler32(payload):08x}"
-
-        keys = [request_key(req, conv) for conv in all_conventions()]
-        assert keys == [spelled_out(conv) for conv in all_conventions()]
-        assert len(set(keys)) == 24
-        # Convention(True, ...) equals Convention(1, ...) but is spelled
-        # `true` in JSON: its key is its own, asked for before or after
-        one, true = Convention(1, "t1t2"), Convention(True, "t1t2")
-        assert request_key(req, true) == spelled_out(true) != request_key(req, one)
+        payload = json.dumps({"convention": DEFAULT_CONVENTION.to_json(), "request": req,
+                              "version": harness.engine_fingerprint()},
+                             sort_keys=True, separators=(",", ":")).encode()
+        spelled_out = f"{zlib.crc32(payload):08x}{zlib.adler32(payload):08x}"
+        for conv in all_conventions():
+            if conv == DEFAULT_CONVENTION:
+                assert request_key(req, conv) == request_key(req, None) == spelled_out
+            else:
+                with pytest.raises(InvalidCheckSpec):
+                    request_key(req, conv)
 
     def test_entry_removed_between_calls_is_rewritten(self, tmp_path):
         req = {"type": "vertex", "theory": "PT", "boundary": {"kind": "chern", "shape": [1]},
@@ -215,13 +222,6 @@ class TestCache:
         assert c3[: len(c2)] == c2
 
 
-class TestCalibrate:
-    def test_unique_winner(self):
-        doc = calibrate()
-        assert doc["winner_count"] == 1
-        assert doc["winner"] == DEFAULT_CONVENTION.to_json()
-
-
 class TestCLI:
     def test_check_exit_codes(self, tmp_path, capsys):
         rc = main(["check", "egl", "--params", '{"n_values": [1], "samples": 1}'])
@@ -253,8 +253,8 @@ class TestCLI:
         assert "config check.egl" in capsys.readouterr().err
 
     def test_convention_environment_variable_is_ignored(self, tmp_path):
-        # only --convention picks a convention; a process started with a
-        # convention variable naming a non-JSON file runs the default
+        # nothing picks a convention; a process started with a convention
+        # variable naming a non-JSON file runs the shipped one
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         src = str(Path(vertexforge.__file__).resolve().parents[1])
@@ -376,26 +376,26 @@ class TestCLI:
         out = capsys.readouterr().out
         assert rc == 0 and out.startswith("counts,")
 
+    @pytest.mark.parametrize("argv", [["calibrate"], ["--convention", "f", "check", "slices"]])
+    def test_removed_verb_and_option_exit_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "usage: vertexforge" in capsys.readouterr().err
+
     @pytest.mark.parametrize("case", [
-        "report not json", "report array", "compute missing file", "convention missing",
-        "convention not json", "convention no fields", "config format xml", "config missing",
-        "report unknown verdict", "report verdict capitalized", "spec-poly uorder 0",
-        "spec-poly uorder 1", "mainpt uorder 0", "mainpt uorder 1", "ptint uorder 0",
-        "ptint uorder 1", "check out in missing dir", "compute out in missing dir",
-        "calibrate out in missing dir", "cache dir a file", "cache variable a file",
-        "convention float sign compute", "convention float sign check",
-        "convention bool sign check",
+        "report not json", "report array", "compute missing file", "config format xml",
+        "config missing", "report unknown verdict", "report verdict capitalized",
+        "spec-poly uorder 0", "spec-poly uorder 1", "mainpt uorder 0", "mainpt uorder 1",
+        "ptint uorder 0", "ptint uorder 1", "check out in missing dir",
+        "compute out in missing dir", "cache dir a file", "cache variable a file",
     ])
     def test_invalid_input_exit_2(self, case, tmp_path, monkeypatch, capsys):
         # an output or cache path that cannot be written is invalid input,
         # never a violation: a passing check is not reported as failing
         files = {"bad.json": "{not json", "array.json": "[1, 2]", "empty.json": "{}",
                  "xml.cfg": "format = xml\n", "bogus.json": '{"verdict": "bogus"}',
-                 "capital.json": '{"verdict": "Pass"}', "file": "",
-                 "float.json": '{"pt_column_sign": -1.0, "dt_dual_denominator": "t1t2t3", '
-                               '"euler_sign": -1, "hilb_norm": -1}',
-                 "bool.json": '{"pt_column_sign": -1, "dt_dual_denominator": "t1t2t3", '
-                              '"euler_sign": -1, "hilb_norm": true}'}
+                 "capital.json": '{"verdict": "Pass"}', "file": ""}
         for name, text in files.items():
             (tmp_path / name).write_text(text)
         cache = ["--cache-dir", str(tmp_path / "cache")]
@@ -405,9 +405,6 @@ class TestCLI:
             "report not json": ["report", "bad.json"],
             "report array": ["report", "array.json"],
             "compute missing file": cache + ["compute", "@missing.json"],
-            "convention missing": ["--convention", "missing.json"] + check,
-            "convention not json": ["--convention", "bad.json"] + check,
-            "convention no fields": ["--convention", "empty.json"] + check,
             "config format xml": ["--config", "xml.cfg", "report", "empty.json"],
             "config missing": ["--config", "missing.cfg", "report", "empty.json"],
             "report unknown verdict": ["report", "bogus.json"],
@@ -420,12 +417,8 @@ class TestCLI:
             "ptint uorder 1": ["check", "ptint", "--params", '{"uorder": 1}'],
             "check out in missing dir": check + ["--out", "missing/r.json"],
             "compute out in missing dir": cache + compute + ["--out", "missing/r.json"],
-            "calibrate out in missing dir": ["calibrate", "--out", "missing/c.json"],
             "cache dir a file": ["--cache-dir", "file"] + compute,
             "cache variable a file": compute,
-            "convention float sign compute": cache + ["--convention", "float.json"] + compute,
-            "convention float sign check": ["--convention", "float.json"] + check,
-            "convention bool sign check": ["--convention", "bool.json"] + check,
         }[case]
         if case == "cache variable a file":
             monkeypatch.setenv("VERTEXFORGE_CACHE", "file")

@@ -29,6 +29,8 @@ from vertexforge.vertex import (
 from vertexforge.characters import dt_weight, dt_weight_walk, pt_weight, pt_weight_walk
 from vertexforge.partitions import enum_rpp
 
+from test_characters import euler_hook_oracle
+
 S = sample_random(4, 16)
 
 
@@ -155,6 +157,59 @@ class TestCYOneLegClosedForms:
         got = [c.coeff(()) for c in bare_dt(lam, 6, (), s).coeffs]
         assert got == _times(_macmahon_power(1, 6), _hook_product(lam, 6))
         assert any(got[1:])
+
+
+def closed_form_scan(conv) -> dict:
+    """Whether each published closed form holds under `conv`, one that
+    raises counting as failed: MNOP's degree-0 series M(-q)^r, the CY
+    one-leg PT vertex on (2,1) by localization and by residues, the CY
+    one-leg DT vertex on (2,1), and the arm-leg hook Euler class."""
+    s, cy, lam, q = sample_random(1, 14), sample_random(1, 14, line=-1), Partition([2, 1]), 3
+    r = -(s.t1 + s.t2) * (s.t1 + s.t3) * (s.t2 + s.t3) / (s.t1 * s.t2 * s.t3)
+    hook = _hook_product(lam, q)
+
+    def scalars(series, e=1):
+        return [c.coeff(()) * e for c in series]
+
+    forms = {
+        "degree 0": lambda: scalars(bare_dt(Partition(), q, (), s, conv).coeffs) == _macmahon_power(r, q),
+        "CY PT localization": lambda: scalars(bare_pt(("fixedpoint", lam), q, (), cy, conv).coeffs,
+                                              euler_hilb(lam, cy, conv)) == hook,
+        "CY PT residues": lambda: scalars(pt_residue_vertex(lam, q, (), cy, conv, basis="interp"),
+                                          euler_hilb(lam, cy, conv)) == hook,
+        "CY DT": lambda: scalars(bare_dt(lam, q, (), cy, conv).coeffs) == _times(
+            _macmahon_power(1, q), hook),
+        "euler_hook": lambda: all(euler_hilb(mu, s, conv) == euler_hook_oracle(mu, s)
+                                  for mu in (Partition([1]), Partition([2]), lam)),
+    }
+    out = {}
+    for name, holds in forms.items():
+        try:
+            out[name] = holds()
+        except (ValueError, ArithmeticError):
+            out[name] = False
+    return out
+
+
+class TestConventionScan:
+    """The closed forms fix every flag of the convention: the shipped one is
+    the only one of the 24 candidates under which all of them hold."""
+
+    def test_only_the_shipped_convention_passes(self):
+        for conv in all_conventions():
+            scan = closed_form_scan(conv)
+            assert all(scan.values()) == (conv == DEFAULT_CONVENTION), (conv, scan)
+
+    @pytest.mark.parametrize("flip,caught_by", [
+        ({"hilb_norm": 0}, {"CY PT residues"}),
+        ({"hilb_norm": 1}, {"CY PT residues"}),
+        ({"euler_sign": 1}, {"euler_hook"}),
+        ({"dt_dual_denominator": "t1t2"}, {"degree 0", "CY DT"}),
+        ({"pt_column_sign": 1}, {"CY PT localization"}),
+    ], ids=str)
+    def test_each_single_flag_flip_is_caught(self, flip, caught_by):
+        scan = closed_form_scan(DEFAULT_CONVENTION._replace(**flip))
+        assert {name for name, holds in scan.items() if not holds} == caught_by
 
 
 class TestDt0Slice:

@@ -15,7 +15,7 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `dtpt0_report` at `worder` 2, 3 and 4;
 * `bare_dt`, `bare_pt` and `glue` series;
 * the JSON of every named check at its default parameters, without its
-  elapsed time and parameters, and of `calibrate`;
+  elapsed time and parameters;
 * scalar `bare_dt`, `bare_pt` (both boundaries) and `dt0_slice` under all
   24 conventions, a raising case recorded as "ValueError";
 * `measure_difference_char` at every depth vector in {-1..3}^cells for
@@ -37,14 +37,11 @@ sha256 over their canonical JSON (sorted keys, no spaces, fractions as
 * `measure_ratio_extended` and `measure_ratio_char` at every depth vector
   in {-1..3}^cells for |mu| <= 3;
 * the JSON of every named check at one other parameter set, `mainpt`
-  raising InvalidCheckSpec and `simple` with a `fail` verdict among them,
-  and of the `egl`, `measure-ratio` and `simple` runs of the calibration
-  battery under all 24 conventions, a raising case recorded by its
-  exception's name;
-* `compute` on a few vertex and glue requests under two conventions, in a
-  fresh cache: the miss's stored request and result (not its key or
-  version, which follow the engine fingerprint), and whether the second
-  call is a hit with the same bytes;
+  raising InvalidCheckSpec and `simple` with a `fail` verdict among them;
+* `compute` on a few vertex and glue requests, in a fresh cache: the
+  miss's stored request and result (not its key or version, which follow
+  the engine fingerprint), and whether the second call is a hit with the
+  same bytes;
 * `vertex_char_pt` and `vertex_char_dt` at every fixed point up to q = 4 on
   the legs (), (1), (2,1) and the shapes (1), (2), (1,1), (2,1), and
   `vertex_char_pt_raw` and `vertex_char_dt_raw` at every depth vector in
@@ -72,7 +69,7 @@ from vertexforge.characters import DEFAULT_CONVENTION as CONV
 from vertexforge.characters import (Convention, DescendentSpec, all_conventions, descendent_char,
                                     edge_factor, fe_char, measure_difference_char, vertex_char_dt,
                                     vertex_char_dt_raw, vertex_char_pt, vertex_char_pt_raw)
-from vertexforge.harness import CHECKS, calibrate, compute, run_check
+from vertexforge.harness import CHECKS, compute, run_check
 from vertexforge.laurent import LaurentPoly
 from vertexforge.localcurve import GlueRequest, glue
 from vertexforge.partitions import Partition, enum_legged_pp, enum_partitions, enum_rpp
@@ -96,11 +93,11 @@ def canon(x):
     return x
 
 
-def check_doc(name, params, conv):
+def check_doc(name, params):
     """The JSON of a named check's report without its elapsed time and its
     parameters (which the caller knows), or the name of what it raised."""
     try:
-        doc = run_check(name, params, conv).to_json()
+        doc = run_check(name, params).to_json()
     except (ValueError, ArithmeticError) as exc:
         return type(exc).__name__
     doc.pop("elapsed_seconds", None)
@@ -122,14 +119,6 @@ CHECK_PARAMS = {
     "slices": {"seed": 3, "qorder": 3, "count_upto": 4},
     "spec-poly": {"seed": 5, "c_values": [2], "grid": list(range(8)), "fit_upto": 4, "uorder": 2},
 }
-
-# the named checks of the calibration battery at seed 43
-BATTERY_PARAMS = {
-    "egl": {"n_values": [1, 2], "u_orders": [2], "u_total": None, "samples": 1, "seed": 43},
-    "measure-ratio": {"max_size": 1, "kmax": 2, "samples": 1, "seed": 43},
-    "simple": {"qorder": 2, "samples": 1, "seed": 43},
-}
-
 
 # `compute` requests: both theories, both stable-pairs boundaries, `ch` and
 # `ch_hat` descendents, and two glued curves, one with a descendent at each
@@ -193,8 +182,7 @@ def entries():
                 yield f"glue {theory} {degrees} {n}", glue(req)
 
     for name in sorted(CHECKS):
-        yield f"check {name}", check_doc(name, {}, CONV)
-    yield "calibrate", calibrate()
+        yield f"check {name}", check_doc(name, {})
 
     def coeffs_or_error(f):
         try:
@@ -290,19 +278,15 @@ def entries():
                 yield f"measure_ratio_char {list(mu.parts)} {kv}", measure_ratio_char(mu, kmap)
 
     for name, params in CHECK_PARAMS.items():
-        yield f"check {name} {canonical(params)}", check_doc(name, params, CONV)
-    for conv in all_conventions():
-        for name, params in BATTERY_PARAMS.items():
-            yield f"check {name} {canonical(params)} {tuple(conv)}", check_doc(name, params, conv)
+        yield f"check {name} {canonical(params)}", check_doc(name, params)
 
     with tempfile.TemporaryDirectory() as cache:
-        for conv in (CONV, Convention(-1, "t1t2")):
-            for req in COMPUTE_REQUESTS:
-                blob, hit = compute(req, conv, cache)
-                doc = json.loads(blob)
-                yield (f"compute {canonical(req)} {tuple(conv)}",
-                       {"request": doc["request"], "result": doc["result"], "miss": not hit,
-                        "second_call_hit_same_bytes": compute(req, conv, cache) == (blob, True)})
+        for req in COMPUTE_REQUESTS:
+            blob, hit = compute(req, CONV, cache)
+            doc = json.loads(blob)
+            yield (f"compute {canonical(req)} {tuple(CONV)}",
+                   {"request": doc["request"], "result": doc["result"], "miss": not hit,
+                    "second_call_hit_same_bytes": compute(req, CONV, cache) == (blob, True)})
 
     # the vertex characters read the column sign and the dual term only
     flag_pairs = (Convention(-1, "t1t2t3"), Convention(-1, "t1t2"), Convention(1, "t1t2t3"),
