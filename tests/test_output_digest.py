@@ -9,7 +9,7 @@ from pathlib import Path
 
 TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digest.py"
 
-PINNED = "3671 entries sha256 041e350cad9692515364d86ca64211a9bc46f77ea7a04f4f65ea66f23bc70050"
+PINNED = "3593 entries sha256 2a1e3b8406bc265f8633f69ddb4ffce1e746b275a6dd111cec357d59990e1ebf"
 
 
 def test_digest_is_pinned_and_repeats_in_one_process():
