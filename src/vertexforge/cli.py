@@ -26,19 +26,25 @@ from .harness import (
 )
 
 FORMATS = ("json", "csv")
+CONFIG_KEYS = ("cache_dir", "format", *(f"check.{name}" for name in sorted(CHECKS)))
 
 
 def _load_config(path: str | None) -> dict:
+    """The `key = value` lines of the config file; a line that is not blank,
+    a `#` comment or one of CONFIG_KEYS is invalid input."""
     if path is None:
         if not os.path.exists("vertexforge.cfg"):
             return {}
         path = "vertexforge.cfg"
     cfg = {}
-    for line in _read_text(path, "config file").splitlines():
+    for num, line in enumerate(_read_text(path, "config file").splitlines(), 1):
         line = line.strip()
-        if not line or line.startswith("#") or "=" not in line:
+        if not line or line.startswith("#"):
             continue
-        key, val = line.split("=", 1)
+        key, eq, val = line.partition("=")
+        if not eq or key.strip() not in CONFIG_KEYS:
+            raise _InvalidInput(f"invalid config file {path}: line {num} {line!r} is not "
+                                f"`key = value` with a key among {', '.join(CONFIG_KEYS)}")
         cfg[key.strip()] = val.strip()
     return cfg
 

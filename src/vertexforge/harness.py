@@ -398,8 +398,10 @@ def _is_int_pair(d) -> bool:
 
 
 # integer parameters and their least allowed value
+# (at kmax 0 measure-ratio compares Exp(0) = 1 with 1; at count_upto 0
+# slices compares the plane-partition count 1 with 1)
 _INT_PARAMS = {"qorder": 0, "uorder": 0, "seed": 0, "samples": 1, "worder": 0, "max_size": 0,
-               "kmax": 0, "u_total": 0, "fit_upto": 0, "count_upto": 0}
+               "kmax": 1, "u_total": 0, "fit_upto": 0, "count_upto": 1}
 # list-of-integer parameters and the least allowed element
 _INT_LIST_PARAMS = {"n_values": 1, "u_orders": 0, "grid": 0, "c_values": 1}
 
@@ -431,9 +433,10 @@ def _validate_params(name: str, params: dict) -> None:
         ):
             what = "a non-empty list of integer pairs" if name == "ptint" else "an integer pair"
             raise InvalidCheckSpec(f"degrees must be {what}")
-    if name == "simple" and params["qorder"] < 1:
-        # at q-order 0 the factorization compares 1 with 1
-        raise InvalidCheckSpec("simple needs qorder >= 1")
+    if name in ("simple", "slices") and params["qorder"] < 1:
+        # at q-order 0 simple's factorization compares 1 with 1, and slices'
+        # slice sum the vertex's constant term 1 with 1
+        raise InvalidCheckSpec(f"{name} needs qorder >= 1")
     if name in ("mainpt", "ptint", "spec-poly") and params["uorder"] < 2:
         # the ch weight (1-e^{t1 z})(1-e^{t2 z}) sum ... starts at u^2: below
         # u-order 2 mainpt and ptint compare only zeros, and spec-poly's

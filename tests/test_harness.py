@@ -51,6 +51,18 @@ class TestRunCheck:
         rep = run_check("slices", {"qorder": 2, "count_upto": 3})
         assert rep.verdict == "pass" and rep.to_json()["convention"] == DEFAULT_CONVENTION.to_json()
 
+    @pytest.mark.parametrize("name,params,message", [
+        # every row compares Exp(0) = 1 with 1
+        ("measure-ratio", '{"kmax": 0}', "kmax must be an integer >= 1"),
+        # the plane-partition count 1 against 1, or the constant series 1
+        ("slices", '{"count_upto": 0}', "count_upto must be an integer >= 1"),
+        ("slices", '{"qorder": 0}', "slices needs qorder >= 1"),
+        ("slices", '{"count_upto": 0, "qorder": 0}', "count_upto must be an integer >= 1"),
+    ])
+    def test_sizes_that_compare_only_constants_exit_2(self, name, params, message, capsys):
+        assert main(["check", name, "--params", params]) == 2
+        assert message in capsys.readouterr().err
+
 
 class TestCache:
     def test_roundtrip_and_hit(self, tmp_path):
@@ -375,6 +387,29 @@ class TestCLI:
                    '{"qorder": 2, "count_upto": 3}'])
         out = capsys.readouterr().out
         assert rc == 0 and out.startswith("counts,")
+
+    @pytest.mark.parametrize("line", ["formt = csv", 'check.eg1 = {"samples": 1}', "junk line",
+                                      "check.egl", "= csv", "cache-dir = x"])
+    def test_config_unknown_line_exit_2(self, line, tmp_path, capsys):
+        # a misspelled key used to be skipped and the check run without it
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text(f"# comment\n\nformat = json\n{line}\n")
+        rc = main(["--config", str(cfg), "check", "slices", "--params",
+                   '{"qorder": 2, "count_upto": 3}'])
+        captured = capsys.readouterr()
+        assert rc == 2 and not captured.out
+        assert f"invalid config file {cfg}: line 4 {line!r}" in captured.err
+
+    def test_default_config_follows_the_same_rule(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        cfg = tmp_path / "vertexforge.cfg"
+        cfg.write_text("formt = csv\n")
+        assert main(["check", "slices", "--params", '{"qorder": 2, "count_upto": 3}']) == 2
+        assert "invalid config file vertexforge.cfg: line 1 'formt = csv'" in capsys.readouterr().err
+        cfg.write_text('# every key\n\nformat = csv\ncache_dir = cache\n'
+                       'check.slices = {"qorder": 2, "count_upto": 3}\n')
+        assert main(["check", "slices"]) == 0
+        assert capsys.readouterr().out.startswith("counts,")
 
     @pytest.mark.parametrize("argv", [["calibrate"], ["--convention", "f", "check", "slices"]])
     def test_removed_verb_and_option_exit_2(self, argv, capsys):
