@@ -1,5 +1,5 @@
 """`tools/round_times.py`: one in-process localize-vertex round of the
-repository against itself."""
+repository against itself, and its import times in fresh interpreters."""
 
 import importlib.util
 import subprocess
@@ -41,4 +41,23 @@ def test_main_prints_the_round(tmp_path):
     assert lines[0].split()[:5] == ["base", "ms", "change", "ms", "ratio"]
     # one line per case class, then the whole round
     assert lines[-1].split()[-1] == "round" and len(lines) == 2 + 30
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_setup_times_of_the_repository_against_itself(tmp_path):
+    times = _tool().setup_times(ROOT, ROOT, 2, str(tmp_path))
+    assert {side: len(ts) for side, ts in times.items()} == {"base": 2, "change": 2}
+    assert all(0 < t < 60 for ts in times.values() for t in ts)
+    # the interpreters wrote their bytecode under the given prefix only
+    assert (tmp_path / ROOT.relative_to(ROOT.anchor) / "src" / "vertexforge").is_dir()
+
+
+def test_main_prints_the_setup_times(tmp_path):
+    out = subprocess.run([sys.executable, str(TOOL), "--base", str(ROOT), "--change", str(ROOT),
+                          "--setup", "2"],
+                         cwd=tmp_path, capture_output=True, text=True, timeout=300, check=True)
+    lines = out.stdout.splitlines()
+    assert lines[0].split()[:6] == ["median", "ms", "q1", "ms", "q3", "ms"]
+    assert [line.split()[-1] for line in lines[1:3]] == ["base", "change"]
+    assert lines[3].split()[1:] == ["ratio", "of", "the", "medians,", "change/base"]
     assert list(tmp_path.iterdir()) == []
