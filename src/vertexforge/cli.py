@@ -42,10 +42,11 @@ def _load_config(path: str | None) -> dict:
         if not line or line.startswith("#"):
             continue
         key, eq, val = line.partition("=")
-        if not eq or key.strip() not in CONFIG_KEYS:
+        key = key.strip()
+        if not eq or key not in CONFIG_KEYS:
             raise _InvalidInput(f"invalid config file {path}: line {num} {line!r} is not "
                                 f"`key = value` with a key among {', '.join(CONFIG_KEYS)}")
-        cfg[key.strip()] = val.strip()
+        cfg[key] = val.strip()
     return cfg
 
 

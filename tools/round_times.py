@@ -23,9 +23,10 @@ running its `main`) in N fresh interpreters per checkout, each importing
 its checkout's library. The checkouts alternate, and each timed interpreter
 follows a discarded warm-up one. Prints each side's median and quartiles
 over the N, and the ratio of the medians change/base. The benchmark's
-`setup_s` is a median of 8 such interpreters per run and spreads by about a
-third from run to run; 30 alternating interpreters per side resolve an
-import-time change of a few percent.
+`setup_s` is a median of 8 such interpreters per run, and on a shared host
+single interpreters can fall into two modes a third apart, which moves a
+median but hardly the first quartile; read the quartiles before the ratio,
+and repeat the run when the two disagree.
 
 The checkouts are read only: no bytecode is written into them (the
 interpreters of `--setup` write theirs under a temporary
